@@ -114,9 +114,9 @@ fn bench_updates(b: &mut Bench) {
 }
 
 /// DESIGN.md ablation: the sorted-`Vec` adjacency inside Tri. (The losing
-/// `BTreeMap` variant was retired behind the `ablation` feature of
-/// `prox-bounds` once BENCH_schemes.json showed `sorted_vec` strictly
-/// winning; this cell remains as the reference point.)
+/// `BTreeMap` variant was removed once BENCH_schemes.json showed
+/// `sorted_vec` strictly winning; this cell remains as the reference
+/// point.)
 fn bench_tri_adjacency(b: &mut Bench) {
     let n = 512;
     let metric = ClusteredPlane::default().metric(n, SEED);

@@ -48,8 +48,6 @@ pub mod scheme;
 pub mod splub;
 pub mod tlaesa;
 pub mod tri;
-#[cfg(feature = "ablation")]
-pub mod tri_btree;
 
 pub use adm::{Adm, AdmUpdate};
 pub use audit::{AuditPolicy, CorruptionStats, VOTE_CAP};
@@ -66,5 +64,3 @@ pub use scheme::{BoundScheme, CascadeTier, GoalBounds, NoScheme};
 pub use splub::Splub;
 pub use tlaesa::Tlaesa;
 pub use tri::TriScheme;
-#[cfg(feature = "ablation")]
-pub use tri_btree::TriBTreeScheme;

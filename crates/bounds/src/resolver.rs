@@ -1,12 +1,11 @@
 //! The resolver framework: re-authored IF statements (§3 of the paper).
 
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use prox_core::invariant;
 use prox_core::invariant::{expect_ok, expect_some};
 use prox_core::{
-    Degradation, Metric, Oracle, OracleError, Pair, PruneStats, QueryGoal, SpecBounds,
+    Degradation, Metric, Oracle, OracleError, Pair, PairMap, PruneStats, QueryGoal, SpecBounds,
 };
 use prox_obs::{
     quantize_width, CorruptionAction, Metrics, ProbeKind, ProbeVerdict, ProvenanceLedger,
@@ -406,14 +405,19 @@ pub struct BoundResolver<'o, M: Metric, S: BoundScheme> {
     oracle: &'o Oracle<M>,
     scheme: S,
     stats: PruneStats,
-    /// Generation-stamped `(lb, ub, generation)` memo per pair, used when
-    /// the scheme opts in via [`BoundScheme::bounds_cacheable`]. A hit is
-    /// served only while `scheme.pair_stamp(p) <= generation`, i.e. while
-    /// the cached value is bitwise what the scheme would recompute —
-    /// repeated SPLUB probes of one pair then cost a hash lookup instead
-    /// of two Dijkstras. Hits and misses are deliberately *not* counted in
-    /// [`PruneStats`]: the cache must not change any observable accounting.
-    bcache: BTreeMap<u64, (f64, f64, u64)>,
+    /// Generation-stamped `(lb, ub, generation + 1)` memo, one slot per
+    /// unordered pair, used when the scheme opts in via
+    /// [`BoundScheme::bounds_cacheable`]. A hit is served only while
+    /// `scheme.pair_stamp(p) <= generation`, i.e. while the cached value is
+    /// bitwise what the scheme would recompute — a repeated probe then
+    /// costs one indexed load instead of a Tri merge or two Dijkstras.
+    /// Stamp `0` marks an empty slot, so the table is allocated zeroed on
+    /// the first insert (24 B × C(n, 2), lazily paged in) and a resolver
+    /// that never probes bounds never allocates it. Nothing is evicted, so
+    /// hits and misses depend only on the scheme's stamps. They are
+    /// deliberately *not* counted in [`PruneStats`]: the memo must not
+    /// change any observable accounting.
+    bcache: Option<PairMap<(f64, f64, u64)>>,
     cache_on: bool,
     /// Observation handles, cloned from the oracle once at construction
     /// ("checked once per resolver construction"): the disabled hot path
@@ -451,7 +455,7 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
             oracle,
             scheme,
             stats: PruneStats::default(),
-            bcache: BTreeMap::new(),
+            bcache: None,
             cache_on,
             audit: None,
             weak_preloads: 0,
@@ -581,7 +585,6 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
             // itself descends from a lie accepted earlier. Re-verify every
             // recorded edge, retract the poisoned ones, recompute.
             self.repair_poisoned_state()?;
-            self.bcache.clear();
             let (lb2, ub2) = self.scheme.bounds(p);
             invariant!(
                 trusted >= lb2 - DECISION_EPS && trusted <= ub2 + DECISION_EPS,
@@ -605,6 +608,8 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
     /// that the local quarantine could not explain, i.e. after detection
     /// mode let a lie into the scheme.
     fn repair_poisoned_state(&mut self) -> Result<(), OracleError> {
+        // Every memoized sandwich may descend from the poisoned edge.
+        self.bcache = None;
         let k = self.audit_mut().policy.vote_k.max(2);
         let mut known = Vec::new();
         self.scheme.for_each_known(&mut |q, d| known.push((q, d)));
@@ -661,18 +666,37 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
     /// invariant: the cached value was produced by the scheme itself, and
     /// the stamp check proves the scheme would still produce it.
     fn cached_bounds(&mut self, x: Pair) -> (f64, f64) {
-        if !self.cache_on {
-            return self.scheme.bounds(x);
-        }
-        let key = x.key();
-        if let Some(&(lb, ub, gen)) = self.bcache.get(&key) {
-            if self.scheme.pair_stamp(x) <= gen {
-                return (lb, ub);
-            }
+        if let Some(hit) = self.memo_get(x) {
+            return hit;
         }
         let (lb, ub) = self.scheme.bounds(x);
-        self.bcache.insert(key, (lb, ub, self.scheme.generation()));
+        self.memo_put(x, lb, ub);
         (lb, ub)
+    }
+
+    /// The memoized sandwich for `x`, if its slot is filled and still
+    /// current. Slots store `generation + 1`, so an empty slot (`0`) fails
+    /// the stamp test without a separate check. `None` whenever the table
+    /// was never allocated (always, for schemes that do not opt in).
+    #[inline]
+    fn memo_get(&self, x: Pair) -> Option<(f64, f64)> {
+        let (lb, ub, stamp) = self.bcache.as_ref()?.get(x);
+        (self.scheme.pair_stamp(x) < stamp).then_some((lb, ub))
+    }
+
+    /// Memoizes the exact sandwich for `x` at the current generation,
+    /// allocating the table on first use. A no-op for schemes that do not
+    /// opt in.
+    #[inline]
+    fn memo_put(&mut self, x: Pair, lb: f64, ub: f64) {
+        if !self.cache_on {
+            return;
+        }
+        let stamp = self.scheme.generation() + 1;
+        let n = self.scheme.n();
+        self.bcache
+            .get_or_insert_with(|| PairMap::new(n, (0.0, 0.0, 0)))
+            .set(x, (lb, ub, stamp));
     }
 
     /// True when threshold probes may route through the scheme's goal-aware
@@ -693,25 +717,14 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
     /// results are certified by the scheme to agree (checked here in debug
     /// builds against a fresh exact sandwich).
     fn try_value_via_cascade(&mut self, x: Pair, v: f64, leq: bool) -> Option<bool> {
-        // A fresh bcache entry *is* the exact sandwich; it outranks every
-        // cascade tier and keeps cache accounting identical to the exact
+        // A fresh memo entry *is* the exact sandwich; it outranks every
+        // cascade tier and keeps memo accounting identical to the exact
         // path.
-        let cached = if self.cache_on {
-            self.bcache
-                .get(&x.key())
-                // Integer generation stamps, not distances. lint: allow(L3)
-                .and_then(|&(lb, ub, gen)| (self.scheme.pair_stamp(x) <= gen).then_some((lb, ub)))
-        } else {
-            None
-        };
-        let (lb, ub, tier) = match cached {
+        let (lb, ub, tier) = match self.memo_get(x) {
             Some((lb, ub)) => (lb, ub, None),
             None => match self.scheme.bounds_for_goal(x, QueryGoal::threshold(v)) {
                 GoalBounds::Exact { lb, ub } => {
-                    if self.cache_on {
-                        self.bcache
-                            .insert(x.key(), (lb, ub, self.scheme.generation()));
-                    }
+                    self.memo_put(x, lb, ub);
                     (lb, ub, None)
                 }
                 GoalBounds::Decisive { lb, ub, tier } => {
@@ -1421,6 +1434,12 @@ mod tests {
                 .with_audit(AuditPolicy::detect_only());
             r.resolve(Pair::new(0, 5)); // lie enters: sandwich is [0, 1]
             r.resolve(Pair::new(5, 6)); // clean 0.1, no triangle yet
+
+            // Memoize every sandwich, so the repair has poisoned entries
+            // to drop (those through the lied-about (0, 5)).
+            for p in Pair::all(11) {
+                let _ = r.bounds_hint(p);
+            }
             let d = r.resolve(Pair::new(0, 6));
             let stats = r.corruption_stats();
             if stats.retracted >= 1 {
@@ -1434,6 +1453,23 @@ mod tests {
                 assert_eq!(r.known(Pair::new(5, 6)), Some(1.0 * scale));
                 assert!(stats.detected >= 1);
                 assert!(stats.repaired >= 2, "sweep repair + local repair");
+                // After the repair every served sandwich is what a scheme
+                // built from the repaired knowledge alone derives.
+                let mut known = Vec::new();
+                r.export_known(&mut known);
+                let mut fresh = TriScheme::new(11, 1.0);
+                for &(q, dq) in &known {
+                    fresh.record(q, dq);
+                }
+                for p in Pair::all(11) {
+                    let (lb, ub) = r.bounds_hint(p);
+                    let (fl, fu) = fresh.bounds(p);
+                    assert_eq!(
+                        (lb.to_bits(), ub.to_bits()),
+                        (fl.to_bits(), fu.to_bits()),
+                        "{p:?}"
+                    );
+                }
                 swept = Some(seed);
                 break;
             }
@@ -1509,5 +1545,106 @@ mod tests {
         // The already-resolved pair is still served for free.
         assert_eq!(r.resolve_fallible(Pair::new(0, 5)), Ok(0.5));
         assert_eq!(r.prune_stats().served_known, 1);
+    }
+
+    #[test]
+    fn resolve_and_preload_never_allocate_the_memo() {
+        // The serve session path: a resolver per group that only preloads
+        // a snapshot and resolves. It must never pay for the C(n, 2) table.
+        let oracle = line_oracle(64);
+        let mut r = BoundResolver::new(&oracle, TriScheme::new(64, 1.0));
+        for p in Pair::all(64).step_by(5) {
+            r.preload(p, oracle.call_pair(p));
+        }
+        for p in Pair::all(64).step_by(3) {
+            let _ = r.resolve(p);
+        }
+        assert!(r.bcache.is_none(), "resolve/preload allocated the memo");
+        // The first bound probe is what allocates it.
+        let _ = r.bounds_hint(Pair::new(0, 63));
+        assert!(r.bcache.is_some());
+    }
+
+    /// Seeded fuzz over one scheme: `record`s interleaved with every probe
+    /// kind. At every step the resolver's (possibly memoized) sandwich must
+    /// be bitwise the one a freshly built scheme derives from the same
+    /// knowledge. Returns how many probes found their slot filled but stale
+    /// and how many found it current, so callers can assert both paths ran.
+    fn fuzz_memo_matches_fresh<S: BoundScheme>(make: impl Fn() -> S, seed: u64) -> (u32, u32) {
+        use prox_core::TinyRng;
+        let n = 32;
+        let mut rng = TinyRng::new(seed);
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.unit_f64(), rng.unit_f64())).collect();
+        let oracle = Oracle::new(FnMetric::new(n, 1.0, move |a: ObjectId, b: ObjectId| {
+            let (pa, pb) = (pts[a as usize], pts[b as usize]);
+            (pa.0 - pb.0).hypot(pa.1 - pb.1) / 2f64.sqrt()
+        }));
+        let mut r = BoundResolver::new(&oracle, make());
+        let mut records: Vec<(Pair, f64)> = Vec::new();
+        let (mut stale, mut current) = (0, 0);
+        let pick = |rng: &mut TinyRng| {
+            let a = rng.below(n) as ObjectId;
+            let b = (a + 1 + rng.below(n - 1) as ObjectId) % n as ObjectId;
+            Pair::new(a, b)
+        };
+        for _ in 0..600 {
+            let p = pick(&mut rng);
+            let stamp = r.bcache.as_ref().map_or(0, |m| m.get(p).2);
+            if stamp != 0 {
+                if r.scheme.pair_stamp(p) < stamp {
+                    current += 1;
+                } else {
+                    stale += 1;
+                }
+            }
+            let v = rng.unit_f64() * 0.6;
+            match rng.below(6) {
+                0 => {
+                    if r.known(p).is_none() {
+                        records.push((p, r.resolve(p)));
+                    }
+                }
+                1 => {
+                    let _ = r.try_less_value(p, v);
+                }
+                2 => {
+                    let _ = r.try_leq_value(p, v);
+                }
+                3 => {
+                    let _ = r.try_less(p, pick(&mut rng));
+                }
+                _ => {
+                    let _ = r.bounds_hint(p);
+                }
+            }
+            let mut fresh = make();
+            for &(q, d) in &records {
+                fresh.record(q, d);
+            }
+            for q in [p, pick(&mut rng)] {
+                let (lb, ub) = r.bounds_hint(q);
+                let (fl, fu) = fresh.bounds(q);
+                assert_eq!(
+                    (lb.to_bits(), ub.to_bits()),
+                    (fl.to_bits(), fu.to_bits()),
+                    "{} seed {seed}: memoized {q:?} diverged from a fresh scheme",
+                    fresh.name()
+                );
+            }
+        }
+        (stale, current)
+    }
+
+    #[test]
+    fn memo_matches_fresh_scheme_under_interleaved_records() {
+        for seed in 0..4 {
+            for (stale, current) in [
+                fuzz_memo_matches_fresh(|| TriScheme::new(32, 1.0), seed),
+                fuzz_memo_matches_fresh(|| crate::Splub::new(32, 1.0), seed),
+            ] {
+                assert!(stale > 0, "seed {seed}: no probe met a stale slot");
+                assert!(current > 0, "seed {seed}: no probe met a current slot");
+            }
+        }
     }
 }

@@ -95,8 +95,11 @@ impl Pair {
 /// A map from [`Pair`] to `T` backed by a flat upper-triangular matrix.
 ///
 /// Dense, cache-friendly storage for per-edge state when `n` is small enough
-/// that `n^2 / 2` entries fit in memory (ADM matrices, resolved-distance
-/// caches). For `n = 4000` and `T = f64` this is ~64 MB.
+/// that `C(n, 2)` entries fit in memory: ground-truth distance matrices
+/// ([`crate::MatrixMetric`]) and the resolver's per-pair bound memo. For
+/// `n = 4000` and `T = f64` this is ~64 MB. A `fill` whose bits are all zero
+/// is allocated as zeroed memory, so pages the map never writes are never
+/// made resident.
 #[derive(Clone, Debug)]
 pub struct PairMap<T> {
     n: usize,

@@ -7,11 +7,11 @@ use prox_core::{ObjectId, Pair};
 /// Adjacency lists are kept **sorted by neighbour id**. The paper stores
 /// them in balanced BSTs to make the Tri Scheme's list intersection fast;
 /// a sorted `Vec` provides the same `O(deg)` ordered traversal and
-/// `O(log deg)` membership test with much better cache behaviour (the
-/// losing `BTreeMap` variant survives only behind `prox-bounds`'
-/// `ablation` feature; the `tri_adjacency` bench keeps the winner's
-/// numbers pinned). Insertion is `O(deg)` due to the shift, which is far
-/// below the oracle cost this workspace optimizes.
+/// `O(log deg)` membership test with much better cache behaviour (a
+/// `BTreeMap` variant lost on every benched size and was removed; the
+/// `tri_adjacency` bench keeps the winner's numbers pinned). Insertion is
+/// `O(deg)` due to the shift, which is far below the oracle cost this
+/// workspace optimizes.
 #[derive(Clone, Debug, Default)]
 pub struct PartialGraph {
     adj: Vec<Vec<(ObjectId, f64)>>,
