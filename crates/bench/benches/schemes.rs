@@ -4,7 +4,9 @@ use std::hint::black_box;
 
 use prox_bench::microbench::Bench;
 use prox_bounds::{laesa_bootstrap, Adm, BoundScheme, Laesa, Splub, Tlaesa, TriScheme};
-use prox_core::{CallBudget, FaultInjector, Oracle, Pair, QueryGoal, RetryPolicy};
+use prox_core::{
+    CallBudget, FaultInjector, ObjectId, Oracle, Pair, QueryGoal, RetryPolicy, TinyRng,
+};
 use prox_datasets::{ClusteredPlane, Dataset};
 use prox_graph::{Dijkstra, PartialGraph};
 
@@ -23,6 +25,9 @@ fn bench_queries(b: &mut Bench) {
         let metric = ClusteredPlane::default().metric(n, SEED);
         let queries: Vec<Pair> = Pair::all(n).step_by(13).take(256).collect();
 
+        // `Pair::all` order puts the queries in runs of ~n/13 that share
+        // their low endpoint, so after the first query of a run Tri answers
+        // from its anchor row (see `tri_access` for the three patterns).
         let mut tri = TriScheme::new(n, 1.0);
         feed(&mut tri, &*metric, n);
         b.bench("bound_query", &format!("tri/{n}"), || {
@@ -109,6 +114,78 @@ fn bench_updates(b: &mut Bench) {
                 s.record(p, d);
             }
             black_box(s.m());
+        });
+    }
+}
+
+/// Tri's query cost by access pattern, in ns per query, at n = 256 with
+/// every 7th pair known (degree ≈ 36).
+///
+/// * `row` — Prim's relaxation: for each of 32 anchors `u`, query `(u, v)`
+///   over every `v`, recording the queried pair every 8th query, so the
+///   anchor row is patched in place. Each pass runs on a fresh clone of the
+///   fed scheme (the clone is inside the timing, ≈1 % of a pass).
+/// * `chain` — `(a, b), (b, c), …`: every query re-anchors the row.
+/// * `random` — no query shares an endpoint with the one before it, so
+///   every query is the sorted-list merge.
+///
+/// The bench-gate holds `chain` within 1.5× of `random`.
+fn bench_tri_access(b: &mut Bench) {
+    let n = 256usize;
+    let metric = ClusteredPlane::default().metric(n, SEED);
+    let oracle = Oracle::new(&*metric);
+    let mut fed = TriScheme::new(n, 1.0);
+    for p in Pair::all(n).step_by(7) {
+        fed.record(p, oracle.call_pair(p));
+    }
+
+    let rows: Vec<(Pair, Option<f64>)> = (0..n as ObjectId)
+        .step_by(n / 32)
+        .flat_map(|u| {
+            (0..n as ObjectId)
+                .filter(move |&v| v != u)
+                .map(move |v| Pair::new(u, v))
+        })
+        .enumerate()
+        .map(|(i, p)| (p, (i % 8 == 7).then(|| oracle.call_pair(p))))
+        .collect();
+    b.bench_per_op("bound_query", "tri_access/row", rows.len() as u64, || {
+        let mut s = fed.clone();
+        for &(p, d) in &rows {
+            black_box(s.bounds(p));
+            if let Some(d) = d {
+                s.record(p, d);
+            }
+        }
+    });
+
+    // 101 is coprime to 256, so the walk visits every object before
+    // repeating and consecutive queries share exactly one endpoint.
+    let walk: Vec<ObjectId> = (0..=1024).map(|i| (i * 101 % n) as ObjectId).collect();
+    let chain: Vec<Pair> = walk.windows(2).map(|w| Pair::new(w[0], w[1])).collect();
+
+    // Repeated passes wrap around, so the last query must not share an
+    // endpoint with the first either.
+    let mut rng = TinyRng::new(SEED);
+    let mut random: Vec<Pair> = Vec::with_capacity(1024);
+    while random.len() < 1024 {
+        let (a, b) = (rng.below(n) as ObjectId, rng.below(n) as ObjectId);
+        let shares = |q: &Pair| [q.lo(), q.hi()].iter().any(|&x| x == a || x == b);
+        let wrap = if random.len() == 1023 {
+            random.first()
+        } else {
+            None
+        };
+        if a != b && !random.last().is_some_and(shares) && !wrap.is_some_and(shares) {
+            random.push(Pair::new(a, b));
+        }
+    }
+    for (id, queries) in [("tri_access/chain", &chain), ("tri_access/random", &random)] {
+        let mut s = fed.clone();
+        b.bench_per_op("bound_query", id, queries.len() as u64, || {
+            for &p in queries {
+                black_box(s.bounds(p));
+            }
         });
     }
 }
@@ -455,6 +532,7 @@ fn main() {
     bench_queries(&mut b);
     bench_updates(&mut b);
     bench_tri_adjacency(&mut b);
+    bench_tri_access(&mut b);
     bench_dijkstra_reset(&mut b);
     bench_oracle_fault_layer(&mut b);
     bench_oracle_trace_layer(&mut b);

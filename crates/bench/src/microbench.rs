@@ -68,7 +68,13 @@ impl Bench {
     }
 
     /// Measures `f`, attributing the result to `group/id`.
-    pub fn bench(&mut self, group: &str, id: &str, mut f: impl FnMut()) {
+    pub fn bench(&mut self, group: &str, id: &str, f: impl FnMut()) {
+        self.bench_per_op(group, id, 1, f);
+    }
+
+    /// Measures `f`, which performs `ops` operations per call, and reports
+    /// ns per operation rather than per call.
+    pub fn bench_per_op(&mut self, group: &str, id: &str, ops: u64, mut f: impl FnMut()) {
         let name = format!("{group}/{id}");
         if let Some(pat) = &self.filter {
             if !name.contains(pat.as_str()) {
@@ -99,7 +105,7 @@ impl Bench {
             for _ in 0..iters {
                 f();
             }
-            samples.push(t.elapsed().as_secs_f64() * 1e9 / iters as f64);
+            samples.push(t.elapsed().as_secs_f64() * 1e9 / (iters * ops.max(1)) as f64);
         }
         samples.sort_by(|a, b| a.total_cmp(b));
         self.rows.push(Row {

@@ -165,8 +165,11 @@ impl PartialGraph {
 
     /// Calls `f(c, d_ac, d_bc)` for every object `c` adjacent to **both**
     /// `a` and `b` — i.e. every triangle incident on the unknown edge
-    /// `(a, b)` whose other two sides are known. This is the sorted-list
-    /// merge at the heart of Tri Scheme (Algorithm 2), `O(deg a + deg b)`.
+    /// `(a, b)` whose other two sides are known, in ascending `c` order.
+    /// This is the sorted-list merge of Tri Scheme (Algorithm 2),
+    /// `O(deg a + deg b)`. Tri takes it for snapshot queries and for pairs
+    /// its anchor row cannot answer; a pair touching the anchor walks only
+    /// [`PartialGraph::neighbors`] of the other endpoint, in the same order.
     #[inline]
     pub fn for_each_common_neighbor<F: FnMut(ObjectId, f64, f64)>(
         &self,

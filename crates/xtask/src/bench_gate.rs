@@ -56,6 +56,15 @@ pub const STORE_MAX_RATIO: f64 = 2.0;
 pub const STORE_SERVE_CELL: &str = "store_layer/serve";
 pub const STORE_DIRECT_CELL: &str = "store_layer/direct";
 
+/// The Tri anchor-row gate: a query chain `(a,b), (b,c), …` re-anchors the
+/// row on every query, so `chain` prices a re-anchor plus a row pass, and
+/// `random` (no shared endpoints) prices the plain merge. Holding `chain`
+/// within [`TRI_ACCESS_MAX_RATIO`] × of `random` bounds what a wrong
+/// re-anchor guess can cost: at most half a merge extra.
+pub const TRI_ACCESS_MAX_RATIO: f64 = 1.5;
+pub const TRI_CHAIN_CELL: &str = "bound_query/tri_access/chain";
+pub const TRI_RANDOM_CELL: &str = "bound_query/tri_access/random";
+
 /// One parsed bench row: the cell name and its median latency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRow {
@@ -174,87 +183,82 @@ fn split_fields(obj: &str) -> Result<Vec<(String, String)>, String> {
     Ok(out)
 }
 
+/// Every gate: `(numerator cell, denominator cell, limit, failure)`. The
+/// numerator's median must be at most `limit` × the denominator's.
+const GATES: [(&str, &str, f64, &str); 5] = [
+    (
+        SPLUB_CELL,
+        TRI_CELL,
+        MAX_RATIO,
+        "SPLUB query latency regressed past the cascade gate",
+    ),
+    (
+        WEAK_DISABLED_CELL,
+        WEAK_CLEAN_CELL,
+        WEAK_MAX_RATIO,
+        "the cascade-disabled path is no longer free",
+    ),
+    (
+        SPAN_DISABLED_CELL,
+        SPAN_CLEAN_CELL,
+        SPAN_MAX_RATIO,
+        "the detached span path is no longer free",
+    ),
+    (
+        STORE_SERVE_CELL,
+        STORE_DIRECT_CELL,
+        STORE_MAX_RATIO,
+        "the warm serve path outgrew direct resolution",
+    ),
+    (
+        TRI_CHAIN_CELL,
+        TRI_RANDOM_CELL,
+        TRI_ACCESS_MAX_RATIO,
+        "a Tri re-anchor costs more than half a merge",
+    ),
+];
+
 /// Runs the gate against parsed rows. `Ok` carries the human-readable
 /// verdict line; `Err` explains the failure (missing cell or regression).
 pub fn check(rows: &[BenchRow]) -> Result<String, String> {
+    let verdicts = GATES
+        .iter()
+        .map(|&(numerator, denominator, limit, failure)| {
+            ratio_gate(rows, numerator, denominator, limit, failure)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(verdicts.join("; "))
+}
+
+/// One gate. `Ok` carries the verdict; `Err` names a missing or degenerate
+/// cell, or prefixes the verdict with `failure`.
+fn ratio_gate(
+    rows: &[BenchRow],
+    numerator: &str,
+    denominator: &str,
+    limit: f64,
+    failure: &str,
+) -> Result<String, String> {
     let median = |cell: &str| {
         rows.iter()
             .find(|r| r.name == cell)
             .map(|r| r.median_ns)
             .ok_or_else(|| format!("bench cell `{cell}` not found in the JSON"))
     };
-    let splub = median(SPLUB_CELL)?;
-    let tri = median(TRI_CELL)?;
-    if !(splub.is_finite() && tri.is_finite()) || tri <= 0.0 {
+    let (num, den) = (median(numerator)?, median(denominator)?);
+    if !(num.is_finite() && den.is_finite()) || den <= 0.0 {
         return Err(format!(
-            "degenerate medians: {SPLUB_CELL} = {splub}, {TRI_CELL} = {tri}"
+            "degenerate medians: {numerator} = {num}, {denominator} = {den}"
         ));
     }
-    let ratio = splub / tri;
+    let ratio = num / den;
     let verdict = format!(
-        "{SPLUB_CELL} = {splub} ns, {TRI_CELL} = {tri} ns, ratio {ratio:.1}x \
-         (limit {MAX_RATIO:.0}x)"
+        "{numerator} = {num} ns, {denominator} = {den} ns, ratio {ratio:.2}x (limit {limit}x)"
     );
-    if ratio > MAX_RATIO {
-        return Err(format!(
-            "SPLUB query latency regressed past the cascade gate: {verdict}"
-        ));
+    if ratio > limit {
+        return Err(format!("{failure}: {verdict}"));
     }
-    let disabled = median(WEAK_DISABLED_CELL)?;
-    let clean = median(WEAK_CLEAN_CELL)?;
-    if !(disabled.is_finite() && clean.is_finite()) || clean <= 0.0 {
-        return Err(format!(
-            "degenerate medians: {WEAK_DISABLED_CELL} = {disabled}, {WEAK_CLEAN_CELL} = {clean}"
-        ));
-    }
-    let weak_ratio = disabled / clean;
-    let weak_verdict = format!(
-        "{WEAK_DISABLED_CELL} = {disabled} ns, {WEAK_CLEAN_CELL} = {clean} ns, \
-         ratio {weak_ratio:.2}x (limit {WEAK_MAX_RATIO:.0}x)"
-    );
-    if weak_ratio > WEAK_MAX_RATIO {
-        return Err(format!(
-            "the cascade-disabled path is no longer free: {weak_verdict}"
-        ));
-    }
-    let span_disabled = median(SPAN_DISABLED_CELL)?;
-    let span_clean = median(SPAN_CLEAN_CELL)?;
-    if !(span_disabled.is_finite() && span_clean.is_finite()) || span_clean <= 0.0 {
-        return Err(format!(
-            "degenerate medians: {SPAN_DISABLED_CELL} = {span_disabled}, \
-             {SPAN_CLEAN_CELL} = {span_clean}"
-        ));
-    }
-    let span_ratio = span_disabled / span_clean;
-    let span_verdict = format!(
-        "{SPAN_DISABLED_CELL} = {span_disabled} ns, {SPAN_CLEAN_CELL} = {span_clean} ns, \
-         ratio {span_ratio:.2}x (limit {SPAN_MAX_RATIO:.0}x)"
-    );
-    if span_ratio > SPAN_MAX_RATIO {
-        return Err(format!(
-            "the detached span path is no longer free: {span_verdict}"
-        ));
-    }
-    let serve = median(STORE_SERVE_CELL)?;
-    let direct = median(STORE_DIRECT_CELL)?;
-    if !(serve.is_finite() && direct.is_finite()) || direct <= 0.0 {
-        return Err(format!(
-            "degenerate medians: {STORE_SERVE_CELL} = {serve}, {STORE_DIRECT_CELL} = {direct}"
-        ));
-    }
-    let store_ratio = serve / direct;
-    let store_verdict = format!(
-        "{STORE_SERVE_CELL} = {serve} ns, {STORE_DIRECT_CELL} = {direct} ns, \
-         ratio {store_ratio:.2}x (limit {STORE_MAX_RATIO:.0}x)"
-    );
-    if store_ratio > STORE_MAX_RATIO {
-        return Err(format!(
-            "the warm serve path outgrew direct resolution: {store_verdict}"
-        ));
-    }
-    Ok(format!(
-        "{verdict}; {weak_verdict}; {span_verdict}; {store_verdict}"
-    ))
+    Ok(verdict)
 }
 
 #[cfg(test)]
@@ -269,7 +273,9 @@ mod tests {
   {"name": "oracle_span_layer/clean", "median_ns": 88000.0, "iters": 64},
   {"name": "oracle_span_layer/disabled", "median_ns": 90000.0, "iters": 64},
   {"name": "store_layer/direct", "median_ns": 40000.0, "iters": 64},
-  {"name": "store_layer/serve", "median_ns": 52000.0, "iters": 64}
+  {"name": "store_layer/serve", "median_ns": 52000.0, "iters": 64},
+  {"name": "bound_query/tri_access/chain", "median_ns": 110.0, "iters": 64},
+  {"name": "bound_query/tri_access/random", "median_ns": 100.0, "iters": 64}
 ]"#;
 
     fn row(name: &str, median_ns: f64) -> BenchRow {
@@ -279,7 +285,7 @@ mod tests {
         }
     }
 
-    /// All eight gated cells at healthy medians; tests perturb from here.
+    /// All ten gated cells at healthy medians; tests perturb from here.
     fn healthy() -> Vec<BenchRow> {
         vec![
             row(TRI_CELL, 7000.0),
@@ -290,18 +296,21 @@ mod tests {
             row(SPAN_DISABLED_CELL, 90000.0),
             row(STORE_DIRECT_CELL, 40000.0),
             row(STORE_SERVE_CELL, 52000.0),
+            row(TRI_CHAIN_CELL, 110.0),
+            row(TRI_RANDOM_CELL, 100.0),
         ]
     }
 
     #[test]
     fn parses_rows_and_passes_within_ratio() {
         let rows = parse_rows(SAMPLE).unwrap();
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), 10);
         assert_eq!(rows[0].name, "bound_query/tri/256");
         assert_eq!(rows[0].median_ns, 7312.4);
         let verdict = check(&rows).unwrap();
-        assert!(verdict.contains("ratio 9.6x"), "{verdict}");
-        assert!(verdict.contains("ratio 1.03x"), "{verdict}");
+        assert!(verdict.contains("ratio 9.57x (limit 100x)"), "{verdict}");
+        assert!(verdict.contains("ratio 1.03x (limit 2x)"), "{verdict}");
+        assert!(verdict.contains("ratio 1.10x (limit 1.5x)"), "{verdict}");
     }
 
     #[test]
@@ -343,6 +352,17 @@ mod tests {
     }
 
     #[test]
+    fn fails_when_a_tri_reanchor_costs_more_than_half_a_merge() {
+        let mut rows = healthy();
+        rows[8].median_ns = 150.0;
+        assert!(check(&rows).is_ok(), "exactly at the limit passes");
+        rows[8].median_ns = 151.0;
+        let err = check(&rows).unwrap_err();
+        assert!(err.contains("Tri re-anchor costs more"), "{err}");
+        assert!(err.contains("bound_query/tri_access/chain"), "{err}");
+    }
+
+    #[test]
     fn missing_cell_is_an_error() {
         let rows = parse_rows(r#"[{"name": "bound_query/tri/256", "median_ns": 1.0}]"#).unwrap();
         let err = check(&rows).unwrap_err();
@@ -359,6 +379,10 @@ mod tests {
         rows.retain(|r| r.name != STORE_SERVE_CELL);
         let err = check(&rows).unwrap_err();
         assert!(err.contains("store_layer/serve"), "{err}");
+        let mut rows = healthy();
+        rows.retain(|r| r.name != TRI_RANDOM_CELL);
+        let err = check(&rows).unwrap_err();
+        assert!(err.contains("bound_query/tri_access/random"), "{err}");
     }
 
     #[test]
