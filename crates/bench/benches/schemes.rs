@@ -485,9 +485,13 @@ fn bench_oracle_span_layer(b: &mut Bench) {
 /// DESIGN.md §16 gate: the serving layer's warm-path overhead. Both
 /// cells resolve the same fully-known query mix — every pair is
 /// pre-certified, so there are no strong calls and no WAL writes — and
-/// the delta prices the serve bookkeeping alone (admission accounting,
-/// snapshot preload, freshness partition). The bench-gate holds
-/// `store_layer/serve` within 2x of `store_layer/direct`.
+/// the delta prices the serve bookkeeping alone (group expansion,
+/// admission accounting, binary searches into the snapshot read in
+/// place, the ledger). The bench-gate holds `store_layer/serve` within
+/// 2x of `store_layer/direct`. `store_layer/serve_weak` drops a quarter
+/// of the pairs from the snapshot and turns on a weak tier that never
+/// lies, so each missing pair is served by a weak quorum audited
+/// against Tri bounds: it prices the lazy Tri build. Not gated.
 fn bench_store_layer(b: &mut Bench) {
     use prox_bounds::{BoundResolver, DistanceResolver};
     use prox_serve::{run_group, GroupOutcome, PairGroupQuery, SessionConfig};
@@ -523,6 +527,23 @@ fn bench_store_layer(b: &mut Bench) {
         let out = run_group(&*metric, &snapshot, &[], &query, 0, &config);
         if let GroupOutcome::Served(s) = out {
             black_box(s.response.store_hits);
+        }
+    });
+
+    let partial: Vec<(Pair, f64)> = snapshot
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 4 != 0)
+        .map(|(_, &e)| e)
+        .collect();
+    let weak = SessionConfig {
+        weak: Some((0.0, SEED)),
+        ..SessionConfig::default()
+    };
+    b.bench("store_layer", "serve_weak", || {
+        let out = run_group(&*metric, &partial, &[], &query, 0, &weak);
+        if let GroupOutcome::Served(s) = out {
+            black_box(s.fresh.len());
         }
     });
 }

@@ -1549,8 +1549,8 @@ mod tests {
 
     #[test]
     fn resolve_and_preload_never_allocate_the_memo() {
-        // The serve session path: a resolver per group that only preloads
-        // a snapshot and resolves. It must never pay for the C(n, 2) table.
+        // A resolver that only preloads a cache and resolves must never
+        // pay for the C(n, 2) table.
         let oracle = line_oracle(64);
         let mut r = BoundResolver::new(&oracle, TriScheme::new(64, 1.0));
         for p in Pair::all(64).step_by(5) {

@@ -35,8 +35,7 @@ pub struct TriScheme {
     max_distance: f64,
     /// `row[c] = d(anchor, c)` for every known neighbour `c` of `anchor`,
     /// NaN elsewhere. Empty until the first re-anchor, so a scheme that is
-    /// only fed and asked `known` (serve's per-group resolver) never pays
-    /// for it.
+    /// only fed and asked `known` never pays for it.
     row: Vec<f64>,
     anchor: Option<ObjectId>,
     /// The previous `bounds` query: a miss that shares an endpoint with it
@@ -336,8 +335,8 @@ mod tests {
 
     #[test]
     fn feeding_and_known_never_allocate_the_row() {
-        // Serve's per-group resolver only preloads and resolves; it must
-        // never pay for the n-slot row.
+        // A scheme that is only preloaded and resolved through must never
+        // pay for the n-slot row.
         let mut s = TriScheme::new(64, 1.0);
         for q in Pair::all(64).step_by(5) {
             s.record(q, 0.5);

@@ -3,9 +3,9 @@
 //! The Proxima-style serving shape (SNIPPETS.md snippet 1): instead of
 //! one round trip per pair, a client submits a *selector* describing a
 //! block of pairs plus a *skip set* of pairs it already holds, and the
-//! server resolves the whole group in one pass — one snapshot, one
-//! scheme preload, one commit — amortising the per-query bookkeeping
-//! across the block.
+//! server resolves the whole group in one pass — one snapshot read in
+//! place, one resolver, one commit — amortising the per-query
+//! bookkeeping across the block.
 
 use std::collections::BTreeSet;
 

@@ -10,6 +10,12 @@
 //! outcome is identical to running them in a loop, so responses and
 //! call counts are byte-identical at every `--threads N` (I12/I5).
 //!
+//! A group reads the snapshot and the memo in place, by binary search:
+//! it copies neither into a scheme. Only the weak cascade asks for Tri
+//! bounds inside a group (its sandwich audit and degraded midpoints),
+//! so the Tri adjacency is built on the first bound query, and a group
+//! that only resolves never builds it.
+//!
 //! Admission is decided *before* any oracle work and never blocks the
 //! store: the group's strong-call cost is bounded above by the number
 //! of its pairs missing from snapshot + memo (each missing pair costs
@@ -19,7 +25,7 @@
 
 use std::time::Duration;
 
-use prox_bounds::{BoundResolver, CascadeResolver, DistanceResolver, TriScheme};
+use prox_bounds::{BoundResolver, BoundScheme, CascadeResolver, DistanceResolver, TriScheme};
 use prox_core::{
     CallBudget, FaultInjector, Metric, Oracle, OracleError, Pair, RetryPolicy, WeakOracle,
 };
@@ -151,9 +157,153 @@ impl ClientSession {
     }
 }
 
-/// Resolves one group for one session: admission, snapshot + memo
-/// preload, canonical-order resolution, degradation bookkeeping. Pure
-/// in `(metric, snapshot, memo, query, id, config)` — see module docs.
+/// The certified distances one group can read, without copying the
+/// round snapshot: the snapshot and the session memo are borrowed in
+/// place (each ascending by pair key, without duplicates) and looked up
+/// by binary search, snapshot first; the group's own records sit in a
+/// short list beside them.
+///
+/// Bound queries are rare here: only the weak cascade's sandwich audit
+/// and its degraded midpoints ask for bounds. The first one builds a
+/// [`TriScheme`] from snapshot ∪ memo ∪ own records, once, and every
+/// later query and record goes to it as well, so its answers are the
+/// ones a scheme preloaded with the same distances would give.
+///
+/// Not `bounds_cacheable`: a group asks for the bounds of each missing
+/// pair about once, so the resolver's `C(n, 2)` memo table would cost
+/// more than it saves.
+struct HeldScheme<'a> {
+    n: usize,
+    max_distance: f64,
+    snapshot: &'a [(Pair, f64)],
+    memo: &'a [(Pair, f64)],
+    /// Distances recorded by this group, ascending by pair key — the
+    /// commit batch.
+    own: Vec<(Pair, f64)>,
+    tri: Option<TriScheme>,
+}
+
+/// The value of `p` in a key-sorted entry list.
+fn lookup(entries: &[(Pair, f64)], p: Pair) -> Option<f64> {
+    let key = p.key();
+    entries
+        .binary_search_by_key(&key, |e| e.0.key())
+        .ok()
+        .map(|i| entries[i].1)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Lazy Tri builds on this thread (read by the lazy-build test).
+    static TRI_BUILDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+impl<'a> HeldScheme<'a> {
+    fn new(
+        metric: &(dyn Metric + Send + Sync),
+        snapshot: &'a [(Pair, f64)],
+        memo: &'a [(Pair, f64)],
+    ) -> Self {
+        debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(memo.windows(2).all(|w| w[0].0 < w[1].0));
+        HeldScheme {
+            n: metric.len(),
+            max_distance: metric.max_distance(),
+            snapshot,
+            memo,
+            own: Vec::new(),
+            tri: None,
+        }
+    }
+
+    /// The value of `p` in the snapshot or the memo.
+    fn held(&self, p: Pair) -> Option<f64> {
+        lookup(self.snapshot, p).or_else(|| lookup(self.memo, p))
+    }
+
+    /// The memo entries the snapshot does not hold.
+    fn memo_only(&self) -> impl Iterator<Item = &(Pair, f64)> {
+        self.memo
+            .iter()
+            .filter(|e| lookup(self.snapshot, e.0).is_none())
+    }
+
+    /// `|snapshot ∪ memo|`: what the ledger reports as preloaded.
+    fn held_count(&self) -> usize {
+        self.snapshot.len() + self.memo_only().count()
+    }
+
+    /// The Tri scheme over everything known, built on first use.
+    fn tri(&mut self) -> &mut TriScheme {
+        let tri = match self.tri.take() {
+            Some(tri) => tri,
+            None => {
+                #[cfg(test)]
+                TRI_BUILDS.with(|c| c.set(c.get() + 1));
+                let mut tri = TriScheme::new(self.n, self.max_distance);
+                self.for_each_known(&mut |p, d| tri.record(p, d));
+                tri
+            }
+        };
+        self.tri.insert(tri)
+    }
+}
+
+impl BoundScheme for HeldScheme<'_> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn max_distance(&self) -> f64 {
+        self.max_distance
+    }
+
+    fn known(&self, p: Pair) -> Option<f64> {
+        self.held(p).or_else(|| lookup(&self.own, p))
+    }
+
+    fn bounds(&mut self, p: Pair) -> (f64, f64) {
+        self.tri().bounds(p)
+    }
+
+    fn record(&mut self, p: Pair, d: f64) {
+        let i = self.own.partition_point(|e| e.0 < p);
+        if self.held(p).is_some() || self.own.get(i).is_some_and(|e| e.0 == p) {
+            return;
+        }
+        self.own.insert(i, (p, d));
+        if let Some(tri) = self.tri.as_mut() {
+            tri.record(p, d);
+        }
+    }
+
+    fn m(&self) -> usize {
+        self.held_count() + self.own.len()
+    }
+
+    fn name(&self) -> &'static str {
+        // Ledger rows and trace events name the bounds' scheme.
+        "Tri"
+    }
+
+    fn for_each_known(&self, f: &mut dyn FnMut(Pair, f64)) {
+        for &(p, d) in self
+            .snapshot
+            .iter()
+            .chain(self.memo_only())
+            .chain(&self.own)
+        {
+            f(p, d);
+        }
+    }
+}
+
+/// Resolves one group for one session: admission, then canonical-order
+/// resolution against the snapshot and memo read in place, then the
+/// degradation bookkeeping. `snapshot` and `memo` are ascending by pair
+/// key without duplicates, as [`crate::StoreSnapshot`] and
+/// [`ClientSession::memo`] keep them. Pure in `(metric, snapshot, memo,
+/// query, id, config)` — see module docs.
 pub fn run_group(
     metric: &(dyn Metric + Send + Sync),
     snapshot: &[(Pair, f64)],
@@ -163,41 +313,21 @@ pub fn run_group(
     config: &SessionConfig,
 ) -> GroupOutcome {
     let pairs = query.pairs();
-    // Snapshot + memo merged, key-sorted, deduplicated once: the held
-    // set, the preload list, and the freshness partition all run as
-    // binary searches over this single allocation. The serve warm path
-    // is bench-gated within 2x of direct resolution (`store_layer/*`),
-    // so no per-pair tree bookkeeping is affordable here.
-    let mut held: Vec<(u64, Pair, f64)> = snapshot
+    let scheme = HeldScheme::new(metric, snapshot, memo);
+    // Each pair missing from snapshot + memo costs at most one strong
+    // call (the admission bound); the rest are the group's store hits.
+    let missing: Vec<Pair> = pairs
         .iter()
-        .chain(memo.iter())
-        .map(|&(p, d)| (p.key(), p, d))
+        .copied()
+        .filter(|&p| scheme.held(p).is_none())
         .collect();
-    held.sort_unstable_by_key(|e| e.0);
-    held.dedup_by_key(|e| e.0);
-    // `pairs` and `held` are both key-ascending: one merge walk counts
-    // the missing pairs (the admission bound), and its complement is
-    // the group's store-hit count.
-    let mut missing = 0u64;
-    {
-        let mut i = 0;
-        for p in &pairs {
-            let k = p.key();
-            while i < held.len() && held[i].0 < k {
-                i += 1;
-            }
-            if i >= held.len() || held[i].0 != k {
-                missing += 1;
-            }
-        }
-    }
-    let store_hits = pairs.len() as u64 - missing;
-    if config.admit > 0 && missing > config.admit {
+    let cost = missing.len() as u64;
+    if config.admit > 0 && cost > config.admit {
         return GroupOutcome::Rejected {
-            missing,
+            missing: cost,
             admit: config.admit,
             retry: RetryHint {
-                store_entries_at_least: snapshot.len() as u64 + (missing - config.admit),
+                store_entries_at_least: snapshot.len() as u64 + (cost - config.admit),
             },
         };
     }
@@ -216,29 +346,27 @@ pub fn run_group(
             .with_faults(FaultInjector::new(rate, seed))
             .with_retry(RetryPolicy::standard(config.retry.max(1)));
     }
-    let resolver = BoundResolver::new(&oracle, TriScheme::new(metric.len(), 1.0));
+    let resolver = BoundResolver::new(&oracle, scheme);
     match config.weak {
         Some((rate, seed)) => {
             let weak = WeakOracle::new(metric, rate, seed ^ u64::from(id));
             let cascade = CascadeResolver::new(resolver, weak).with_degrade(config.degrade);
-            resolve_all(cascade, &oracle, &held, &pairs, store_hits)
+            resolve_all(cascade, &oracle, &pairs, &missing, |c| c.inner().scheme())
         }
-        None => resolve_all(resolver, &oracle, &held, &pairs, store_hits),
+        None => resolve_all(resolver, &oracle, &pairs, &missing, |r| r.scheme()),
     }
 }
 
-/// The shared tail of [`run_group`] for both resolver shapes. `held` is
-/// the merged snapshot + memo, key-sorted and deduplicated.
-fn resolve_all<R: DistanceResolver>(
+/// The shared tail of [`run_group`] for both resolver shapes: `missing`
+/// lists the group pairs not held, and `scheme` reaches the resolver's
+/// [`HeldScheme`].
+fn resolve_all<'a, R: DistanceResolver>(
     mut resolver: R,
     oracle: &Oracle<&(dyn Metric + Send + Sync)>,
-    held: &[(u64, Pair, f64)],
     pairs: &[Pair],
-    store_hits: u64,
+    missing: &[Pair],
+    scheme: impl Fn(&R) -> &HeldScheme<'a>,
 ) -> GroupOutcome {
-    for &(_, p, d) in held {
-        resolver.preload(p, d);
-    }
     let mut resolved = Vec::with_capacity(pairs.len());
     for &p in pairs {
         match resolver.resolve_fallible(p) {
@@ -246,50 +374,31 @@ fn resolve_all<R: DistanceResolver>(
             Err(error) => return GroupOutcome::Failed { error },
         }
     }
-    let mut certified = Vec::new();
-    resolver.export_known(&mut certified);
-    certified.sort_unstable_by_key(|(p, _)| p.key());
-    // Two more merge walks over key-ascending sequences: the group
-    // pairs the resolver could not certify (degraded answers), and the
-    // certified entries the store does not hold yet (the commit batch).
-    let mut degraded_pairs = Vec::new();
-    {
-        let mut i = 0;
-        for &p in pairs {
-            let k = p.key();
-            while i < certified.len() && certified[i].0.key() < k {
-                i += 1;
-            }
-            if i >= certified.len() || certified[i].0.key() != k {
-                degraded_pairs.push(p);
-            }
-        }
-    }
-    let mut fresh = Vec::new();
-    {
-        let mut i = 0;
-        for &(p, d) in &certified {
-            let k = p.key();
-            while i < held.len() && held[i].0 < k {
-                i += 1;
-            }
-            if i >= held.len() || held[i].0 != k {
-                fresh.push((p, d));
-            }
-        }
-    }
-    let quarantine = resolver.corruption_stats().detected > 0;
+    let held = scheme(&resolver);
+    // Missing pairs the group did not certify were answered degraded;
+    // everything it certified is the commit batch.
+    let degraded = missing
+        .iter()
+        .copied()
+        .filter(|&p| lookup(&held.own, p).is_none())
+        .collect();
+    let fresh = held.own.clone();
+    let mut ledger = resolver.provenance();
+    // The snapshot and memo were read in place rather than preloaded,
+    // so the resolver counted no preloads; they are the group's
+    // checkpoint preloads all the same.
+    ledger.checkpoint_preload = held.held_count() as u64;
     GroupOutcome::Served(Box::new(ServedGroup {
         response: GroupResponse {
             resolved,
-            degraded: degraded_pairs,
+            degraded,
             strong_calls: oracle.calls(),
-            store_hits,
+            store_hits: (pairs.len() - missing.len()) as u64,
         },
         fresh,
-        ledger: resolver.provenance(),
+        ledger,
         degraded: resolver.degradation().is_some(),
-        quarantine,
+        quarantine: resolver.corruption_stats().detected > 0,
     }))
 }
 
@@ -398,5 +507,70 @@ mod tests {
             28,
             "every pair is either certified-fresh or degraded"
         );
+    }
+
+    #[test]
+    fn weak_sandwich_uses_the_metric_cap() {
+        // Distances up to 7.7 under a cap of 10: an honest weak quorum
+        // fits every sandwich, so nothing escalates to the strong tier.
+        // Bounds capped at 1 would call the first quorum a lie.
+        let metric = prox_core::FnMetric::new(8, 10.0, |a: u32, b: u32| {
+            1.1 * (f64::from(a) - f64::from(b)).abs()
+        });
+        let query = PairGroupQuery::explicit(Pair::all(8).collect());
+        let config = SessionConfig {
+            weak: Some((0.0, 5)),
+            ..SessionConfig::default()
+        };
+        let g = served(run_group(&metric, &[], &[], &query, 0, &config));
+        assert_eq!(g.response.strong_calls, 0);
+        assert_eq!((g.ledger.strong_call, g.ledger.weak_quorum), (0, 28));
+        assert!(g.response.degraded.is_empty() && !g.degraded);
+        assert_eq!(g.fresh.len(), 28);
+    }
+
+    #[test]
+    fn only_a_bound_query_builds_the_tri_adjacency() {
+        let builds = || TRI_BUILDS.with(std::cell::Cell::get);
+        let metric = ClusteredPlane::default().metric(24, 7);
+        let query = PairGroupQuery::explicit(Pair::all(10).collect());
+        // A quarter of the group is missing from the snapshot.
+        let snapshot: Vec<(Pair, f64)> = Pair::all(10)
+            .enumerate()
+            .filter(|(i, _)| i % 4 != 0)
+            .map(|(_, p)| (p, metric.distance(p.lo(), p.hi())))
+            .collect();
+        let before = builds();
+        let plain = served(run_group(
+            &*metric,
+            &snapshot,
+            &[],
+            &query,
+            0,
+            &SessionConfig::default(),
+        ));
+        assert_eq!(plain.fresh.len(), 12);
+        assert_eq!(builds(), before, "a resolve-only group built Tri");
+
+        let weak = SessionConfig {
+            weak: Some((0.0, 3)),
+            ..SessionConfig::default()
+        };
+        let g = served(run_group(&*metric, &snapshot, &[], &query, 0, &weak));
+        assert_eq!(g.response.resolved, plain.response.resolved);
+        assert_eq!(g.ledger.weak_quorum, 12);
+        assert_eq!(builds(), before + 1, "the weak group builds Tri once");
+
+        // Fully held: the cascade never reaches a bound query.
+        let held = served(run_group(
+            &*metric,
+            &plain.fresh,
+            &snapshot,
+            &query,
+            0,
+            &weak,
+        ));
+        assert_eq!(held.ledger.checkpoint_preload, 45);
+        assert_eq!(builds(), before + 1);
     }
 }
