@@ -546,6 +546,34 @@ fn bench_store_layer(b: &mut Bench) {
             black_box(s.fresh.len());
         }
     });
+
+    bench_store_commit(b);
+}
+
+/// DESIGN.md §16 durability: `store_layer/commit` prices one 24-entry
+/// `SharedStore::commit` (about a serve group's batch) in ns per commit.
+/// Each batch is fresh and lands in a partly filled segment: one append
+/// and one `fdatasync`. With the default 256-entry segments about one
+/// commit in eleven also publishes the next segment whole, the mix a
+/// serve run sees. Not gated: the cell is bound by the host's fsync.
+fn bench_store_commit(b: &mut Bench) {
+    use prox_serve::{SharedStore, WalConfig};
+
+    let dir = std::env::temp_dir().join(format!("prox-bench-commit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let manifest = vec![("bench".to_string(), "store_commit".to_string())];
+    let (store, _) =
+        SharedStore::open(&dir, &manifest, WalConfig::default()).expect("open bench store");
+    let mut next: ObjectId = 0;
+    let mut batch = Vec::with_capacity(24);
+    b.bench("store_layer", "commit", || {
+        batch.clear();
+        batch.extend((next..next + 24).map(|i| (Pair::new(i, i + 1), f64::from(i) * 0.5)));
+        next += 24;
+        black_box(store.commit(store.token(), &batch).expect("bench commit"));
+    });
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn main() {

@@ -568,6 +568,42 @@ mod tests {
     }
 
     #[test]
+    fn appended_batches_with_their_own_trailers_load_strictly() {
+        // An append-only writer extends a checkpoint with data lines and a
+        // fresh `#! crc32=` trailer over every earlier byte.
+        let mut buf = Vec::new();
+        save_checkpoint(&mut buf, &sample_manifest(), sample_edges()).expect("write");
+        let appended: Vec<(Pair, f64)> = (10..20u32)
+            .map(|i| (Pair::new(i, i + 1), f64::from(i) / 3.0))
+            .collect();
+        for batch in appended.chunks(4) {
+            for &(p, d) in batch {
+                writeln!(buf, "{},{},{:.17e}", p.lo(), p.hi(), d).expect("write");
+            }
+            writeln!(buf, "#! crc32={:08x}", crate::crc::crc32(&buf)).expect("write");
+        }
+        let trailers = std::str::from_utf8(&buf)
+            .expect("utf8")
+            .matches("#! crc32=");
+        assert_eq!(trailers.count(), 4, "one trailer per batch");
+
+        let mut all = sample_edges();
+        all.extend_from_slice(&appended);
+        let ck = load_checkpoint(&buf[..]).expect("last trailer at EOF verifies");
+        assert_eq!(ck.manifest, sample_manifest());
+        assert_eq!(ck.known, all);
+        assert_eq!(load_known(&buf[..]).expect("still a plain cache"), all);
+
+        // A torn last trailer leaves its batch unverified: strict loading
+        // refuses, lenient loading stops at the previous trailer.
+        buf.truncate(buf.len() - 3);
+        assert!(load_checkpoint(&buf[..]).is_err());
+        let rec = load_checkpoint_lenient(&buf[..]).expect("earlier trailer verifies");
+        assert!(rec.recovered);
+        assert_eq!(rec.checkpoint.known, all[..all.len() - 2]);
+    }
+
+    #[test]
     fn lenient_load_refuses_unverifiable_v2_file() {
         let mut buf = Vec::new();
         save_checkpoint(&mut buf, &[], sample_edges()).expect("write");

@@ -384,6 +384,40 @@ mod tests {
     }
 
     #[test]
+    fn refused_wal_write_leaves_nothing_behind() {
+        let dir = tmpdir("refused");
+        let cfg = WalConfig { segment_entries: 4 };
+        let (store, _) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+        let full: Vec<(Pair, f64)> = (0..4)
+            .map(|i| (Pair::new(0, i + 1), 1.0 + f64::from(i)))
+            .collect();
+        store.commit(store.token(), &full).unwrap();
+        // Segment 0 is sealed, so the next batch publishes segment 1
+        // through its temp file; a directory in the way makes that fail.
+        let blocker = dir.join("wal-00001.ckpt.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let err = store
+            .commit(store.token(), &[(Pair::new(5, 6), 2.0)])
+            .unwrap_err();
+        assert!(matches!(err, CommitError::Io(_)), "{err:?}");
+        assert_eq!(store.len(), 4);
+        assert_eq!(store.wal_entries_logged(), 4);
+
+        std::fs::remove_dir(&blocker).unwrap();
+        store
+            .commit(store.token(), &[(Pair::new(6, 7), 3.0)])
+            .unwrap();
+        assert_eq!(store.wal_entries_logged(), 5);
+        let exported = store.export();
+        drop(store);
+        let (store, rec) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+        assert_eq!(store.export(), exported, "the refused batch stayed refused");
+        assert_eq!(rec.entries, store.wal_entries_logged());
+        assert_eq!(rec.entries, 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn reopen_recovers_exactly_what_was_committed() {
         let dir = tmpdir("reopen");
         let exported;

@@ -6,16 +6,21 @@
 //! in-flight batch — never a batch a client was told succeeded.
 //!
 //! Layout: `DIR/wal-NNNNN.ckpt`, each a self-contained v2 checkpoint
-//! (CRC32 rolling block markers + whole-file trailer, written with the
-//! temp + fsync + rename discipline of
-//! [`prox_core::write_checkpoint_file`]). The active segment is
-//! rewritten atomically on every append; once it reaches
-//! [`WalConfig::segment_entries`] entries it is sealed and a new
-//! segment starts. Because publication is always a rename, a `kill -9`
-//! can only ever leave (a) a stale-but-complete active segment (the
-//! batch in flight is lost, which is correct — it was never
-//! acknowledged) or (b) a torn file if the *filesystem* tears it, which
-//! recovery handles leniently.
+//! (CRC32 rolling block markers + `#! crc32=` trailers). A segment's
+//! first batch is published whole with the temp + fsync + rename
+//! discipline of [`prox_core::write_checkpoint_file`]; so is the first
+//! batch after [`WriteAheadLog::recover`] or after a failed append,
+//! which also drops any torn bytes the tail held. Every later batch is
+//! *appended*: one write of its data lines followed by a fresh
+//! `#! crc32=<hex>` trailer over every earlier byte of the file, then
+//! one `fdatasync`. Once a segment reaches [`WalConfig::segment_entries`]
+//! entries it is sealed and a new segment starts. Every acknowledged
+//! batch ends in a verifying trailer, so a sealed segment loads
+//! strictly, and a `kill -9` mid-append leaves a tail whose longest
+//! verified prefix ends at the last acknowledged batch: the lenient
+//! tail read loses exactly the in-flight batch, which is correct — it
+//! was never acknowledged. The `#!` lines are comments, so a segment
+//! stays a plain [`prox_core::load_known`] cache.
 //!
 //! Recovery ([`WriteAheadLog::recover`]) reads segments in index order:
 //! sealed segments strictly (damage there is a hard error — they were
@@ -30,11 +35,13 @@
 //! **I12**: a recovered store re-pays exactly the entries the tear
 //! destroyed, never one that survived.
 
-use std::io;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use prox_core::{
-    load_checkpoint_lenient, read_checkpoint_file, write_checkpoint_file, CheckpointRecovery, Pair,
+    load_checkpoint_lenient, read_checkpoint_file, write_checkpoint_file, CheckpointRecovery,
+    Crc32, Pair,
 };
 
 /// Manifest key carrying the segment index inside each WAL file.
@@ -80,8 +87,13 @@ pub struct WriteAheadLog {
     config: WalConfig,
     /// Index of the active (unsealed) segment.
     active_index: u64,
-    /// Entries in the active segment, rewritten wholesale on append.
+    /// Entries in the active segment: exactly the acknowledged ones,
+    /// which a whole publication writes out.
     active: Vec<(Pair, f64)>,
+    /// Append handle on the active segment, present only once this log
+    /// has published the segment whole; `None` makes the next batch
+    /// publish it whole again.
+    open: Option<OpenSegment>,
     /// Entries appended over the log's whole life (recovered + new).
     entries_logged: u64,
     /// Segments sealed over the log's whole life.
@@ -166,6 +178,9 @@ impl WriteAheadLog {
             config,
             active_index,
             active,
+            // Never append after a recovered tail: it may end in torn
+            // bytes, so the first batch republishes the segment whole.
+            open: None,
             entries_logged: recovery.entries,
             segments_sealed: sealed,
         };
@@ -173,13 +188,11 @@ impl WriteAheadLog {
     }
 
     /// Durably appends `entries` (already deduplicated by the store) to
-    /// the active segment, sealing it when full. The write is atomic:
-    /// either the whole batch is on disk under the segment name or the
-    /// old segment content still is.
+    /// the active segment, sealing it when full. A batch is acknowledged
+    /// only once it and its trailer are synced; on any error the log
+    /// forgets the batch, and its next append republishes the segment
+    /// whole from the acknowledged entries alone.
     pub fn append(&mut self, entries: &[(Pair, f64)]) -> io::Result<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
         let mut rest = entries;
         while !rest.is_empty() {
             let room = self
@@ -188,13 +201,19 @@ impl WriteAheadLog {
                 .saturating_sub(self.active.len());
             let take = rest.len().min(room.max(1));
             let (batch, tail) = rest.split_at(take);
+            let acknowledged = self.active.len();
             self.active.extend_from_slice(batch);
-            self.write_active()?;
+            if let Err(e) = self.write_batch(batch) {
+                self.active.truncate(acknowledged);
+                self.open = None;
+                return Err(e);
+            }
             self.entries_logged += batch.len() as u64;
             if self.active.len() >= self.config.segment_entries {
                 self.segments_sealed += 1;
                 self.active_index += 1;
                 self.active.clear();
+                self.open = None;
             }
             rest = tail;
         }
@@ -216,12 +235,71 @@ impl WriteAheadLog {
         self.segments_sealed
     }
 
-    /// Rewrites the active segment atomically with its current entries.
-    fn write_active(&self) -> io::Result<()> {
+    /// Makes `batch` (already pushed onto `active`) durable: appended
+    /// through the open handle when there is one, else by publishing
+    /// the whole active segment.
+    fn write_batch(&mut self, batch: &[(Pair, f64)]) -> io::Result<()> {
+        if let Some(seg) = &mut self.open {
+            return seg.append(batch);
+        }
         let mut manifest = self.manifest.clone();
         manifest.push((SEGMENT_KEY.to_string(), self.active_index.to_string()));
         let path = segment_path(&self.dir, self.active_index);
         write_checkpoint_file(&path, &manifest, self.active.iter().copied())?;
+        // The batch is durable now. The handle only speeds up later
+        // batches: without one they keep publishing the segment whole.
+        self.open = OpenSegment::open(&path).ok();
+        Ok(())
+    }
+}
+
+/// An append handle on a published active segment, with the CRC-32 of
+/// every byte the file holds.
+#[derive(Debug)]
+struct OpenSegment {
+    file: File,
+    digest: Crc32,
+    len: u64,
+}
+
+impl OpenSegment {
+    fn open(path: &Path) -> io::Result<Self> {
+        let mut file = OpenOptions::new().read(true).append(true).open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let mut digest = Crc32::new();
+        digest.update(&bytes);
+        Ok(OpenSegment {
+            file,
+            digest,
+            len: bytes.len() as u64,
+        })
+    }
+
+    /// Writes `batch`'s data lines and a `#! crc32=` trailer over every
+    /// earlier byte in one write, then syncs the data.
+    fn append(&mut self, batch: &[(Pair, f64)]) -> io::Result<()> {
+        let mut buf = Vec::with_capacity(48 * (batch.len() + 1));
+        for &(p, d) in batch {
+            // The data-line format of `prox_core::save_checkpoint`.
+            writeln!(buf, "{},{},{:.17e}", p.lo(), p.hi(), d)?;
+        }
+        let mut digest = self.digest;
+        digest.update(&buf);
+        writeln!(buf, "#! crc32={:08x}", digest.value())?;
+        let synced = self
+            .file
+            .write_all(&buf)
+            .and_then(|()| self.file.sync_data());
+        if let Err(e) = synced {
+            // Best effort, so a clean shutdown cannot replay a refused
+            // batch; the log republishes the segment on its next append
+            // either way.
+            let _ = self.file.set_len(self.len);
+            return Err(e);
+        }
+        self.digest.update(&buf);
+        self.len += buf.len() as u64;
         Ok(())
     }
 }
@@ -470,6 +548,43 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         WriteAheadLog::recover(&dir, &manifest(), cfg)
             .expect_err("sealed segments are read strictly");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_after_a_torn_recovery_republishes_the_tail_whole() {
+        let dir = tmpdir("reappend");
+        let cfg = WalConfig::default();
+        let entries = pairs(30);
+        {
+            let (mut wal, _, _) = WriteAheadLog::recover(&dir, &manifest(), cfg).unwrap();
+            for batch in [&entries[..10], &entries[10..20], &entries[20..25]] {
+                wal.append(batch).unwrap();
+            }
+        }
+        let path = segment_path(&dir, 0);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let trailer_ends: Vec<usize> = text
+            .match_indices("#! crc32=")
+            .map(|(at, _)| at + text[at..].find('\n').unwrap() + 1)
+            .collect();
+        assert_eq!(trailer_ends.len(), 3, "one trailer per batch");
+        assert_eq!(trailer_ends[2], text.len());
+        // Tear mid-line inside the last appended batch.
+        let cut = trailer_ends[1] + 40;
+        std::fs::write(&path, &text[..cut]).unwrap();
+
+        let (mut wal, known, rec) = WriteAheadLog::recover(&dir, &manifest(), cfg).unwrap();
+        assert!(rec.salvaged);
+        assert_eq!(known, entries[..20], "exactly the acknowledged batches");
+        wal.append(&entries[25..]).unwrap();
+
+        let mut expect = entries[..20].to_vec();
+        expect.extend_from_slice(&entries[25..]);
+        let (_, known, rec) = WriteAheadLog::recover(&dir, &manifest(), cfg).unwrap();
+        assert!(!rec.salvaged, "the torn bytes are gone");
+        assert_eq!(known, expect);
+        assert_eq!(read_checkpoint_file(&path).unwrap().known, expect);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

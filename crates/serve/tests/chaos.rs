@@ -9,7 +9,9 @@
 //! * torn writes — the tail WAL segment is truncated at *every* line
 //!   boundary, including inside the manifest header and the first CRC
 //!   block, and each salvage is reconciled exactly against the
-//!   provenance ledger's `checkpoint_preload` / `strong_call` rows;
+//!   provenance ledger's `checkpoint_preload` / `strong_call` rows; a
+//!   tail built from several appended commits is also cut at every
+//!   byte, and must salvage exactly a prefix of those commits;
 //! * process kills — `kill_after_commits` fires after every commit
 //!   count, at exec-pool thread counts {1, 2, 8}, with a recording
 //!   metric proving the restart never re-pays a committed pair.
@@ -165,48 +167,59 @@ fn torn_cut_sweep(tag: &str, segment_entries: usize, m: usize) -> BTreeSet<usize
             "cut {cut}: a sealed segment's entries were lost"
         );
         salvage_sizes.insert(recovered.len());
-
-        // Reconcile against the provenance ledger: the healing group
-        // preloads exactly the survivors and strong-calls exactly the
-        // destroyed entries — never one that survived.
-        let lost = clean.len() - recovered.len();
-        let g = served(run_group(
-            &*metric,
-            &recovered,
-            &[],
-            &query,
-            0,
-            &SessionConfig::default(),
-        ));
-        assert_eq!(
-            g.ledger.checkpoint_preload,
-            recovered.len() as u64,
-            "cut {cut}"
-        );
-        assert_eq!(g.ledger.strong_call, lost as u64, "cut {cut}");
-        assert_eq!(g.response.store_hits, recovered.len() as u64, "cut {cut}");
-        assert_eq!(g.response.strong_calls, lost as u64, "cut {cut}");
-        assert_eq!(g.fresh.len(), lost, "cut {cut}");
-        let recovered_keys: BTreeSet<u64> = recovered.iter().map(|(p, _)| p.key()).collect();
-        for &(p, d) in &g.fresh {
-            assert!(
-                !recovered_keys.contains(&p.key()),
-                "cut {cut}: re-paid a surviving pair"
-            );
-            assert_eq!(clean_bits.get(&p.key()), Some(&d.to_bits()), "cut {cut}");
-        }
-
-        // Committing the re-paid batch heals the store byte-identically.
-        store.commit(store.token(), &g.fresh).unwrap();
-        assert_eq!(
-            bits(&store.export()),
-            bits(&clean),
-            "cut {cut}: healed store diverged (I12)"
-        );
+        heal(&*metric, &query, &store, &clean, cut);
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&clean_dir);
     salvage_sizes
+}
+
+/// Reconciles a torn-cut recovery against the provenance ledger — the
+/// healing group preloads exactly the survivors and strong-calls
+/// exactly the destroyed entries, never one that survived — then
+/// commits its fresh batch, which must restore `clean` byte-identically.
+fn heal(
+    metric: &(dyn Metric + Send + Sync),
+    query: &PairGroupQuery,
+    store: &SharedStore,
+    clean: &[(Pair, f64)],
+    cut: usize,
+) {
+    let recovered = store.export();
+    let clean_bits: BTreeMap<u64, u64> =
+        clean.iter().map(|&(p, d)| (p.key(), d.to_bits())).collect();
+    let lost = clean.len() - recovered.len();
+    let g = served(run_group(
+        metric,
+        &recovered,
+        &[],
+        query,
+        0,
+        &SessionConfig::default(),
+    ));
+    assert_eq!(
+        g.ledger.checkpoint_preload,
+        recovered.len() as u64,
+        "cut {cut}"
+    );
+    assert_eq!(g.ledger.strong_call, lost as u64, "cut {cut}");
+    assert_eq!(g.response.store_hits, recovered.len() as u64, "cut {cut}");
+    assert_eq!(g.response.strong_calls, lost as u64, "cut {cut}");
+    assert_eq!(g.fresh.len(), lost, "cut {cut}");
+    let recovered_keys: BTreeSet<u64> = recovered.iter().map(|(p, _)| p.key()).collect();
+    for &(p, d) in &g.fresh {
+        assert!(
+            !recovered_keys.contains(&p.key()),
+            "cut {cut}: re-paid a surviving pair"
+        );
+        assert_eq!(clean_bits.get(&p.key()), Some(&d.to_bits()), "cut {cut}");
+    }
+    store.commit(store.token(), &g.fresh).unwrap();
+    assert_eq!(
+        bits(&store.export()),
+        bits(clean),
+        "cut {cut}: healed store diverged (I12)"
+    );
 }
 
 #[test]
@@ -229,6 +242,79 @@ fn torn_tail_inside_and_past_the_first_crc_block_heals_at_every_cut() {
     // 64-line block.
     let sizes = torn_cut_sweep("block", 256, 14);
     assert_eq!(sizes, BTreeSet::from([0, 64]));
+}
+
+#[test]
+fn torn_appended_tail_salvages_whole_acknowledged_batches_at_every_byte() {
+    // Five commits of varying size into one segment: the first publishes
+    // it whole, the other four append, each ending in its own trailer.
+    let m = 8;
+    let commits = [5usize, 11, 1, 8, 3];
+    let metric = ClusteredPlane::default().metric(m, 7);
+    let manifest = vec![
+        ("dataset".to_string(), "chaos".to_string()),
+        ("m".to_string(), m.to_string()),
+    ];
+    let cfg = WalConfig::default();
+    let query = PairGroupQuery::explicit(Pair::all(m).collect());
+
+    let clean_dir = tmpdir("appended-clean");
+    let mut acked = vec![Vec::new()];
+    {
+        let (store, _) = SharedStore::open(&clean_dir, &manifest, cfg).unwrap();
+        let g = served(run_group(
+            &*metric,
+            &[],
+            &[],
+            &query,
+            0,
+            &SessionConfig::default(),
+        ));
+        assert_eq!(g.fresh.len(), commits.iter().sum::<usize>());
+        let mut rest = &g.fresh[..];
+        for &size in &commits {
+            let (batch, tail) = rest.split_at(size);
+            store.commit(store.token(), batch).unwrap();
+            acked.push(store.export());
+            rest = tail;
+        }
+    }
+    let clean = acked[commits.len()].clone();
+    let text = std::fs::read_to_string(segment_path(&clean_dir, 0)).unwrap();
+    // Where each batch's trailer becomes readable: just past its hex
+    // digits, before the newline.
+    let trailers: Vec<usize> = text
+        .match_indices("#! crc32=")
+        .map(|(at, _)| at + text[at..].find('\n').unwrap())
+        .collect();
+    assert_eq!(trailers.len(), commits.len(), "one trailer per commit");
+
+    let mut clean_cuts = 0;
+    for cut in 0..text.len() {
+        let dir = tmpdir(&format!("appended-cut{cut}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(segment_path(&dir, 0), &text[..cut]).unwrap();
+
+        let (store, rec) = SharedStore::open(&dir, &manifest, cfg)
+            .unwrap_or_else(|e| panic!("cut {cut}: recovery refused: {e}"));
+        let intact = trailers.iter().filter(|&&t| t <= cut).count();
+        assert_eq!(
+            bits(&store.export()),
+            bits(&acked[intact]),
+            "cut {cut}: salvage is not the first {intact} acknowledged commits"
+        );
+        // A cut right after a trailer (or its newline) is a clean,
+        // earlier store; any other cut is a tear.
+        let at_trailer = trailers.iter().any(|&t| cut == t || cut == t + 1);
+        assert_eq!(rec.salvaged, !at_trailer, "cut {cut}");
+        clean_cuts += usize::from(at_trailer);
+        heal(&*metric, &query, &store, &clean, cut);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    // Both clean cuts after each intermediate trailer, plus the final
+    // trailer with its newline torn off.
+    assert_eq!(clean_cuts, 2 * commits.len() - 1);
+    let _ = std::fs::remove_dir_all(&clean_dir);
 }
 
 #[test]
