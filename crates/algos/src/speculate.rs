@@ -201,12 +201,7 @@ impl DistanceResolver for SpecProbe<'_> {
             None
         };
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lx, ux, ProbeKind::Less, verdict);
+            self.note_probe(x, lx, ux, ProbeKind::Less, ProbeVerdict::decided(out));
         }
         out
     }
@@ -228,12 +223,7 @@ impl DistanceResolver for SpecProbe<'_> {
             None
         };
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lb, ub, ProbeKind::LessValue, verdict);
+            self.note_probe(x, lb, ub, ProbeKind::LessValue, ProbeVerdict::decided(out));
         }
         out
     }
@@ -246,11 +236,7 @@ impl DistanceResolver for SpecProbe<'_> {
                 // Known fast path, mirroring the live resolver.
                 ProbeVerdict::Known
             } else {
-                match out {
-                    Some(true) => ProbeVerdict::DecidedUb,
-                    Some(false) => ProbeVerdict::DecidedLb,
-                    None => ProbeVerdict::Inconclusive,
-                }
+                ProbeVerdict::decided(out)
             };
             self.note_probe(x, lb, ub, ProbeKind::LeqValue, verdict);
         }
@@ -270,11 +256,7 @@ impl DistanceResolver for SpecProbe<'_> {
             None
         };
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
+            let verdict = ProbeVerdict::decided(out);
             self.note_probe(x.0, lx0 + lx1, ux0 + ux1, ProbeKind::Sum2, verdict);
         }
         out

@@ -14,8 +14,10 @@
 use std::rc::Rc;
 
 use prox_algos::{try_knn_graph_pool, try_pam_pool, try_prim_mst, PamParams};
-use prox_bounds::{BoundResolver, CascadeResolver, CheckedResolver, DistanceResolver, TriScheme};
-use prox_core::{FnMetric, Metric, ObjectId, Oracle, Pair, WeakOracle};
+use prox_bounds::{
+    BoundResolver, CascadeResolver, CheckedResolver, DistanceResolver, Splub, TriScheme,
+};
+use prox_core::{FnMetric, Metric, ObjectId, Oracle, Pair, PruneStats, WeakOracle};
 use prox_exec::ExecPool;
 use prox_obs::{semantic_diff, JsonlSink, ProvenanceLedger, TraceSink};
 
@@ -29,22 +31,26 @@ fn ring_metric() -> FnMetric<impl Fn(ObjectId, ObjectId) -> f64> {
     })
 }
 
-fn run_algo(algo: &str, resolver: &mut dyn DistanceResolver, threads: usize) {
+/// Runs `algo` and returns its output `Debug`-rendered, which round-trips
+/// every `f64` bit for bit.
+fn run_algo(algo: &str, resolver: &mut dyn DistanceResolver, threads: usize) -> String {
     let pool = ExecPool::new(threads);
     match algo {
-        "knng" => {
-            try_knn_graph_pool(resolver, 4, &pool).expect("clean oracle");
-        }
-        "prim" => {
-            try_prim_mst(resolver).expect("clean oracle");
-        }
+        "knng" => format!(
+            "{:?}",
+            try_knn_graph_pool(resolver, 4, &pool).expect("clean oracle")
+        ),
+        "prim" => format!("{:?}", try_prim_mst(resolver).expect("clean oracle")),
         "pam" => {
             let params = PamParams {
                 l: 3,
                 max_swaps: 20,
                 seed: 5,
             };
-            try_pam_pool(resolver, params, &pool).expect("clean oracle");
+            format!(
+                "{:?}",
+                try_pam_pool(resolver, params, &pool).expect("clean oracle")
+            )
         }
         other => panic!("unknown workload {other}"),
     }
@@ -56,7 +62,7 @@ struct Observed {
     trace: String,
     ledger: ProvenanceLedger,
     calls: u64,
-    stats: prox_core::PruneStats,
+    stats: PruneStats,
     weak_resolutions: u64,
 }
 
@@ -241,6 +247,62 @@ fn traces_show_zero_semantic_divergence_across_thread_counts() {
                 "{algo}: semantic divergence at threads={threads}:\n{}",
                 d.render()
             );
+        }
+    }
+}
+
+/// One SPLUB run: its output, billed calls, prune counters and ledger. A
+/// traced resolver bypasses the goal-aware query cascade; an untraced one
+/// routes every threshold probe through it.
+fn splub_run(
+    algo: &str,
+    threads: usize,
+    traced: bool,
+) -> (String, u64, PruneStats, ProvenanceLedger) {
+    let metric = ring_metric();
+    let mut oracle = Oracle::new(&metric);
+    if traced {
+        oracle = oracle.with_trace(Rc::new(JsonlSink::in_memory()) as Rc<dyn TraceSink>);
+    }
+    let mut r = BoundResolver::new(&oracle, Splub::new(N, 1.0));
+    let out = run_algo(algo, &mut r, threads);
+    (out, oracle.calls(), r.prune_stats(), r.provenance())
+}
+
+#[test]
+fn splub_cascade_keeps_outputs_and_attributes_every_decision() {
+    for algo in ["knng", "prim"] {
+        for threads in [1, 2] {
+            let ctx = format!("{algo}/splub/t{threads}");
+            let (out, calls, stats, ledger) = splub_run(algo, threads, false);
+            let (t_out, t_calls, t_stats, t_ledger) = splub_run(algo, threads, true);
+            assert_eq!(out, t_out, "{ctx}: the cascade changed the output");
+            assert_eq!(calls, t_calls, "{ctx}: the cascade changed oracle calls");
+            assert_eq!(stats, t_stats, "{ctx}: the cascade changed PruneStats");
+            assert_eq!(
+                ledger.decisive_total(),
+                stats.decided_by_bounds,
+                "{ctx}: decision rows != decided_by_bounds"
+            );
+            let mut cascade = 0;
+            for (scheme, tier, count) in ledger.decisive_rows() {
+                assert_eq!(scheme, "SPLUB", "{ctx}: unexpected scheme row");
+                assert!(
+                    ["bidi", "full", "direct"].contains(&tier),
+                    "{ctx}: unexpected tier {tier}"
+                );
+                if tier != "direct" {
+                    cascade += count;
+                }
+            }
+            // kNN's threshold probes take the cascade; Prim's IF statements
+            // are pair-vs-pair `less` probes, which never do.
+            if algo == "knng" {
+                assert!(cascade > 0, "{ctx}: the cascade decided nothing");
+            }
+            for (_, tier, _) in t_ledger.decisive_rows() {
+                assert_eq!(tier, "direct", "{ctx}: traced run must be all-direct");
+            }
         }
     }
 }

@@ -45,9 +45,10 @@ fn bench_queries(b: &mut Bench) {
         });
 
         // Cascade ablation: the same queries as goal-aware threshold
-        // probes. ADO/bidi-decisive answers are never memoized, so this
-        // cell prices the cascade tiers themselves, not the per-generation
-        // memo the plain `splub` cell settles into.
+        // probes. Bidi-decisive answers are never memoized, so this cell
+        // prices the bounded bidirectional search itself; only queries it
+        // cannot decide fall through to the exact tier and its
+        // per-generation memo, which the plain `splub` cell settles into.
         let mut splub_cascade = Splub::new(n, 1.0);
         feed(&mut splub_cascade, &*metric, n);
         b.bench("bound_query", &format!("splub_cascade/{n}"), || {

@@ -139,8 +139,7 @@ struct Args {
     /// dump the full registry (counters + histogram p50/p99) on stdout in
     /// stable sorted order after the run. Unlike `--trace` this leaves
     /// the SPLUB query cascade enabled, so the per-tier counters
-    /// (`splub_ado_decisive`, `splub_bidi_early_exit`,
-    /// `splub_full_fallback`) are live.
+    /// (`splub_bidi_early_exit`, `splub_full_fallback`) are live.
     metrics: bool,
     /// `prox-cli profile <algo>`: trace the run, then print the replayed
     /// span tree (self-vs-total rollups).
@@ -1208,17 +1207,12 @@ fn main() -> ExitCode {
         result.algo_calls
     );
     if let Some(m) = &run_metrics {
-        let (ado, bidi, full) = (
-            m.counter("splub_ado_decisive"),
-            m.counter("splub_bidi_early_exit"),
-            m.counter("splub_full_fallback"),
-        );
+        let bidi = m.counter("splub_bidi_early_exit");
+        let full = m.counter("splub_full_fallback");
         // Zero across the board means the cascade never ran (non-SPLUB
         // plug, or disabled under `--trace` for byte-identity) — omit.
-        if ado + bidi + full > 0 {
-            println!(
-                "cascade      : {ado} ADO-decisive, {bidi} bidi early-exit, {full} full fallback"
-            );
+        if bidi + full > 0 {
+            println!("cascade      : {bidi} bidi early-exit, {full} full fallback");
         }
     }
     if wants_oracle_config {

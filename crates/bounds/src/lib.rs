@@ -60,7 +60,7 @@ pub use checked::CheckedResolver;
 pub use composite::Composite;
 pub use laesa::Laesa;
 pub use resolver::{BoundResolver, DistanceResolver, VanillaResolver, DECISION_EPS};
-pub use scheme::{BoundScheme, CascadeTier, GoalBounds, NoScheme};
+pub use scheme::{BoundScheme, GoalBounds, NoScheme};
 pub use splub::Splub;
 pub use tlaesa::Tlaesa;
 pub use tri::TriScheme;

@@ -14,7 +14,7 @@ use prox_obs::{
 
 use crate::audit::{AuditPolicy, AuditState, CorruptionStats, VOTE_CAP};
 use crate::cascade::WeakStats;
-use crate::scheme::{CascadeTier, GoalBounds};
+use crate::scheme::GoalBounds;
 use crate::{BoundScheme, NoScheme};
 
 /// Rounding margin applied to every bound-based decision.
@@ -30,16 +30,50 @@ pub const DECISION_EPS: f64 = 1e-12;
 
 /// Guard band for cascade-tier (goal-aware) decisions — see DESIGN.md §13.
 ///
-/// The cascade's cheap tiers estimate bounds from *split* float sums
-/// (`dℓ[a] + dℓ[b]`, `df(u) + db(u)`) that can round a few ulps past the
-/// exact tier's left-folded path sums. A cascade tier may therefore claim a
-/// comparison against `v` decided only when its estimate clears `v` by this
-/// margin: since `CASCADE_EPS` minus the worst-case rounding slack still
+/// The cascade's bidirectional tier estimates bounds from *split* float
+/// sums (`df(u) + db(u)`) that can round a few ulps past the exact tier's
+/// left-folded path sums. It may therefore claim a comparison against `v`
+/// decided only when its estimate clears `v` by this margin: since `CASCADE_EPS` minus the worst-case rounding slack still
 /// exceeds [`DECISION_EPS`], a cascade-decisive verdict is always the
 /// verdict the exact sandwich would give (for both `<` and `≤` probes).
 /// Near-threshold queries fall through to the exact tier, so the margin
 /// costs tightness, never correctness.
 pub const CASCADE_EPS: f64 = 1e-9;
+
+/// Decides `d < v` (or `d ≤ v` when `leq`) from a sandwich `lb ≤ d ≤ ub`:
+/// `Some(verdict)` when the bounds clear `v` by [`DECISION_EPS`], `None`
+/// when they straddle it. A collapsed sandwich (`lb == ub`, an exactly
+/// known or pinched-exact value) carries no derivation noise and compares
+/// as the oracle itself would.
+fn try_decide_value(lb: f64, ub: f64, v: f64, leq: bool) -> Option<bool> {
+    if lb == ub {
+        // Exact value: no margin. lint: allow(L3)
+        return Some(if leq { lb <= v } else { lb < v });
+    }
+    let (below, above) = if leq {
+        (ub <= v - DECISION_EPS, lb > v + DECISION_EPS)
+    } else {
+        (ub < v - DECISION_EPS, lb >= v + DECISION_EPS)
+    };
+    if below {
+        Some(true)
+    } else if above {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// The provenance row a threshold probe's decision is attributed to.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum ValueTier {
+    /// The cascade is off: counted in the `direct` row by subtraction.
+    Direct,
+    /// The cascade's bounded bidirectional search certified the verdict.
+    Bidi,
+    /// The cascade fell back to the exact sandwich (memo or full tier).
+    Full,
+}
 
 /// What a proximity algorithm is written against.
 ///
@@ -434,7 +468,6 @@ pub struct BoundResolver<'o, M: Metric, S: BoundScheme> {
     /// Goal-aware cascade decisions by tier, for provenance attribution.
     /// Every other bound decision lands in the `direct` tier by
     /// subtraction (`decided_by_bounds − Σ tiers`).
-    dec_ado: u64,
     dec_bidi: u64,
     dec_full: u64,
 }
@@ -459,7 +492,6 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
             cache_on,
             audit: None,
             weak_preloads: 0,
-            dec_ado: 0,
             dec_bidi: 0,
             dec_full: 0,
         }
@@ -710,113 +742,74 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
         self.trace.is_none() && self.scheme.goal_aware()
     }
 
-    /// Threshold probe through the cascade: the goal-aware sibling of the
-    /// exact-path bodies of `try_less_value` / `try_leq_value` (`leq`
-    /// selects which). Produces the identical verdict — exact results run
-    /// the identical decision function on identical bounds, and decisive
-    /// results are certified by the scheme to agree (checked here in debug
-    /// builds against a fresh exact sandwich).
-    fn try_value_via_cascade(&mut self, x: Pair, v: f64, leq: bool) -> Option<bool> {
-        // A fresh memo entry *is* the exact sandwich; it outranks every
-        // cascade tier and keeps memo accounting identical to the exact
-        // path.
+    /// The sandwich a threshold probe against `v` decides from, and the
+    /// row its decision is attributed to. With the cascade off this is the
+    /// memoized exact sandwich. With it on, a fresh memo entry *is* the
+    /// exact sandwich and outranks every cascade tier, keeping memo
+    /// accounting identical to the exact path; otherwise the scheme's
+    /// goal-aware query answers, and only an exact answer is memoized.
+    fn value_bounds(&mut self, x: Pair, v: f64) -> (f64, f64, ValueTier) {
+        if !self.cascade_on() {
+            let (lb, ub) = self.cached_bounds(x);
+            return (lb, ub, ValueTier::Direct);
+        }
         let (lb, ub, tier) = match self.memo_get(x) {
-            Some((lb, ub)) => (lb, ub, None),
+            Some((lb, ub)) => (lb, ub, ValueTier::Full),
             None => match self.scheme.bounds_for_goal(x, QueryGoal::threshold(v)) {
                 GoalBounds::Exact { lb, ub } => {
                     self.memo_put(x, lb, ub);
-                    (lb, ub, None)
+                    (lb, ub, ValueTier::Full)
                 }
-                GoalBounds::Decisive { lb, ub, tier } => {
-                    if let Some(m) = &self.metrics {
-                        m.inc(
-                            match tier {
-                                CascadeTier::Ado => "splub_ado_decisive",
-                                CascadeTier::Bidi => "splub_bidi_early_exit",
-                            },
-                            1,
-                        );
-                    }
-                    (lb, ub, Some(tier))
-                }
+                GoalBounds::Decisive { lb, ub } => (lb, ub, ValueTier::Bidi),
             },
         };
-        let decisive = tier.is_some();
-        if !decisive {
-            if let Some(m) = &self.metrics {
-                m.inc("splub_full_fallback", 1);
-            }
+        if let Some(m) = &self.metrics {
+            m.inc(
+                match tier {
+                    ValueTier::Bidi => "splub_bidi_early_exit",
+                    _ => "splub_full_fallback",
+                },
+                1,
+            );
         }
-        let kind = if leq {
-            ProbeKind::LeqValue
-        } else {
-            ProbeKind::LessValue
-        };
-        if !decisive && lb == ub {
-            // Exactly known (or pinched-exact) values carry no derivation
-            // noise, so this compares as the oracle itself would — the same
-            // fast path as the exact probe bodies. lint: allow(L3)
-            let out = if leq { lb <= v } else { lb < v };
-            self.dec_full += 1;
-            if self.observing() {
-                self.note_probe(x, lb, ub, kind, ProbeVerdict::Known);
-            }
-            return Some(out);
-        }
-        let out = if leq {
-            if ub <= v - DECISION_EPS {
-                Some(true)
-            } else if lb > v + DECISION_EPS {
-                Some(false)
-            } else {
-                None
-            }
-        } else if ub < v - DECISION_EPS {
-            Some(true)
-        } else if lb >= v + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
+        (lb, ub, tier)
+    }
+
+    /// The threshold probe behind `try_less_value` (`d < v`) and
+    /// `try_leq_value` (`d ≤ v`, when `leq`). Cascade and exact sources
+    /// give the identical verdict: exact sandwiches run the same decision
+    /// function, and decisive ones are certified by the scheme to agree
+    /// (checked here in debug builds against a fresh exact sandwich).
+    fn try_value(&mut self, x: Pair, v: f64, leq: bool) -> Option<bool> {
+        let (lb, ub, tier) = self.value_bounds(x, v);
+        let out = try_decide_value(lb, ub, v, leq);
         #[cfg(debug_assertions)]
-        if decisive {
+        if tier == ValueTier::Bidi {
             debug_assert!(out.is_some(), "Decisive cascade result failed to decide");
             let (le, ue) = self.scheme.bounds(x);
-            let exact = if le == ue {
-                // Same exactly-known fast path as above. lint: allow(L3)
-                Some(if leq { le <= v } else { le < v })
-            } else if leq {
-                if ue <= v - DECISION_EPS {
-                    Some(true)
-                } else if le > v + DECISION_EPS {
-                    Some(false)
-                } else {
-                    None
-                }
-            } else if ue < v - DECISION_EPS {
-                Some(true)
-            } else if le >= v + DECISION_EPS {
-                Some(false)
-            } else {
-                None
-            };
             debug_assert_eq!(
-                out, exact,
+                out,
+                try_decide_value(le, ue, v, leq),
                 "cascade verdict diverged from the exact tier for {x:?} at v={v}"
             );
         }
         if out.is_some() {
             match tier {
-                Some(CascadeTier::Ado) => self.dec_ado += 1,
-                Some(CascadeTier::Bidi) => self.dec_bidi += 1,
-                None => self.dec_full += 1,
+                ValueTier::Direct => {}
+                ValueTier::Bidi => self.dec_bidi += 1,
+                ValueTier::Full => self.dec_full += 1,
             }
         }
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
+            let kind = if leq {
+                ProbeKind::LeqValue
+            } else {
+                ProbeKind::LessValue
+            };
+            let verdict = if lb == ub {
+                ProbeVerdict::Known
+            } else {
+                ProbeVerdict::decided(out)
             };
             self.note_probe(x, lb, ub, kind, verdict);
         }
@@ -910,75 +903,17 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
             None
         };
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lx, ux, ProbeKind::Less, verdict);
+            self.note_probe(x, lx, ux, ProbeKind::Less, ProbeVerdict::decided(out));
         }
         out
     }
 
     fn try_less_value(&mut self, x: Pair, v: f64) -> Option<bool> {
-        if self.cascade_on() {
-            return self.try_value_via_cascade(x, v, false);
-        }
-        let (lb, ub) = self.cached_bounds(x);
-        if lb == ub {
-            if self.observing() {
-                self.note_probe(x, lb, ub, ProbeKind::LessValue, ProbeVerdict::Known);
-            }
-            // Exactly known (recorded) values carry no derivation noise,
-            // so this compares as the oracle itself would. lint: allow(L3)
-            return Some(lb < v);
-        }
-        let out = if ub < v - DECISION_EPS {
-            Some(true)
-        } else if lb >= v + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
-        if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lb, ub, ProbeKind::LessValue, verdict);
-        }
-        out
+        self.try_value(x, v, false)
     }
 
     fn try_leq_value(&mut self, x: Pair, v: f64) -> Option<bool> {
-        if self.cascade_on() {
-            return self.try_value_via_cascade(x, v, true);
-        }
-        let (lb, ub) = self.cached_bounds(x);
-        if lb == ub {
-            if self.observing() {
-                self.note_probe(x, lb, ub, ProbeKind::LeqValue, ProbeVerdict::Known);
-            }
-            // Exactly known value: compare as the oracle would. lint: allow(L3)
-            return Some(lb <= v);
-        }
-        let out = if ub <= v - DECISION_EPS {
-            Some(true)
-        } else if lb > v + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
-        if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lb, ub, ProbeKind::LeqValue, verdict);
-        }
-        out
+        self.try_value(x, v, true)
     }
 
     fn try_less_sum2(&mut self, x: (Pair, Pair), y: (Pair, Pair)) -> Option<bool> {
@@ -996,13 +931,9 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
             None
         };
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
             // The event is keyed by the lead pair of the left sum and
             // carries the summed interval of that side.
+            let verdict = ProbeVerdict::decided(out);
             self.note_probe(x.0, lx0 + lx1, ux0 + ux1, ProbeKind::Sum2, verdict);
         }
         out
@@ -1037,16 +968,12 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
         l.strong_call = self.stats.resolved.saturating_sub(self.weak_preloads);
         l.checkpoint_preload = self.stats.preloaded;
         let scheme = self.scheme.name();
-        for (tier, count) in [
-            ("ado", self.dec_ado),
-            ("bidi", self.dec_bidi),
-            ("full", self.dec_full),
-        ] {
+        for (tier, count) in [("bidi", self.dec_bidi), ("full", self.dec_full)] {
             if count > 0 {
                 l.add(Src::BoundDecisive { scheme, tier }, count);
             }
         }
-        let cascade = self.dec_ado + self.dec_bidi + self.dec_full;
+        let cascade = self.dec_bidi + self.dec_full;
         let direct = self.stats.decided_by_bounds.saturating_sub(cascade);
         if direct > 0 {
             l.add(

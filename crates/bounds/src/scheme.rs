@@ -5,17 +5,6 @@ use std::collections::BTreeMap;
 pub use prox_core::QueryGoal;
 use prox_core::{Pair, SpecBounds};
 
-/// Which cascade tier certified a goal-decisive answer (see
-/// [`BoundScheme::bounds_for_goal`] and DESIGN.md §13). Surfaced so the
-/// resolver can account per-tier hit metrics.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CascadeTier {
-    /// The approximate-distance-oracle prescreen decided the comparison.
-    Ado,
-    /// The bounded bidirectional search decided it.
-    Bidi,
-}
-
 /// Result of a goal-aware bound query.
 ///
 /// `Exact` is the full sandwich, safe to cache and to serve for any later
@@ -25,15 +14,13 @@ pub enum CascadeTier {
 /// comparison and never cacheable as exact bounds.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum GoalBounds {
-    /// A relaxed sandwich that decides the goal comparison; `tier` says
-    /// which shortcut produced it.
+    /// A relaxed sandwich that decides the goal comparison, certified by
+    /// the bounded bidirectional search.
     Decisive {
         /// Relaxed lower bound (`lb ≤ exact lb`).
         lb: f64,
         /// Relaxed upper bound (`ub ≥ exact ub`).
         ub: f64,
-        /// The tier that certified decisiveness.
-        tier: CascadeTier,
     },
     /// The exact sandwich, as [`BoundScheme::bounds`] would return.
     Exact {
@@ -49,7 +36,7 @@ impl GoalBounds {
     #[inline]
     pub fn bounds(self) -> (f64, f64) {
         match self {
-            GoalBounds::Decisive { lb, ub, .. } | GoalBounds::Exact { lb, ub } => (lb, ub),
+            GoalBounds::Decisive { lb, ub } | GoalBounds::Exact { lb, ub } => (lb, ub),
         }
     }
 }

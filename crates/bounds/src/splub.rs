@@ -1,20 +1,15 @@
 //! SPLUB — Shortest-Path based Lower and Upper Bounds (§4.1, Algorithm 1),
-//! served through a three-tier query cascade (DESIGN.md §13).
+//! served through a two-tier query cascade (DESIGN.md §13).
 
 use std::collections::BTreeMap;
 
 use prox_core::invariant::InvariantExt;
 use prox_core::{ObjectId, Pair, SpecBounds, SpecScratch};
-use prox_graph::{Ado, Dijkstra, DistMap, PartialGraph};
+use prox_graph::{Dijkstra, DistMap, PartialGraph};
 
 use crate::resolver::CASCADE_EPS;
-use crate::scheme::{CascadeTier, GoalBounds, QueryGoal};
+use crate::scheme::{GoalBounds, QueryGoal};
 use crate::BoundScheme;
-
-/// Seed for the deterministic ADO landmark draw. Fixed so two SPLUB
-/// instances over the same record sequence build bitwise-identical
-/// sketches (I5: thread-count must not perturb anything observable).
-const ADO_SEED: u64 = 0x05EE_DAD0;
 
 /// `(source, generation, edge count)` of the shortest-path tree a Dijkstra
 /// scratch currently holds. The generation/edge-count pair is what makes
@@ -56,14 +51,10 @@ struct TreeTag {
 /// 1. **Per-generation memo** — the exact `(lb, ub)` for a pair is a pure
 ///    function of the graph state, so repeat queries at an unchanged
 ///    generation are a map lookup.
-/// 2. **ADO prescreen** (goal-aware queries only) — a deterministic
-///    landmark sketch ([`Ado`]) answers in `O(√n)` with a relaxed
-///    sandwich; when it clears the goal threshold by [`CASCADE_EPS`] the
-///    comparison is decided with the exact tier's verdict.
-/// 3. **Bounded bidirectional Dijkstra** (goal-aware queries only) — a
-///    meeting-point search with cutoff `v − CASCADE_EPS` certifies
+/// 2. **Bounded bidirectional Dijkstra** (goal-aware queries only) — a
+///    meeting-point search with cutoff `v −` [`CASCADE_EPS`] certifies
 ///    `d < v` from a real path long before either full tree settles.
-/// 4. **Exact tier** — two SSSP trees (incrementally repaired across pure
+/// 3. **Exact tier** — two SSSP trees (incrementally repaired across pure
 ///    growth) plus the wrap fold.
 pub struct Splub {
     graph: PartialGraph,
@@ -79,8 +70,6 @@ pub struct Splub {
     /// Exact `(lb, ub)` per pair key, valid only at `memo_gen`.
     memo: BTreeMap<u64, (f64, f64)>,
     memo_gen: u64,
-    /// Lazily (re)built landmark sketch for the cascade's prescreen tier.
-    ado: Option<Ado>,
     /// Scratches for the bidirectional tier, separate from the exact
     /// tier's cached trees so an early-exited search never clobbers them.
     dij_bi_a: Dijkstra,
@@ -111,7 +100,6 @@ impl Splub {
             last_retract_gen: 0,
             memo: BTreeMap::new(),
             memo_gen: 0,
-            ado: None,
             dij_bi_a: Dijkstra::new(n),
             dij_bi_b: Dijkstra::new(n),
         }
@@ -152,25 +140,6 @@ impl Splub {
                 *tag = Some(TreeTag { src, gen, m });
             }
         }
-    }
-
-    /// The landmark sketch for the current graph state, rebuilt lazily once
-    /// the live generation outruns the sketch by more than a window of `n`
-    /// generations (an `O(√n · (m + n log n))` build amortized over at
-    /// least `n` updates). A stale-within-window sketch is still *sound*
-    /// under growth — it only loses tightness (see the [`Ado`] docs);
-    /// retractions drop the sketch outright in [`BoundScheme::retract`].
-    fn ado_sketch(&mut self) -> &Ado {
-        let gen = self.graph.generation();
-        let window = self.graph.n() as u64;
-        let rebuild = match &self.ado {
-            Some(a) => gen.saturating_sub(a.generation()) > window,
-            None => true,
-        };
-        if rebuild {
-            self.ado = Some(Ado::build(&self.graph, self.max_distance, ADO_SEED));
-        }
-        self.ado.as_ref().expect_invariant("sketch built above")
     }
 }
 
@@ -263,11 +232,9 @@ impl BoundScheme for Splub {
     fn retract(&mut self, p: Pair) -> bool {
         // Removal bumps the graph generation, so the generation tags on both
         // cached Dijkstra trees (and the memo) miss; marking the retraction
-        // generation also bars incremental repair across it, and the ADO
-        // sketch — sound only under pure growth — is dropped outright.
+        // generation also bars incremental repair across it.
         if self.graph.remove(p).is_some() {
             self.last_retract_gen = self.graph.generation();
-            self.ado = None;
             true
         } else {
             false
@@ -324,21 +291,9 @@ impl BoundScheme for Splub {
         }
         let (a, b) = p.ends();
 
-        // Tier 1: ADO prescreen — O(√n) relaxed sandwich; decisive only
-        // outside the guard band (see CASCADE_EPS for why that implies the
-        // exact tier's verdict).
-        let (lh, uh) = self.ado_sketch().estimate(a, b);
-        if uh < v - CASCADE_EPS || lh > v + CASCADE_EPS {
-            return GoalBounds::Decisive {
-                lb: lh,
-                ub: uh,
-                tier: CascadeTier::Ado,
-            };
-        }
-
-        // Tier 2: bounded bidirectional search. Only the *true* side is
-        // reachable this way — a meeting point under the cutoff is a real
-        // path certifying d < v; absence of one certifies nothing.
+        // Bounded bidirectional search. Only the *true* side is reachable
+        // this way — a meeting point under the cutoff is a real path
+        // certifying d < v; absence of one certifies nothing.
         let cutoff = v - CASCADE_EPS;
         if cutoff > 0.0 {
             if let Some(mu) = Dijkstra::run_bidirectional_bounded(
@@ -352,12 +307,11 @@ impl BoundScheme for Splub {
                 return GoalBounds::Decisive {
                     lb: 0.0,
                     ub: self.max_distance.min(mu),
-                    tier: CascadeTier::Bidi,
                 };
             }
         }
 
-        // Tier 3: the exact sandwich (memoized inside `bounds`).
+        // Otherwise the exact sandwich (memoized inside `bounds`).
         let (lb, ub) = self.bounds(p);
         GoalBounds::Exact { lb, ub }
     }
@@ -635,7 +589,7 @@ mod tests {
                     fresh.bounds(q)
                 };
                 for v in [0.05, 0.15, 0.3, 0.5, 0.7, 0.9, ue, le] {
-                    if let GoalBounds::Decisive { lb, ub, .. } =
+                    if let GoalBounds::Decisive { lb, ub } =
                         s.bounds_for_goal(q, QueryGoal::threshold(v))
                     {
                         assert!(lb <= le + 1e-12 && ub >= ue - 1e-12, "not a relaxation");
@@ -686,7 +640,7 @@ mod tests {
         for &(e, w) in &sched {
             s.record(e, w);
         }
-        // Warm the sketch, then poison and retract an edge.
+        // Warm the cascade, then poison and retract an edge.
         let _ = s.bounds_for_goal(p(0, 1), QueryGoal::threshold(0.5));
         let victim = sched[10].0;
         assert!(s.retract(victim));

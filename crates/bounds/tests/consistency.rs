@@ -146,7 +146,7 @@ fn interleaved_updates_incremental_equals_scratch_and_adm() {
 
                 if live.known(q).is_none() {
                     let v = rng.unit_f64();
-                    if let GoalBounds::Decisive { lb, ub, .. } =
+                    if let GoalBounds::Decisive { lb, ub } =
                         live.bounds_for_goal(q, QueryGoal::threshold(v))
                     {
                         for (relaxed, exact) in [

@@ -28,11 +28,11 @@ use crate::Pair;
 /// about to decide, if any.
 ///
 /// Threshold-aware schemes (SPLUB's cascade) use `decisive_at` to stop
-/// early — an approximate prescreen or a bounded bidirectional search can
-/// certify "the bounds decide this comparison" long before the exact
-/// sandwich is computed. A goal never changes *what* verdict is reached,
-/// only how much work certifying it costs; callers that need the exact
-/// sandwich itself pass [`QueryGoal::exact`].
+/// early — a bounded bidirectional search can certify "the bounds decide
+/// this comparison" long before the exact sandwich is computed. A goal
+/// never changes *what* verdict is reached, only how much work certifying
+/// it costs; callers that need the exact sandwich itself pass
+/// [`QueryGoal::exact`].
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct QueryGoal {
     /// The value `v` the caller compares the distance against
@@ -128,23 +128,6 @@ pub trait SpecBounds: Sync {
 
     /// `(lower, upper)` bounds for `p` at the snapshot; `(d, d)` when known.
     fn spec_bounds(&self, p: Pair, scratch: &mut SpecScratch) -> (f64, f64);
-
-    /// Goal-aware variant of [`SpecBounds::spec_bounds`].
-    ///
-    /// The default ignores the goal and computes the exact sandwich, which
-    /// is always correct: speculation reuses results across commits, and a
-    /// threshold-truncated sandwich must not be cached as if it were the
-    /// exact one. Snapshot implementations may override this only with a
-    /// computation whose *verdict* against `goal.decisive_at` provably
-    /// equals the exact tier's (see the SPLUB cascade, DESIGN.md §13).
-    fn spec_bounds_for_goal(
-        &self,
-        p: Pair,
-        _goal: QueryGoal,
-        scratch: &mut SpecScratch,
-    ) -> (f64, f64) {
-        self.spec_bounds(p, scratch)
-    }
 }
 
 #[cfg(test)]

@@ -250,51 +250,6 @@ impl Dijkstra {
         self.view()
     }
 
-    /// Like [`Dijkstra::run`] but stops as soon as `target` is settled,
-    /// returning its distance. Used when only one shortest path is needed
-    /// (e.g. a road-network oracle resolving a single pair).
-    pub fn run_to<G: Adjacency + ?Sized>(
-        &mut self,
-        graph: &G,
-        src: ObjectId,
-        target: ObjectId,
-    ) -> f64 {
-        let n = graph.n();
-        assert!(n <= self.dist.len());
-        self.begin_epoch();
-        let Dijkstra {
-            dist,
-            stamp,
-            epoch,
-            heap,
-        } = self;
-        let epoch = *epoch;
-
-        dist[src as usize] = 0.0;
-        stamp[src as usize] = epoch;
-        heap.push(Entry {
-            dist: 0.0,
-            node: src,
-        });
-        while let Some(Entry { dist: d, node: v }) = heap.pop() {
-            if v == target {
-                return d;
-            }
-            if d > dist[v as usize] {
-                continue;
-            }
-            graph.for_each_neighbor(v, &mut |u, w| {
-                let nd = d + w;
-                if nd < Self::label(dist, stamp, epoch, u) {
-                    dist[u as usize] = nd;
-                    stamp[u as usize] = epoch;
-                    heap.push(Entry { dist: nd, node: u });
-                }
-            });
-        }
-        f64::INFINITY
-    }
-
     /// Bidirectional Dijkstra from `a` and `b` that gives up the moment it
     /// can no longer find a connecting path shorter than `cutoff`.
     ///
@@ -420,15 +375,6 @@ mod tests {
         g.insert(Pair::new(2, 3), 0.25);
         let mut dj = Dijkstra::new(4);
         assert_eq!(dj.run(&g, 0).get(3), 0.5);
-        assert_eq!(dj.run_to(&g, 0, 3), 0.5);
-    }
-
-    #[test]
-    fn run_to_unreachable() {
-        let mut g = PartialGraph::new(3);
-        g.insert(Pair::new(0, 1), 1.0);
-        let mut dj = Dijkstra::new(3);
-        assert!(dj.run_to(&g, 0, 2).is_infinite());
     }
 
     #[test]
@@ -469,31 +415,6 @@ mod tests {
         // And the epoch after the wrap still behaves.
         let again = labels(dj.run(&g, 0), 4);
         assert_eq!(before, again);
-    }
-
-    #[test]
-    fn run_to_matches_run() {
-        let mut g = PartialGraph::new(8);
-        // A small web with varied weights.
-        let edges = [
-            (0, 1, 0.3),
-            (0, 2, 0.9),
-            (1, 2, 0.4),
-            (1, 3, 0.7),
-            (2, 4, 0.2),
-            (3, 5, 0.1),
-            (4, 5, 0.6),
-            (4, 6, 0.5),
-            (5, 7, 0.8),
-        ];
-        for (a, b, w) in edges {
-            g.insert(Pair::new(a, b), w);
-        }
-        let mut dj = Dijkstra::new(8);
-        let all = labels(dj.run(&g, 0), 8);
-        for t in 0..8 {
-            assert_eq!(dj.run_to(&g, 0, t), all[t as usize]);
-        }
     }
 
     /// Deterministic pseudo-random edge set for repair/bidi comparisons.

@@ -10,16 +10,12 @@
 //! * [`Dijkstra`] — single-source shortest paths over any [`Adjacency`],
 //!   with epoch-stamped reusable scratch, incremental decrease-only repair,
 //!   and a threshold-aware bounded bidirectional variant, for SPLUB (§4.1).
-//! * [`Ado`] — a deterministic landmark sketch (Thorup–Zwick style) whose
-//!   `O(√n)` estimates prescreen SPLUB queries.
 //! * [`UnionFind`] — disjoint sets for Kruskal's algorithm.
 
-pub mod ado;
 pub mod dijkstra;
 pub mod partial;
 pub mod unionfind;
 
-pub use ado::Ado;
 pub use dijkstra::{Adjacency, Dijkstra, DistMap};
 pub use partial::PartialGraph;
 pub use unionfind::UnionFind;

@@ -63,6 +63,16 @@ pub enum ProbeVerdict {
 }
 
 impl ProbeVerdict {
+    /// The verdict of a bound decision: `Some(true)` was settled by the
+    /// upper bound, `Some(false)` by the lower bound, `None` by neither.
+    pub fn decided(out: Option<bool>) -> Self {
+        match out {
+            Some(true) => ProbeVerdict::DecidedUb,
+            Some(false) => ProbeVerdict::DecidedLb,
+            None => ProbeVerdict::Inconclusive,
+        }
+    }
+
     fn name(self) -> &'static str {
         match self {
             ProbeVerdict::Known => "known",

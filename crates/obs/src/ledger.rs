@@ -32,11 +32,11 @@ pub enum ResolutionSource {
     WeakQuorum,
     /// A bound scheme decided the comparison without any value resolution.
     /// `scheme` is the scheme's name; `tier` attributes goal-aware cascade
-    /// tiers (`"ado"`, `"bidi"`, `"full"`) or `"direct"` for the exact path.
+    /// tiers (`"bidi"`, `"full"`) or `"direct"` for the exact path.
     BoundDecisive {
         /// Scheme that certified the decision.
         scheme: &'static str,
-        /// Cascade tier (`"ado"` / `"bidi"` / `"full"` / `"direct"`).
+        /// Cascade tier (`"bidi"` / `"full"` / `"direct"`).
         tier: &'static str,
     },
     /// The value was already recorded; served from the scheme's memo.
@@ -218,7 +218,7 @@ mod tests {
         l.add(
             ResolutionSource::BoundDecisive {
                 scheme: "splub",
-                tier: "ado",
+                tier: "full",
             },
             4,
         );

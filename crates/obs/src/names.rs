@@ -25,7 +25,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "oracle.retries",
     "oracle.retry_depth",
     "probe.width",
-    "splub_ado_decisive",
     "splub_bidi_early_exit",
     "splub_full_fallback",
 ];

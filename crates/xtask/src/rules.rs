@@ -37,7 +37,7 @@
 //! | L10 | library crates | `HashMap`/`HashSet` (unpinned iteration order; use `BTreeMap`/`BTreeSet` so determinism invariants I5/I8/I9 hold by construction) |
 //! | L11 | everywhere except `crates/bench` | `Instant::now`/`SystemTime` (library code runs on virtual time; wall-clock belongs to the bench harness) |
 //! | L12 | library crates (graph) | an infallible `X` that re-implements its fallible twin `try_X` instead of delegating to it (the copies drift apart) |
-//! | L13 | `crates/bounds` (graph) | reaching the unbounded `Dijkstra::run` from bound-query paths — the query cascade must use the bounded/bidirectional twins; the exact tier funnels through the audited [`L13_ALLOWLIST`] — see [`l13_violations`] |
+//! | L13 | `crates/bounds` (graph) | reaching the unbounded `Dijkstra::run` from bound-query paths — the query cascade must use the bounded twin `run_bidirectional_bounded`; the exact tier funnels through the audited [`L13_ALLOWLIST`] — see [`l13_violations`] |
 //! | L14 | `crates/algos` (graph) | reaching `WeakOracle::probe`/`error_at` through any call chain that does not pass a `CascadeResolver` method — weak answers are untrusted until the cascade's quorum + sandwich audit, so algorithms must never consume them raw — see [`l14_violations`] |
 //! | L15 | library crates | a metrics or span name literal (`inc`/`observe`/`counter`/`histogram*`, `SpanGuard::enter`/`PhaseGuard::enter`/`span`) missing from the central `prox_obs::names` registry — a typo'd counter silently splits one series into two — see [`lint_name_registry`] |
 //! | L16 | whole workspace (graph) | reaching the shared bound store's mutators (`StoreInner` methods, `WriteAheadLog::append`) through any call chain that does not pass the WAL-logged `SharedStore::commit` — a side-door write breaks the crash-recovery byte-identity of I12; recovery/fencing funnels live in the audited [`L16_ALLOWLIST`] — see [`l16_violations`] |
@@ -665,9 +665,10 @@ pub const L9_ALLOWLIST: &[&str] = &[
 
 /// The audited L13 allowlist: `crates/bounds` items that may invoke the
 /// **unbounded** `Dijkstra::run` (the full single-source sweep). Everything
-/// else in the crate's query paths must use the bounded/bidirectional twins
-/// (`run_to`, `run_bidirectional_bounded`) so the cascade's early exits
-/// cannot silently regress into full sweeps. Every entry needs a reason.
+/// else in the crate's query paths must use the bounded twin
+/// (`run_bidirectional_bounded`) so the cascade's early exits cannot
+/// silently regress into full sweeps. Every entry needs a reason; the two
+/// audited funnels are the exact tier and the speculation snapshot path.
 ///
 /// * `bounds::splub::Splub::ensure_tree` — the exact tier. SPLUB's certified
 ///   bounds *are* full shortest-path trees; this fn is the single funnel that
@@ -679,15 +680,9 @@ pub const L9_ALLOWLIST: &[&str] = &[
 ///   worker-local scratch; it needs the same full trees as the exact tier
 ///   and cannot share `ensure_tree`'s `&mut self` caches (I5 requires
 ///   worker isolation), so it carries its own audited full-run site.
-/// * `bounds::splub::Splub::ado_sketch` — ADO prescreen construction. The
-///   distance-oracle sketch is *built* from `⌈√n⌉` full landmark sweeps
-///   (`Ado::build`), then serves `O(L)` estimates per query; the build is
-///   lazy and amortized over a whole generation window, so its full runs
-///   are a construction cost, not a per-query sweep.
 pub const L13_ALLOWLIST: &[&str] = &[
     "bounds::splub::Splub::ensure_tree",
     "bounds::splub::Splub::spec_bounds",
-    "bounds::splub::Splub::ado_sketch",
 ];
 
 /// The L9 analysis result: where the expensive calls live, where the choke
@@ -916,8 +911,8 @@ fn l12_violations(g: &ItemGraph) -> Vec<Violation> {
 /// `Dijkstra::run`. A reverse BFS from that sink (mirroring
 /// [`oracle_exposure`]) flags every non-test `crates/bounds` item that can
 /// reach it through a chain with no allowlisted intermediary. The bounded
-/// twins (`run_to`, `run_bidirectional_bounded`) are not sinks: the cascade
-/// is free to use them anywhere. The exact tier's audited full-run funnels
+/// twin (`run_bidirectional_bounded`) is not a sink: the cascade is free
+/// to use it anywhere. The exact tier's audited full-run funnels
 /// live in [`L13_ALLOWLIST`]; propagation stops there, so callers *of* an
 /// allowlisted funnel (e.g. `Splub::bounds`) are clean.
 pub fn l13_violations(g: &ItemGraph, allowlist: &[&str]) -> Vec<Violation> {
@@ -978,8 +973,8 @@ pub fn l13_violations(g: &ItemGraph, allowlist: &[&str]) -> Vec<Violation> {
             line: it.line,
             msg: format!(
                 "`{}` reaches the unbounded `Dijkstra::run` from a \
-                 `crates/bounds` query path: {}; use the bounded twins \
-                 (`run_to`, `run_bidirectional_bounded`) or add an audited \
+                 `crates/bounds` query path: {}; use the bounded twin \
+                 (`run_bidirectional_bounded`) or add an audited \
                  `L13_ALLOWLIST` entry",
                 it.path(),
                 chain(v)
@@ -1597,9 +1592,10 @@ mod tests {
         let spans = registry_table(names_src, "SPAN_NAMES");
         assert!(metrics.contains("oracle.calls"));
         assert!(metrics.contains("probe.width"));
+        assert!(metrics.contains("splub_full_fallback"));
         assert!(spans.contains("bootstrap"));
         assert!(spans.contains("swap"));
-        assert!(metrics.len() >= 14, "{metrics:?}");
+        assert!(metrics.len() >= 13, "{metrics:?}");
         assert!(spans.len() >= 7, "{spans:?}");
     }
 
@@ -1771,8 +1767,8 @@ mod tests {
     // ------------------------------------------------ graph rules: L13
 
     /// Dijkstra skeleton shared by the L13 tests: the unbounded sink plus
-    /// its bounded twins.
-    const DIJKSTRA_SRC: &str = "pub struct Dijkstra;\nimpl Dijkstra {\n    pub fn run(&mut self) {}\n    pub fn run_to(&mut self) {}\n    pub fn run_bidirectional_bounded(&mut self) {}\n}\n";
+    /// its bounded twin.
+    const DIJKSTRA_SRC: &str = "pub struct Dijkstra;\nimpl Dijkstra {\n    pub fn run(&mut self) {}\n    pub fn run_bidirectional_bounded(&mut self) {}\n}\n";
 
     #[test]
     fn l13_flags_unbounded_run_from_bounds_with_chain() {
@@ -1800,7 +1796,7 @@ mod tests {
             ("crates/graph/src/dijkstra.rs", DIJKSTRA_SRC),
             (
                 "crates/bounds/src/splub.rs",
-                "pub fn cascade(d: &mut Dijkstra) { d.run_to(); d.run_bidirectional_bounded(); }\n",
+                "pub fn cascade(d: &mut Dijkstra) { d.run_bidirectional_bounded(); }\n",
             ),
             (
                 "crates/datasets/src/roadnet.rs",
