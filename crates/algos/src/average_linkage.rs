@@ -560,7 +560,7 @@ mod tests {
         });
 
         // Ground-truth matrix for the textbook reference run.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
         let dist: Vec<Vec<f64>> = (0..n)
             .map(|i| {
                 (0..n)

@@ -436,7 +436,7 @@ mod tests {
         });
 
         // Textbook run against the un-metered ground truth.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
         let dist: Vec<Vec<f64>> = (0..n)
             .map(|i| {
                 (0..n)

@@ -149,7 +149,7 @@ mod tests {
         let mut r = BoundResolver::vanilla(&oracle);
         let sol = k_center(&mut r, 3, 0);
         assert_eq!(sol.centers.len(), 3);
-        let blobs_hit: std::collections::HashSet<usize> =
+        let blobs_hit: std::collections::BTreeSet<usize> =
             sol.centers.iter().map(|&c| c as usize / 6).collect();
         assert_eq!(blobs_hit.len(), 3, "one center per blob: {:?}", sol.centers);
         assert!(sol.radius < 0.05, "within-blob radius, got {}", sol.radius);
@@ -207,14 +207,14 @@ mod tests {
         let gt = oracle.ground_truth();
         for v in 0..12u32 {
             let assigned = sol.centers[sol.assignment[v as usize] as usize];
-            #[allow(clippy::disallowed_methods)] // un-metered ground truth
+            #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
             let da = if assigned == v {
                 0.0
             } else {
                 prox_core::Metric::distance(gt, v, assigned)
             };
             for &c in &sol.centers {
-                #[allow(clippy::disallowed_methods)] // un-metered ground truth
+                #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
                 let dc = if c == v {
                     0.0
                 } else {

@@ -17,6 +17,9 @@
 //! | single kNN query | [`knn_query`] | `n − 1` |
 //! | l-medoid clustering | [`pam()`](pam()) (BUILD-lite + SWAP), [`clarans()`](clarans()) | workload-dependent |
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 pub mod average_linkage;
 pub mod clarans;
 pub mod common;

@@ -340,7 +340,7 @@ mod tests {
         for j in 0..12u32 {
             let m = c.medoids[c.assignment[j as usize] as usize];
             if m != j {
-                #[allow(clippy::disallowed_methods)] // un-metered ground truth
+                #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
                 {
                     want += gt.distance(j, m);
                 }

@@ -286,6 +286,7 @@ impl DistanceResolver for SpecProbe<'_> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "seeds a scheme, no resolver")]
 mod tests {
     use super::*;
     use prox_bounds::{BoundResolver, BoundScheme, TriScheme};

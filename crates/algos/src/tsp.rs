@@ -137,7 +137,7 @@ mod tests {
         let gt = oracle.ground_truth();
         let mut len = 0.0;
         for i in 0..n as u32 {
-            #[allow(clippy::disallowed_methods)] // un-metered ground truth
+            #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
             {
                 len += prox_core::Metric::distance(gt, i, (i + 1) % n as u32);
             }

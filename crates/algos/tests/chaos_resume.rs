@@ -28,7 +28,7 @@ fn recording_metric(
     let max = inner.max_distance();
     FnMetric::new(n, max, move |a, b| {
         log.borrow_mut().push(Pair::new(a, b));
-        #[allow(clippy::disallowed_methods)] // this *is* the metric
+        #[expect(clippy::disallowed_methods, reason = "this is the metric")]
         inner.distance(a, b)
     })
 }

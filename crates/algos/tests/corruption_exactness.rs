@@ -130,7 +130,7 @@ fn corruption_exactness_holds_under_paranoid_audit() {
         let n = pts.len();
         let metric = EuclideanPoints::new(pts);
         let k = 3.min(n - 1);
-        #[allow(clippy::disallowed_methods)] // un-metered ground truth
+        #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
         let truth = |p: Pair| metric.distance(p.lo(), p.hi());
 
         let clean_oracle = Oracle::new(&metric);

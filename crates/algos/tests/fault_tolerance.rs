@@ -167,7 +167,7 @@ fn fault_equivalence_holds_under_paranoid_audit() {
         let n = pts.len();
         let metric = EuclideanPoints::new(pts);
         let k = 3.min(n - 1);
-        #[allow(clippy::disallowed_methods)] // un-metered ground truth
+        #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
         let truth = |p: Pair| metric.distance(p.lo(), p.hi());
 
         let clean_oracle = Oracle::new(&metric);
@@ -254,7 +254,7 @@ fn recording_metric(
     let max = inner.max_distance();
     FnMetric::new(n, max, move |a, b| {
         log.borrow_mut().push(Pair::new(a, b));
-        #[allow(clippy::disallowed_methods)] // this *is* the metric
+        #[expect(clippy::disallowed_methods, reason = "this is the metric")]
         inner.distance(a, b)
     })
 }

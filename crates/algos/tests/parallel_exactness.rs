@@ -196,7 +196,7 @@ fn parallel_commit_is_sound_under_audit() {
             max_swaps: 40,
             seed: 5,
         };
-        #[allow(clippy::disallowed_methods)] // un-metered ground truth
+        #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
         let truth = |p: Pair| metric.distance(p.lo(), p.hi());
 
         let want = per_scheme(&metric, n, |r| {

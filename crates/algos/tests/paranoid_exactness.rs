@@ -31,7 +31,7 @@ fn for_each_checked_scheme(
     mut body: impl FnMut(&mut dyn prox_bounds::DistanceResolver),
 ) {
     // The unmetered ground truth the audits compare against.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
     let truth = |p: Pair| metric.distance(p.lo(), p.hi());
 
     let o_t = Oracle::new(metric);

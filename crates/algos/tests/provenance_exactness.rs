@@ -77,7 +77,7 @@ fn observe(algo: &str, threads: usize, paranoid: bool, weak: bool) -> Observed {
     let oracle =
         Oracle::new(&metric).with_trace(Rc::<JsonlSink>::clone(&sink) as Rc<dyn TraceSink>);
     let inner = BoundResolver::new(&oracle, TriScheme::new(N, 1.0));
-    #[allow(clippy::disallowed_methods)]
+    #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
     let truth = |p: Pair| metric.distance(p.lo(), p.hi());
     macro_rules! finish {
         ($resolver:expr) => {{
@@ -218,7 +218,7 @@ fn preloads_are_attributed_to_checkpoint_preload() {
     let metric = ring_metric();
     let oracle = Oracle::new(&metric);
     let mut r = BoundResolver::new(&oracle, TriScheme::new(N, 1.0));
-    #[allow(clippy::disallowed_methods)]
+    #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
     let d = |p: Pair| metric.distance(p.lo(), p.hi());
     for p in [Pair::new(0, 1), Pair::new(2, 5), Pair::new(3, 9)] {
         r.preload(p, d(p));

@@ -152,6 +152,7 @@ pub fn default_landmarks(n: usize) -> usize {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::FnMetric;

@@ -497,6 +497,7 @@ impl<R: DistanceResolver, M: Metric> DistanceResolver for CascadeResolver<R, M> 
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use crate::{BoundResolver, TriScheme};

@@ -291,6 +291,7 @@ impl<R: DistanceResolver, F: Fn(Pair) -> f64> DistanceResolver for CheckedResolv
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use crate::{BoundResolver, TriScheme};

@@ -112,6 +112,7 @@ impl<A: BoundScheme, B: BoundScheme> BoundScheme for Composite<A, B> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use crate::{laesa_bootstrap, Laesa, Splub, TriScheme};

@@ -153,6 +153,7 @@ pub(crate) fn pivot_list_bounds(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use crate::select_maxmin_pivots;

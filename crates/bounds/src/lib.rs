@@ -35,6 +35,9 @@
 //! back to resolution when the bounds are inconclusive — precisely the
 //! re-authoring the paper prescribes (§3).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 pub mod adm;
 pub mod audit;
 pub mod bootstrap;

@@ -227,6 +227,7 @@ impl BoundScheme for Tlaesa {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use crate::select_maxmin_pivots;

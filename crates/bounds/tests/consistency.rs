@@ -8,6 +8,8 @@
 //! * Tri Scheme is never tighter than SPLUB (it explores a path subset);
 //! * recording collapses a pair's bounds to the exact value.
 
+#![expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+
 use prox_bounds::{Adm, BoundScheme, GoalBounds, Splub, TriScheme, DECISION_EPS};
 use prox_core::{FnMetric, Metric, Pair, QueryGoal};
 use prox_datasets::testgen::{property, PlanarInstance};

@@ -1,10 +1,11 @@
 //! The audited panic chokepoint for library code.
 //!
-//! `cargo xtask lint` rule **L4** forbids `unwrap`/`expect`/`panic!` in the
+//! Lint rule **L4** (clippy's `unwrap_used`/`expect_used`/`panic`/
+//! `unreachable`, denied at every library crate root) forbids those in the
 //! library crates: a violated internal invariant should fail through one
 //! place, with a message that says *which invariant* broke, and
 //! `#[track_caller]` so the report points at the call site rather than this
-//! module. This file is the one audited exception to L4.
+//! module. [`invariant_violated`] is the one audited exception to L4.
 //!
 //! These helpers are for conditions the code itself guarantees (a child
 //! pointer an internal node must have, a heap that cannot be empty). They
@@ -31,6 +32,7 @@ pub fn expect_ok<T, E: std::fmt::Debug>(value: Result<T, E>, what: &str) -> T {
 
 /// Reports a violated invariant and aborts the computation.
 #[track_caller]
+#[expect(clippy::panic, reason = "the audited panic choke point")]
 pub fn invariant_violated(what: &str) -> ! {
     panic!("internal invariant violated: {what}")
 }

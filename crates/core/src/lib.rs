@@ -21,6 +21,9 @@
 //!   interrupted run never re-pays for a distance it already resolved —
 //!   and never trusts a torn or bit-flipped checkpoint.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 pub mod checkpoint;
 pub mod crc;
 pub mod fault;

@@ -6,6 +6,8 @@
 //! in the paper's experiments airtight: every distance an algorithm learns
 //! is a counted oracle call.
 
+#![expect(clippy::disallowed_methods, reason = "the Metric trait's own code")]
+
 use crate::{ObjectId, Pair, PairMap};
 
 /// A distance function over `n` atomic objects satisfying the metric axioms

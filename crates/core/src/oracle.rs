@@ -173,6 +173,7 @@ impl<M: Metric> Oracle<M> {
     /// faults are retried up to [`RetryPolicy::max_retries`] times with
     /// backoff charged as virtual time, and the final failure (if any) is
     /// reported as an [`OracleError`] instead of a panic.
+    #[expect(clippy::disallowed_methods, reason = "the oracle is the meter")]
     pub fn try_call(&self, a: ObjectId, b: ObjectId) -> Result<f64, OracleError> {
         if a == b {
             return Err(OracleError::Permanent {
@@ -212,6 +213,7 @@ impl<M: Metric> Oracle<M> {
     /// answers each posting of the question separately). Auditing
     /// resolvers use this for majority voting after a detected
     /// inconsistency.
+    #[expect(clippy::disallowed_methods, reason = "the oracle is the meter")]
     pub fn try_call_replica(&self, p: Pair, replica: u32) -> Result<f64, OracleError> {
         if self.observers_off() {
             self.calls.set(self.calls.get() + 1);
@@ -224,6 +226,7 @@ impl<M: Metric> Oracle<M> {
     /// always stays a plausible distance (finite, in `[0, max]`), which
     /// is what makes value faults dangerous: only consistency auditing
     /// can spot them.
+    #[expect(clippy::disallowed_methods, reason = "the oracle is the meter")]
     fn corrupt_value(&self, p: Pair, kind: ValueFaultKind, truth: f64) -> f64 {
         let max = self.metric.max_distance();
         match kind {
@@ -252,6 +255,7 @@ impl<M: Metric> Oracle<M> {
 
     /// The retry loop behind `try_call` when faults, budgets, or
     /// observers are live.
+    #[expect(clippy::disallowed_methods, reason = "the oracle is the meter")]
     fn try_call_slow(&self, p: Pair, replica: u32) -> Result<f64, OracleError> {
         let (lo, hi) = (p.lo(), p.hi());
         let attempt_ns = self.cost_per_call.as_nanos() as u64;
@@ -461,6 +465,7 @@ impl<M: Metric> Oracle<M> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use crate::FnMetric;

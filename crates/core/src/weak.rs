@@ -141,6 +141,7 @@ impl<M: Metric> WeakOracle<M> {
     /// `[0, max_distance]`. An error is only *counted* when the returned
     /// bits actually differ from the truth (a clamp can collapse a lie
     /// back onto the true value).
+    #[expect(clippy::disallowed_methods, reason = "the weak tier meters probes")]
     pub fn probe(&self, p: Pair, attempt: u32) -> f64 {
         self.probes.set(self.probes.get() + 1);
         let truth = self.metric.distance(p.lo(), p.hi());
@@ -257,6 +258,7 @@ impl<T> Degraded<T> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use crate::FnMetric;

@@ -23,6 +23,9 @@
 //! workspace tolerates zero distances between distinct ids; the generators'
 //! default parameters make duplicates improbable but not impossible.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 pub mod plane;
 pub mod pointsets;
 pub mod roadnet;
@@ -60,6 +63,7 @@ pub fn by_name(name: &str) -> Option<Box<dyn Dataset>> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
 

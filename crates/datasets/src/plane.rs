@@ -115,6 +115,7 @@ impl Dataset for ClusteredPlane {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::metric::MetricCheck;

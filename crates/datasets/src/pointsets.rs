@@ -121,6 +121,7 @@ impl Dataset for PointSets {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::metric::MetricCheck;

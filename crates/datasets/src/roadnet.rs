@@ -186,6 +186,7 @@ impl Dataset for RoadNetwork {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::metric::MetricCheck;

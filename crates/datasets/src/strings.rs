@@ -131,6 +131,7 @@ impl Dataset for StringSet {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::metric::MetricCheck;

@@ -74,11 +74,9 @@ pub fn property(base_seed: u64, cases: u64, mut body: impl FnMut(&mut TinyRng)) 
         armed: bool,
     }
     impl Drop for ReplayNote {
+        #[expect(clippy::print_stderr, reason = "mid-panic note; no sink reachable")]
         fn drop(&mut self) {
-            // Panic introspection, not threading; lint: allow(L5)
             if self.armed && std::thread::panicking() {
-                // Mid-panic replay note for a human; no sink reachable
-                // from here. lint: allow(L7)
                 eprintln!(
                     "property case failed: replay with run_case(base_seed={}, case={}, ..)",
                     self.base_seed, self.case

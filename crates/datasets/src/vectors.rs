@@ -134,6 +134,7 @@ impl Dataset for RandomVectors {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::metric::MetricCheck;

@@ -28,7 +28,11 @@
 //! ([`ExecPool::map_indexed`]) plus the process-wide thread-count knob the
 //! `--threads` CLI flags set ([`set_global_threads`]). All consumers
 //! (`prox_algos::knn_graph`, PAM's SWAP scan, the `repro` harness) go
-//! through it; `cargo xtask lint` rejects `std::thread` anywhere else.
+//! through it; clippy (lint L5, `clippy.toml`) rejects `std::thread`
+//! spawning anywhere else.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod pool;
 

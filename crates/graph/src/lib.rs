@@ -12,6 +12,9 @@
 //!   and a threshold-aware bounded bidirectional variant, for SPLUB (§4.1).
 //! * [`UnionFind`] — disjoint sets for Kruskal's algorithm.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 pub mod dijkstra;
 pub mod partial;
 pub mod unionfind;

@@ -1,5 +1,6 @@
 //! The partial known-distance graph (§3.1 of the paper).
 
+use prox_core::invariant::invariant_violated;
 use prox_core::{ObjectId, Pair};
 
 /// The graph of distances resolved so far.
@@ -108,9 +109,10 @@ impl PartialGraph {
                 Self::reserve_adj(&mut self.adj[a as usize]);
                 self.adj[a as usize].insert(i, (b, d));
                 Self::reserve_adj(&mut self.adj[b as usize]);
-                let j = self.adj[b as usize]
-                    .binary_search_by_key(&a, |&(id, _)| id)
-                    .unwrap_err();
+                let j = match self.adj[b as usize].binary_search_by_key(&a, |&(id, _)| id) {
+                    Err(j) => j,
+                    Ok(_) => invariant_violated("edge present in only one adjacency list"),
+                };
                 self.adj[b as usize].insert(j, (a, d));
                 self.edges.push((p, d));
                 self.generation += 1;

@@ -232,6 +232,7 @@ impl Gnat {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::FnMetric;

@@ -24,6 +24,9 @@
 //! need them. The `index_vs_framework` test pins the trade on a concrete
 //! workload.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 pub mod bktree;
 pub mod gnat;
 pub mod mtree;

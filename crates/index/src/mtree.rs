@@ -413,6 +413,7 @@ impl MTree {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::FnMetric;

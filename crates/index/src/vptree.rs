@@ -189,6 +189,7 @@ impl VpTree {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::FnMetric;

@@ -4,6 +4,8 @@
 //! running algorithm's comparisons need them — and generalizes beyond
 //! search.
 
+#![expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+
 use prox_algos::{knn_query, range_members, BoundResolver};
 use prox_bounds::TriScheme;
 use prox_core::{Metric, ObjectId, Oracle};

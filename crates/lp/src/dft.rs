@@ -473,6 +473,7 @@ impl<'o, M: Metric> DistanceResolver for DftResolver<'o, M> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_core::{FnMetric, ObjectId};

@@ -16,6 +16,9 @@
 //! between unknown edges that independent per-edge bounds cannot), at a CPU
 //! cost that confines it to small instances.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 pub mod dft;
 pub mod optimize;
 pub mod simplex;

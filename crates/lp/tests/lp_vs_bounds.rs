@@ -8,6 +8,8 @@
 //! builder, and SPLUB against each other — three independent
 //! implementations of the same mathematics.
 
+#![expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+
 use prox_bounds::{BoundScheme, DistanceResolver, Splub};
 use prox_core::{Metric, Oracle, Pair, TinyRng};
 use prox_datasets::testgen::{property, PlanarInstance};

@@ -22,6 +22,9 @@
 //! ids) so every layer — core, bounds, algos, bench — can emit through
 //! the same sinks.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 mod diff;
 mod event;
 mod ledger;

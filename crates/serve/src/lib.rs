@@ -20,6 +20,9 @@
 //! * [`BoundServer`] — the deterministic round loop tying it together;
 //!   byte-identical responses and store contents at any thread count.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 pub mod group;
 pub mod script;
 pub mod server;

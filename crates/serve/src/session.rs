@@ -403,6 +403,7 @@ fn resolve_all<'a, R: DistanceResolver>(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 mod tests {
     use super::*;
     use prox_datasets::{ClusteredPlane, Dataset};

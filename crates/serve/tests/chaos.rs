@@ -20,6 +20,8 @@
 //! swaps in its `CheckedResolver` audits) — `cargo test -p prox-serve
 //! --features paranoid`.
 
+#![expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::rc::Rc;

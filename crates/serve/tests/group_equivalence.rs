@@ -11,6 +11,8 @@
 //! a deadline kill, the weak cascade, and weak + degrade + deadline
 //! (with a weak tier that never and one that sometimes reaches quorum).
 
+#![expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+
 use std::time::Duration;
 
 use prox_bounds::{BoundResolver, CascadeResolver, DistanceResolver, TriScheme};

@@ -25,7 +25,8 @@
 //! std container method ([`STD_METHOD_NAMES`] — those would otherwise wire
 //! every map `.insert(…)` to `MTree::insert`). None of those can smuggle
 //! an oracle call today — `Oracle::call*` are inherent methods invoked by
-//! name — and L2's lexical rule remains as a second, independent layer.
+//! name — and clippy's type-resolved L2 (`disallowed-methods` in
+//! `crates/algos/clippy.toml`) remains as a second, independent layer.
 
 use std::collections::{BTreeMap, BTreeSet};
 

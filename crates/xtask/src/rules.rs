@@ -1,9 +1,12 @@
-//! The lint rules (`L1`–`L16`) enforcing the oracle-call and determinism
-//! disciplines.
+//! The lint rules enforcing the oracle-call and determinism disciplines
+//! that clippy cannot express. L1, L2, L4, L5, L7, L10 and L11 are
+//! type-resolved clippy lints configured in the `clippy.toml` files (see
+//! `docs/INVARIANTS.md`); their numbers are not reused here. Their tests
+//! at the end of this file run clippy itself over fixture files.
 //!
 //! Rules come in two flavours:
 //!
-//! * **Lexical** (L1–L8, L10, L11, L15) — per line of the masked code
+//! * **Lexical** (L3, L6, L8, L15) — per line of the masked code
 //!   produced by [`crate::lexer::scan`] (L8 and L15 are cross-file
 //!   vocabulary checks).
 //! * **Graph** (L9, L12, L13, L14, L16) — over the whole-workspace
@@ -25,17 +28,10 @@
 //!
 //! | rule | scope | it forbids |
 //! |------|-------|------------|
-//! | L1 | everywhere except `prox-core` and `prox-datasets` | direct `Metric::distance` calls |
-//! | L2 | `crates/algos` | `Oracle::call` / `call_pair` (algorithms speak `DistanceResolver`) |
 //! | L3 | `try_*` bodies in `crates/bounds` + `crates/lp` | raw float comparisons with no `DECISION_EPS`/eps margin |
-//! | L4 | library crates | `unwrap` / `expect` / `panic!` (use `prox_core::invariant`) |
-//! | L5 | everywhere except `prox-exec` | `std::thread` (threading goes through `ExecPool` so determinism stays centralised) |
 //! | L6 | library crates | discarding a fallible oracle result via `.ok()` / `let _ =` (an `OracleError` must propagate or be handled, never vanish) |
-//! | L7 | library crates | direct `println!` / `eprintln!` output (observability goes through `prox-obs` sinks so traces stay deterministic and machine-readable) |
 //! | L8 | `crates/obs` | emitting a `TraceEvent` name the report summarizer never mentions (an event class `prox-cli report` would silently drop) — see [`lint_event_coverage`] |
 //! | L9 | public APIs of `crates/algos` + `crates/bounds` (graph) | reaching `Oracle::call`/`call_pair` (or their `try_` forms) through any call chain that does not pass a `DistanceResolver` method — see [`oracle_exposure`] |
-//! | L10 | library crates | `HashMap`/`HashSet` (unpinned iteration order; use `BTreeMap`/`BTreeSet` so determinism invariants I5/I8/I9 hold by construction) |
-//! | L11 | everywhere except `crates/bench` | `Instant::now`/`SystemTime` (library code runs on virtual time; wall-clock belongs to the bench harness) |
 //! | L12 | library crates (graph) | an infallible `X` that re-implements its fallible twin `try_X` instead of delegating to it (the copies drift apart) |
 //! | L13 | `crates/bounds` (graph) | reaching the unbounded `Dijkstra::run` from bound-query paths — the query cascade must use the bounded twin `run_bidirectional_bounded`; the exact tier funnels through the audited [`L13_ALLOWLIST`] — see [`l13_violations`] |
 //! | L14 | `crates/algos` (graph) | reaching `WeakOracle::probe`/`error_at` through any call chain that does not pass a `CascadeResolver` method — weak answers are untrusted until the cascade's quorum + sandwich audit, so algorithms must never consume them raw — see [`l14_violations`] |
@@ -50,7 +46,8 @@ use crate::lexer::{line_starts, match_brace, scan, test_line_ranges};
 /// One finding, addressable as `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id: `"L1"` … `"L12"`, or `"stale-allow"` for a dead escape.
+    /// Rule id (`"L3"`, `"L6"`, `"L8"`, `"L9"`, `"L12"`–`"L16"`), or
+    /// `"stale-allow"` for a dead escape.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub file: String,
@@ -63,7 +60,7 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// `error[L1]: … \n  --> file:line` rendering for the console.
+    /// `error[L3]: … \n  --> file:line` rendering for the console.
     pub fn render(&self) -> String {
         format!(
             "error[{}]: {}\n  --> {}:{}\n      {}",
@@ -146,13 +143,12 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
     apply_escapes(lexical_raw(rel, src), &escapes).0
 }
 
-/// The lexical rules (L1–L7, L10, L11) on one file, *before* escape
-/// filtering.
+/// The lexical rules (L3, L6) on one file, *before* escape filtering.
 fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
-    if !rules_for(rel).iter().any(|&r| r) {
+    let [l3, l6] = rules_for(rel);
+    if !l3 && !l6 {
         return Vec::new();
     }
-    let [l1, l2, l3, l4, l5, l6, l7, l10, l11] = rules_for(rel);
     let scanned = scan(src);
     let masked_lines: Vec<&str> = scanned.masked.lines().collect();
     let src_lines: Vec<&str> = src.lines().collect();
@@ -181,28 +177,6 @@ fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
         if in_test(line) {
             continue;
         }
-        if l1 && (code.contains(".distance(") || code.contains("::distance(")) {
-            push(
-                "L1",
-                line,
-                "direct `Metric::distance` call outside `prox-core`/`prox-datasets`; \
-                 route it through `Oracle` so every call is counted"
-                    .to_string(),
-            );
-        }
-        if l2
-            && [".call(", ".call_pair(", "::call(", "::call_pair("]
-                .iter()
-                .any(|p| code.contains(p))
-        {
-            push(
-                "L2",
-                line,
-                "`Oracle::call`/`call_pair` inside `crates/algos`; algorithms must \
-                 speak `DistanceResolver` so plug-ins stay interchangeable"
-                    .to_string(),
-            );
-        }
         if l3
             && try_body_lines
                 .iter()
@@ -219,48 +193,6 @@ fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
                     .to_string(),
             );
         }
-        if l4
-            && [".unwrap()", ".expect(", "panic!", "unreachable!"]
-                .iter()
-                .any(|p| code.contains(p))
-        {
-            push(
-                "L4",
-                line,
-                "`unwrap`/`expect`/`panic!` in library code; use the \
-                 `prox_core::invariant` helpers so violations carry context"
-                    .to_string(),
-            );
-        }
-        if l5
-            && [
-                "std::thread",
-                "thread::spawn(",
-                "thread::scope(",
-                "thread::Builder",
-            ]
-            .iter()
-            .any(|p| code.contains(p))
-        {
-            push(
-                "L5",
-                line,
-                "`std::thread` outside `prox-exec`; spawn through `ExecPool` so \
-                 the speculate/commit determinism protocol stays the only \
-                 threading path"
-                    .to_string(),
-            );
-        }
-        if l7 && ["println!", "print!("].iter().any(|p| code.contains(p)) {
-            push(
-                "L7",
-                line,
-                "direct `println!`/`eprintln!` in library code; emit a \
-                 `prox-obs` trace event or metric instead so observability \
-                 stays deterministic and machine-readable"
-                    .to_string(),
-            );
-        }
         if l6 && discards_fallible_result(code) {
             push(
                 "L6",
@@ -268,29 +200,6 @@ fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
                 "fallible oracle result discarded via `.ok()`/`let _ =`; an \
                  `OracleError` must propagate with `?` or be matched — \
                  swallowing it desynchronises budgets and fault accounting"
-                    .to_string(),
-            );
-        }
-        if l10 && (code.contains("HashMap") || code.contains("HashSet")) {
-            push(
-                "L10",
-                line,
-                "`HashMap`/`HashSet` in library code; hash iteration order is \
-                 unpinned across runs and platforms — use `BTreeMap`/`BTreeSet` \
-                 so determinism invariants I5/I8/I9 hold by construction"
-                    .to_string(),
-            );
-        }
-        if l11
-            && ["Instant::now", "SystemTime"]
-                .iter()
-                .any(|p| code.contains(p))
-        {
-            push(
-                "L11",
-                line,
-                "wall-clock time outside `crates/bench`; library code runs on \
-                 virtual time so schedules and traces replay deterministically"
                     .to_string(),
             );
         }
@@ -523,36 +432,19 @@ pub fn linted_path(rel: &str) -> bool {
         && !rel.starts_with("crates/xtask/")
 }
 
-/// Which of `[L1, L2, L3, L4, L5, L6, L7, L10, L11]` apply to this path.
-fn rules_for(rel: &str) -> [bool; 9] {
+/// Which of `[L3, L6]` apply to this path.
+fn rules_for(rel: &str) -> [bool; 2] {
     // Only non-test library/tool sources are linted at all.
     if !linted_path(rel) {
-        return [false; 9];
+        return [false; 2];
     }
     let in_crate = |c: &str| rel.starts_with(&format!("crates/{c}/"));
-    let l1 = !in_crate("core") && !in_crate("datasets");
-    let l2 = in_crate("algos");
     let l3 = in_crate("bounds") || in_crate("lp");
-    // L4: library crates only. `prox-bench` is a harness (bins + benches)
-    // and `crates/core/src/invariant.rs` is the audited panic chokepoint.
-    let l4 =
-        !in_crate("bench") && !rel.contains("/src/bin/") && rel != "crates/core/src/invariant.rs";
-    // L5: `prox-exec` owns all threading; everything else goes through it.
-    let l5 = !in_crate("exec");
-    // L6: same scope as L4 — harness code may deliberately drop errors
-    // (e.g. best-effort checkpoint writes), library code never may.
-    let l6 = l4;
-    // L7: same scope again — bins and the bench harness talk to humans on
-    // stdout/stderr; library crates report through `prox-obs` instead.
-    let l7 = l4;
-    // L10: library crates. Bins and the bench harness may use hash
-    // containers for presentation-only state; library iteration order is
-    // load-bearing for determinism (I5/I8/I9).
-    let l10 = !in_crate("bench") && !rel.contains("/src/bin/");
-    // L11: virtual time everywhere; only the bench harness measures the
-    // real wall clock (that is its job).
-    let l11 = !in_crate("bench");
-    [l1, l2, l3, l4, l5, l6, l7, l10, l11]
+    // L6: library crates only. `prox-bench` is a harness (bins + benches)
+    // and may deliberately drop errors (e.g. best-effort checkpoint
+    // writes); library code never may.
+    let l6 = !in_crate("bench") && !rel.contains("/src/bin/");
+    [l3, l6]
 }
 
 /// Producer calls whose `Result` carries an `OracleError`.
@@ -1213,12 +1105,12 @@ pub fn lint_graph(
 
 /// The result of linting a whole workspace snapshot.
 pub struct WorkspaceLint {
-    /// Rule violations (L1–L13) surviving escape filtering, in file order.
+    /// Rule violations surviving escape filtering, in file order.
     pub violations: Vec<Violation>,
     /// `lint: allow(...)` escapes that suppressed nothing (rule
     /// `stale-allow`) — gated by `--allow-unused-allows` in the CLI.
     pub stale_escapes: Vec<Violation>,
-    /// How many files had at least one rule applied.
+    /// How many source files were linted.
     pub files_linted: usize,
     /// Item-graph size, for the summary line.
     pub items: usize,
@@ -1245,7 +1137,7 @@ pub fn lint_workspace_with(
     let mut escapes = Vec::new();
     let mut files_linted = 0usize;
     for (rel, src) in files {
-        if rules_for(rel).iter().any(|&r| r) {
+        if linted_path(rel) {
             files_linted += 1;
             raw.extend(lexical_raw(rel, src));
             escapes.extend(collect_escapes(rel, src));
@@ -1299,46 +1191,6 @@ mod tests {
             .collect()
     }
 
-    // ---------------------------------------------------------------- L1
-
-    #[test]
-    fn l1_flags_direct_distance_call_with_file_and_line() {
-        let src = "fn f(m: &dyn Metric) {\n    let d = m.distance(a, b);\n}\n";
-        let vs = lint_source("crates/algos/src/x.rs", src);
-        assert_eq!(lines(&vs, "L1"), vec![2]);
-        assert_eq!(vs[0].file, "crates/algos/src/x.rs");
-        assert!(vs[0].render().contains("crates/algos/src/x.rs:2"));
-    }
-
-    #[test]
-    fn l1_ignores_test_code_strings_and_allowed_crates() {
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { m.distance(a, b); }\n}\n";
-        assert!(lint_source("crates/algos/src/x.rs", in_test).is_empty());
-        let in_string = "fn f() { let s = \"m.distance(a, b)\"; }\n";
-        assert!(lint_source("crates/algos/src/x.rs", in_string).is_empty());
-        let def_site = "fn f(m: &M) { m.distance(a, b); }\n";
-        assert!(lint_source("crates/datasets/src/x.rs", def_site).is_empty());
-        assert!(lint_source("crates/core/src/oracle.rs", def_site).is_empty());
-    }
-
-    #[test]
-    fn l1_respects_allow_annotation() {
-        let src = "fn f(m: &M) {\n    // audited: lint: allow(L1)\n    m.distance(a, b);\n}\n";
-        assert!(lint_source("crates/index/src/x.rs", src).is_empty());
-    }
-
-    // ---------------------------------------------------------------- L2
-
-    #[test]
-    fn l2_flags_oracle_calls_in_algos_only() {
-        let src = "fn f(o: &Oracle) {\n    let d = o.call_pair(p);\n    let e = o.call(a, b);\n}\n";
-        let vs = lint_source("crates/algos/src/knng.rs", src);
-        assert_eq!(lines(&vs, "L2"), vec![2, 3]);
-        // The same text is fine in bounds: schemes are fed by the oracle.
-        let vs = lint_source("crates/bounds/src/x.rs", src);
-        assert!(lines(&vs, "L2").is_empty());
-    }
-
     // ---------------------------------------------------------------- L3
 
     #[test]
@@ -1367,53 +1219,6 @@ mod tests {
     fn l3_respects_allow_annotation_same_line() {
         let src = "fn try_less(&self) -> Option<bool> {\n    Some(lb < ub) // exact by construction; lint: allow(L3)\n}\n";
         assert!(lint_source("crates/bounds/src/x.rs", src).is_empty());
-    }
-
-    // ---------------------------------------------------------------- L4
-
-    #[test]
-    fn l4_flags_unwrap_expect_panic_with_lines() {
-        let src = "fn f() {\n    let a = x.unwrap();\n    let b = y.expect(\"msg\");\n    panic!(\"boom\");\n}\n";
-        let vs = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(lines(&vs, "L4"), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn l4_exempts_tests_benches_chokepoint_and_unwrap_or() {
-        let src = "fn f() { let a = x.unwrap(); }\n";
-        assert!(lint_source("crates/bench/src/runner.rs", src)
-            .iter()
-            .all(|v| v.rule != "L4"));
-        assert!(lint_source("crates/core/src/invariant.rs", src).is_empty());
-        assert!(lint_source("crates/algos/tests/t.rs", src).is_empty());
-        let graceful = "fn f() { let a = x.unwrap_or(0).unwrap_or_else(|| 1); }\n";
-        assert!(lint_source("crates/core/src/x.rs", graceful).is_empty());
-    }
-
-    #[test]
-    fn l4_panic_in_doc_comment_is_fine() {
-        let src = "/// This function will panic!(never) at runtime.\nfn f() {}\n";
-        assert!(lint_source("crates/core/src/x.rs", src).is_empty());
-    }
-
-    // ---------------------------------------------------------------- L5
-
-    #[test]
-    fn l5_flags_threading_outside_exec() {
-        let src = "fn f() {\n    std::thread::scope(|s| { s.spawn(|| {}); });\n}\n";
-        let vs = lint_source("crates/algos/src/x.rs", src);
-        assert_eq!(lines(&vs, "L5"), vec![2]);
-        // The same text is the whole point of prox-exec.
-        assert!(lint_source("crates/exec/src/pool.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l5_exempts_tests_and_allow_annotation() {
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { std::thread::spawn(|| {}); }\n}\n";
-        assert!(lint_source("crates/algos/src/x.rs", in_test).is_empty());
-        let allowed =
-            "fn f() {\n    // introspection only; lint: allow(L5)\n    std::thread::panicking();\n}\n";
-        assert!(lint_source("crates/datasets/src/x.rs", allowed).is_empty());
     }
 
     // ---------------------------------------------------------------- L6
@@ -1445,36 +1250,6 @@ mod tests {
         // `.ok()` on something that is not a fallible oracle producer.
         let src = "fn f() { let d = text.parse::<f64>().ok(); }\n";
         assert!(lint_source("crates/core/src/x.rs", src).is_empty());
-    }
-
-    // ---------------------------------------------------------------- L7
-
-    #[test]
-    fn l7_flags_println_and_eprintln_in_library_code() {
-        let src = "fn f() {\n    println!(\"x = {x}\");\n    eprintln!(\"warn\");\n    eprint!(\"partial\");\n}\n";
-        let vs = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(lines(&vs, "L7"), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn l7_exempts_bins_bench_tests_and_allow_annotation() {
-        let src = "fn f() { println!(\"hello\"); }\n";
-        assert!(lint_source("crates/bench/src/table.rs", src).is_empty());
-        assert!(lint_source("crates/bench/src/bin/repro.rs", src).is_empty());
-        assert!(lint_source("crates/algos/tests/t.rs", src).is_empty());
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { println!(\"dbg\"); }\n}\n";
-        assert!(lint_source("crates/core/src/x.rs", in_test).is_empty());
-        let allowed =
-            "fn f() {\n    // panic replay note, no sink reachable; lint: allow(L7)\n    eprintln!(\"replay\");\n}\n";
-        assert!(lint_source("crates/datasets/src/x.rs", allowed).is_empty());
-    }
-
-    #[test]
-    fn l7_ignores_strings_and_doc_comments() {
-        let in_string = "fn f() { let s = \"println!(not real)\"; }\n";
-        assert!(lint_source("crates/core/src/x.rs", in_string).is_empty());
-        let in_doc = "/// Example: `println!(\"{d}\")` is forbidden here.\nfn f() {}\n";
-        assert!(lint_source("crates/core/src/x.rs", in_doc).is_empty());
     }
 
     // ---------------------------------------------------------------- L8
@@ -1617,52 +1392,12 @@ mod tests {
 
     #[test]
     fn non_source_paths_are_skipped() {
-        let src = "fn f() { x.unwrap(); m.distance(a, b); }\n";
+        let src = "fn try_f() {\n    let _ = o.try_call(a, b);\n    if a < b {}\n}\n";
+        assert_eq!(lint_source("crates/bounds/src/x.rs", src).len(), 2);
         assert!(lint_source("crates/algos/tests/exact.rs", src).is_empty());
         assert!(lint_source("crates/bench/benches/schemes.rs", src).is_empty());
         assert!(lint_source("crates/xtask/src/rules.rs", src).is_empty());
         assert!(lint_source("README.md", src).is_empty());
-    }
-
-    // --------------------------------------------------------------- L10
-
-    #[test]
-    fn l10_flags_hash_containers_in_library_code() {
-        let src = "use std::collections::HashMap;\nfn f() {\n    let m: HashMap<u64, f64> = HashMap::new();\n    let s = std::collections::HashSet::new();\n}\n";
-        let vs = lint_source("crates/bounds/src/x.rs", src);
-        assert_eq!(lines(&vs, "L10"), vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn l10_exempts_bench_bins_tests_and_allow_annotation() {
-        let src = "use std::collections::HashMap;\n";
-        assert!(lint_source("crates/bench/src/runner.rs", src).is_empty());
-        assert!(lint_source("crates/bench/src/bin/repro.rs", src).is_empty());
-        let in_test = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
-        assert!(lint_source("crates/core/src/x.rs", in_test).is_empty());
-        let allowed =
-            "fn f() {\n    // key-lookup only, never iterated; lint: allow(L10)\n    let m = HashMap::new();\n}\n";
-        assert!(lint_source("crates/core/src/x.rs", allowed).is_empty());
-    }
-
-    // --------------------------------------------------------------- L11
-
-    #[test]
-    fn l11_flags_wall_clock_outside_bench() {
-        let src =
-            "fn f() {\n    let t = std::time::Instant::now();\n    let s = SystemTime::now();\n}\n";
-        let vs = lint_source("crates/exec/src/pool.rs", src);
-        assert_eq!(lines(&vs, "L11"), vec![2, 3]);
-        assert!(lint_source("crates/bench/src/runner.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l11_respects_tests_and_allow_annotation() {
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { let t = Instant::now(); }\n}\n";
-        assert!(lint_source("crates/core/src/x.rs", in_test).is_empty());
-        let allowed =
-            "fn f() {\n    // coarse jitter seed, not scheduling; lint: allow(L11)\n    let t = std::time::Instant::now();\n}\n";
-        assert!(lint_source("crates/core/src/x.rs", allowed).is_empty());
     }
 
     // ------------------------------------------------- graph rules: L9
@@ -2087,24 +1822,469 @@ mod tests {
     fn stale_escape_is_reported_and_used_escape_is_not() {
         let files = fixture(&[(
             "crates/core/src/x.rs",
-            "fn f() {\n    // lint: allow(L4)\n    x.unwrap();\n    // lint: allow(L7)\n    let y = 1;\n}\n",
+            "fn f() {\n    // lint: allow(L6)\n    let _ = o.try_call(a, b);\n    // lint: allow(L3)\n    let y = 1;\n}\n",
         )]);
         let lint = lint_workspace_with(&files, &[], &[], &[]);
-        assert!(lint.violations.iter().all(|v| v.rule != "L4"));
+        assert!(lint.violations.iter().all(|v| v.rule != "L6"));
         assert_eq!(lint.stale_escapes.len(), 1, "{:?}", lint.stale_escapes);
         assert_eq!(lint.stale_escapes[0].rule, "stale-allow");
         assert_eq!(lint.stale_escapes[0].line, 4);
-        assert!(lint.stale_escapes[0].msg.contains("allow(L7)"));
+        assert!(lint.stale_escapes[0].msg.contains("allow(L3)"));
     }
 
     #[test]
     fn escapes_inside_cfg_test_are_inert_not_stale() {
         let files = fixture(&[(
             "crates/core/src/x.rs",
-            "#[cfg(test)]\nmod tests {\n    // lint: allow(L4)\n    fn f() { x.unwrap(); }\n}\n",
+            "#[cfg(test)]\nmod tests {\n    // lint: allow(L6)\n    fn f() { let _ = o.try_call(a, b); }\n}\n",
         )]);
         let lint = lint_workspace_with(&files, &[], &[], &[]);
         assert!(lint.violations.is_empty());
         assert!(lint.stale_escapes.is_empty());
+    }
+
+    // ------------------------------------- clippy: L1 L2 L4 L5 L7 L10 L11
+    //
+    // These rules are clippy lints configured by the workspace's
+    // `clippy.toml` files and crate-root `#![deny]`s. The tests run the real
+    // `cargo clippy` over fixture files (see `crate::clippy_fixture`);
+    // `lib/` reads the root config, `algos/` and `bench/` their own.
+
+    /// `(lint, line)` of every diagnostic in fixture file `rel`, deduped.
+    fn clippy(rel: &str) -> Vec<(String, usize)> {
+        let found: BTreeSet<(String, usize)> = clippy_diags(rel)
+            .into_iter()
+            .map(|d| (d.lint, d.line))
+            .collect();
+        found.into_iter().collect()
+    }
+
+    fn clippy_diags(rel: &str) -> Vec<crate::clippy_fixture::Diag> {
+        static RUN: std::sync::OnceLock<Vec<crate::clippy_fixture::Diag>> =
+            std::sync::OnceLock::new();
+        let all = RUN.get_or_init(|| crate::clippy_fixture::run(CLIPPY_FIXTURE));
+        all.iter().filter(|d| d.file == rel).cloned().collect()
+    }
+
+    fn at(lint: &str, lines: &[usize]) -> Vec<(String, usize)> {
+        lines
+            .iter()
+            .map(|&l| (format!("clippy::{lint}"), l))
+            .collect()
+    }
+
+    const CLIPPY_FIXTURE: &[(&str, &str)] = &[
+        ("lib/src/l1_flag.rs", L1_FLAG),
+        ("lib/src/l1_clean.rs", L1_CLEAN),
+        ("lib/src/l1_allow.rs", L1_ALLOW),
+        ("algos/src/knng.rs", L2_ORACLE),
+        ("lib/src/l2_elsewhere.rs", L2_ORACLE),
+        ("lib/src/l4_flag.rs", L4_FLAG),
+        ("lib/src/l4_exempt.rs", L4_EXEMPT),
+        ("lib/src/l4_doc.rs", L4_DOC),
+        ("algos/src/l5_flag.rs", L5_FLAG),
+        ("lib/src/l5_exec.rs", L5_EXEC),
+        ("algos/src/l5_exempt.rs", L5_EXEMPT),
+        ("lib/src/l7_flag.rs", L7_FLAG),
+        ("lib/src/l7_exempt.rs", L7_EXEMPT),
+        ("lib/src/l7_ignore.rs", L7_IGNORE),
+        ("lib/src/l10_flag.rs", L10_FLAG),
+        ("lib/src/l10_exempt.rs", L10_EXEMPT),
+        ("lib/src/l11_flag.rs", L11_FLAG),
+        ("lib/src/l11_exempt.rs", L11_EXEMPT),
+        ("lib/src/bin/tool.rs", BIN_PRINTS),
+        ("lib/tests/t.rs", INTEGRATION_TEST),
+        ("bench/src/runner.rs", BENCH_RUNNER),
+        ("bench/src/table.rs", BENCH_TABLE),
+        ("bench/src/bin/repro.rs", BENCH_BIN),
+    ];
+
+    // ---------------------------------------------------------------- L1
+
+    const L1_FLAG: &str = r#"pub fn f<M: prox_core::metric::Metric>(m: &M) -> f64 {
+    m.distance(0, 1)
+}
+"#;
+
+    const L1_CLEAN: &str = r#"use prox_core::metric::Metric;
+
+pub struct Line;
+
+impl Metric for Line {
+    fn len(&self) -> usize {
+        2
+    }
+    fn distance(&self, a: u32, b: u32) -> f64 {
+        f64::from(a.abs_diff(b))
+    }
+}
+
+pub struct Ruler;
+
+impl Ruler {
+    pub fn distance(&self, a: u32, b: u32) -> u32 {
+        a.abs_diff(b)
+    }
+}
+
+pub fn f(r: &Ruler) -> (u32, &'static str) {
+    (r.distance(0, 1), "m.distance(a, b)")
+}
+
+#[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+mod tests {
+    use prox_core::metric::Metric;
+
+    #[test]
+    fn t() {
+        assert!(super::Line.distance(0, 1) > 0.5);
+    }
+}
+"#;
+
+    const L1_ALLOW: &str = r#"#[expect(clippy::disallowed_methods, reason = "audited ground truth")]
+pub fn f<M: prox_core::metric::Metric>(m: &M) -> f64 {
+    m.distance(0, 1)
+}
+"#;
+
+    #[test]
+    fn l1_flags_direct_distance_call_with_file_and_line() {
+        let ds = clippy_diags("lib/src/l1_flag.rs");
+        assert_eq!(clippy("lib/src/l1_flag.rs"), at("disallowed_methods", &[2]));
+        assert_eq!(ds[0].file, "lib/src/l1_flag.rs");
+        assert!(ds[0]
+            .rendered
+            .contains("prox_core::metric::Metric::distance"));
+        assert!(ds[0].rendered.contains("L1:"), "{}", ds[0].rendered);
+    }
+
+    /// Type-resolved: implementing `Metric`, a same-named inherent method
+    /// and the text in a string are not calls of `Metric::distance`. Test
+    /// code is linted too; a test module opts out with one module-level
+    /// `#[expect]`, which must be fulfilled.
+    #[test]
+    fn l1_ignores_test_code_strings_and_allowed_crates() {
+        assert_eq!(clippy("lib/src/l1_clean.rs"), vec![]);
+    }
+
+    #[test]
+    fn l1_respects_allow_annotation() {
+        assert_eq!(clippy("lib/src/l1_allow.rs"), vec![]);
+    }
+
+    // ---------------------------------------------------------------- L2
+
+    const L2_ORACLE: &str = r#"pub fn f<M: prox_core::metric::Metric>(o: &prox_core::oracle::Oracle<M>, p: prox_core::Pair) -> f64 {
+    let d = o.call_pair(p);
+    let e = o.call(0, 1);
+    d + e
+}
+"#;
+
+    #[test]
+    fn l2_flags_oracle_calls_in_algos_only() {
+        assert_eq!(
+            clippy("algos/src/knng.rs"),
+            at("disallowed_methods", &[2, 3])
+        );
+        let ds = clippy_diags("algos/src/knng.rs");
+        assert!(ds.iter().all(|d| d.rendered.contains("L2:")), "{ds:?}");
+        // The same text is fine outside algos: schemes are fed by the oracle.
+        assert_eq!(clippy("lib/src/l2_elsewhere.rs"), vec![]);
+    }
+
+    // ---------------------------------------------------------------- L4
+
+    const L4_FLAG: &str = r#"pub fn f(x: Option<u32>, y: Result<u32, u32>, z: Result<u32, u32>) -> u32 {
+    let a = x.unwrap();
+    let b = y.expect("msg");
+    let c = z.unwrap_err();
+    if a == b {
+        panic!("boom");
+    }
+    if b == c {
+        unreachable!("never");
+    }
+    a + b + c
+}
+"#;
+
+    const L4_EXEMPT: &str = r#"fn fallback() -> u32 {
+    1
+}
+
+pub fn graceful(x: Option<u32>) -> u32 {
+    x.unwrap_or(0) + x.unwrap_or_else(fallback)
+}
+
+#[expect(clippy::panic, reason = "the audited panic choke point")]
+pub fn invariant_violated(what: &str) -> ! {
+    panic!("invariant violated: {what}")
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        assert_eq!("1".parse::<u32>().ok().unwrap(), 1);
+        assert_eq!("2".parse::<u32>().expect("a number"), 2);
+    }
+}
+"#;
+
+    const L4_DOC: &str = r#"/// This function will panic!(never) at runtime; `x.unwrap()` is prose.
+pub fn f() -> &'static str {
+    "panic!(\"not real\")"
+}
+"#;
+
+    #[test]
+    fn l4_flags_unwrap_expect_panic_with_lines() {
+        let mut want = at("unwrap_used", &[2, 4]);
+        want.extend(at("expect_used", &[3]));
+        want.extend(at("panic", &[6]));
+        want.extend(at("unreachable", &[9]));
+        want.sort();
+        assert_eq!(clippy("lib/src/l4_flag.rs"), want);
+    }
+
+    #[test]
+    fn l4_exempts_tests_benches_chokepoint_and_unwrap_or() {
+        assert_eq!(clippy("lib/src/l4_exempt.rs"), vec![]);
+        assert_eq!(clippy("lib/tests/t.rs"), vec![]);
+        assert_eq!(clippy("bench/src/runner.rs"), vec![]);
+    }
+
+    #[test]
+    fn l4_panic_in_doc_comment_is_fine() {
+        assert_eq!(clippy("lib/src/l4_doc.rs"), vec![]);
+    }
+
+    // ---------------------------------------------------------------- L5
+
+    const L5_FLAG: &str = r#"pub fn f() -> bool {
+    std::thread::scope(|s| s.spawn(|| {}).join().is_ok())
+        && std::thread::spawn(|| {}).join().is_ok()
+        && std::thread::Builder::new().spawn(|| {}).is_ok()
+}
+"#;
+
+    const L5_EXEC: &str = r#"#[expect(clippy::disallowed_methods, reason = "prox-exec owns all threading")]
+pub fn run() -> bool {
+    std::thread::scope(|s| s.spawn(|| {}).join().is_ok())
+}
+"#;
+
+    const L5_EXEMPT: &str = r#"pub fn unwinding() -> bool {
+    std::thread::panicking()
+}
+
+#[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "test-only worker")]
+mod tests {
+    #[test]
+    fn t() {
+        assert!(std::thread::spawn(|| 1).join().is_ok());
+    }
+}
+"#;
+
+    #[test]
+    fn l5_flags_threading_outside_exec() {
+        let mut want = at("disallowed_methods", &[2, 3]);
+        want.extend(at("disallowed_types", &[4]));
+        assert_eq!(clippy("algos/src/l5_flag.rs"), want);
+        let ds = clippy_diags("algos/src/l5_flag.rs");
+        assert!(ds.iter().all(|d| d.rendered.contains("L5:")), "{ds:?}");
+        // prox-exec's spawn site carries a site-level `#[expect]`.
+        assert_eq!(clippy("lib/src/l5_exec.rs"), vec![]);
+    }
+
+    /// `std::thread::panicking()` is not threading and needs no escape; a
+    /// test module that spawns opts out with a module-level `#[expect]`.
+    #[test]
+    fn l5_exempts_tests_and_allow_annotation() {
+        assert_eq!(clippy("algos/src/l5_exempt.rs"), vec![]);
+    }
+
+    // ---------------------------------------------------------------- L7
+
+    const L7_FLAG: &str = r#"pub fn f(x: u32) {
+    println!("x = {x}");
+    eprintln!("warn");
+    eprint!("partial");
+}
+"#;
+
+    const L7_EXEMPT: &str = r#"#[expect(clippy::print_stderr, reason = "panic replay note, no sink reachable")]
+pub fn replay() {
+    eprintln!("replay");
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        println!("dbg");
+    }
+}
+"#;
+
+    const L7_IGNORE: &str = r#"/// Example: `println!("{d}")` is forbidden here.
+pub fn f() -> &'static str {
+    "println!(not real)"
+}
+"#;
+
+    const BIN_PRINTS: &str = r#"fn main() {
+    println!("hello");
+    eprintln!("done");
+}
+"#;
+
+    const INTEGRATION_TEST: &str = r#"fn helper(x: Option<u32>) -> u32 {
+    x.expect("present")
+}
+
+#[test]
+fn t() {
+    let x = "1".parse::<u32>().ok();
+    println!("{}", helper(x) + x.unwrap());
+}
+"#;
+
+    #[test]
+    fn l7_flags_println_and_eprintln_in_library_code() {
+        let mut want = at("print_stdout", &[2]);
+        want.extend(at("print_stderr", &[3, 4]));
+        want.sort();
+        assert_eq!(clippy("lib/src/l7_flag.rs"), want);
+    }
+
+    #[test]
+    fn l7_exempts_bins_bench_tests_and_allow_annotation() {
+        assert_eq!(clippy("bench/src/table.rs"), vec![]);
+        assert_eq!(clippy("bench/src/bin/repro.rs"), vec![]);
+        assert_eq!(clippy("lib/src/bin/tool.rs"), vec![]);
+        assert_eq!(clippy("lib/tests/t.rs"), vec![]);
+        assert_eq!(clippy("lib/src/l7_exempt.rs"), vec![]);
+    }
+
+    #[test]
+    fn l7_ignores_strings_and_doc_comments() {
+        assert_eq!(clippy("lib/src/l7_ignore.rs"), vec![]);
+    }
+
+    // --------------------------------------------------------------- L10
+
+    const L10_FLAG: &str = r#"use std::collections::HashMap;
+pub fn f() -> usize {
+    let m: HashMap<u64, f64> = HashMap::new();
+    let s = std::collections::HashSet::<u64>::new();
+    m.len() + s.len()
+}
+"#;
+
+    const L10_EXEMPT: &str = r#"#[expect(clippy::disallowed_types, reason = "key lookup only, never iterated")]
+pub fn lookup(k: u32) -> Option<u32> {
+    let m: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+    m.get(&k).copied()
+}
+
+#[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "test-only scratch set")]
+mod tests {
+    use std::collections::HashSet;
+
+    #[test]
+    fn t() {
+        assert!(HashSet::<u32>::new().is_empty());
+    }
+}
+"#;
+
+    const BENCH_RUNNER: &str = r#"use std::collections::HashMap;
+use std::time::{Instant, SystemTime};
+
+pub fn f(x: Option<u32>) -> (u32, usize, bool) {
+    let t = Instant::now();
+    let m: HashMap<u32, u32> = HashMap::new();
+    let s = SystemTime::now();
+    (x.unwrap(), m.len(), t.elapsed() < s.elapsed().unwrap_or_default())
+}
+"#;
+
+    const BENCH_TABLE: &str = r#"pub fn f() {
+    println!("hello");
+}
+"#;
+
+    const BENCH_BIN: &str = r#"fn main() {
+    let m: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+    println!("{}", m.len());
+}
+"#;
+
+    #[test]
+    fn l10_flags_hash_containers_in_library_code() {
+        assert_eq!(
+            clippy("lib/src/l10_flag.rs"),
+            at("disallowed_types", &[1, 3, 4])
+        );
+        let ds = clippy_diags("lib/src/l10_flag.rs");
+        assert!(ds.iter().all(|d| d.rendered.contains("L10:")), "{ds:?}");
+    }
+
+    /// Bench and its bins read a `clippy.toml` without L10. Elsewhere a
+    /// test module opts out with a module-level `#[expect]`, like any
+    /// audited site.
+    #[test]
+    fn l10_exempts_bench_bins_tests_and_allow_annotation() {
+        assert_eq!(clippy("bench/src/runner.rs"), vec![]);
+        assert_eq!(clippy("bench/src/bin/repro.rs"), vec![]);
+        assert_eq!(clippy("lib/src/l10_exempt.rs"), vec![]);
+    }
+
+    // --------------------------------------------------------------- L11
+
+    const L11_FLAG: &str = r#"pub fn f() -> bool {
+    let t = std::time::Instant::now();
+    let s = std::time::SystemTime::now();
+    t.elapsed() < s.elapsed().unwrap_or_default()
+}
+"#;
+
+    const L11_EXEMPT: &str = r#"#[expect(clippy::disallowed_methods, reason = "coarse jitter seed, not scheduling")]
+pub fn seed() -> std::time::Instant {
+    std::time::Instant::now()
+}
+
+#[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "test-only timing")]
+mod tests {
+    #[test]
+    fn t() {
+        assert!(std::time::Instant::now().elapsed().as_secs() < 60);
+    }
+}
+"#;
+
+    #[test]
+    fn l11_flags_wall_clock_outside_bench() {
+        let mut want = at("disallowed_methods", &[2]);
+        want.extend(at("disallowed_types", &[3]));
+        assert_eq!(clippy("lib/src/l11_flag.rs"), want);
+        let ds = clippy_diags("lib/src/l11_flag.rs");
+        assert!(ds.iter().all(|d| d.rendered.contains("L11:")), "{ds:?}");
+        assert_eq!(clippy("bench/src/runner.rs"), vec![]);
+    }
+
+    /// A test module opts out of L11 with a module-level `#[expect]`, an
+    /// audited site with a site-level one; both must be fulfilled.
+    #[test]
+    fn l11_respects_tests_and_allow_annotation() {
+        assert_eq!(clippy("lib/src/l11_exempt.rs"), vec![]);
     }
 }

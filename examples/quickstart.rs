@@ -11,6 +11,7 @@
 
 use prox::prelude::*;
 
+#[expect(clippy::disallowed_methods, reason = "the demo shows wall-clock time")]
 fn main() {
     let n = 300;
     let metric = StringSet::default().generate(n, 42);

@@ -48,6 +48,9 @@
 //! | [`index`] | `prox-index` | related-work metric indexes (VP-tree, BK-tree) |
 //! | [`algos`] | `prox-algos` | Prim, Kruskal, kNN graph, PAM, CLARANS over any resolver |
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
+
 pub use prox_algos as algos;
 pub use prox_bounds as bounds;
 pub use prox_core as core;

@@ -1,6 +1,8 @@
 //! Workspace-level integration: the public `prox` API end to end, the way a
 //! downstream user would consume it.
 
+#![expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+
 use prox::prelude::*;
 
 /// Full pipeline on the road-network workload: bootstrap, plug, run three
