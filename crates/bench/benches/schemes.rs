@@ -549,6 +549,7 @@ fn bench_store_layer(b: &mut Bench) {
     });
 
     bench_store_commit(b);
+    bench_store_rounds(b);
 }
 
 /// DESIGN.md §16 durability: `store_layer/commit` prices one 24-entry
@@ -572,6 +573,57 @@ fn bench_store_commit(b: &mut Bench) {
         batch.extend((next..next + 24).map(|i| (Pair::new(i, i + 1), f64::from(i) * 0.5)));
         next += 24;
         black_box(store.commit(store.token(), &batch).expect("bench commit"));
+    });
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// DESIGN.md §16 round view: a serve round's read side on a store of
+/// 13,530 entries filled by 24-entry commits in scattered key order, so
+/// the store has the run shape a serve run builds. `store_layer/view`
+/// takes the round view (clones of the runs' `Arc`s) and serves one
+/// fully held 12-member block (66 pairs) from it; `store_layer/snapshot`
+/// does the same through the flat `snapshot()` copy. Both in ns per
+/// round; the fill's commits are outside the timed region
+/// (`store_layer/commit` prices those). The bench-gate holds `view`
+/// within 0.25x of `snapshot`.
+fn bench_store_rounds(b: &mut Bench) {
+    use prox_serve::{
+        run_group, run_group_view, PairGroupQuery, PairSelector, SessionConfig, SharedStore,
+        WalConfig,
+    };
+
+    let metric = ClusteredPlane::default().metric(2000, SEED);
+    let oracle = Oracle::new(&*metric);
+    let dir = std::env::temp_dir().join(format!("prox-bench-rounds-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let manifest = vec![("bench".to_string(), "store_rounds".to_string())];
+    let (store, _) =
+        SharedStore::open(&dir, &manifest, WalConfig::default()).expect("open bench store");
+    let held: Vec<Pair> = Pair::all(165).collect();
+    let scattered: Vec<(Pair, f64)> = (0..held.len())
+        .map(|i| held[i * 7919 % held.len()])
+        .map(|p| (p, oracle.call_pair(p)))
+        .collect();
+    for batch in scattered.chunks(24) {
+        store
+            .commit(store.token(), batch)
+            .expect("bench fill commit");
+    }
+    let query = PairGroupQuery {
+        selector: PairSelector::Block((40..52).collect()),
+        skip: Default::default(),
+    };
+    let config = SessionConfig::default();
+    b.bench("store_layer", "view", || {
+        let view = store.view();
+        let out = run_group_view(&*metric, &view.runs(), &[], &query, 0, &config);
+        black_box((out, view.generation));
+    });
+    b.bench("store_layer", "snapshot", || {
+        let snapshot = store.snapshot();
+        let out = run_group(&*metric, &snapshot.entries, &[], &query, 0, &config);
+        black_box((out, snapshot.generation));
     });
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,14 +7,14 @@
 //! queries, clients, and crashes:
 //!
 //! * [`SharedStore`] — the generation-stamped certified-distance store
-//!   every session reads via snapshots and feeds through exactly one
+//!   every session reads via views of its shared immutable runs and feeds through exactly one
 //!   WAL-logged, epoch-fenced commit API (lint **L16**).
 //! * [`WriteAheadLog`] — crash-safe segment log reusing the checkpoint
 //!   v2 CRC32 block format; torn tails salvage leniently, foreign
 //!   manifests are refused (invariant **I12**).
 //! * [`PairGroupQuery`] — the client API: a pair selector plus a skip
 //!   set, resolved as one amortised block.
-//! * [`run_group`] / [`ClientSession`] — per-client admission control
+//! * [`run_group_view`] / [`ClientSession`] — per-client admission control
 //!   (deterministic reject-with-retry-hint), budget/deadline fencing,
 //!   cascade degradation, poisoned-state quarantine.
 //! * [`BoundServer`] — the deterministic round loop tying it together;
@@ -34,7 +34,8 @@ pub use group::{GroupResponse, PairGroupQuery, PairSelector};
 pub use script::{default_script, parse_script, render_script};
 pub use server::{emit_recovery, BoundServer, ServeConfig, ServeOutcome, ServedResponse};
 pub use session::{
-    run_group, ClientSession, GroupOutcome, RetryHint, ServedGroup, SessionConfig, SessionStats,
+    run_group, run_group_view, ClientSession, GroupOutcome, RetryHint, ServedGroup, SessionConfig,
+    SessionStats,
 };
-pub use store::{CommitError, CommitReceipt, EpochToken, SharedStore, StoreSnapshot};
+pub use store::{CommitError, CommitReceipt, EpochToken, SharedStore, StoreSnapshot, StoreView};
 pub use wal::{WalConfig, WalRecovery, WriteAheadLog};

@@ -1,13 +1,14 @@
 //! The serving round loop: many client sessions, one shared store.
 //!
 //! [`BoundServer::run`] drives a script of group queries to completion
-//! in *rounds*. Each round takes **one** store snapshot, runs every
-//! active session's next group as an independent [`run_group`] cell on
-//! the global [`ExecPool`], then applies the outcomes sequentially in
-//! session-id order. Cells are pure functions of the round-start
-//! snapshot and the session's private memo, and the apply step is
-//! single-threaded, so the whole serve — responses, call counts, store
-//! contents, trace — is byte-identical at any `--threads N` (I12/I5).
+//! in *rounds*. Each round takes **one** store view (the store's shared
+//! runs, no copy), runs every active session's next group as an
+//! independent [`run_group_view`] cell on the global [`ExecPool`], then
+//! applies the outcomes sequentially in session-id order. Cells are
+//! pure functions of the round-start view and the session's private
+//! memo, and the apply step is single-threaded, so the whole serve —
+//! responses, call counts, store contents, trace — is byte-identical at
+//! any `--threads N` (I12/I5).
 //!
 //! Crash semantics (the chaos suite's kill switches):
 //!
@@ -30,7 +31,7 @@ use prox_exec::ExecPool;
 use prox_obs::{emit_to, ProvenanceLedger, TraceEvent, TraceSink};
 
 use crate::group::{GroupResponse, PairGroupQuery};
-use crate::session::{ClientSession, GroupOutcome, SessionConfig, SessionStats};
+use crate::session::{run_group_view, ClientSession, GroupOutcome, SessionConfig, SessionStats};
 use crate::store::{CommitError, SharedStore};
 
 /// Server-wide serving knobs.
@@ -126,7 +127,7 @@ impl<'a> BoundServer<'a> {
         let mut out = ServeOutcome::default();
         let mut commits_done = 0u64;
         'rounds: loop {
-            let snapshot = self.store.snapshot();
+            let view = self.store.view();
             // One cell per active session: its id, script line, query,
             // and a copy of its memo (the cell must not borrow the
             // session table the apply step mutates).
@@ -145,11 +146,11 @@ impl<'a> BoundServer<'a> {
 
             let session_config = self.config.session;
             let metric = self.metric;
-            let entries = &snapshot.entries;
+            let runs = &view.runs();
             let cell_refs = &cells;
             let outcomes = ExecPool::global().map_indexed(cells.len(), |k| {
                 let (id, _line, query, memo) = &cell_refs[k];
-                crate::session::run_group(metric, entries, memo, query, *id as u32, &session_config)
+                run_group_view(metric, runs, memo, query, *id as u32, &session_config)
             });
 
             let mut any_served = false;
@@ -233,7 +234,7 @@ impl<'a> BoundServer<'a> {
                         if batch.is_empty() {
                             continue;
                         }
-                        match self.store.commit(snapshot.token, &batch) {
+                        match self.store.commit(view.token, &batch) {
                             Ok(receipt) => {
                                 sessions[i].stats.commits += 1;
                                 commits_done += 1;

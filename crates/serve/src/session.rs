@@ -3,22 +3,22 @@
 //! A session is the server-side state for one client: its private
 //! certified memo (resolutions not yet visible in the store), its
 //! cumulative accounting, and its health. The actual resolution work
-//! for one group runs in [`run_group`] — a **pure function** of the
-//! round-start store snapshot, the session's memo, and the query. That
+//! for one group runs in [`run_group_view`] — a **pure function** of the
+//! round-start store view, the session's memo, and the query. That
 //! purity is the whole determinism argument: the server can run any
 //! number of these cells concurrently (one per session) and the
 //! outcome is identical to running them in a loop, so responses and
 //! call counts are byte-identical at every `--threads N` (I12/I5).
 //!
-//! A group reads the snapshot and the memo in place, by binary search:
-//! it copies neither into a scheme. Only the weak cascade asks for Tri
-//! bounds inside a group (its sandwich audit and degraded midpoints),
-//! so the Tri adjacency is built on the first bound query, and a group
-//! that only resolves never builds it.
+//! A group reads the view's runs and the memo in place, by binary
+//! search: it copies none of them into a scheme. Only the weak cascade
+//! asks for Tri bounds inside a group (its sandwich audit and degraded
+//! midpoints), so the Tri adjacency is built on the first bound query,
+//! and a group that only resolves never builds it.
 //!
 //! Admission is decided *before* any oracle work and never blocks the
 //! store: the group's strong-call cost is bounded above by the number
-//! of its pairs missing from snapshot + memo (each missing pair costs
+//! of its pairs missing from view + memo (each missing pair costs
 //! at most one strong call on the value path), so a group whose bound
 //! exceeds the per-client admission budget is rejected immediately
 //! with a deterministic retry hint.
@@ -32,6 +32,7 @@ use prox_core::{
 use prox_obs::ProvenanceLedger;
 
 use crate::group::{GroupResponse, PairGroupQuery};
+use crate::store::{lookup, lookup_runs, merge_runs};
 
 /// Per-session serving knobs.
 #[derive(Copy, Clone, Debug, Default)]
@@ -75,7 +76,7 @@ pub struct RetryHint {
 pub enum GroupOutcome {
     /// Admission refused the group; nothing was resolved or billed.
     Rejected {
-        /// Pairs missing from snapshot + memo (the cost upper bound).
+        /// Pairs missing from view + memo (the cost upper bound).
         missing: u64,
         /// The admission budget it exceeded.
         admit: u64,
@@ -99,7 +100,7 @@ pub enum GroupOutcome {
 pub struct ServedGroup {
     /// The client-visible answer.
     pub response: GroupResponse,
-    /// Certified entries new to snapshot + memo — the commit batch.
+    /// Certified entries new to view + memo — the commit batch.
     pub fresh: Vec<(Pair, f64)>,
     /// The session resolver's provenance rows for this group.
     pub ledger: ProvenanceLedger,
@@ -158,14 +159,14 @@ impl ClientSession {
 }
 
 /// The certified distances one group can read, without copying the
-/// round snapshot: the snapshot and the session memo are borrowed in
-/// place (each ascending by pair key, without duplicates) and looked up
-/// by binary search, snapshot first; the group's own records sit in a
-/// short list beside them.
+/// round view: the view's runs and the session memo are borrowed in
+/// place (each ascending by pair key, without duplicates, the runs
+/// disjoint) and looked up by binary search, runs first; the group's
+/// own records sit in a short list beside them.
 ///
 /// Bound queries are rare here: only the weak cascade's sandwich audit
 /// and its degraded midpoints ask for bounds. The first one builds a
-/// [`TriScheme`] from snapshot ∪ memo ∪ own records, once, and every
+/// [`TriScheme`] from view ∪ memo ∪ own records, once, and every
 /// later query and record goes to it as well, so its answers are the
 /// ones a scheme preloaded with the same distances would give.
 ///
@@ -175,21 +176,12 @@ impl ClientSession {
 struct HeldScheme<'a> {
     n: usize,
     max_distance: f64,
-    snapshot: &'a [(Pair, f64)],
+    runs: &'a [&'a [(Pair, f64)]],
     memo: &'a [(Pair, f64)],
     /// Distances recorded by this group, ascending by pair key — the
     /// commit batch.
     own: Vec<(Pair, f64)>,
     tri: Option<TriScheme>,
-}
-
-/// The value of `p` in a key-sorted entry list.
-fn lookup(entries: &[(Pair, f64)], p: Pair) -> Option<f64> {
-    let key = p.key();
-    entries
-        .binary_search_by_key(&key, |e| e.0.key())
-        .ok()
-        .map(|i| entries[i].1)
 }
 
 #[cfg(test)]
@@ -201,36 +193,41 @@ thread_local! {
 impl<'a> HeldScheme<'a> {
     fn new(
         metric: &(dyn Metric + Send + Sync),
-        snapshot: &'a [(Pair, f64)],
+        runs: &'a [&'a [(Pair, f64)]],
         memo: &'a [(Pair, f64)],
     ) -> Self {
-        debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(runs.iter().all(|r| r.windows(2).all(|w| w[0].0 < w[1].0)));
         debug_assert!(memo.windows(2).all(|w| w[0].0 < w[1].0));
         HeldScheme {
             n: metric.len(),
             max_distance: metric.max_distance(),
-            snapshot,
+            runs,
             memo,
             own: Vec::new(),
             tri: None,
         }
     }
 
-    /// The value of `p` in the snapshot or the memo.
+    /// The value of `p` in the view or the memo.
     fn held(&self, p: Pair) -> Option<f64> {
-        lookup(self.snapshot, p).or_else(|| lookup(self.memo, p))
+        lookup_runs(self.runs, p).or_else(|| lookup(self.memo, p))
     }
 
-    /// The memo entries the snapshot does not hold.
+    /// Entries in the view.
+    fn view_len(&self) -> usize {
+        self.runs.iter().map(|r| r.len()).sum()
+    }
+
+    /// The memo entries the view does not hold.
     fn memo_only(&self) -> impl Iterator<Item = &(Pair, f64)> {
         self.memo
             .iter()
-            .filter(|e| lookup(self.snapshot, e.0).is_none())
+            .filter(|e| lookup_runs(self.runs, e.0).is_none())
     }
 
-    /// `|snapshot ∪ memo|`: what the ledger reports as preloaded.
+    /// `|view ∪ memo|`: what the ledger reports as preloaded.
     fn held_count(&self) -> usize {
-        self.snapshot.len() + self.memo_only().count()
+        self.view_len() + self.memo_only().count()
     }
 
     /// The Tri scheme over everything known, built on first use.
@@ -286,9 +283,11 @@ impl BoundScheme for HeldScheme<'_> {
         "Tri"
     }
 
+    /// The view's runs merged into key order (so a lazily built Tri
+    /// records exactly the order a flat snapshot would give it), then
+    /// the memo-only entries, then the group's own records.
     fn for_each_known(&self, f: &mut dyn FnMut(Pair, f64)) {
-        for &(p, d) in self
-            .snapshot
+        for &(p, d) in merge_runs(self.runs)
             .iter()
             .chain(self.memo_only())
             .chain(&self.own)
@@ -298,12 +297,9 @@ impl BoundScheme for HeldScheme<'_> {
     }
 }
 
-/// Resolves one group for one session: admission, then canonical-order
-/// resolution against the snapshot and memo read in place, then the
-/// degradation bookkeeping. `snapshot` and `memo` are ascending by pair
-/// key without duplicates, as [`crate::StoreSnapshot`] and
-/// [`ClientSession::memo`] keep them. Pure in `(metric, snapshot, memo,
-/// query, id, config)` — see module docs.
+/// Resolves one group for one session against a flat snapshot: a
+/// one-run [`run_group_view`]. `snapshot` is ascending by pair key
+/// without duplicates, as [`crate::StoreSnapshot`] keeps it.
 pub fn run_group(
     metric: &(dyn Metric + Send + Sync),
     snapshot: &[(Pair, f64)],
@@ -312,9 +308,28 @@ pub fn run_group(
     id: u32,
     config: &SessionConfig,
 ) -> GroupOutcome {
+    run_group_view(metric, &[snapshot], memo, query, id, config)
+}
+
+/// Resolves one group for one session: admission, then canonical-order
+/// resolution against the view's runs and the memo read in place, then
+/// the degradation bookkeeping. `view` holds disjoint runs, each
+/// ascending by pair key without duplicates, as [`crate::StoreView::runs`]
+/// gives them; `memo` is ascending by pair key without duplicates, as
+/// [`ClientSession::memo`] keeps it. Pure in `(metric, view, memo,
+/// query, id, config)`, and the same for any split of the held entries
+/// into runs — see module docs.
+pub fn run_group_view(
+    metric: &(dyn Metric + Send + Sync),
+    view: &[&[(Pair, f64)]],
+    memo: &[(Pair, f64)],
+    query: &PairGroupQuery,
+    id: u32,
+    config: &SessionConfig,
+) -> GroupOutcome {
     let pairs = query.pairs();
-    let scheme = HeldScheme::new(metric, snapshot, memo);
-    // Each pair missing from snapshot + memo costs at most one strong
+    let scheme = HeldScheme::new(metric, view, memo);
+    // Each pair missing from view + memo costs at most one strong
     // call (the admission bound); the rest are the group's store hits.
     let missing: Vec<Pair> = pairs
         .iter()
@@ -327,7 +342,7 @@ pub fn run_group(
             missing: cost,
             admit: config.admit,
             retry: RetryHint {
-                store_entries_at_least: snapshot.len() as u64 + (cost - config.admit),
+                store_entries_at_least: scheme.view_len() as u64 + (cost - config.admit),
             },
         };
     }
@@ -357,7 +372,7 @@ pub fn run_group(
     }
 }
 
-/// The shared tail of [`run_group`] for both resolver shapes: `missing`
+/// The shared tail of [`run_group_view`] for both resolver shapes: `missing`
 /// lists the group pairs not held, and `scheme` reaches the resolver's
 /// [`HeldScheme`].
 fn resolve_all<'a, R: DistanceResolver>(
@@ -384,7 +399,7 @@ fn resolve_all<'a, R: DistanceResolver>(
         .collect();
     let fresh = held.own.clone();
     let mut ledger = resolver.provenance();
-    // The snapshot and memo were read in place rather than preloaded,
+    // The view and memo were read in place rather than preloaded,
     // so the resolver counted no preloads; they are the group's
     // checkpoint preloads all the same.
     ledger.checkpoint_preload = held.held_count() as u64;

@@ -2,36 +2,57 @@
 //!
 //! One [`SharedStore`] outlives every client session: certified
 //! distances committed by any session are visible to all later
-//! snapshots, so the *n*-th client's query mix is radically cheaper
+//! views, so the *n*-th client's query mix is radically cheaper
 //! than the first's (ROADMAP item 1). The store is fed **exclusively**
 //! through [`SharedStore::commit`] — the WAL-logged, epoch-fenced
 //! choke point that lint **L16** pins statically — and read through
-//! cheap immutable [`StoreSnapshot`]s, so readers never contend with an
+//! immutable [`StoreView`]s, so readers never contend with an
 //! in-flight commit.
 //!
+//! Layout: the certified set is a handful of immutable, key-sorted
+//! *runs* behind `Arc`s, mirroring the WAL's segments. A commit merges
+//! its fresh entries into a small sorted *tail*; once the tail holds a
+//! WAL segment's worth of entries ([`WalConfig::segment_entries`]) it
+//! is sealed into a run. Runs merge size-tiered: a new run absorbs the
+//! run before it while that one is at most twice its size, so each
+//! sealed run is more than twice the next and there are
+//! `O(log(len / segment_entries))` of them. Commit refuses conflicting
+//! values, so the runs are disjoint: a lookup binary-searches each run
+//! in turn and the order does not matter. Recovery sorts what the WAL
+//! replayed into one run.
+//!
+//! Views: [`SharedStore::view`] clones the runs' `Arc`s — `O(#runs)`,
+//! not a copy of the entries — and a later commit never touches a run a
+//! view holds: it replaces the tail and at most the newest runs. The
+//! serve round loop reads through a view. [`SharedStore::snapshot`]
+//! still merges the runs into one flat key-ordered `Vec`, for callers
+//! that want one slice.
+//!
 //! Fencing: a commit must present the [`EpochToken`] issued with its
-//! snapshot. [`SharedStore::advance_epoch`] invalidates every
+//! view. [`SharedStore::advance_epoch`] invalidates every
 //! outstanding token, which is how a poisoned or half-dead session is
 //! quarantined — whatever it resolved against the old epoch can never
-//! reach the store; it must re-sync from a fresh snapshot first.
+//! reach the store; it must re-sync from a fresh view first.
 //!
 //! Durability: fresh entries hit the [`WriteAheadLog`] *before* they
 //! become visible to readers. A crash between the WAL write and the
 //! in-memory apply loses nothing (recovery replays the WAL); a crash
 //! before the WAL write loses only the unacknowledged batch.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use prox_core::invariant::InvariantExt;
 use prox_core::Pair;
 
 use crate::wal::{WalConfig, WalRecovery, WriteAheadLog};
 
-/// Proof of which store epoch a session's snapshot belongs to. Issued
-/// with every snapshot; checked at commit.
+/// One immutable run of certified entries, ascending by pair key.
+type Run = Arc<[(Pair, f64)]>;
+
+/// Proof of which store epoch a session's view belongs to. Issued
+/// with every view and snapshot; checked at commit.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct EpochToken {
     epoch: u64,
@@ -44,9 +65,30 @@ impl EpochToken {
     }
 }
 
-/// An immutable view of the store at one generation: the certified
+/// An immutable view of the store at one generation that shares the
+/// store's runs: the runs themselves, the generation stamp, and the
+/// epoch token a commit against this view must present.
+#[derive(Clone, Debug)]
+pub struct StoreView {
+    /// Oldest first; disjoint, each ascending by pair key, none empty.
+    runs: Vec<Run>,
+    /// Store generation the view was taken at.
+    pub generation: u64,
+    /// Token to present at commit time.
+    pub token: EpochToken,
+}
+
+impl StoreView {
+    /// The runs as slices, oldest first: disjoint, each ascending by
+    /// pair key — the shape [`crate::run_group_view`] reads.
+    pub fn runs(&self) -> Vec<&[(Pair, f64)]> {
+        self.runs.iter().map(|r| &r[..]).collect()
+    }
+}
+
+/// An immutable copy of the store at one generation: the certified
 /// entries (sorted by pair key), the generation stamp, and the epoch
-/// token a commit against this view must present.
+/// token a commit against this snapshot must present.
 #[derive(Clone, Debug)]
 pub struct StoreSnapshot {
     /// Certified `(pair, distance)` entries, ascending by `Pair::key`.
@@ -55,6 +97,50 @@ pub struct StoreSnapshot {
     pub generation: u64,
     /// Token to present at commit time.
     pub token: EpochToken,
+}
+
+/// The value of `p` in a key-sorted entry list.
+pub(crate) fn lookup(entries: &[(Pair, f64)], p: Pair) -> Option<f64> {
+    let key = p.key();
+    entries
+        .binary_search_by_key(&key, |e| e.0.key())
+        .ok()
+        .map(|i| entries[i].1)
+}
+
+/// The value of `p` in any of `runs` (disjoint and key-sorted, so the
+/// first hit is the only one).
+pub(crate) fn lookup_runs(runs: &[&[(Pair, f64)]], p: Pair) -> Option<f64> {
+    runs.iter().find_map(|run| lookup(run, p))
+}
+
+/// Two disjoint key-sorted runs merged into one. Each entry of the
+/// shorter run gallops to its place in the longer one, and the stretch
+/// of the longer run it skipped is copied whole, so a small run merges
+/// into a large one at about the cost of a copy.
+fn merge_two(a: &[(Pair, f64)], b: &[(Pair, f64)]) -> Vec<(Pair, f64)> {
+    let (short, mut long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    for &e in short {
+        let mut reach = 1;
+        while reach < long.len() && long[reach].0 < e.0 {
+            reach *= 2;
+        }
+        let skip = long[..reach.min(long.len())].partition_point(|x| x.0 < e.0);
+        out.extend_from_slice(&long[..skip]);
+        out.push(e);
+        long = &long[skip..];
+    }
+    out.extend_from_slice(long);
+    out
+}
+
+/// Disjoint key-sorted runs merged into one key-sorted list, newest
+/// (smallest) first so each merge stays skewed.
+pub(crate) fn merge_runs(runs: &[&[(Pair, f64)]]) -> Vec<(Pair, f64)> {
+    runs.iter()
+        .rev()
+        .fold(Vec::new(), |merged, run| merge_two(run, &merged))
 }
 
 /// Why a commit was refused. Refusal is always total: nothing was
@@ -116,26 +202,48 @@ pub struct CommitReceipt {
 /// **L16 sink**: the only sanctioned chains to them run through
 /// [`SharedStore::commit`] (and the audited recovery/fencing funnels).
 struct StoreInner {
-    /// Certified distances keyed by `Pair::key` (deterministic order).
-    known: BTreeMap<u64, f64>,
+    /// Sealed runs, oldest first: disjoint, each more than twice the
+    /// size of the next.
+    runs: Vec<Run>,
+    /// The newest entries, key-sorted and disjoint from `runs`; sealed
+    /// into a run once it holds `seal_at` entries.
+    tail: Run,
+    /// Tail size that seals it: the WAL's segment size.
+    seal_at: usize,
     /// Bumped once per commit that added at least one fresh entry.
     generation: u64,
     /// Bumped by [`SharedStore::advance_epoch`]; stale tokens bounce.
     epoch: u64,
-    /// The durable log; entries land here before `known`.
+    /// The durable log; entries land here before the runs.
     wal: WriteAheadLog,
 }
 
 impl StoreInner {
     /// Applies `fresh` (already WAL-logged, already deduplicated) to
-    /// the visible map and stamps a new generation.
-    fn absorb(&mut self, fresh: &[(Pair, f64)]) {
-        for &(p, d) in fresh {
-            self.known.insert(p.key(), d);
+    /// the visible runs and stamps a new generation. Only the tail and
+    /// the runs a seal merges are replaced; every other run stays the
+    /// `Arc` earlier views hold.
+    fn absorb(&mut self, mut fresh: Vec<(Pair, f64)>) {
+        if fresh.is_empty() {
+            return;
         }
-        if !fresh.is_empty() {
-            self.generation += 1;
+        fresh.sort_unstable_by_key(|e| e.0);
+        self.generation += 1;
+        let tail = merge_two(&self.tail, &fresh);
+        if tail.len() < self.seal_at {
+            self.tail = tail.into();
+            return;
         }
+        self.tail = Arc::new([]);
+        let mut run: Run = tail.into();
+        while let Some(prev) = self.runs.last() {
+            if prev.len() > 2 * run.len() {
+                break;
+            }
+            run = merge_two(prev, &run).into();
+            self.runs.pop();
+        }
+        self.runs.push(run);
     }
 
     /// Invalidates every outstanding epoch token.
@@ -151,24 +259,33 @@ pub struct SharedStore {
 }
 
 impl SharedStore {
-    /// Opens (or creates) the store backed by the WAL in `dir`,
-    /// replaying any segments found there. `manifest` binds the
+    /// Opens the store backed by the WAL in `dir`, replaying any
+    /// segments found there into one run. `manifest` binds the
     /// directory to one problem instance (dataset/n/seed); a recovered
     /// segment with a different manifest is refused.
+    ///
+    /// Opening writes nothing: a missing `dir` is an empty store, and
+    /// the first commit that logs an entry creates it. So a directory
+    /// that cannot be created surfaces as [`CommitError::Io`] at that
+    /// first commit, with nothing acknowledged; any other error reading
+    /// `dir` (say, a path under a regular file) still fails here.
     pub fn open(
         dir: &Path,
         manifest: &[(String, String)],
         config: WalConfig,
     ) -> io::Result<(Self, WalRecovery)> {
-        let (wal, known, recovery) = WriteAheadLog::recover(dir, manifest, config)?;
-        let mut map = BTreeMap::new();
-        for (p, d) in known {
-            map.insert(p.key(), d);
-        }
-        let generation = u64::from(!map.is_empty());
+        let (wal, mut known, recovery) = WriteAheadLog::recover(dir, manifest, config)?;
+        known.sort_unstable_by_key(|e| e.0);
+        let generation = u64::from(!known.is_empty());
         let store = SharedStore {
             inner: RwLock::new(StoreInner {
-                known: map,
+                runs: if known.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![known.into()]
+                },
+                tail: Arc::new([]),
+                seal_at: config.segment_entries.max(1),
                 generation,
                 epoch: 0,
                 wal,
@@ -177,18 +294,30 @@ impl SharedStore {
         Ok((store, recovery))
     }
 
-    /// An immutable view of the current certified set, with the epoch
-    /// token a later commit must present.
-    pub fn snapshot(&self) -> StoreSnapshot {
+    /// The current certified set as shared runs, with the epoch token a
+    /// later commit must present: `O(#runs)`, no entry is copied.
+    pub fn view(&self) -> StoreView {
         let inner = self.read();
-        StoreSnapshot {
-            entries: inner
-                .known
-                .iter()
-                .map(|(&k, &d)| (Pair::from_key(k), d))
-                .collect(),
+        let mut runs = inner.runs.clone();
+        if !inner.tail.is_empty() {
+            runs.push(Arc::clone(&inner.tail));
+        }
+        StoreView {
+            runs,
             generation: inner.generation,
             token: EpochToken { epoch: inner.epoch },
+        }
+    }
+
+    /// A flat copy of the current certified set, ascending by pair key,
+    /// with the epoch token a later commit must present: the runs of
+    /// [`SharedStore::view`] merged into one `Vec`.
+    pub fn snapshot(&self) -> StoreSnapshot {
+        let view = self.view();
+        StoreSnapshot {
+            entries: merge_runs(&view.runs()),
+            generation: view.generation,
+            token: view.token,
         }
     }
 
@@ -217,30 +346,37 @@ impl SharedStore {
                 store_epoch: inner.epoch,
             });
         }
+        // Where each pair first occurs in the batch: a later entry for it
+        // duplicates that one or conflicts with it.
+        let mut firsts: Vec<(Pair, usize)> =
+            entries.iter().enumerate().map(|(i, e)| (e.0, i)).collect();
+        firsts.sort_unstable();
+        firsts.dedup_by_key(|e| e.0);
         let mut fresh: Vec<(Pair, f64)> = Vec::new();
-        let mut seen_batch = BTreeMap::new();
         let mut duplicates = 0u64;
-        for &(p, d) in entries {
+        for (i, &(p, d)) in entries.iter().enumerate() {
+            let first = firsts
+                .binary_search_by_key(&p, |e| e.0)
+                .map_or(i, |at| firsts[at].1);
             let existing = inner
-                .known
-                .get(&p.key())
-                .copied()
-                .or_else(|| seen_batch.get(&p.key()).copied());
+                .runs
+                .iter()
+                .chain([&inner.tail])
+                .find_map(|run| lookup(run, p))
+                .or_else(|| (first < i).then(|| entries[first].1));
             match existing {
                 Some(have) if have.to_bits() == d.to_bits() => duplicates += 1,
                 Some(_) => return Err(CommitError::Conflict { pair: p }),
-                None => {
-                    seen_batch.insert(p.key(), d);
-                    fresh.push((p, d));
-                }
+                None => fresh.push((p, d)),
             }
         }
         if let Err(e) = inner.wal.append(&fresh) {
             return Err(CommitError::Io(e));
         }
-        inner.absorb(&fresh);
+        let logged = fresh.len() as u64;
+        inner.absorb(fresh);
         Ok(CommitReceipt {
-            fresh: fresh.len() as u64,
+            fresh: logged,
             duplicates,
             generation: inner.generation,
         })
@@ -248,14 +384,15 @@ impl SharedStore {
 
     /// Quarantine fence: invalidates every outstanding epoch token.
     /// Sessions holding old tokens get [`CommitError::Fenced`] and must
-    /// re-sync from a fresh snapshot. Returns the new epoch.
+    /// re-sync from a fresh view. Returns the new epoch.
     pub fn advance_epoch(&self) -> u64 {
         self.write().fence()
     }
 
     /// Number of certified entries.
     pub fn len(&self) -> usize {
-        self.read().known.len()
+        let inner = self.read();
+        inner.runs.iter().map(|r| r.len()).sum::<usize>() + inner.tail.len()
     }
 
     /// True when no entry is certified yet.
@@ -439,5 +576,179 @@ mod tests {
         assert!(!rec.salvaged);
         assert_eq!(store.export(), exported);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `⌈log₂(len / seal)⌉ + 2` with `len` floored at `seal`: the most
+    /// runs (tail included) a view of `len` entries may hold.
+    fn run_bound(len: usize, seal: usize) -> usize {
+        let mut k = 0;
+        while seal << k < len {
+            k += 1;
+        }
+        k + 2
+    }
+
+    #[test]
+    fn runs_match_a_map_model_under_random_commits() {
+        use prox_core::TinyRng;
+        use std::collections::BTreeMap;
+
+        let dir = tmpdir("model");
+        let cfg = WalConfig { segment_entries: 4 };
+        let (store, _) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+        let universe: Vec<Pair> = Pair::all(30).collect();
+        let value = |p: Pair| p.key() as f64 * 0.25;
+        let mut rng = TinyRng::new(0x5eed);
+        let mut model: BTreeMap<Pair, f64> = BTreeMap::new();
+        let mut generation = 0u64;
+        let mut stale = None;
+        let mut refused = [0u32; 2];
+        for step in 0..300 {
+            let mut batch: Vec<(Pair, f64)> = (0..rng.range(1, 13))
+                .map(|_| {
+                    let p = universe[rng.below(universe.len())];
+                    (p, value(p))
+                })
+                .collect();
+            let conflict = rng.below(10) == 0;
+            if conflict {
+                // Half the time against the store, half within the batch.
+                let p = match model.keys().nth(rng.below(model.len().max(1))) {
+                    Some(&p) if rng.below(2) == 0 => p,
+                    _ => batch[0].0,
+                };
+                batch.push((p, value(p) + 1.0));
+            }
+            let fenced = rng.below(8) == 0;
+            let token = match stale.take() {
+                Some(t) if fenced => t,
+                _ => store.token(),
+            };
+            if rng.below(8) == 0 {
+                stale = Some(store.token());
+                store.advance_epoch();
+            }
+            let ctx = format!("step {step}");
+            let outcome = store.commit(token, &batch);
+            if token.epoch() != store.epoch() {
+                assert!(matches!(outcome, Err(CommitError::Fenced { .. })), "{ctx}");
+                refused[0] += 1;
+            } else if conflict {
+                assert!(
+                    matches!(outcome, Err(CommitError::Conflict { .. })),
+                    "{ctx}"
+                );
+                refused[1] += 1;
+            } else {
+                let receipt = outcome.unwrap();
+                let before = model.len() as u64;
+                for &(p, d) in &batch {
+                    model.insert(p, d);
+                }
+                let fresh = model.len() as u64 - before;
+                generation += u64::from(fresh > 0);
+                assert_eq!(
+                    (receipt.fresh, receipt.duplicates, receipt.generation),
+                    (fresh, batch.len() as u64 - fresh, generation),
+                    "{ctx}"
+                );
+            }
+
+            let want: Vec<(Pair, f64)> = model.iter().map(|(&p, &d)| (p, d)).collect();
+            assert_eq!(store.export(), want, "{ctx}");
+            assert_eq!(store.len(), model.len(), "{ctx}");
+            assert_eq!(store.generation(), generation, "{ctx}");
+            let view = store.view();
+            assert_eq!(view.generation, generation, "{ctx}");
+            let runs = view.runs();
+            for &p in &universe {
+                assert_eq!(lookup_runs(&runs, p), model.get(&p).copied(), "{ctx}");
+            }
+            assert!(
+                runs.len() <= run_bound(model.len(), 4),
+                "{ctx}: {} runs for {} entries",
+                runs.len(),
+                model.len()
+            );
+        }
+        assert!(
+            model.len() > 100,
+            "the sequence must build a real run shape"
+        );
+        assert!(
+            refused.iter().all(|&n| n > 0),
+            "fenced, conflicts: {refused:?}"
+        );
+        drop(store);
+        let (store, _) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+        let want: Vec<(Pair, f64)> = model.into_iter().collect();
+        assert_eq!(store.export(), want, "recovery rebuilds the same set");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_commit_shares_every_run_but_the_newest_with_earlier_views() {
+        let dir = tmpdir("share");
+        let (store, _) =
+            SharedStore::open(&dir, &manifest(), WalConfig { segment_entries: 8 }).unwrap();
+        let mut before = store.view();
+        let mut most_runs = 0;
+        for c in 0..64u32 {
+            let batch: Vec<(Pair, f64)> = (0..5)
+                .map(|i| (Pair::new(c, 100 + i), f64::from(c * 5 + i)))
+                .collect();
+            store.commit(store.token(), &batch).unwrap();
+            let after = store.view();
+            let kept = after.runs.len() - 1;
+            assert!(kept <= before.runs.len(), "commit {c}");
+            for (i, run) in after.runs[..kept].iter().enumerate() {
+                assert!(
+                    Arc::ptr_eq(run, &before.runs[i]),
+                    "commit {c}: run {i} copied"
+                );
+            }
+            most_runs = most_runs.max(after.runs.len());
+            before = after;
+        }
+        assert!(most_runs >= 4, "only {most_runs} runs: the pin is vacuous");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn opening_a_missing_directory_writes_nothing() {
+        let root = tmpdir("lazy");
+        let dir = root.join("store");
+        let (store, rec) = SharedStore::open(&dir, &manifest(), WalConfig::default()).unwrap();
+        assert_eq!(rec, WalRecovery::default());
+        assert!(store.view().runs().is_empty() && store.snapshot().entries.is_empty());
+        // A commit with nothing fresh logs nothing either.
+        store.commit(store.token(), &[]).unwrap();
+        assert!(!root.exists(), "open created {}", root.display());
+    }
+
+    #[test]
+    fn first_commit_creates_the_directory_and_a_reopen_recovers_it() {
+        let root = tmpdir("create");
+        let dir = root.join("nested").join("store");
+        let (store, _) = SharedStore::open(&dir, &manifest(), WalConfig::default()).unwrap();
+        store
+            .commit(store.token(), &[(Pair::new(0, 1), 1.5)])
+            .unwrap();
+        assert!(crate::wal::segment_path(&dir, 0).is_file());
+        let exported = store.export();
+        drop(store);
+        let (store, rec) = SharedStore::open(&dir, &manifest(), WalConfig::default()).unwrap();
+        assert_eq!(rec.entries, 1);
+        assert_eq!(store.export(), exported);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_path_under_a_regular_file_still_fails_open() {
+        let file = tmpdir("file");
+        std::fs::write(&file, b"not a directory").unwrap();
+        assert!(SharedStore::open(&file.join("store"), &manifest(), WalConfig::default()).is_err());
+        assert!(SharedStore::open(&file, &manifest(), WalConfig::default()).is_err());
+        let _ = std::fs::remove_file(&file);
     }
 }

@@ -33,7 +33,9 @@
 //! reused as the fresh active segment, while every sealed segment's
 //! entries survive untouched. The salvage accounting feeds invariant
 //! **I12**: a recovered store re-pays exactly the entries the tear
-//! destroyed, never one that survived.
+//! destroyed, never one that survived. Recovery itself writes nothing:
+//! a missing directory is an empty log, and the first segment
+//! publication creates it and syncs its parent.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -94,6 +96,9 @@ pub struct WriteAheadLog {
     /// has published the segment whole; `None` makes the next batch
     /// publish it whole again.
     open: Option<OpenSegment>,
+    /// False until `dir` is known to exist: recovery found it, or a
+    /// publication created it.
+    dir_exists: bool,
     /// Entries appended over the log's whole life (recovered + new).
     entries_logged: u64,
     /// Segments sealed over the log's whole life.
@@ -101,9 +106,10 @@ pub struct WriteAheadLog {
 }
 
 impl WriteAheadLog {
-    /// Opens the log in `dir`, creating the directory if needed and
-    /// replaying any existing segments (see module docs for the
-    /// strict/lenient split). `manifest` is stamped into every segment
+    /// Opens the log in `dir`, replaying any existing segments (see
+    /// module docs for the strict/lenient split). Recovery writes
+    /// nothing: a missing `dir` is an empty log, and the first
+    /// publication creates it. `manifest` is stamped into every segment
     /// and checked against recovered segments so a store directory can
     /// never silently serve a different problem's distances.
     pub fn recover(
@@ -111,8 +117,11 @@ impl WriteAheadLog {
         manifest: &[(String, String)],
         config: WalConfig,
     ) -> io::Result<RecoveredLog> {
-        std::fs::create_dir_all(dir)?;
-        let mut indices = segment_indices(dir)?;
+        let (mut indices, dir_exists) = match segment_indices(dir) {
+            Ok(indices) => (indices, true),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), false),
+            Err(e) => return Err(e),
+        };
         indices.sort_unstable();
         let mut recovery = WalRecovery::default();
         let mut known: Vec<(Pair, f64)> = Vec::new();
@@ -181,6 +190,7 @@ impl WriteAheadLog {
             // Never append after a recovered tail: it may end in torn
             // bytes, so the first batch republishes the segment whole.
             open: None,
+            dir_exists,
             entries_logged: recovery.entries,
             segments_sealed: sealed,
         };
@@ -241,6 +251,10 @@ impl WriteAheadLog {
     fn write_batch(&mut self, batch: &[(Pair, f64)]) -> io::Result<()> {
         if let Some(seg) = &mut self.open {
             return seg.append(batch);
+        }
+        if !self.dir_exists {
+            create_dir_durably(&self.dir)?;
+            self.dir_exists = true;
         }
         let mut manifest = self.manifest.clone();
         manifest.push((SEGMENT_KEY.to_string(), self.active_index.to_string()));
@@ -337,6 +351,26 @@ fn read_tail(path: &Path) -> io::Result<TailRead> {
         Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(destroyed(&text)),
         Err(e) => Err(e),
     }
+}
+
+/// Creates `dir` (and any missing ancestors), then syncs the parent of
+/// each directory it created, so the new entries survive a crash before
+/// the first segment they hold is acknowledged.
+fn create_dir_durably(dir: &Path) -> io::Result<()> {
+    let created: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+        .collect();
+    std::fs::create_dir_all(dir)?;
+    #[cfg(unix)]
+    for d in created {
+        let parent = match d.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        File::open(parent)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// `DIR/wal-NNNNN.ckpt` for segment `idx`.

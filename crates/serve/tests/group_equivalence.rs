@@ -10,6 +10,9 @@
 //! server runs: default, admission accept and reject, faults with retry,
 //! a deadline kill, the weak cascade, and weak + degrade + deadline
 //! (with a weak tier that never and one that sometimes reaches quorum).
+//!
+//! A second sweep pins `run_group_view` over a store's multi-run view to
+//! `run_group` over the same store's flat export, group by group.
 
 #![expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
 
@@ -19,8 +22,9 @@ use prox_bounds::{BoundResolver, CascadeResolver, DistanceResolver, TriScheme};
 use prox_core::{CallBudget, FaultInjector, Metric, Oracle, Pair, RetryPolicy, WeakOracle};
 use prox_datasets::{ClusteredPlane, Dataset};
 use prox_serve::{
-    run_group, GroupOutcome, GroupResponse, PairGroupQuery, PairSelector, RetryHint, ServedGroup,
-    SessionConfig,
+    default_script, run_group, run_group_view, BoundServer, GroupOutcome, GroupResponse,
+    PairGroupQuery, PairSelector, RetryHint, ServeConfig, ServedGroup, SessionConfig, SharedStore,
+    WalConfig,
 };
 
 const N: usize = 24;
@@ -291,4 +295,61 @@ fn run_group_matches_a_preloaded_tri_reference() {
         ["degraded", "failed", "rejected", "served"],
         "the sweep must reach every outcome"
     );
+}
+
+#[test]
+fn a_multi_run_view_serves_like_the_flat_export() {
+    let (n, groups) = (2000, 1000);
+    let metric = ClusteredPlane::default().metric(n, 7);
+    let script = default_script(n, groups, 21);
+    let dir = std::env::temp_dir().join(format!("prox-serve-runs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let manifest = vec![("n".to_string(), n.to_string())];
+    let (store, _) = SharedStore::open(
+        &dir,
+        &manifest,
+        WalConfig {
+            segment_entries: 32,
+        },
+    )
+    .unwrap();
+    // Serve the first third through the real commit path, so the store
+    // has a real run shape; the rest of the script is then partly held.
+    let config = ServeConfig {
+        sessions: 2,
+        ..ServeConfig::default()
+    };
+    let served = BoundServer::new(&*metric, &store, config).run(&script[..groups / 3], None);
+    assert!(!served.crashed);
+    let view = store.view();
+    let runs = view.runs();
+    assert!(runs.len() >= 4, "only {} runs", runs.len());
+    let flat = store.export();
+
+    let configs = [
+        ("default", SessionConfig::default()),
+        (
+            "weak",
+            SessionConfig {
+                weak: Some((0.2, 9)),
+                ..SessionConfig::default()
+            },
+        ),
+    ];
+    let mut weak_audited = 0;
+    for (line, query) in script.iter().enumerate() {
+        for (name, config) in &configs {
+            let ctx = format!("line {line}, {name}");
+            let got = run_group_view(&*metric, &runs, &[], query, 1, config);
+            let want = run_group(&*metric, &flat, &[], query, 1, config);
+            assert_same(&got, &want, &ctx);
+            if let GroupOutcome::Served(g) = &got {
+                weak_audited += usize::from(g.ledger.weak_quorum > 0);
+            }
+        }
+    }
+    // Weak quorums are audited against the lazily built Tri bounds, so
+    // the sweep reaches the merged-order Tri build.
+    assert!(weak_audited > 100, "only {weak_audited} weak groups");
+    let _ = std::fs::remove_dir_all(&dir);
 }

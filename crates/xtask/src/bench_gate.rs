@@ -56,6 +56,16 @@ pub const STORE_MAX_RATIO: f64 = 2.0;
 pub const STORE_SERVE_CELL: &str = "store_layer/serve";
 pub const STORE_DIRECT_CELL: &str = "store_layer/direct";
 
+/// The round-view gate: a serve round reads through a view that shares the
+/// store's immutable runs, so taking it and serving one held 66-pair block
+/// (`store_layer/view`) must cost at most [`STORE_VIEW_MAX_RATIO`] × the
+/// same round through the flat `snapshot()` copy (`store_layer/snapshot`)
+/// on a 13.5k-entry store. The gate fails if the round view ever starts
+/// copying the store again.
+pub const STORE_VIEW_MAX_RATIO: f64 = 0.25;
+pub const STORE_VIEW_CELL: &str = "store_layer/view";
+pub const STORE_SNAPSHOT_CELL: &str = "store_layer/snapshot";
+
 /// The Tri anchor-row gate: a query chain `(a,b), (b,c), …` re-anchors the
 /// row on every query, so `chain` prices a re-anchor plus a row pass, and
 /// `random` (no shared endpoints) prices the plain merge. Holding `chain`
@@ -185,7 +195,7 @@ fn split_fields(obj: &str) -> Result<Vec<(String, String)>, String> {
 
 /// Every gate: `(numerator cell, denominator cell, limit, failure)`. The
 /// numerator's median must be at most `limit` × the denominator's.
-const GATES: [(&str, &str, f64, &str); 5] = [
+const GATES: [(&str, &str, f64, &str); 6] = [
     (
         SPLUB_CELL,
         TRI_CELL,
@@ -209,6 +219,12 @@ const GATES: [(&str, &str, f64, &str); 5] = [
         STORE_DIRECT_CELL,
         STORE_MAX_RATIO,
         "the warm serve path outgrew direct resolution",
+    ),
+    (
+        STORE_VIEW_CELL,
+        STORE_SNAPSHOT_CELL,
+        STORE_VIEW_MAX_RATIO,
+        "the round view no longer shares the store's runs",
     ),
     (
         TRI_CHAIN_CELL,
@@ -274,6 +290,8 @@ mod tests {
   {"name": "oracle_span_layer/disabled", "median_ns": 90000.0, "iters": 64},
   {"name": "store_layer/direct", "median_ns": 40000.0, "iters": 64},
   {"name": "store_layer/serve", "median_ns": 52000.0, "iters": 64},
+  {"name": "store_layer/view", "median_ns": 11000.0, "iters": 512},
+  {"name": "store_layer/snapshot", "median_ns": 96000.0, "iters": 64},
   {"name": "bound_query/tri_access/chain", "median_ns": 110.0, "iters": 64},
   {"name": "bound_query/tri_access/random", "median_ns": 100.0, "iters": 64}
 ]"#;
@@ -285,7 +303,7 @@ mod tests {
         }
     }
 
-    /// All ten gated cells at healthy medians; tests perturb from here.
+    /// All twelve gated cells at healthy medians; tests perturb from here.
     fn healthy() -> Vec<BenchRow> {
         vec![
             row(TRI_CELL, 7000.0),
@@ -298,19 +316,22 @@ mod tests {
             row(STORE_SERVE_CELL, 52000.0),
             row(TRI_CHAIN_CELL, 110.0),
             row(TRI_RANDOM_CELL, 100.0),
+            row(STORE_VIEW_CELL, 12000.0),
+            row(STORE_SNAPSHOT_CELL, 96000.0),
         ]
     }
 
     #[test]
     fn parses_rows_and_passes_within_ratio() {
         let rows = parse_rows(SAMPLE).unwrap();
-        assert_eq!(rows.len(), 10);
+        assert_eq!(rows.len(), 12);
         assert_eq!(rows[0].name, "bound_query/tri/256");
         assert_eq!(rows[0].median_ns, 7312.4);
         let verdict = check(&rows).unwrap();
         assert!(verdict.contains("ratio 9.57x (limit 100x)"), "{verdict}");
         assert!(verdict.contains("ratio 1.03x (limit 2x)"), "{verdict}");
         assert!(verdict.contains("ratio 1.10x (limit 1.5x)"), "{verdict}");
+        assert!(verdict.contains("ratio 0.11x (limit 0.25x)"), "{verdict}");
     }
 
     #[test]
@@ -363,6 +384,17 @@ mod tests {
     }
 
     #[test]
+    fn fails_when_the_round_view_copies_the_store() {
+        let mut rows = healthy();
+        rows[10].median_ns = 24000.0;
+        assert!(check(&rows).is_ok(), "exactly at the limit passes");
+        rows[10].median_ns = 24001.0;
+        let err = check(&rows).unwrap_err();
+        assert!(err.contains("no longer shares the store's runs"), "{err}");
+        assert!(err.contains("store_layer/view"), "{err}");
+    }
+
+    #[test]
     fn missing_cell_is_an_error() {
         let rows = parse_rows(r#"[{"name": "bound_query/tri/256", "median_ns": 1.0}]"#).unwrap();
         let err = check(&rows).unwrap_err();
@@ -383,6 +415,10 @@ mod tests {
         rows.retain(|r| r.name != TRI_RANDOM_CELL);
         let err = check(&rows).unwrap_err();
         assert!(err.contains("bound_query/tri_access/random"), "{err}");
+        let mut rows = healthy();
+        rows.retain(|r| r.name != STORE_SNAPSHOT_CELL);
+        let err = check(&rows).unwrap_err();
+        assert!(err.contains("store_layer/snapshot"), "{err}");
     }
 
     #[test]

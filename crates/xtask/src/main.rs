@@ -6,7 +6,7 @@
 //! cargo xtask lint --allow-unused-allows  # grace mode: stale escapes warn only
 //! cargo xtask analyze                   # choke-point report on stdout
 //! cargo xtask analyze --json [PATH] --dot [PATH]   # plus graph dumps
-//! cargo xtask bench-gate [PATH]         # the five latency-ratio gates on the
+//! cargo xtask bench-gate [PATH]         # the six latency-ratio gates on the
 //!                                       # bench JSON (default BENCH_schemes.json)
 //! ```
 //!

@@ -972,9 +972,9 @@ pub fn l14_violations(g: &ItemGraph) -> Vec<Violation> {
 /// The audited L16 allowlist: `crates/serve` funnels that may reach the
 /// shared store's mutators without passing `SharedStore::commit`.
 ///
-/// * `SharedStore::open` — recovery replay: it rebuilds the in-memory map
-///   from WAL segments it just CRC-verified; nothing new is logged, so the
-///   durable and visible states cannot diverge.
+/// * `SharedStore::open` — recovery replay: it builds the store's
+///   immutable runs from WAL segments it just CRC-verified; nothing new is
+///   logged, so the durable and visible states cannot diverge.
 /// * `SharedStore::advance_epoch` — the quarantine fence: it mutates only
 ///   the epoch counter, never the certified map or the WAL.
 pub const L16_ALLOWLIST: &[&str] = &[
