@@ -1,27 +1,18 @@
 //! k-nearest-neighbour graph construction (KNNrp-style candidate sweep).
 //!
-//! Construction is sequential by definition — every resolved distance is
+//! Construction is sequential by definition: every resolved distance is
 //! recorded in the scheme and serves later queries, so the state a query
-//! sees depends on every query before it. The parallel path therefore
-//! *speculates*: worker threads pre-compute each source's candidate
-//! ordering and bounds against a frozen snapshot of the scheme
-//! ([`prox_core::SpecBounds`]), and the sequential committer replays the
-//! sources in canonical order, reusing snapshot work only where it provably
-//! equals what the live sequential pass would compute (see
-//! `speculate.rs` for the reuse rules). Outputs *and* oracle-call counts
-//! are bit-identical to [`knn_query`] run in a plain loop, at any thread
-//! count.
+//! sees depends on every query before it. [`knn_graph`] therefore runs
+//! [`knn_query`] for each object in id order, on one thread, whatever
+//! `prox_exec::global_threads` says.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use prox_bounds::DistanceResolver;
 use prox_core::invariant::{expect_ok, InvariantExt};
-use prox_core::{ObjectId, OracleError, Pair, SpecBounds};
-use prox_exec::ExecPool;
-use prox_obs::{emit_to, SpanGuard, TraceEvent};
-
-use crate::speculate::leq_verdict;
+use prox_core::{ObjectId, OracleError, Pair};
+use prox_obs::SpanGuard;
 
 /// The kNN graph: for each object, its `k` nearest neighbours sorted by
 /// `(distance, id)` ascending.
@@ -52,122 +43,10 @@ impl PartialOrd for Neighbor {
     }
 }
 
-/// Candidate order: ascending `(key, id)` — a total order (ids are unique),
-/// so any sorted-merge of disjoint sorted runs equals one full sort.
+/// Candidate order: ascending `(key, id)`, a total order (ids are unique).
 #[inline]
 fn cand_cmp(a: &(f64, bool, ObjectId), b: &(f64, bool, ObjectId)) -> Ordering {
     a.0.total_cmp(&b.0).then_with(|| a.2.cmp(&b.2))
-}
-
-/// Worker-side speculation for one source `u`: the candidate ordering and
-/// per-object `(lb, ub, known)` entries, all evaluated against the frozen
-/// snapshot.
-struct SourceSpec {
-    /// Candidates sorted by [`cand_cmp`] under snapshot keys.
-    sorted: Vec<(f64, bool, ObjectId)>,
-    /// Snapshot `(lb, ub, known)` per object id (entry for `u` is unused).
-    entries: Vec<(f64, f64, bool)>,
-}
-
-fn speculate_source(spec: &dyn SpecBounds, u: ObjectId) -> SourceSpec {
-    let n = spec.spec_n();
-    let mut scratch = spec.new_scratch();
-    let mut entries = vec![(0.0, 0.0, false); n];
-    let mut sorted: Vec<(f64, bool, ObjectId)> = Vec::with_capacity(n.saturating_sub(1));
-    for v in 0..n as ObjectId {
-        if v == u {
-            continue;
-        }
-        let p = Pair::new(u, v);
-        match spec.spec_known(p) {
-            Some(d) => {
-                entries[v as usize] = (d, d, true);
-                sorted.push((d, true, v));
-            }
-            None => {
-                let (lb, ub) = spec.spec_bounds(p, &mut scratch);
-                entries[v as usize] = (lb, ub, false);
-                sorted.push((lb, false, v));
-            }
-        }
-    }
-    // Pre-sorting here moves the O(n log n) off the committer; freshness
-    // checking at commit time preserves the order only where it is valid.
-    sorted.sort_unstable_by(cand_cmp);
-    SourceSpec { sorted, entries }
-}
-
-/// The candidate sweep shared by the sequential and committed paths.
-///
-/// `snap` (when present) lets the sweep short-circuit the per-candidate
-/// `distance_if_leq` using the snapshot verdict: bounds only ever tighten,
-/// so a *decisive* snapshot verdict is still the live verdict even when the
-/// snapshot is stale (monotone reuse). The branch mirrors
-/// [`DistanceResolver::distance_if_leq`]'s stat accounting exactly, so
-/// `PruneStats` stay identical too.
-fn sweep<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    u: ObjectId,
-    k: usize,
-    cands: &[(f64, bool, ObjectId)],
-    snap: Option<&SourceSpec>,
-) -> Result<Vec<(ObjectId, f64)>, OracleError> {
-    // One "query" span per source sweep, shared by the sequential and
-    // committed paths so traces agree at any thread count (I8).
-    let _span = SpanGuard::enter(resolver.trace_sink(), "query");
-    let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(k + 1);
-    for &(key, known, v) in cands {
-        let worst = heap.peek().copied();
-        if heap.len() == k {
-            let w = worst.expect_invariant("heap full");
-            // `key` is a lower bound (or exact): if it already exceeds the
-            // k-th distance, no later candidate can qualify either.
-            if key > w.d {
-                break;
-            }
-        }
-        let p = Pair::new(u, v);
-        if heap.len() < k {
-            let d = resolver.resolve_fallible(p)?;
-            heap.push(Neighbor { d, id: v });
-            continue;
-        }
-        let w = worst.expect_invariant("heap full");
-        let d = if known {
-            Some(key)
-        } else {
-            let verdict = snap.and_then(|s| {
-                let (lb, ub, kn) = s.entries[v as usize];
-                if kn {
-                    None // snapshot-known pairs carry known=true in cands
-                } else {
-                    leq_verdict(lb, ub, w.d)
-                }
-            });
-            match verdict {
-                Some(true) => {
-                    resolver.prune_stats_mut().decided_by_bounds += 1;
-                    Some(resolver.resolve_fallible(p)?)
-                }
-                Some(false) => {
-                    resolver.prune_stats_mut().decided_by_bounds += 1;
-                    None
-                }
-                None => resolver.distance_if_leq_fallible(p, w.d)?,
-            }
-        };
-        if let Some(d) = d {
-            let cand = Neighbor { d, id: v };
-            if cand < w {
-                heap.pop();
-                heap.push(cand);
-            }
-        }
-    }
-
-    let mut out: Vec<(ObjectId, f64)> = heap.into_iter().map(|nb| (nb.id, nb.d)).collect();
-    out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    Ok(out)
 }
 
 /// Finds the `k` nearest neighbours of `u` (by `(distance, id)` order).
@@ -204,9 +83,7 @@ pub fn try_knn_query<R: DistanceResolver + ?Sized>(
         return Ok(Vec::new());
     }
 
-    // Gather candidates keyed by the best current information. The "init"
-    // span mirrors the committed path's candidate partition so traces
-    // agree at any thread count (I8).
+    // Gather candidates keyed by the best current information.
     let mut cands: Vec<(f64, bool, ObjectId)> = Vec::with_capacity(n - 1);
     {
         let _init = SpanGuard::enter(resolver.trace_sink(), "init");
@@ -223,84 +100,42 @@ pub fn try_knn_query<R: DistanceResolver + ?Sized>(
         cands.sort_unstable_by(cand_cmp);
     }
 
-    sweep(resolver, u, k, &cands, None)
-}
-
-/// Commits one speculated source: keeps the snapshot ordering where it is
-/// still fresh, recomputes only the stale candidates live, and merges.
-///
-/// A candidate is *fresh* when the live `pair_stamp` has not passed the
-/// snapshot generation `gen` — its live key is bitwise the snapshot key, so
-/// the snapshot's sorted position stands. Stale candidates are re-keyed
-/// live (exactly as [`knn_query`] would) and sorted; because `(key, id)` is
-/// a total order, merging the two sorted runs reproduces the sequential
-/// sort bit-for-bit.
-fn knn_query_committed<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    u: ObjectId,
-    k: usize,
-    snap: &SourceSpec,
-    gen: u64,
-) -> Result<Vec<(ObjectId, f64)>, OracleError> {
-    let n = resolver.n();
-    assert!((u as usize) < n);
-    let k = k.min(n - 1);
-    if k == 0 {
-        return Ok(Vec::new());
+    let _span = SpanGuard::enter(resolver.trace_sink(), "query");
+    let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(k + 1);
+    for &(key, known, v) in &cands {
+        let worst = heap.peek().copied();
+        if heap.len() == k {
+            let w = worst.expect_invariant("heap full");
+            // `key` is a lower bound (or exact): if it already exceeds the
+            // k-th distance, no later candidate can qualify either.
+            if key > w.d {
+                break;
+            }
+        }
+        let p = Pair::new(u, v);
+        if heap.len() < k {
+            let d = resolver.resolve_fallible(p)?;
+            heap.push(Neighbor { d, id: v });
+            continue;
+        }
+        let w = worst.expect_invariant("heap full");
+        let d = if known {
+            Some(key)
+        } else {
+            resolver.distance_if_leq_fallible(p, w.d)?
+        };
+        if let Some(d) = d {
+            let cand = Neighbor { d, id: v };
+            if cand < w {
+                heap.pop();
+                heap.push(cand);
+            }
+        }
     }
 
-    // The "init" span mirrors the sequential path's candidate gather, so
-    // traces agree at any thread count (I8): neither body emits events,
-    // only the span markers themselves.
-    let cands = {
-        let _init = SpanGuard::enter(resolver.trace_sink(), "init");
-        let mut fresh: Vec<(f64, bool, ObjectId)> = Vec::with_capacity(snap.sorted.len());
-        let mut stale: Vec<(f64, bool, ObjectId)> = Vec::new();
-        for &(key, known, v) in &snap.sorted {
-            let p = Pair::new(u, v);
-            // Snapshot-known pairs never change (recorded distances are
-            // final); for the rest the stamp says whether the snapshot key
-            // is current.
-            if known || resolver.pair_stamp(p) <= gen {
-                fresh.push((key, known, v));
-            } else {
-                match resolver.known(p) {
-                    Some(d) => stale.push((d, true, v)),
-                    None => stale.push((resolver.lower_bound_hint(p), false, v)),
-                }
-            }
-        }
-        if stale.is_empty() {
-            fresh
-        } else {
-            stale.sort_unstable_by(cand_cmp);
-            let mut merged = Vec::with_capacity(fresh.len() + stale.len());
-            let (mut i, mut j) = (0, 0);
-            while i < fresh.len() && j < stale.len() {
-                if cand_cmp(&fresh[i], &stale[j]) != Ordering::Greater {
-                    merged.push(fresh[i]);
-                    i += 1;
-                } else {
-                    merged.push(stale[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&fresh[i..]);
-            merged.extend_from_slice(&stale[j..]);
-            merged
-        }
-    };
-
-    // Under observation the snapshot-verdict short-circuit is skipped: it
-    // decides candidates without emitting the `BoundProbe` the sequential
-    // sweep would, so traces/metrics would differ by thread count. The
-    // bypass is sound — snapshot verdicts only mirror what the live
-    // `distance_if_leq` decides anyway (bounds tighten monotonically), so
-    // oracle calls and `PruneStats` are unchanged; only the short-circuit
-    // optimization is forgone.
-    let observed = resolver.trace_sink().is_some() || resolver.obs_metrics().is_some();
-    let snap = (!observed).then_some(snap);
-    sweep(resolver, u, k, &cands, snap)
+    let mut out: Vec<(ObjectId, f64)> = heap.into_iter().map(|nb| (nb.id, nb.d)).collect();
+    out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+    Ok(out)
 }
 
 /// Builds the full kNN graph by running [`knn_query`] for every object.
@@ -309,103 +144,29 @@ fn knn_query_committed<R: DistanceResolver + ?Sized>(
 /// later nodes for free (both as exact knowledge and as bound fuel), which
 /// is where the savings compound as construction proceeds.
 pub fn knn_graph<R: DistanceResolver + ?Sized>(resolver: &mut R, k: usize) -> KnnGraph {
-    knn_graph_pool(resolver, k, &ExecPool::global())
-}
-
-/// Fallible [`knn_graph`]: a worker fault aborts cleanly in canonical
-/// commit order, leaving the resolver consistent (every committed source
-/// is final, nothing past the fault is recorded).
-pub fn try_knn_graph<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    k: usize,
-) -> Result<KnnGraph, OracleError> {
-    try_knn_graph_pool(resolver, k, &ExecPool::global())
-}
-
-/// [`knn_graph`] with an explicit pool: speculate a batch of sources in
-/// parallel against one frozen snapshot, then commit them in order.
-///
-/// Falls back to the plain sequential loop when the pool is sequential or
-/// the resolver offers no snapshot view; either way the result and the
-/// resolver's oracle-call count are identical.
-pub fn knn_graph_pool<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    k: usize,
-    pool: &ExecPool,
-) -> KnnGraph {
     expect_ok(
-        try_knn_graph_pool(resolver, k, pool),
+        try_knn_graph(resolver, k),
         "knn_graph on the infallible path",
     )
 }
 
-/// Fallible [`knn_graph_pool`]. Workers only speculate against a frozen
-/// snapshot and never touch the oracle, so a fault can only surface on the
-/// sequential commit path — the error is returned after the last fully
-/// committed source, never mid-speculation.
-pub fn try_knn_graph_pool<R: DistanceResolver + ?Sized>(
+/// Fallible [`knn_graph`]: a fault aborts after the last finished source,
+/// leaving the resolver consistent (every finished source is final,
+/// nothing past the fault is recorded).
+pub fn try_knn_graph<R: DistanceResolver + ?Sized>(
     resolver: &mut R,
     k: usize,
-    pool: &ExecPool,
 ) -> Result<KnnGraph, OracleError> {
-    // Semantic span around the whole construction, shared by the
-    // sequential-fallback and speculative paths.
-    let trace = resolver.trace_sink();
-    let _span = SpanGuard::enter(trace.clone(), "build");
-
-    let n = resolver.n();
-    if pool.threads() <= 1 || n < 2 || resolver.spec().is_none() {
-        return (0..n as ObjectId)
-            .map(|u| try_knn_query(resolver, u, k))
-            .collect();
-    }
-
-    let batch = pool.threads().saturating_mul(8).max(8);
-    let mut out: KnnGraph = Vec::with_capacity(n);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + batch).min(n);
-        let gen = resolver.generation();
-        emit_to(
-            trace.as_ref(),
-            TraceEvent::Speculate {
-                generation: gen,
-                items: (end - start) as u32,
-            },
-        );
-        let specs: Vec<SourceSpec> = {
-            let spec = resolver
-                .spec()
-                .expect_invariant("spec() checked above; nothing revokes it");
-            pool.map_indexed(end - start, |j| {
-                speculate_source(spec, (start + j) as ObjectId)
-            })
-        };
-        for (j, snap) in specs.iter().enumerate() {
-            out.push(knn_query_committed(
-                resolver,
-                (start + j) as ObjectId,
-                k,
-                snap,
-                gen,
-            )?);
-        }
-        emit_to(
-            trace.as_ref(),
-            TraceEvent::Commit {
-                generation: gen,
-                reused: (end - start) as u32,
-            },
-        );
-        start = end;
-    }
-    Ok(out)
+    let _span = SpanGuard::enter(resolver.trace_sink(), "build");
+    (0..resolver.n() as ObjectId)
+        .map(|u| try_knn_query(resolver, u, k))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prox_bounds::{BoundResolver, Splub, TriScheme};
+    use prox_bounds::{BoundResolver, TriScheme};
     use prox_core::{FnMetric, Oracle};
 
     fn line_oracle(n: usize) -> Oracle<FnMetric<impl Fn(ObjectId, ObjectId) -> f64>> {
@@ -491,47 +252,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pool_graph_identical_to_sequential_tri() {
-        let n = 40;
-        let k = 5;
-        let o_seq = line_oracle(n);
-        let mut seq = BoundResolver::new(&o_seq, TriScheme::new(n, 1.0));
-        let want: KnnGraph = (0..n as ObjectId)
-            .map(|u| knn_query(&mut seq, u, k))
-            .collect();
-
-        for threads in [1, 2, 8] {
-            let o_par = line_oracle(n);
-            let mut par = BoundResolver::new(&o_par, TriScheme::new(n, 1.0));
-            let got = knn_graph_pool(&mut par, k, &ExecPool::new(threads));
-            assert_eq!(want, got, "threads={threads}");
-            assert_eq!(
-                o_seq.calls(),
-                o_par.calls(),
-                "oracle-call determinism, threads={threads}"
-            );
-            assert_eq!(seq.prune_stats(), par.prune_stats(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pool_graph_identical_to_sequential_splub() {
-        let n = 24;
-        let k = 3;
-        let o_seq = line_oracle(n);
-        let mut seq = BoundResolver::new(&o_seq, Splub::new(n, 1.0));
-        let want: KnnGraph = (0..n as ObjectId)
-            .map(|u| knn_query(&mut seq, u, k))
-            .collect();
-
-        let o_par = line_oracle(n);
-        let mut par = BoundResolver::new(&o_par, Splub::new(n, 1.0));
-        let got = knn_graph_pool(&mut par, k, &ExecPool::new(4));
-        assert_eq!(want, got);
-        assert_eq!(o_seq.calls(), o_par.calls(), "oracle-call determinism");
-        assert_eq!(seq.prune_stats(), par.prune_stats());
     }
 }

@@ -33,7 +33,6 @@ mod medoid;
 pub mod pam;
 pub mod prim;
 pub mod range;
-mod speculate;
 pub mod tsp;
 
 pub use average_linkage::{
@@ -44,15 +43,12 @@ pub use common::{Clustering, Mst, TinyRng};
 pub use complete_linkage::{complete_linkage, try_complete_linkage};
 pub use degrade::run_degraded;
 pub use kcenter::{k_center, try_k_center, KCenter};
-pub use knng::{
-    knn_graph, knn_graph_pool, knn_query, try_knn_graph, try_knn_graph_pool, try_knn_query,
-    KnnGraph,
-};
+pub use knng::{knn_graph, knn_query, try_knn_graph, try_knn_query, KnnGraph};
 pub use kruskal::{
     kruskal_mst, kruskal_mst_with, try_kruskal_mst, try_kruskal_mst_with, KruskalConfig,
 };
 pub use linkage::{single_linkage, try_single_linkage, Dendrogram, Merge};
-pub use pam::{pam, pam_pool, try_pam, try_pam_pool, PamParams};
+pub use pam::{pam, try_pam, PamParams};
 pub use prim::{prim_mst, try_prim_mst};
 pub use range::{range_members, range_query, try_range_members, try_range_query};
 pub use tsp::{try_tsp_2opt, tsp_2opt, Tour};

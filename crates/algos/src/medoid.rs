@@ -3,10 +3,10 @@
 //! Both algorithms revolve around the same two distance-heavy primitives,
 //! and both are re-authored here with bound checks:
 //!
-//! * [`assign`] — nearest + second-nearest medoid per object. A medoid
+//! * [`try_assign`] — nearest + second-nearest medoid per object. A medoid
 //!   candidate whose lower bound cannot beat the current second-nearest is
 //!   skipped without an oracle call.
-//! * [`swap_delta`] — the exact cost change of replacing medoid slot `i`
+//! * [`try_swap_delta`] — the exact cost change of replacing medoid slot `i`
 //!   with object `h` (the `C_jih` sum of Kaufman & Rousseeuw). For each
 //!   object, the swap only matters if `dist(j, h)` undercuts a known
 //!   threshold — precisely the IF statement the paper's framework targets.
@@ -16,7 +16,6 @@
 //! is what makes plugged and vanilla runs take identical swap decisions.
 
 use prox_bounds::DistanceResolver;
-use prox_core::invariant::expect_ok;
 use prox_core::{ObjectId, OracleError, Pair};
 
 /// Per-object nearest/second-nearest medoid record.
@@ -34,21 +33,6 @@ pub(crate) struct Near {
 
 /// Computes nearest/second-nearest medoids for every object, plus the total
 /// deviation (the clustering cost). Medoids have `d1 = 0` (themselves).
-///
-/// Infallible wrapper over [`try_assign`], for callers that never see
-/// faults (speculative probes, legacy entry points).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn assign<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    medoids: &[ObjectId],
-) -> (Vec<Near>, f64) {
-    expect_ok(
-        try_assign(resolver, medoids),
-        "assign on the infallible path",
-    )
-}
-
-/// Fallible [`assign`].
 pub(crate) fn try_assign<R: DistanceResolver + ?Sized>(
     resolver: &mut R,
     medoids: &[ObjectId],
@@ -106,22 +90,7 @@ pub(crate) fn try_assign<R: DistanceResolver + ?Sized>(
 
 /// Exact cost delta of the swap "remove medoid slot `i`, promote `h`".
 ///
-/// `h` must not currently be a medoid. Infallible wrapper over
-/// [`try_swap_delta`].
-pub(crate) fn swap_delta<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    medoids: &[ObjectId],
-    near: &[Near],
-    i: usize,
-    h: ObjectId,
-) -> f64 {
-    expect_ok(
-        try_swap_delta(resolver, medoids, near, i, h),
-        "swap_delta on the infallible path",
-    )
-}
-
-/// Fallible [`swap_delta`].
+/// `h` must not currently be a medoid.
 pub(crate) fn try_swap_delta<R: DistanceResolver + ?Sized>(
     resolver: &mut R,
     medoids: &[ObjectId],
@@ -183,6 +152,20 @@ mod tests {
     use super::*;
     use prox_bounds::BoundResolver;
     use prox_core::{FnMetric, Oracle};
+
+    fn assign(r: &mut dyn DistanceResolver, medoids: &[ObjectId]) -> (Vec<Near>, f64) {
+        try_assign(r, medoids).expect("clean oracle")
+    }
+
+    fn swap_delta(
+        r: &mut dyn DistanceResolver,
+        medoids: &[ObjectId],
+        near: &[Near],
+        i: usize,
+        h: ObjectId,
+    ) -> f64 {
+        try_swap_delta(r, medoids, near, i, h).expect("clean oracle")
+    }
 
     fn line_oracle(n: usize) -> Oracle<FnMetric<impl Fn(ObjectId, ObjectId) -> f64>> {
         let scale = 1.0 / (n as f64 - 1.0);

@@ -1,14 +1,16 @@
 //! PAM (Partitioning Around Medoids, Kaufman & Rousseeuw).
+//!
+//! The SWAP scan is sequential at every thread count: a swap's bound checks
+//! may resolve a distance that every later candidate then reuses, so the
+//! canonical `(slot, object)` scan order is part of what makes outputs and
+//! oracle calls repeatable.
 
 use prox_bounds::DistanceResolver;
-use prox_core::invariant::{expect_ok, InvariantExt};
+use prox_core::invariant::expect_ok;
 use prox_core::{ObjectId, OracleError};
-use prox_exec::ExecPool;
+use prox_obs::SpanGuard;
 
-use prox_obs::{emit_to, SpanGuard, TraceEvent};
-
-use crate::medoid::{swap_delta, try_assign, try_swap_delta};
-use crate::speculate::{commit_delta, SpecDelta, SpecProbe};
+use crate::medoid::{try_assign, try_swap_delta};
 use crate::{Clustering, TinyRng};
 
 /// PAM configuration.
@@ -42,7 +44,7 @@ impl Default for PamParams {
 /// oracle savings; a seeded random draw (shared by vanilla and plugged runs,
 /// so outputs still match exactly) is used instead.
 pub fn pam<R: DistanceResolver + ?Sized>(resolver: &mut R, params: PamParams) -> Clustering {
-    pam_pool(resolver, params, &ExecPool::global())
+    expect_ok(try_pam(resolver, params), "pam on the infallible path")
 }
 
 /// Fallible [`pam()`]: surfaces oracle faults instead of panicking.
@@ -50,47 +52,8 @@ pub fn try_pam<R: DistanceResolver + ?Sized>(
     resolver: &mut R,
     params: PamParams,
 ) -> Result<Clustering, OracleError> {
-    try_pam_pool(resolver, params, &ExecPool::global())
-}
-
-/// [`pam()`] with an explicit pool: each SWAP scan speculates batches of
-/// candidate swaps in parallel against a frozen snapshot of the scheme and
-/// commits them in the canonical `(slot, object)` order.
-///
-/// A speculative `swap_delta` is reused only when (a) the probe never
-/// needed an unknown distance (it is *poisoned* otherwise) and (b) the live
-/// generation still equals the snapshot generation — i.e. nothing has been
-/// resolved since the snapshot, so the live scan would have seen the exact
-/// same state and taken the exact same branches. Both conditions together
-/// make outputs *and* oracle-call counts identical to the sequential scan
-/// at any thread count: the first candidate that does resolve bumps the
-/// generation, and the rest of the batch simply falls back to the live
-/// path. Workloads whose scans keep resolving (little reuse) disable
-/// speculation for the remainder of the run after a deterministic warm-up.
-pub fn pam_pool<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    params: PamParams,
-    pool: &ExecPool,
-) -> Clustering {
-    expect_ok(
-        try_pam_pool(resolver, params, pool),
-        "pam on the infallible path",
-    )
-}
-
-/// Fallible [`pam_pool`]. Only the sequential commit path touches the
-/// oracle (workers probe a frozen snapshot and cannot fault), so an error
-/// aborts cleanly in canonical candidate order.
-pub fn try_pam_pool<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    params: PamParams,
-    pool: &ExecPool,
-) -> Result<Clustering, OracleError> {
     // Semantic span; the guard closes it even on a fault abort.
-    // Observation handles are resolved once, up front.
     let trace = resolver.trace_sink();
-    let traced = trace.is_some();
-    let metered = resolver.obs_metrics().is_some();
     let _span = SpanGuard::enter(trace.clone(), "build");
 
     let n = resolver.n();
@@ -102,29 +65,14 @@ pub fn try_pam_pool<R: DistanceResolver + ?Sized>(
         try_assign(resolver, &medoids)?
     };
 
-    let batch = pool.threads().saturating_mul(8).max(8);
-    let mut spec_enabled = pool.threads() > 1 && resolver.spec().is_some();
-    let mut spec_total = 0usize;
-    let mut spec_reused = 0usize;
-
     for _ in 0..params.max_swaps {
         let mut best_delta = -1e-12;
         let mut best: Option<(usize, ObjectId)> = None;
-
-        // Canonical candidate order — the order the sequential scan takes.
-        let mut cands: Vec<(usize, ObjectId)> = Vec::with_capacity(l * (n - l));
         for i in 0..l {
             for h in 0..n as ObjectId {
-                if !medoids.contains(&h) {
-                    cands.push((i, h));
+                if medoids.contains(&h) {
+                    continue;
                 }
-            }
-        }
-
-        let mut idx = 0;
-        while idx < cands.len() {
-            if !spec_enabled {
-                let (i, h) = cands[idx];
                 let delta = {
                     let _swap = SpanGuard::enter(trace.clone(), "swap");
                     try_swap_delta(resolver, &medoids, &near, i, h)?
@@ -133,76 +81,6 @@ pub fn try_pam_pool<R: DistanceResolver + ?Sized>(
                     best_delta = delta;
                     best = Some((i, h));
                 }
-                idx += 1;
-                continue;
-            }
-
-            let end = (idx + batch).min(cands.len());
-            let gen0 = resolver.generation();
-            emit_to(
-                trace.as_ref(),
-                TraceEvent::Speculate {
-                    generation: gen0,
-                    items: (end - idx) as u32,
-                },
-            );
-            let speculated: Vec<Option<(f64, SpecDelta)>> = {
-                let spec = resolver
-                    .spec()
-                    .expect_invariant("spec() checked at enable; nothing revokes it");
-                let (meds, nr, cs) = (&medoids, &near, &cands);
-                pool.map_indexed(end - idx, |j| {
-                    let (i, h) = cs[idx + j];
-                    let mut probe = SpecProbe::observed(spec, traced, metered);
-                    // The "swap" span is buffered with the probe's events,
-                    // so a committed delta replays it exactly where the
-                    // sequential path would have opened it.
-                    let delta = probe.span("swap", |p| swap_delta(p, meds, nr, i, h));
-                    (!probe.poisoned()).then(|| (delta, probe.into_delta()))
-                })
-            };
-            let mut batch_reused = 0u32;
-            for (j, sr) in speculated.into_iter().enumerate() {
-                let (i, h) = cands[idx + j];
-                spec_total += 1;
-                let delta = match sr {
-                    // Complete speculation + untouched generation: the live
-                    // scan would see the snapshot state verbatim, take the
-                    // same branches, and leave the state unchanged (nothing
-                    // resolves), so the value, stat, and trace deltas stand
-                    // as-is. Discarded deltas are dropped whole — their
-                    // buffered events never reach the sink.
-                    Some((delta, sd)) if resolver.generation() == gen0 => {
-                        spec_reused += 1;
-                        batch_reused += 1;
-                        commit_delta(resolver, &sd);
-                        delta
-                    }
-                    _ => {
-                        let _swap = SpanGuard::enter(trace.clone(), "swap");
-                        try_swap_delta(resolver, &medoids, &near, i, h)?
-                    }
-                };
-                if delta < best_delta {
-                    best_delta = delta;
-                    best = Some((i, h));
-                }
-            }
-            emit_to(
-                trace.as_ref(),
-                TraceEvent::Commit {
-                    generation: gen0,
-                    reused: batch_reused,
-                },
-            );
-            idx = end;
-            // Deterministic adaptive cutoff: once enough evidence shows the
-            // scan keeps resolving (so speculation keeps getting discarded),
-            // stop paying for it. Pure function of the candidate stream —
-            // never of timing — and it only skips speculation, so outputs
-            // are unaffected.
-            if spec_total >= 4 * batch && spec_reused * 4 < spec_total {
-                spec_enabled = false;
             }
         }
 
@@ -301,33 +179,6 @@ mod tests {
             o2.calls(),
             o1.calls()
         );
-    }
-
-    #[test]
-    fn pool_matches_sequential_exactly() {
-        let params = PamParams {
-            l: 3,
-            max_swaps: 50,
-            seed: 9,
-        };
-        let o_seq = blobs_oracle();
-        let mut seq = BoundResolver::new(&o_seq, TriScheme::new(12, 1.0));
-        let want = pam_pool(&mut seq, params, &ExecPool::sequential());
-
-        for threads in [2, 8] {
-            let o_par = blobs_oracle();
-            let mut par = BoundResolver::new(&o_par, TriScheme::new(12, 1.0));
-            let got = pam_pool(&mut par, params, &ExecPool::new(threads));
-            assert_eq!(got.medoids, want.medoids, "threads={threads}");
-            assert_eq!(got.assignment, want.assignment, "threads={threads}");
-            assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "threads={threads}");
-            assert_eq!(
-                o_seq.calls(),
-                o_par.calls(),
-                "oracle-call determinism, threads={threads}"
-            );
-            assert_eq!(seq.prune_stats(), par.prune_stats(), "threads={threads}");
-        }
     }
 
     #[test]

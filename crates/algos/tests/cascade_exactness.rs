@@ -3,8 +3,8 @@
 //! **I10 — cascade-exactness.** With the strong oracle healthy, running
 //! the algorithms through a `CascadeResolver` (weak → bounds → strong)
 //! produces outputs, prune stats and certified-distance sets
-//! *byte-identical* to the strong-only run at every thread count,
-//! including under the paranoid `CheckedResolver`; strong calls never
+//! *byte-identical* to the strong-only run, whatever `--threads` says and
+//! under the paranoid `CheckedResolver`; strong calls never
 //! exceed the strong-only bill, and the savings are attributed to the
 //! weak tier exactly: `strong_calls + weak_resolutions ==
 //! strong_only_calls`. When the strong tier is lost mid-run (budget
@@ -15,14 +15,13 @@
 
 use std::rc::Rc;
 
-use prox_algos::{knn_graph_pool, pam_pool, prim_mst, run_degraded, try_prim_mst, PamParams};
+use prox_algos::{knn_graph, pam, prim_mst, run_degraded, try_prim_mst, PamParams};
 use prox_bounds::{
     BoundResolver, CascadeResolver, CheckedResolver, DistanceResolver, Splub, TriScheme,
 };
 use prox_core::{CallBudget, DegradeReason, Metric, Oracle, Pair, PruneStats, TinyRng, WeakOracle};
 use prox_datasets::testgen::{property, random_points};
 use prox_datasets::EuclideanPoints;
-use prox_exec::ExecPool;
 use prox_obs::{summarize, JsonlSink, TraceSink};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -50,18 +49,13 @@ fn fingerprint<T>(out: T, r: &dyn DistanceResolver) -> Fingerprint<T> {
 type AllOutputs = (Vec<u64>, u64, Vec<Vec<(u32, u64)>>, Vec<u32>, Vec<u32>, u64);
 
 /// Prim + kNN graph + PAM over one resolver, fingerprinted bit-exactly.
-fn run_all(
-    r: &mut dyn DistanceResolver,
-    k: usize,
-    params: PamParams,
-    pool: &ExecPool,
-) -> Fingerprint<AllOutputs> {
+fn run_all(r: &mut dyn DistanceResolver, k: usize, params: PamParams) -> Fingerprint<AllOutputs> {
     let mst = prim_mst(r);
-    let g: Vec<Vec<(u32, u64)>> = knn_graph_pool(r, k, pool)
+    let g: Vec<Vec<(u32, u64)>> = knn_graph(r, k)
         .into_iter()
         .map(|row| row.into_iter().map(|(j, d)| (j, d.to_bits())).collect())
         .collect();
-    let c = pam_pool(r, params, pool);
+    let c = pam(r, params);
     fingerprint(
         (
             mst.edge_keys(),
@@ -91,17 +85,18 @@ fn healthy_cascade_runs_are_byte_identical_to_strong_only_at_every_thread_count(
 
         let strong_only = Oracle::new(&metric);
         let mut strong_r = BoundResolver::new(&strong_only, Splub::new(n, 1.0));
-        let baseline = run_all(&mut strong_r, k, params, &ExecPool::sequential());
+        let baseline = run_all(&mut strong_r, k, params);
         let strong_only_calls = strong_only.calls();
 
+        // `--threads` sets this process-wide knob; plugged runs ignore it.
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            prox_exec::set_global_threads(threads);
             let oracle = Oracle::new(&metric);
             let mut r = CascadeResolver::new(
                 BoundResolver::new(&oracle, Splub::new(n, 1.0)),
                 WeakOracle::new(&metric, RATE, 0xAB1E),
             );
-            let got = run_all(&mut r, k, params, &pool);
+            let got = run_all(&mut r, k, params);
             assert_eq!(got, baseline, "I10 outputs/stats/pairs, threads={threads}");
 
             let ws = r.weak_stats();
@@ -143,30 +138,23 @@ fn cascade_exactness_holds_under_paranoid_checked_resolver() {
             BoundResolver::new(&strong_only, TriScheme::new(n, 1.0)),
             truth,
         );
-        let baseline = knn_graph_pool(&mut strong_r, k, &ExecPool::sequential());
+        let baseline = knn_graph(&mut strong_r, k);
         let strong_only_calls = strong_only.calls();
 
-        for threads in THREADS {
-            let pool = ExecPool::new(threads);
-            let oracle = Oracle::new(&metric);
-            let mut r = CheckedResolver::new(
-                CascadeResolver::new(
-                    BoundResolver::new(&oracle, TriScheme::new(n, 1.0)),
-                    WeakOracle::new(&metric, RATE, 0xAB1F),
-                ),
-                truth,
-            );
-            let got = knn_graph_pool(&mut r, k, &pool);
-            assert_eq!(got, baseline, "paranoid cascade run, threads={threads}");
-            assert!(r.checks() > 0, "run performed no paranoid checks");
+        let oracle = Oracle::new(&metric);
+        let mut r = CheckedResolver::new(
+            CascadeResolver::new(
+                BoundResolver::new(&oracle, TriScheme::new(n, 1.0)),
+                WeakOracle::new(&metric, RATE, 0xAB1F),
+            ),
+            truth,
+        );
+        let got = knn_graph(&mut r, k);
+        assert_eq!(got, baseline, "paranoid cascade run");
+        assert!(r.checks() > 0, "run performed no paranoid checks");
 
-            let ws = r.weak_stats();
-            assert_eq!(
-                oracle.calls() + ws.resolutions,
-                strong_only_calls,
-                "threads={threads}"
-            );
-        }
+        let ws = r.weak_stats();
+        assert_eq!(oracle.calls() + ws.resolutions, strong_only_calls);
     });
 }
 
@@ -248,19 +236,14 @@ fn budget_exhaustion_degrades_and_cross_checks_against_the_trace_report() {
 
 #[test]
 fn env_configured_weak_matrix_cell() {
-    // CI weak-matrix entry point: `PROX_WEAK_RATE` ∈ {0, 0.05, 0.2} and
-    // `PROX_THREADS` ∈ {1, 8} pick the cell (defaults 0.05 and 2). The
-    // assertion is full I10: byte-identical outputs plus the billing
+    // CI weak-matrix entry point: `PROX_WEAK_RATE` ∈ {0, 0.05, 0.2} picks
+    // the cell (default 0.05). The assertion is full I10: byte-identical outputs plus the billing
     // identity; at rate 0 the weak tier is perfect, so almost the entire
     // strong bill moves to the weak tier.
     let rate: f64 = std::env::var("PROX_WEAK_RATE")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.05);
-    let threads: usize = std::env::var("PROX_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
 
     let pts = random_points(&mut TinyRng::new(41), 40);
     let n = pts.len();
@@ -269,7 +252,7 @@ fn env_configured_weak_matrix_cell() {
 
     let strong_only = Oracle::new(&metric);
     let mut strong_r = BoundResolver::new(&strong_only, TriScheme::new(n, 1.0));
-    let baseline_g = knn_graph_pool(&mut strong_r, k, &ExecPool::sequential());
+    let baseline_g = knn_graph(&mut strong_r, k);
     let baseline = fingerprint(baseline_g, &strong_r);
     let strong_only_calls = strong_only.calls();
 
@@ -278,16 +261,16 @@ fn env_configured_weak_matrix_cell() {
         BoundResolver::new(&oracle, TriScheme::new(n, 1.0)),
         WeakOracle::new(&metric, rate, 0xCE11),
     );
-    let g = knn_graph_pool(&mut r, k, &ExecPool::new(threads));
+    let g = knn_graph(&mut r, k);
     let got = fingerprint(g, &r);
-    assert_eq!(got, baseline, "I10 cell rate={rate} threads={threads}");
+    assert_eq!(got, baseline, "I10 cell rate={rate}");
 
     let ws = r.weak_stats();
     assert!(oracle.calls() <= strong_only_calls);
     assert_eq!(
         oracle.calls() + ws.resolutions,
         strong_only_calls,
-        "billing cell rate={rate} threads={threads}"
+        "billing cell rate={rate}"
     );
     assert!(r.degradation().is_none());
     if rate == 0.0 {

@@ -2,7 +2,7 @@
 //!
 //! **I9 — corruption-exactness.** Under deterministic value corruption
 //! with auditing enabled, final algorithm outputs (MST, kNN graph, PAM)
-//! are *byte-identical* to the clean run at every thread count, including
+//! are *byte-identical* to the clean run, whatever `--threads` says and
 //! under the paranoid `CheckedResolver`; `CorruptionStats.detected`
 //! equals the number of injected-and-observable corruptions exactly (at
 //! vote ≥ 2 every lone lie loses the vote; only a bit-exact colliding-lie
@@ -13,7 +13,7 @@
 
 use std::rc::Rc;
 
-use prox_algos::{knn_graph_pool, pam_pool, prim_mst, PamParams};
+use prox_algos::{knn_graph, pam, prim_mst, PamParams};
 use prox_bounds::{
     AuditPolicy, BoundResolver, CheckedResolver, CorruptionStats, DistanceResolver, Splub,
     TriScheme,
@@ -21,7 +21,6 @@ use prox_bounds::{
 use prox_core::{CorruptionInjector, Metric, Oracle, Pair, PruneStats, TinyRng};
 use prox_datasets::testgen::{property, random_points};
 use prox_datasets::EuclideanPoints;
-use prox_exec::ExecPool;
 use prox_obs::{summarize, JsonlSink, TraceSink};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -49,18 +48,13 @@ fn fingerprint<T>(out: T, r: &dyn DistanceResolver) -> Fingerprint<T> {
 type AllOutputs = (Vec<u64>, u64, Vec<Vec<(u32, u64)>>, Vec<u32>, Vec<u32>, u64);
 
 /// Prim + kNN graph + PAM over one resolver, fingerprinted bit-exactly.
-fn run_all(
-    r: &mut dyn DistanceResolver,
-    k: usize,
-    params: PamParams,
-    pool: &ExecPool,
-) -> Fingerprint<AllOutputs> {
+fn run_all(r: &mut dyn DistanceResolver, k: usize, params: PamParams) -> Fingerprint<AllOutputs> {
     let mst = prim_mst(r);
-    let g: Vec<Vec<(u32, u64)>> = knn_graph_pool(r, k, pool)
+    let g: Vec<Vec<(u32, u64)>> = knn_graph(r, k)
         .into_iter()
         .map(|row| row.into_iter().map(|(j, d)| (j, d.to_bits())).collect())
         .collect();
-    let c = pam_pool(r, params, pool);
+    let c = pam(r, params);
     fingerprint(
         (
             mst.edge_keys(),
@@ -90,16 +84,17 @@ fn corrupted_vote_runs_are_byte_identical_to_clean_at_every_thread_count() {
 
         let clean_oracle = Oracle::new(&metric);
         let mut clean_r = BoundResolver::new(&clean_oracle, Splub::new(n, 1.0));
-        let clean = run_all(&mut clean_r, k, params, &ExecPool::sequential());
+        let clean = run_all(&mut clean_r, k, params);
         let clean_calls = clean_oracle.calls();
 
+        // `--threads` sets this process-wide knob; plugged runs ignore it.
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            prox_exec::set_global_threads(threads);
             let oracle =
                 Oracle::new(&metric).with_corruption(CorruptionInjector::new(RATE, 0xC0DE));
             let mut r =
                 BoundResolver::new(&oracle, Splub::new(n, 1.0)).with_audit(AuditPolicy::vote(3, 3));
-            let got = run_all(&mut r, k, params, &pool);
+            let got = run_all(&mut r, k, params);
             assert_eq!(got, clean, "I9 outputs/stats/pairs, threads={threads}");
 
             let stats = r.corruption_stats();
@@ -138,30 +133,21 @@ fn corruption_exactness_holds_under_paranoid_audit() {
             BoundResolver::new(&clean_oracle, TriScheme::new(n, 1.0)),
             truth,
         );
-        let clean_out = knn_graph_pool(&mut clean_r, k, &ExecPool::sequential());
+        let clean_out = knn_graph(&mut clean_r, k);
         let clean_calls = clean_oracle.calls();
 
-        for threads in THREADS {
-            let pool = ExecPool::new(threads);
-            let oracle =
-                Oracle::new(&metric).with_corruption(CorruptionInjector::new(RATE, 0xC0DF));
-            let mut r = CheckedResolver::new(
-                BoundResolver::new(&oracle, TriScheme::new(n, 1.0))
-                    .with_audit(AuditPolicy::vote(3, 3)),
-                truth,
-            );
-            let got = knn_graph_pool(&mut r, k, &pool);
-            assert_eq!(got, clean_out, "paranoid audited run, threads={threads}");
-            assert!(r.checks() > 0, "run performed no paranoid checks");
+        let oracle = Oracle::new(&metric).with_corruption(CorruptionInjector::new(RATE, 0xC0DF));
+        let mut r = CheckedResolver::new(
+            BoundResolver::new(&oracle, TriScheme::new(n, 1.0)).with_audit(AuditPolicy::vote(3, 3)),
+            truth,
+        );
+        let got = knn_graph(&mut r, k);
+        assert_eq!(got, clean_out, "paranoid audited run");
+        assert!(r.checks() > 0, "run performed no paranoid checks");
 
-            let stats = r.corruption_stats();
-            assert_eq!(stats.detected, oracle.corruptions_injected());
-            assert_eq!(
-                oracle.calls(),
-                clean_calls + stats.requeries,
-                "threads={threads}"
-            );
-        }
+        let stats = r.corruption_stats();
+        assert_eq!(stats.detected, oracle.corruptions_injected());
+        assert_eq!(oracle.calls(), clean_calls + stats.requeries);
     });
 }
 
@@ -225,14 +211,14 @@ fn env_configured_corruption_matrix_cell() {
 
     let clean_oracle = Oracle::new(&metric);
     let mut clean_r = BoundResolver::new(&clean_oracle, TriScheme::new(n, 1.0));
-    let clean_g = knn_graph_pool(&mut clean_r, k, &ExecPool::sequential());
+    let clean_g = knn_graph(&mut clean_r, k);
     let clean = fingerprint(clean_g, &clean_r);
     let clean_calls = clean_oracle.calls();
 
     let oracle = Oracle::new(&metric).with_corruption(CorruptionInjector::new(rate, 0xC1));
     let mut r = BoundResolver::new(&oracle, TriScheme::new(n, 1.0))
         .with_audit(AuditPolicy::vote(vote, vote));
-    let g = knn_graph_pool(&mut r, k, &ExecPool::new(2));
+    let g = knn_graph(&mut r, k);
     let got = fingerprint(g, &r);
 
     let stats = r.corruption_stats();

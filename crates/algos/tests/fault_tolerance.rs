@@ -4,10 +4,8 @@
 //! transient faults, all absorbed by retries, is indistinguishable from a
 //! clean run in everything that matters: algorithm outputs, prune stats,
 //! and the set of unique pairs resolved. Only the billed attempt count
-//! grows, by exactly the number of injected faults. This holds at every
-//! thread count (the speculate/commit protocol keeps workers on the
-//! infallible path; faults surface only on the sequential committer) and
-//! under the paranoid `CheckedResolver` audit.
+//! grows, by exactly the number of injected faults. This holds under the
+//! paranoid `CheckedResolver` audit too.
 //!
 //! **I7 — resume-equivalence.** A budget-killed run's exported knowledge,
 //! fed back as a preload, lets the re-run converge to the identical output
@@ -19,8 +17,8 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use prox_algos::{
-    knn_graph_pool, pam_pool, prim_mst, try_k_center, try_knn_graph, try_prim_mst,
-    try_single_linkage, try_tsp_2opt, PamParams,
+    knn_graph, pam, prim_mst, try_k_center, try_knn_graph, try_prim_mst, try_single_linkage,
+    try_tsp_2opt, PamParams,
 };
 use prox_bounds::{BoundResolver, CheckedResolver, DistanceResolver, Splub, TriScheme};
 use prox_core::{
@@ -29,9 +27,6 @@ use prox_core::{
 };
 use prox_datasets::testgen::{property, random_points};
 use prox_datasets::EuclideanPoints;
-use prox_exec::ExecPool;
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Retries generous enough to absorb every injected fault at rate 0.2:
 /// the injector's per-(pair, attempt) schedule makes long fault streaks
@@ -118,12 +113,10 @@ fn sequential_cores_are_fault_equivalent() {
 }
 
 #[test]
-fn pool_paths_are_fault_equivalent_at_every_thread_count() {
-    // Workers speculate on the infallible path and never see faults; only
-    // the sequential committer touches the faulty oracle. The fault
-    // schedule is a pure function of (seed, pair, attempt), so outputs,
-    // prune stats, injected-fault counts, and virtual time are identical
-    // at every thread count.
+fn splub_knng_and_pam_are_fault_equivalent() {
+    // The Tri cores above cover single algorithms; this chains kNN graph
+    // and PAM on one SPLUB resolver, so PAM starts from the knowledge the
+    // faulty kNN pass recorded.
     property(0x5EED_0602, 8, |rng| {
         let pts = points(rng);
         let n = pts.len();
@@ -134,29 +127,25 @@ fn pool_paths_are_fault_equivalent_at_every_thread_count() {
             max_swaps: 40,
             seed: 11,
         };
+        let run = |oracle: &Oracle<&EuclideanPoints>| {
+            let mut r = BoundResolver::new(oracle, Splub::new(n, 1.0));
+            let g = knn_graph(&mut r, k);
+            let c = pam(&mut r, params);
+            fingerprint((g, c.medoids, c.assignment, c.cost.to_bits()), &r)
+        };
 
-        let mut want = None;
-        for threads in THREADS {
-            let pool = ExecPool::new(threads);
-            let oracle = Oracle::new(&metric)
-                .with_faults(FaultInjector::new(0.15, 0xFA18))
-                .with_retry(absorbing_retry());
-            let mut r = BoundResolver::new(&oracle, Splub::new(n, 1.0));
-            let g = knn_graph_pool(&mut r, k, &pool);
-            let c = pam_pool(&mut r, params, &pool);
-            let got = (
-                fingerprint((g, c.medoids, c.assignment, c.cost.to_bits()), &r),
-                oracle.calls(),
-                oracle.fault_stats(),
-                oracle.virtual_time(),
-            );
-            match &want {
-                None => want = Some(got),
-                Some(want) => assert_eq!(&got, want, "threads={threads}"),
-            }
-        }
-        let (_, _, stats, _) = want.expect("ran at least once");
+        let clean_oracle = Oracle::new(&metric);
+        let clean = run(&clean_oracle);
+        let faulty_oracle = Oracle::new(&metric)
+            .with_faults(FaultInjector::new(0.15, 0xFA18))
+            .with_retry(absorbing_retry());
+        assert_eq!(run(&faulty_oracle), clean, "I6 outputs/stats/unique pairs");
+        let stats = faulty_oracle.fault_stats();
         assert!(stats.faults_injected > 0, "rate 0.15 must fire");
+        assert_eq!(
+            faulty_oracle.calls(),
+            clean_oracle.calls() + stats.faults_injected
+        );
     });
 }
 
@@ -178,41 +167,29 @@ fn fault_equivalence_holds_under_paranoid_audit() {
         let clean_out = try_knn_graph(&mut clean_r, k).expect("clean oracle cannot fault");
         let clean_calls = clean_oracle.calls();
 
-        for threads in THREADS {
-            let pool = ExecPool::new(threads);
-            let oracle = Oracle::new(&metric)
-                .with_faults(FaultInjector::new(0.2, 0xFA19))
-                .with_retry(absorbing_retry());
-            let mut r =
-                CheckedResolver::new(BoundResolver::new(&oracle, TriScheme::new(n, 1.0)), truth);
-            let got = knn_graph_pool(&mut r, k, &pool);
-            assert_eq!(got, clean_out, "audited faulty run, threads={threads}");
-            assert!(r.checks() > 0, "run performed no audits");
-            let stats = oracle.fault_stats();
-            assert!(stats.faults_injected > 0, "rate 0.2 must fire");
-            assert_eq!(
-                oracle.calls(),
-                clean_calls + stats.faults_injected,
-                "threads={threads}"
-            );
-        }
+        let oracle = Oracle::new(&metric)
+            .with_faults(FaultInjector::new(0.2, 0xFA19))
+            .with_retry(absorbing_retry());
+        let mut r =
+            CheckedResolver::new(BoundResolver::new(&oracle, TriScheme::new(n, 1.0)), truth);
+        let got = knn_graph(&mut r, k);
+        assert_eq!(got, clean_out, "audited faulty run");
+        assert!(r.checks() > 0, "run performed no audits");
+        let stats = oracle.fault_stats();
+        assert!(stats.faults_injected > 0, "rate 0.2 must fire");
+        assert_eq!(oracle.calls(), clean_calls + stats.faults_injected);
     });
 }
 
 #[test]
 fn env_configured_fault_matrix_cell() {
     // CI fault-matrix entry point: `PROX_FAULT_RATE` ∈ {0, 0.01, 0.1, …}
-    // and `PROX_THREADS` pick the cell (defaults 0.05 and 2); the
-    // assertion is always I6 — the faulty pooled run matches the clean
-    // sequential run, and bills clean + injected, at any cell.
+    // picks the cell (default 0.05); the assertion is always I6 — the
+    // faulty run matches the clean run, and bills clean + injected.
     let rate: f64 = std::env::var("PROX_FAULT_RATE")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.05);
-    let threads: usize = std::env::var("PROX_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
 
     let pts = random_points(&mut TinyRng::new(31), 40);
     let n = pts.len();
@@ -221,22 +198,22 @@ fn env_configured_fault_matrix_cell() {
 
     let clean_oracle = Oracle::new(&metric);
     let mut clean_r = BoundResolver::new(&clean_oracle, TriScheme::new(n, 1.0));
-    let clean_g = knn_graph_pool(&mut clean_r, k, &ExecPool::sequential());
+    let clean_g = knn_graph(&mut clean_r, k);
     let clean = fingerprint(clean_g, &clean_r);
 
     let faulty_oracle = Oracle::new(&metric)
         .with_faults(FaultInjector::new(rate, 0xC1))
         .with_retry(absorbing_retry());
     let mut faulty_r = BoundResolver::new(&faulty_oracle, TriScheme::new(n, 1.0));
-    let faulty_g = knn_graph_pool(&mut faulty_r, k, &ExecPool::new(threads));
+    let faulty_g = knn_graph(&mut faulty_r, k);
     let faulty = fingerprint(faulty_g, &faulty_r);
 
-    assert_eq!(faulty, clean, "I6 cell rate={rate} threads={threads}");
+    assert_eq!(faulty, clean, "I6 cell rate={rate}");
     let stats = faulty_oracle.fault_stats();
     assert_eq!(
         faulty_oracle.calls(),
         clean_oracle.calls() + stats.faults_injected,
-        "billing cell rate={rate} threads={threads}"
+        "billing cell rate={rate}"
     );
     if rate == 0.0 {
         assert_eq!(stats, FaultStats::default(), "rate 0 must inject nothing");

@@ -1,19 +1,19 @@
-//! Determinism of the speculate/commit parallel paths (`prox-exec`).
+//! Thread invariance of plugged runs (invariant I5).
 //!
-//! The contract under test: `knn_graph_pool` and `pam_pool` produce outputs
-//! **and oracle-call counts and prune stats** bit-identical to their
-//! sequential counterparts at any thread count — parallelism may only
-//! change wall-clock, never what gets computed. Checked on random
-//! Euclidean instances for both snapshot-capable schemes (Tri, SPLUB), and
-//! with the paranoid `CheckedResolver` auditing every bound and verdict
-//! while the committer reuses speculative work.
+//! Plugged algorithm runs are sequential at every thread count: the
+//! process-wide thread count that `--threads` sets
+//! ([`prox_exec::set_global_threads`]) only parallelises independent
+//! cells (`repro`) and serve sessions. The contract under test: `knn_graph`
+//! and `pam` produce outputs **and oracle-call counts and prune stats**
+//! bit-identical at threads {1, 2, 8}, for Tri and SPLUB on random
+//! Euclidean instances.
 
-use prox_algos::{knn_graph, knn_graph_pool, pam, pam_pool, KnnGraph, PamParams};
-use prox_bounds::{BoundResolver, CheckedResolver, DistanceResolver, Splub, TriScheme};
-use prox_core::{FaultInjector, Metric, ObjectId, Oracle, Pair, PruneStats, RetryPolicy, TinyRng};
+use prox_algos::{knn_graph, pam, KnnGraph, PamParams};
+use prox_bounds::{BoundResolver, DistanceResolver, Splub, TriScheme};
+use prox_core::{FaultInjector, ObjectId, Oracle, Pair, PruneStats, RetryPolicy, TinyRng};
 use prox_datasets::testgen::{property, random_points};
 use prox_datasets::EuclideanPoints;
-use prox_exec::ExecPool;
+use prox_exec::set_global_threads;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -22,8 +22,8 @@ fn points(rng: &mut TinyRng) -> Vec<(f64, f64)> {
     random_points(rng, n)
 }
 
-/// Runs `body` once per snapshot-capable scheme (Tri, SPLUB) and returns
-/// `(outputs, oracle calls, prune stats)` per scheme.
+/// Runs `body` once per scheme (Tri, SPLUB) and returns `(outputs, oracle
+/// calls, prune stats)` per scheme.
 fn per_scheme<T>(
     metric: &EuclideanPoints,
     n: usize,
@@ -56,8 +56,8 @@ fn knn_graph_identical_across_thread_counts() {
                 .collect::<KnnGraph>()
         });
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
-            let got = per_scheme(&metric, n, |r| knn_graph_pool(r, k, &pool));
+            set_global_threads(threads);
+            let got = per_scheme(&metric, n, |r| knn_graph(r, k));
             assert_eq!(got, want, "threads={threads}");
         }
     });
@@ -75,10 +75,11 @@ fn pam_identical_across_thread_counts() {
             seed: 11,
         };
 
-        let want = per_scheme(&metric, n, |r| pam_pool(r, params, &ExecPool::sequential()));
+        set_global_threads(1);
+        let want = per_scheme(&metric, n, |r| pam(r, params));
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
-            let got = per_scheme(&metric, n, |r| pam_pool(r, params, &pool));
+            set_global_threads(threads);
+            let got = per_scheme(&metric, n, |r| pam(r, params));
             assert_eq!(got, want, "threads={threads}");
         }
     });
@@ -86,8 +87,9 @@ fn pam_identical_across_thread_counts() {
 
 #[test]
 fn parallel_paths_match_vanilla_outputs() {
-    // The other half of the equivalence: the parallel plugged runs still
-    // produce the exact vanilla outputs (not merely self-consistent ones).
+    // The other half of the equivalence: plugged runs with several threads
+    // requested still produce the exact vanilla outputs (not merely
+    // self-consistent ones).
     property(0x5EED_0403, 8, |rng| {
         let pts = points(rng);
         let n = pts.len();
@@ -106,12 +108,12 @@ fn parallel_paths_match_vanilla_outputs() {
         let mut v2 = BoundResolver::vanilla(&o_v2);
         let pam_want = pam(&mut v2, params);
 
-        let pool = ExecPool::new(4);
-        for (got, _, _) in per_scheme(&metric, n, |r| knn_graph_pool(r, k, &pool)) {
-            assert_eq!(got, knn_want, "parallel plugged kNN != vanilla");
+        set_global_threads(4);
+        for (got, _, _) in per_scheme(&metric, n, |r| knn_graph(r, k)) {
+            assert_eq!(got, knn_want, "plugged kNN at 4 threads != vanilla");
         }
-        for (got, _, _) in per_scheme(&metric, n, |r| pam_pool(r, params, &pool)) {
-            assert_eq!(got, pam_want, "parallel plugged PAM != vanilla");
+        for (got, _, _) in per_scheme(&metric, n, |r| pam(r, params)) {
+            assert_eq!(got, pam_want, "plugged PAM at 4 threads != vanilla");
         }
     });
 }
@@ -147,9 +149,7 @@ fn fault_schedule_is_a_pure_function_of_seed_pair_attempt() {
 #[test]
 fn fault_accounting_identical_across_thread_counts_and_reruns() {
     // Same seed ⇒ identical injected-fault count, retry count, and virtual
-    // time — across repeated runs and across thread counts. Faults only
-    // ever surface on the sequential committer (workers speculate on the
-    // infallible path), so the fault schedule replays exactly.
+    // time — across repeated runs and across thread counts.
     property(0x5EED_0405, 8, |rng| {
         let pts = points(rng);
         let n = pts.len();
@@ -157,12 +157,12 @@ fn fault_accounting_identical_across_thread_counts_and_reruns() {
         let k = 3.min(n - 1);
 
         let run = |threads: usize| {
+            set_global_threads(threads);
             let oracle = Oracle::new(&metric)
                 .with_faults(FaultInjector::new(0.15, 0xFEED))
                 .with_retry(RetryPolicy::standard(8));
-            let pool = ExecPool::new(threads);
             let mut r = BoundResolver::new(&oracle, TriScheme::new(n, 1.0));
-            let g = knn_graph_pool(&mut r, k, &pool);
+            let g = knn_graph(&mut r, k);
             (
                 g,
                 oracle.calls(),
@@ -175,60 +175,6 @@ fn fault_accounting_identical_across_thread_counts_and_reruns() {
         for threads in THREADS {
             assert_eq!(run(threads), want, "threads={threads}");
             assert_eq!(run(threads), want, "rerun, threads={threads}");
-        }
-    });
-}
-
-#[test]
-fn parallel_commit_is_sound_under_audit() {
-    // CheckedResolver audits every bound sandwich and verdict against the
-    // exact oracle while the committer reuses speculative work; outputs and
-    // call counts must still match the unaudited sequential runs. (The
-    // audit count itself may differ across thread counts — reused verdicts
-    // skip probes — which is why it is not asserted here.)
-    property(0x5EED_0404, 8, |rng| {
-        let pts = points(rng);
-        let n = pts.len();
-        let metric = EuclideanPoints::new(pts);
-        let k = 3.min(n - 1);
-        let params = PamParams {
-            l: 2.min(n),
-            max_swaps: 40,
-            seed: 5,
-        };
-        #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
-        let truth = |p: Pair| metric.distance(p.lo(), p.hi());
-
-        let want = per_scheme(&metric, n, |r| {
-            let g = knn_graph_pool(r, k, &ExecPool::sequential());
-            let c = pam_pool(r, params, &ExecPool::sequential());
-            (g, c)
-        });
-
-        for threads in THREADS {
-            let pool = ExecPool::new(threads);
-
-            let o_t = Oracle::new(&metric);
-            let mut tri =
-                CheckedResolver::new(BoundResolver::new(&o_t, TriScheme::new(n, 1.0)), truth);
-            let got = (
-                knn_graph_pool(&mut tri, k, &pool),
-                pam_pool(&mut tri, params, &pool),
-            );
-            assert!(tri.checks() > 0, "Tri run performed no audits");
-            assert_eq!(got, want[0].0, "Tri under audit, threads={threads}");
-            assert_eq!(o_t.calls(), want[0].1, "Tri calls, threads={threads}");
-
-            let o_s = Oracle::new(&metric);
-            let mut splub =
-                CheckedResolver::new(BoundResolver::new(&o_s, Splub::new(n, 1.0)), truth);
-            let got = (
-                knn_graph_pool(&mut splub, k, &pool),
-                pam_pool(&mut splub, params, &pool),
-            );
-            assert!(splub.checks() > 0, "SPLUB run performed no audits");
-            assert_eq!(got, want[1].0, "SPLUB under audit, threads={threads}");
-            assert_eq!(o_s.calls(), want[1].1, "SPLUB calls, threads={threads}");
         }
     });
 }

@@ -5,20 +5,20 @@
 //! decided comparison has a scheme/tier attribution. I11 pins the
 //! aggregated [`prox_obs::ProvenanceLedger`] against the independent
 //! billing counters (`Oracle::calls`, `PruneStats`, `weak_stats()`),
-//! exactly, at threads {1, 2, 8}, with and without the paranoid
-//! `CheckedResolver` audit layer in between. The ledger is accounting
-//! only: maintaining it must never change a trace, so the same workloads'
-//! traces must also show zero *semantic* divergence across thread counts
-//! (the property `prox-cli diff` checks offline).
+//! exactly, with and without the paranoid `CheckedResolver` audit layer in
+//! between, and identically whatever the process-wide thread count
+//! (`--threads`) says. The ledger is accounting only: maintaining it must
+//! never change a trace, so the same workloads' traces must also show zero
+//! *semantic* divergence across thread counts (the property `prox-cli
+//! diff` checks offline).
 
 use std::rc::Rc;
 
-use prox_algos::{try_knn_graph_pool, try_pam_pool, try_prim_mst, PamParams};
+use prox_algos::{try_knn_graph, try_pam, try_prim_mst, PamParams};
 use prox_bounds::{
     BoundResolver, CascadeResolver, CheckedResolver, DistanceResolver, Splub, TriScheme,
 };
 use prox_core::{FnMetric, Metric, ObjectId, Oracle, Pair, PruneStats, WeakOracle};
-use prox_exec::ExecPool;
 use prox_obs::{semantic_diff, JsonlSink, ProvenanceLedger, TraceSink};
 
 const N: usize = 24;
@@ -33,13 +33,9 @@ fn ring_metric() -> FnMetric<impl Fn(ObjectId, ObjectId) -> f64> {
 
 /// Runs `algo` and returns its output `Debug`-rendered, which round-trips
 /// every `f64` bit for bit.
-fn run_algo(algo: &str, resolver: &mut dyn DistanceResolver, threads: usize) -> String {
-    let pool = ExecPool::new(threads);
+fn run_algo(algo: &str, resolver: &mut dyn DistanceResolver) -> String {
     match algo {
-        "knng" => format!(
-            "{:?}",
-            try_knn_graph_pool(resolver, 4, &pool).expect("clean oracle")
-        ),
+        "knng" => format!("{:?}", try_knn_graph(resolver, 4).expect("clean oracle")),
         "prim" => format!("{:?}", try_prim_mst(resolver).expect("clean oracle")),
         "pam" => {
             let params = PamParams {
@@ -47,10 +43,7 @@ fn run_algo(algo: &str, resolver: &mut dyn DistanceResolver, threads: usize) -> 
                 max_swaps: 20,
                 seed: 5,
             };
-            format!(
-                "{:?}",
-                try_pam_pool(resolver, params, &pool).expect("clean oracle")
-            )
+            format!("{:?}", try_pam(resolver, params).expect("clean oracle"))
         }
         other => panic!("unknown workload {other}"),
     }
@@ -66,12 +59,13 @@ struct Observed {
     weak_resolutions: u64,
 }
 
-/// Runs `algo` traced at `threads` workers, optionally under the paranoid
-/// audit wrapper and/or the weak/strong cascade, and collects everything
-/// I11 relates. Traced runs bypass the goal-aware query cascade, so every
+/// Runs `algo` traced with the process-wide thread count set to
+/// `threads`, optionally under the paranoid audit wrapper and/or the
+/// weak/strong cascade, and collects everything I11 relates. Traced runs bypass the goal-aware query cascade, so every
 /// bound decision lands on the `direct` tier — which is exactly what makes
 /// the attribution thread-invariant.
 fn observe(algo: &str, threads: usize, paranoid: bool, weak: bool) -> Observed {
+    prox_exec::set_global_threads(threads);
     let metric = ring_metric();
     let sink = Rc::new(JsonlSink::in_memory());
     let oracle =
@@ -82,7 +76,7 @@ fn observe(algo: &str, threads: usize, paranoid: bool, weak: bool) -> Observed {
     macro_rules! finish {
         ($resolver:expr) => {{
             let mut resolver = $resolver;
-            run_algo(algo, &mut resolver, threads);
+            run_algo(algo, &mut resolver);
             Observed {
                 ledger: resolver.provenance(),
                 stats: resolver.prune_stats(),
@@ -168,14 +162,12 @@ fn ledger_reconciles_with_billing_at_every_thread_count() {
 fn paranoid_audit_layer_preserves_the_ledger() {
     for algo in ["knng", "prim", "pam"] {
         let plain = observe(algo, 1, false, false);
-        for threads in [1, 2, 8] {
-            let audited = observe(algo, threads, true, false);
-            assert_i11(&audited, &format!("{algo}/paranoid/t{threads}"));
-            assert_eq!(
-                plain.ledger, audited.ledger,
-                "{algo}: the audit wrapper changed the ledger at threads={threads}"
-            );
-        }
+        let audited = observe(algo, 1, true, false);
+        assert_i11(&audited, &format!("{algo}/paranoid"));
+        assert_eq!(
+            plain.ledger, audited.ledger,
+            "{algo}: the audit wrapper changed the ledger"
+        );
     }
 }
 
@@ -184,33 +176,28 @@ fn weak_quorums_are_attributed_not_billed() {
     // Error-free weak tier: most fresh pairs quorum weakly and the ledger
     // splits them from the billed strong calls exactly (strong_call ==
     // billed calls is part of `assert_i11`). A few strong calls remain by
-    // design — saturated weak votes (pairs at max_distance) escalate, and
-    // pool workloads may adopt speculative strong-path probes — which is
-    // exactly why the attribution matters: the ledger, not the raw call
-    // counter, says how much the weak tier actually carried.
+    // design — saturated weak votes (pairs at max_distance) escalate —
+    // which is exactly why the attribution matters: the ledger, not the raw
+    // call counter, says how much the weak tier actually carried.
     for algo in ["knng", "prim", "pam"] {
-        for threads in [1, 2, 8] {
-            let o = observe(algo, threads, false, true);
-            assert_i11(&o, &format!("{algo}/weak/t{threads}"));
-            assert!(
-                o.ledger.weak_quorum > 0,
-                "{algo}: weak tier resolved nothing"
-            );
-            assert!(
-                o.ledger.weak_quorum > o.ledger.strong_call,
-                "{algo}: weak tier should carry most resolutions at rate 0"
-            );
-        }
+        let o = observe(algo, 1, false, true);
+        assert_i11(&o, &format!("{algo}/weak"));
+        assert!(
+            o.ledger.weak_quorum > 0,
+            "{algo}: weak tier resolved nothing"
+        );
+        assert!(
+            o.ledger.weak_quorum > o.ledger.strong_call,
+            "{algo}: weak tier should carry most resolutions at rate 0"
+        );
     }
 }
 
 #[test]
 fn paranoid_weak_cascade_still_reconciles() {
-    for threads in [1, 2, 8] {
-        let o = observe("prim", threads, true, true);
-        assert_i11(&o, &format!("prim/paranoid+weak/t{threads}"));
-        assert!(o.ledger.weak_quorum > 0);
-    }
+    let o = observe("prim", 1, true, true);
+    assert_i11(&o, "prim/paranoid+weak");
+    assert!(o.ledger.weak_quorum > 0);
 }
 
 #[test]
@@ -254,55 +241,49 @@ fn traces_show_zero_semantic_divergence_across_thread_counts() {
 /// One SPLUB run: its output, billed calls, prune counters and ledger. A
 /// traced resolver bypasses the goal-aware query cascade; an untraced one
 /// routes every threshold probe through it.
-fn splub_run(
-    algo: &str,
-    threads: usize,
-    traced: bool,
-) -> (String, u64, PruneStats, ProvenanceLedger) {
+fn splub_run(algo: &str, traced: bool) -> (String, u64, PruneStats, ProvenanceLedger) {
     let metric = ring_metric();
     let mut oracle = Oracle::new(&metric);
     if traced {
         oracle = oracle.with_trace(Rc::new(JsonlSink::in_memory()) as Rc<dyn TraceSink>);
     }
     let mut r = BoundResolver::new(&oracle, Splub::new(N, 1.0));
-    let out = run_algo(algo, &mut r, threads);
+    let out = run_algo(algo, &mut r);
     (out, oracle.calls(), r.prune_stats(), r.provenance())
 }
 
 #[test]
 fn splub_cascade_keeps_outputs_and_attributes_every_decision() {
     for algo in ["knng", "prim"] {
-        for threads in [1, 2] {
-            let ctx = format!("{algo}/splub/t{threads}");
-            let (out, calls, stats, ledger) = splub_run(algo, threads, false);
-            let (t_out, t_calls, t_stats, t_ledger) = splub_run(algo, threads, true);
-            assert_eq!(out, t_out, "{ctx}: the cascade changed the output");
-            assert_eq!(calls, t_calls, "{ctx}: the cascade changed oracle calls");
-            assert_eq!(stats, t_stats, "{ctx}: the cascade changed PruneStats");
-            assert_eq!(
-                ledger.decisive_total(),
-                stats.decided_by_bounds,
-                "{ctx}: decision rows != decided_by_bounds"
+        let ctx = format!("{algo}/splub");
+        let (out, calls, stats, ledger) = splub_run(algo, false);
+        let (t_out, t_calls, t_stats, t_ledger) = splub_run(algo, true);
+        assert_eq!(out, t_out, "{ctx}: the cascade changed the output");
+        assert_eq!(calls, t_calls, "{ctx}: the cascade changed oracle calls");
+        assert_eq!(stats, t_stats, "{ctx}: the cascade changed PruneStats");
+        assert_eq!(
+            ledger.decisive_total(),
+            stats.decided_by_bounds,
+            "{ctx}: decision rows != decided_by_bounds"
+        );
+        let mut cascade = 0;
+        for (scheme, tier, count) in ledger.decisive_rows() {
+            assert_eq!(scheme, "SPLUB", "{ctx}: unexpected scheme row");
+            assert!(
+                ["bidi", "full", "direct"].contains(&tier),
+                "{ctx}: unexpected tier {tier}"
             );
-            let mut cascade = 0;
-            for (scheme, tier, count) in ledger.decisive_rows() {
-                assert_eq!(scheme, "SPLUB", "{ctx}: unexpected scheme row");
-                assert!(
-                    ["bidi", "full", "direct"].contains(&tier),
-                    "{ctx}: unexpected tier {tier}"
-                );
-                if tier != "direct" {
-                    cascade += count;
-                }
+            if tier != "direct" {
+                cascade += count;
             }
-            // kNN's threshold probes take the cascade; Prim's IF statements
-            // are pair-vs-pair `less` probes, which never do.
-            if algo == "knng" {
-                assert!(cascade > 0, "{ctx}: the cascade decided nothing");
-            }
-            for (_, tier, _) in t_ledger.decisive_rows() {
-                assert_eq!(tier, "direct", "{ctx}: traced run must be all-direct");
-            }
+        }
+        // kNN's threshold probes take the cascade; Prim's IF statements
+        // are pair-vs-pair `less` probes, which never do.
+        if algo == "knng" {
+            assert!(cascade > 0, "{ctx}: the cascade decided nothing");
+        }
+        for (_, tier, _) in t_ledger.decisive_rows() {
+            assert_eq!(tier, "direct", "{ctx}: traced run must be all-direct");
         }
     }
 }

@@ -1,19 +1,17 @@
 //! Trace exactness across thread counts (invariant I8).
 //!
 //! The committed JSONL trace of a run must be a pure function of the
-//! workload and its seeds — byte-identical no matter how many worker
-//! threads the pool uses, and (modulo the injected retry/fault lines
-//! themselves) identical whether or not a deterministic fault schedule
-//! is active. These tests pin that for the three paper workloads that
-//! exercise the speculative commit protocol: kNN-graph construction,
+//! workload and its seeds — byte-identical whatever the process-wide
+//! thread count (`--threads`) says, and (modulo the injected retry/fault
+//! lines themselves) identical whether or not a deterministic fault
+//! schedule is active. These tests pin that for kNN-graph construction,
 //! Prim's MST, and PAM.
 
 use std::rc::Rc;
 
-use prox_algos::{try_knn_graph_pool, try_pam_pool, try_prim_mst, PamParams};
+use prox_algos::{try_knn_graph, try_pam, try_prim_mst, PamParams};
 use prox_bounds::{BoundResolver, TriScheme};
 use prox_core::{FaultInjector, FnMetric, ObjectId, Oracle, RetryPolicy};
-use prox_exec::ExecPool;
 use prox_obs::{JsonlSink, TraceSink};
 
 const N: usize = 24;
@@ -28,9 +26,10 @@ fn ring_metric() -> FnMetric<impl Fn(ObjectId, ObjectId) -> f64> {
     })
 }
 
-/// Runs one workload at the given thread count and returns its committed
-/// JSONL trace.
+/// Runs one workload with the process-wide thread count set to `threads`
+/// and returns its committed JSONL trace.
 fn trace_of(algo: &str, threads: usize, fault_rate: f64) -> String {
+    prox_exec::set_global_threads(threads);
     let sink = Rc::new(JsonlSink::in_memory());
     let mut oracle =
         Oracle::new(ring_metric()).with_trace(Rc::<JsonlSink>::clone(&sink) as Rc<dyn TraceSink>);
@@ -42,10 +41,9 @@ fn trace_of(algo: &str, threads: usize, fault_rate: f64) -> String {
             .with_retry(RetryPolicy::standard(16));
     }
     let mut resolver = BoundResolver::new(&oracle, TriScheme::new(N, 1.0));
-    let pool = ExecPool::new(threads);
     match algo {
         "knng" => {
-            try_knn_graph_pool(&mut resolver, 4, &pool).expect("full retry absorbs faults");
+            try_knn_graph(&mut resolver, 4).expect("full retry absorbs faults");
         }
         "prim" => {
             try_prim_mst(&mut resolver).expect("full retry absorbs faults");
@@ -56,7 +54,7 @@ fn trace_of(algo: &str, threads: usize, fault_rate: f64) -> String {
                 max_swaps: 20,
                 seed: 5,
             };
-            try_pam_pool(&mut resolver, params, &pool).expect("full retry absorbs faults");
+            try_pam(&mut resolver, params).expect("full retry absorbs faults");
         }
         other => panic!("unknown workload {other}"),
     }

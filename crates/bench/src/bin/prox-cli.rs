@@ -157,7 +157,7 @@ fn usage() -> ExitCode {
          \x20       --dataset <sf|urbangb|flickr|strings> --n <N>\n\
          \x20       [--plug vanilla|tri|tri-nb|splub|adm|laesa|tlaesa|dft]\n\
          \x20       [--landmarks K] [--seed S] [--k 5] [--l 10]\n\
-         \x20       [--oracle-cost-ms MS] [--cache FILE] [--threads N]\n\
+         \x20       [--oracle-cost-ms MS] [--cache FILE]\n\
          \x20       [--faults RATE[:SEED]] [--retry N[:BASE_MS]] [--budget CALLS]\n\
          \x20       [--corrupt RATE[:SEED]] [--vote K[:N]]\n\
          \x20       [--weak RATE[:SEED]] [--degrade]\n\
@@ -346,9 +346,6 @@ fn parse() -> Option<Args> {
             }
             "--metrics" => a.metrics = true,
             "--ledger" => a.ledger = Some(val()?),
-            // 0 = one per core. Results and oracle-call counts are
-            // identical at any thread count (speculate/commit protocol).
-            "--threads" => prox_exec::set_global_threads(val()?.parse().ok()?),
             other => {
                 eprintln!("unknown flag {other:?}");
                 return None;

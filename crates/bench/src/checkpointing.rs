@@ -15,7 +15,7 @@
 //! never resolved.
 
 use prox_bounds::DistanceResolver;
-use prox_core::{Checkpointer, OracleError, Pair, PruneStats, SpecBounds};
+use prox_core::{Checkpointer, OracleError, Pair, PruneStats};
 
 /// Wraps a resolver with periodic checkpointing (see module docs).
 pub struct CheckpointingResolver<'a> {
@@ -158,9 +158,6 @@ impl DistanceResolver for CheckpointingResolver<'_> {
     }
     fn pair_stamp(&self, x: Pair) -> u64 {
         self.inner.pair_stamp(x)
-    }
-    fn spec(&self) -> Option<&dyn SpecBounds> {
-        self.inner.spec()
     }
     fn trace_sink(&self) -> Option<std::rc::Rc<dyn prox_obs::TraceSink>> {
         self.inner.trace_sink()

@@ -52,11 +52,9 @@
 //!
 //! ## Threading
 //!
-//! Weak votes run on the sequential resolution path only: speculation
-//! workers read `SpecBounds` snapshots (forwarded from the inner
-//! resolver) and never resolve, so `weak_probe` trace events replay in
-//! commit order and the semantic stream stays thread-invariant (I8
-//! composes with I10).
+//! Plugged algorithm runs are sequential at every thread count, so weak
+//! votes and their `weak_probe` trace events happen in one canonical order
+//! and the semantic stream is thread-invariant (I8 composes with I10).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -64,7 +62,7 @@ use std::rc::Rc;
 use prox_core::invariant;
 use prox_core::invariant::expect_ok;
 use prox_core::weak::{Degradation, DegradationReport, DegradeReason, WeakOracle};
-use prox_core::{Metric, OracleError, Pair, PruneStats, SpecBounds};
+use prox_core::{Metric, OracleError, Pair, PruneStats};
 use prox_obs::{Metrics, ProvenanceLedger, ResolutionSource, TraceEvent, TraceSink, WeakOutcome};
 
 use crate::audit::{CorruptionStats, VOTE_CAP};
@@ -481,10 +479,6 @@ impl<R: DistanceResolver, M: Metric> DistanceResolver for CascadeResolver<R, M> 
 
     fn pair_stamp(&self, x: Pair) -> u64 {
         self.inner.pair_stamp(x)
-    }
-
-    fn spec(&self) -> Option<&dyn SpecBounds> {
-        self.inner.spec()
     }
 
     fn trace_sink(&self) -> Option<Rc<dyn TraceSink>> {

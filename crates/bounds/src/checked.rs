@@ -25,7 +25,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use prox_core::invariant;
-use prox_core::{Pair, PruneStats, SpecBounds};
+use prox_core::{Pair, PruneStats};
 
 use crate::{DistanceResolver, DECISION_EPS};
 
@@ -259,22 +259,12 @@ impl<R: DistanceResolver, F: Fn(Pair) -> f64> DistanceResolver for CheckedResolv
         self.inner.prune_stats_mut()
     }
 
-    // The speculate/commit protocol hooks forward unchanged: speculative
-    // values are only reused when they bitwise equal what the inner
-    // resolver would produce, so the audit stream loses some probes (the
-    // reused ones) but every value that *is* probed is still audited. The
-    // monotonicity ledger only ever gets laxer from a skipped probe, so no
-    // false alarms can result.
     fn generation(&self) -> u64 {
         self.inner.generation()
     }
 
     fn pair_stamp(&self, x: Pair) -> u64 {
         self.inner.pair_stamp(x)
-    }
-
-    fn spec(&self) -> Option<&dyn SpecBounds> {
-        self.inner.spec()
     }
 
     // Observation handles forward untouched: the audit layer emits no

@@ -106,8 +106,8 @@ pub trait DistanceResolver {
     /// the resolver's knowledge and stats advance only on success.
     ///
     /// The default forwards to `resolve`, which is correct for resolvers
-    /// that never touch a fallible oracle (test doubles, speculative
-    /// probes); oracle-backed resolvers override it.
+    /// that never touch a fallible oracle (test doubles); oracle-backed
+    /// resolvers override it.
     fn resolve_fallible(&mut self, p: Pair) -> Result<f64, OracleError> {
         Ok(self.resolve(p))
     }
@@ -237,38 +237,35 @@ pub trait DistanceResolver {
     fn prune_stats_mut(&mut self) -> &mut PruneStats;
 
     /// Monotone generation counter of the resolver's bound state (`0` when
-    /// the resolver does not track one). Used by the speculate/commit
-    /// protocol to gate reuse of speculative results.
+    /// the resolver does not track one).
+    ///
+    /// No workspace code calls this, [`DistanceResolver::pair_stamp`] or
+    /// [`DistanceResolver::spec`]. The three stay because the benchmark's
+    /// `TimedResolver` forwards them; they go with it (ROADMAP item 8).
     fn generation(&self) -> u64 {
         0
     }
 
     /// Upper bound on the last generation at which bound-derived answers
     /// for `x` may have changed. The default, `u64::MAX` ("always stale"),
-    /// is the safe answer for resolvers that cannot track freshness: no
-    /// speculative value is ever treated as current.
+    /// is the safe answer for resolvers that cannot track freshness. No
+    /// workspace code calls it (see [`DistanceResolver::generation`]).
     fn pair_stamp(&self, x: Pair) -> u64 {
         let _ = x;
         u64::MAX
     }
 
-    /// A read-only, thread-shareable snapshot of the resolver's bound
-    /// state for speculative parallel evaluation. `None` (the default)
-    /// keeps every consumer on the sequential path.
-    ///
-    /// Implementors must guarantee that their `try_*` verdicts are the
-    /// pure decision functions of `bounds`/`known` used by
-    /// [`BoundResolver`] — the committer's speculative replay reproduces
-    /// exactly those decisions (same [`DECISION_EPS`] margins, same known
-    /// fast paths).
+    /// A read-only view of the resolver's bound state. Always `None`: no
+    /// workspace resolver overrides it and no workspace code calls it (see
+    /// [`DistanceResolver::generation`]).
     fn spec(&self) -> Option<&dyn SpecBounds> {
         None
     }
 
     /// The trace sink this resolver emits [`TraceEvent::BoundProbe`]
     /// events into, if any. Wrapper resolvers forward to the inner
-    /// resolver so speculation helpers can discover the sink through any
-    /// layering; `None` (the default) means untraced.
+    /// resolver so algorithms can open spans through any layering; `None`
+    /// (the default) means untraced.
     fn trace_sink(&self) -> Option<Rc<dyn TraceSink>> {
         None
     }
@@ -1009,10 +1006,6 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
 
     fn pair_stamp(&self, x: Pair) -> u64 {
         self.scheme.pair_stamp(x)
-    }
-
-    fn spec(&self) -> Option<&dyn SpecBounds> {
-        self.scheme.spec()
     }
 
     fn trace_sink(&self) -> Option<Rc<dyn TraceSink>> {

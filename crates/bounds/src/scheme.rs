@@ -138,9 +138,10 @@ pub trait BoundScheme {
         self.generation()
     }
 
-    /// A read-only, thread-shareable snapshot view for speculative bound
-    /// evaluation (see `prox_core::spec`), when the scheme supports one.
-    /// Schemes returning `None` simply keep all consumers sequential.
+    /// A read-only, thread-shareable view of the scheme (see
+    /// `prox_core::spec`); only Tri offers one. No workspace code calls
+    /// this: it stays because the benchmark's `TimedScheme` forwards it,
+    /// and goes with that wrapper (ROADMAP item 8).
     fn spec(&self) -> Option<&dyn SpecBounds> {
         None
     }

@@ -3,8 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use prox_core::invariant::InvariantExt;
-use prox_core::{ObjectId, Pair, SpecBounds, SpecScratch};
+use prox_core::{ObjectId, Pair};
 use prox_graph::{Dijkstra, DistMap, PartialGraph};
 
 use crate::resolver::CASCADE_EPS;
@@ -76,16 +75,6 @@ pub struct Splub {
     dij_bi_b: Dijkstra,
 }
 
-/// Per-worker scratch for speculative SPLUB bound queries: the same
-/// two-slot source-tagged Dijkstra cache, minus the generation tag (the
-/// snapshot graph is frozen while the view is borrowed).
-struct SplubScratch {
-    dij_a: Dijkstra,
-    dij_b: Dijkstra,
-    src_a: Option<ObjectId>,
-    src_b: Option<ObjectId>,
-}
-
 impl Splub {
     /// An empty SPLUB scheme over `n` objects with distances in
     /// `[0, max_distance]`.
@@ -144,8 +133,6 @@ impl Splub {
 }
 
 /// TUB/TLB from two settled shortest-path trees (Equations 2 and 3).
-/// Shared verbatim by the live and snapshot paths so both produce
-/// bitwise-identical bounds from identical trees.
 fn wrap_bounds(
     graph: &PartialGraph,
     max_distance: f64,
@@ -263,10 +250,6 @@ impl BoundScheme for Splub {
     // path or improve a wrap), so the conservative default pair stamp — the
     // current generation — is also the sharp one; no override.
 
-    fn spec(&self) -> Option<&dyn SpecBounds> {
-        Some(self)
-    }
-
     fn bounds_cacheable(&self) -> bool {
         true
     }
@@ -314,70 +297,6 @@ impl BoundScheme for Splub {
         // Otherwise the exact sandwich (memoized inside `bounds`).
         let (lb, ub) = self.bounds(p);
         GoalBounds::Exact { lb, ub }
-    }
-}
-
-impl SpecBounds for Splub {
-    fn spec_n(&self) -> usize {
-        self.graph.n()
-    }
-
-    fn spec_max_distance(&self) -> f64 {
-        self.max_distance
-    }
-
-    fn spec_generation(&self) -> u64 {
-        self.graph.generation()
-    }
-
-    fn spec_pair_stamp(&self, _p: Pair) -> u64 {
-        self.graph.generation()
-    }
-
-    fn spec_known(&self, p: Pair) -> Option<f64> {
-        self.graph.get(p)
-    }
-
-    fn new_scratch(&self) -> SpecScratch {
-        SpecScratch::with(SplubScratch {
-            dij_a: Dijkstra::new(self.graph.n()),
-            dij_b: Dijkstra::new(self.graph.n()),
-            src_a: None,
-            src_b: None,
-        })
-    }
-
-    fn spec_bounds(&self, p: Pair, scratch: &mut SpecScratch) -> (f64, f64) {
-        if let Some(d) = self.graph.get(p) {
-            return (d, d);
-        }
-        if scratch.get_mut::<SplubScratch>().is_none() {
-            *scratch = self.new_scratch();
-        }
-        let s = scratch
-            .get_mut::<SplubScratch>()
-            .expect_invariant("scratch installed above");
-        let (a, b) = p.ends();
-        if s.src_a != Some(a) {
-            s.dij_a.run(&self.graph, a);
-            s.src_a = Some(a);
-        }
-        if s.src_b != Some(b) {
-            s.dij_b.run(&self.graph, b);
-            s.src_b = Some(b);
-        }
-        wrap_bounds(
-            &self.graph,
-            self.max_distance,
-            b,
-            s.dij_a.view(),
-            s.dij_b.view(),
-        )
-    }
-
-    fn spec_label(&self) -> &'static str {
-        // Must match `BoundScheme::name` for trace byte-identity (I8).
-        "SPLUB"
     }
 }
 

@@ -1,6 +1,6 @@
 //! Tri Scheme — triangle-induced bounds (§4.2 of the paper, Algorithm 2).
 
-use prox_core::{ObjectId, Pair, SpecBounds, SpecScratch};
+use prox_core::{ObjectId, Pair, SpecBounds};
 use prox_graph::PartialGraph;
 
 use crate::BoundScheme;
@@ -61,7 +61,7 @@ impl TriScheme {
         &self.graph
     }
 
-    /// The merge, shared verbatim by the snapshot path
+    /// The merge, shared verbatim by the read-only view
     /// (`SpecBounds::spec_bounds`) and by live queries the anchor row cannot
     /// answer.
     fn bounds_ro(&self, p: Pair) -> (f64, f64) {
@@ -229,10 +229,6 @@ impl SpecBounds for TriScheme {
         self.graph.n()
     }
 
-    fn spec_max_distance(&self) -> f64 {
-        self.max_distance
-    }
-
     fn spec_generation(&self) -> u64 {
         self.graph.generation()
     }
@@ -245,13 +241,8 @@ impl SpecBounds for TriScheme {
         self.graph.get(p)
     }
 
-    fn spec_bounds(&self, p: Pair, _scratch: &mut SpecScratch) -> (f64, f64) {
+    fn spec_bounds(&self, p: Pair) -> (f64, f64) {
         self.bounds_ro(p)
-    }
-
-    fn spec_label(&self) -> &'static str {
-        // Must match `BoundScheme::name` for trace byte-identity (I8).
-        "Tri"
     }
 }
 
@@ -364,7 +355,7 @@ mod tests {
             bits(s.bounds_ro(q)),
             "{ctx}: {q:?} row vs merge"
         );
-        let spec = s.spec_bounds(q, &mut SpecScratch::none());
+        let spec = s.spec_bounds(q);
         assert_eq!(bits(live), bits(spec), "{ctx}: {q:?} live vs snapshot");
         from_row
     }

@@ -51,7 +51,7 @@ pub use oracle::Oracle;
 pub use pair::{Pair, PairMap};
 pub use persist::{load_known, load_known_lenient, save_known, LoadReport};
 pub use rng::TinyRng;
-pub use spec::{QueryGoal, SpecBounds, SpecScratch};
+pub use spec::{QueryGoal, SpecBounds};
 pub use stats::{OracleStats, PruneStats};
 pub use weak::{
     Degradation, DegradationReport, DegradeReason, Degraded, WeakErrorKind, WeakOracle,

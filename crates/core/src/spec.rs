@@ -1,26 +1,9 @@
-//! Read-only snapshot views for speculative bound evaluation.
+//! Query goals, and the read-only scheme view [`SpecBounds`].
 //!
-//! The speculate-in-parallel / commit-in-order protocol (see `prox-exec`
-//! and DESIGN.md) lets worker threads evaluate candidate bounds against a
-//! **frozen** view of a bound scheme while a sequential committer replays
-//! the candidates in canonical order. [`SpecBounds`] is the contract that
-//! view must satisfy:
-//!
-//! * it is `Sync` — workers share one `&dyn SpecBounds` across threads;
-//! * `bounds` must return **bitwise** the same `(lb, ub)` the live scheme's
-//!   `bounds` would have returned at the snapshot generation (same formula,
-//!   same iteration order, same rounding);
-//! * `pair_stamp(p)` is an upper bound on the last generation at which
-//!   `bounds(p)` may have changed, so the committer can tell which
-//!   speculative values are still current ("fresh") after it has resolved
-//!   more distances.
-//!
-//! Freshness gives *bit-equality* reuse (safe even for ordering keys);
-//! monotone tightening gives *verdict* reuse (a decisive stale bound stays
-//! decisive, because bounds only tighten) — the two reuse rules the
-//! committer applies.
-
-use std::any::Any;
+//! No workspace code calls [`SpecBounds`]. It is kept only because the
+//! benchmark's forwarding wrappers (`prox-perf`'s `Timed*` types) forward
+//! `spec()` and pin that Tri still offers the view; it goes when those
+//! wrappers are deleted (ROADMAP item 8).
 
 use crate::Pair;
 
@@ -57,42 +40,21 @@ impl QueryGoal {
     }
 }
 
-/// Per-worker mutable scratch for [`SpecBounds::bounds`] (e.g. SPLUB's
-/// Dijkstra buffers). Opaque so the trait stays object-safe; schemes that
-/// need none return [`SpecScratch::none`].
-pub struct SpecScratch(Option<Box<dyn Any + Send>>);
-
-impl SpecScratch {
-    /// Scratch for schemes whose bound queries are allocation-free.
-    pub fn none() -> Self {
-        SpecScratch(None)
-    }
-
-    /// Wraps a scheme-specific scratch value.
-    pub fn with<T: Any + Send>(value: T) -> Self {
-        SpecScratch(Some(Box::new(value)))
-    }
-
-    /// Downcasts to the scheme-specific scratch type.
-    pub fn get_mut<T: Any + Send>(&mut self) -> Option<&mut T> {
-        self.0.as_mut()?.downcast_mut::<T>()
-    }
-}
-
 /// A frozen, thread-shareable view of a bound scheme's state.
+///
+/// No workspace code calls this trait; it goes with the benchmark's
+/// forwarding wrappers (ROADMAP item 8, see the module doc).
 ///
 /// # Contract
 ///
-/// With `g = generation()` at snapshot time (the scheme is not mutated
-/// while the view is borrowed, so `g` is constant):
+/// With `g = spec_generation()`:
 ///
-/// * `known(p)` equals the live scheme's `known(p)` at generation `g`.
-/// * `bounds(p, _)` equals the live scheme's `bounds(p)` at generation `g`
-///   **bitwise** — the committer reuses these as sort keys, so "close
-///   enough" is not enough.
+/// * `spec_known(p)` equals the live scheme's `known(p)` at generation `g`.
+/// * `spec_bounds(p)` equals the live scheme's `bounds(p)` at generation
+///   `g` **bitwise**.
 /// * For every pair `p` and any later live generation `g' >= g`: if the
 ///   live `pair_stamp(p) <= g`, the live `bounds(p)` still equals the
-///   snapshot value bitwise.
+///   view's value bitwise.
 pub trait SpecBounds: Sync {
     /// Number of objects.
     ///
@@ -101,46 +63,15 @@ pub trait SpecBounds: Sync {
     /// otherwise shadow at concrete call sites.)
     fn spec_n(&self) -> usize;
 
-    /// The a-priori distance cap.
-    fn spec_max_distance(&self) -> f64;
-
-    /// The snapshot generation.
+    /// The view's generation.
     fn spec_generation(&self) -> u64;
 
     /// Upper bound on the last generation at which `spec_bounds(p)` changed.
     fn spec_pair_stamp(&self, p: Pair) -> u64;
 
-    /// Exact distance for `p` if recorded at snapshot time.
+    /// Exact distance for `p` if recorded in the view.
     fn spec_known(&self, p: Pair) -> Option<f64>;
 
-    /// Fresh per-worker scratch for [`SpecBounds::spec_bounds`].
-    fn new_scratch(&self) -> SpecScratch {
-        SpecScratch::none()
-    }
-
-    /// Display label for trace events emitted against this snapshot.
-    /// Must equal the live scheme's `BoundScheme::name()` so buffered
-    /// speculative `BoundProbe` events are byte-identical to the events
-    /// the live resolver would have emitted (I8).
-    fn spec_label(&self) -> &'static str {
-        "scheme"
-    }
-
-    /// `(lower, upper)` bounds for `p` at the snapshot; `(d, d)` when known.
-    fn spec_bounds(&self, p: Pair, scratch: &mut SpecScratch) -> (f64, f64);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scratch_roundtrip() {
-        let mut s = SpecScratch::with(vec![1u32, 2, 3]);
-        let v: &mut Vec<u32> = s.get_mut().expect("stored type");
-        v.push(4);
-        assert_eq!(s.get_mut::<Vec<u32>>().map(|v| v.len()), Some(4));
-        assert!(s.get_mut::<String>().is_none(), "wrong type downcast");
-        assert!(SpecScratch::none().get_mut::<u8>().is_none());
-    }
+    /// `(lower, upper)` bounds for `p` in the view; `(d, d)` when known.
+    fn spec_bounds(&self, p: Pair) -> (f64, f64);
 }

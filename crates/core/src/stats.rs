@@ -62,16 +62,6 @@ impl PruneStats {
         self.decided_by_bounds + self.fell_through
     }
 
-    /// Adds `other`'s counters onto `self` — used when a speculative
-    /// evaluation's stat deltas are committed onto the live resolver.
-    pub fn merge(&mut self, other: &PruneStats) {
-        self.decided_by_bounds += other.decided_by_bounds;
-        self.fell_through += other.fell_through;
-        self.served_known += other.served_known;
-        self.resolved += other.resolved;
-        self.preloaded += other.preloaded;
-    }
-
     /// Fraction of comparisons decided without the oracle, in `[0, 1]`.
     pub fn decision_rate(&self) -> f64 {
         let total = self.comparisons();

@@ -30,10 +30,9 @@ pub fn global_threads() -> usize {
 /// The pool is a *policy*, not a set of live threads: each
 /// [`ExecPool::map_indexed`] call spawns `threads` scoped workers that pull
 /// index chunks off a shared atomic counter, and joins them all before
-/// returning. Scoped spawning keeps borrowed data (`&dyn SpecBounds`
-/// snapshots) usable without `Arc` or `'static` bounds, and the join
-/// barrier is what makes the commit phase's view of the results total and
-/// ordered.
+/// returning. Scoped spawning keeps borrowed data usable without `Arc` or
+/// `'static` bounds, and the join barrier hands the caller every result
+/// in index order.
 #[derive(Copy, Clone, Debug)]
 pub struct ExecPool {
     threads: usize,
@@ -68,7 +67,7 @@ impl ExecPool {
     ///
     /// Work is claimed in chunks off an atomic counter, so the assignment
     /// of indices to threads is racy — but `f` must be a pure function of
-    /// its index (it only reads shared snapshots), so the *result vector*
+    /// its index (it only reads shared data), so the *result vector*
     /// is deterministic regardless of scheduling. A panic in any worker is
     /// propagated to the caller after the scope joins.
     pub fn map_indexed<T, F>(&self, len: usize, f: F) -> Vec<T>

@@ -18,9 +18,9 @@ pub struct PartialGraph {
     adj: Vec<Vec<(ObjectId, f64)>>,
     edges: Vec<(Pair, f64)>,
     /// Bumped once per new edge; `node_stamp[v]` records the generation of
-    /// the last insertion incident on `v`. Together they let snapshot-based
-    /// (speculative) consumers decide whether bounds derived from a node's
-    /// adjacency are still current — see `prox_core::spec`.
+    /// the last insertion incident on `v`. Together they let stamp-gated
+    /// consumers (the resolver's bound cache) decide whether bounds derived
+    /// from a node's adjacency are still current.
     generation: u64,
     node_stamp: Vec<u64>,
 }
@@ -128,8 +128,8 @@ impl PartialGraph {
     /// inconsistent with the triangle inequality must be *retracted* before
     /// a trusted replacement is inserted, since every bound derived through
     /// the poisoned edge is suspect. Bumps the generation and stamps both
-    /// endpoints so stamp-gated consumers (bound caches, speculative
-    /// snapshots) refuse anything derived before the retraction.
+    /// endpoints so stamp-gated consumers (bound caches) refuse anything
+    /// derived before the retraction.
     pub fn remove(&mut self, p: Pair) -> Option<f64> {
         let (a, b) = p.ends();
         let i = self.adj[a as usize]

@@ -27,9 +27,7 @@ const CONTEXT: usize = 3;
 ///    the algorithm decided),
 /// 3. surviving `oracle_call` lines get their attempt index reset to 0 (a
 ///    retried call succeeds at attempt `k > 0` where a clean run succeeds
-///    at attempt 0),
-/// 4. execution-class events (`speculate`/`commit`) are dropped — they
-///    describe scheduling, not semantics.
+///    at attempt 0.
 pub fn normalize(trace: &str) -> Vec<String> {
     trace
         .lines()
@@ -39,7 +37,7 @@ pub fn normalize(trace: &str) -> Vec<String> {
             _ => l.to_string(),
         })
         .filter(|l| match field(l, "ev") {
-            Some("retry") | Some("speculate") | Some("commit") => false,
+            Some("retry") => false,
             Some("oracle_call") => field(l, "outcome") == Some("ok"),
             _ => true,
         })
@@ -278,17 +276,6 @@ mod tests {
         assert_eq!(div.index, 3);
         assert!(div.b.is_none());
         assert!(d.render().contains("<trace ended>"));
-    }
-
-    #[test]
-    fn execution_class_events_are_normalized_away() {
-        let with_exec = format!(
-            "{}{}",
-            "{\"seq\":0,\"ev\":\"speculate\",\"generation\":1,\"items\":4}\n",
-            CLEAN.replace("\"seq\":0", "\"seq\":5")
-        );
-        let d = semantic_diff(CLEAN, &with_exec);
-        assert!(d.identical(), "{:?}", d.divergence);
     }
 
     #[test]

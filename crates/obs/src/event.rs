@@ -6,16 +6,9 @@
 //! wall-clock time — so an emitted stream is a pure function of the
 //! workload and seed.
 //!
-//! Events split into two classes (see [`EventClass`]):
-//!
-//! - **Semantic** events describe *what was decided*: oracle attempts,
-//!   bound probes, faults, retries, checkpoints, phase markers. A correct
-//!   speculate/commit implementation produces the identical semantic
-//!   stream at any thread count.
-//! - **Execution** events describe *how the work was scheduled*
-//!   (speculation batches and their commit outcomes). They are inherently
-//!   thread-dependent and are excluded from sinks by default so the
-//!   default trace stays byte-identical across `--threads N`.
+//! Every event describes *what was decided*: oracle attempts, bound
+//! probes, faults, retries, checkpoints, phase markers. Plugged runs are
+//! sequential, so the stream is identical at any `--threads N` (I8).
 
 /// Outcome of one billed (or budget-denied) oracle attempt.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -154,16 +147,6 @@ impl WeakOutcome {
     }
 }
 
-/// Determinism class of an event; see the module docs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum EventClass {
-    /// Identical at any thread count (I8).
-    Semantic,
-    /// Scheduling detail; varies with thread count. Filtered out by
-    /// default, before sequence numbers are assigned.
-    Execution,
-}
-
 /// One structured trace event. Object pairs are carried as `(lo, hi)`
 /// raw ids with `lo <= hi`, matching `prox_core::Pair`'s canonical form.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -189,18 +172,6 @@ pub enum TraceEvent {
         /// `BoundScheme::name()` of the deciding scheme.
         scheme: &'static str,
     },
-    /// A speculation batch was launched (execution class).
-    Speculate {
-        generation: u64,
-        /// Number of speculative work items in the batch.
-        items: u32,
-    },
-    /// A speculation batch was committed (execution class).
-    Commit {
-        generation: u64,
-        /// How many speculative results were reused verbatim.
-        reused: u32,
-    },
     /// A logical call gave up after exhausting its retry allowance.
     Fault {
         lo: u32,
@@ -222,8 +193,7 @@ pub enum TraceEvent {
     /// per action: a detection records the rejected value against the
     /// violated (or winning-vote) interval; a repair records the trusted
     /// replacement; a retraction records the poisoned value withdrawn
-    /// from the scheme. Semantic class — the audit runs on the
-    /// sequential resolution path, so the stream is thread-invariant.
+    /// from the scheme.
     Corruption {
         lo: u32,
         hi: u32,
@@ -238,9 +208,7 @@ pub enum TraceEvent {
         ub: f64,
     },
     /// The weak tier voted on a fresh pair. `attempts` counts the weak
-    /// probes spent on the vote. Semantic class — weak votes run on the
-    /// sequential resolution path only (speculation workers read bound
-    /// snapshots and never resolve), so the stream is thread-invariant.
+    /// probes spent on the vote.
     WeakProbe {
         lo: u32,
         hi: u32,
@@ -350,21 +318,11 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Determinism class of this event.
-    pub fn class(self) -> EventClass {
-        match self {
-            TraceEvent::Speculate { .. } | TraceEvent::Commit { .. } => EventClass::Execution,
-            _ => EventClass::Semantic,
-        }
-    }
-
     /// Short machine name used as the `ev` field in JSONL.
     pub fn name(self) -> &'static str {
         match self {
             TraceEvent::OracleCall { .. } => "oracle_call",
             TraceEvent::BoundProbe { .. } => "bound_probe",
-            TraceEvent::Speculate { .. } => "speculate",
-            TraceEvent::Commit { .. } => "commit",
             TraceEvent::Fault { .. } => "fault",
             TraceEvent::Retry { .. } => "retry",
             TraceEvent::Corruption { .. } => "corruption",
@@ -422,12 +380,6 @@ impl TraceEvent {
                     verdict.name(),
                     kind.name()
                 );
-            }
-            TraceEvent::Speculate { generation, items } => {
-                let _ = write!(out, ",\"gen\":{generation},\"items\":{items}");
-            }
-            TraceEvent::Commit { generation, reused } => {
-                let _ = write!(out, ",\"gen\":{generation},\"reused\":{reused}");
             }
             TraceEvent::Fault {
                 lo,
@@ -577,41 +529,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classes_split_semantic_from_execution() {
-        assert_eq!(
-            TraceEvent::Speculate {
-                generation: 3,
-                items: 8
-            }
-            .class(),
-            EventClass::Execution
-        );
-        assert_eq!(
-            TraceEvent::Commit {
-                generation: 3,
-                reused: 7
-            }
-            .class(),
-            EventClass::Execution
-        );
-        assert_eq!(
-            TraceEvent::PhaseEnter { name: "build" }.class(),
-            EventClass::Semantic
-        );
-        assert_eq!(
-            TraceEvent::OracleCall {
-                lo: 0,
-                hi: 1,
-                attempt: 0,
-                outcome: CallOutcome::Ok,
-                virtual_ns: 0
-            }
-            .class(),
-            EventClass::Semantic
-        );
-    }
-
-    #[test]
     fn jsonl_encoding_is_stable() {
         let mut s = String::new();
         TraceEvent::OracleCall {
@@ -661,7 +578,6 @@ mod tests {
             tier: "direct",
             count: 41,
         };
-        assert_eq!(ev.class(), EventClass::Semantic);
         let mut s = String::new();
         ev.write_jsonl(9, &mut s);
         assert_eq!(
@@ -681,7 +597,6 @@ mod tests {
             lb: 0.1,
             ub: 0.3,
         };
-        assert_eq!(ev.class(), EventClass::Semantic);
         let mut s = String::new();
         ev.write_jsonl(5, &mut s);
         assert_eq!(
@@ -710,7 +625,6 @@ mod tests {
             attempts: 3,
             outcome: WeakOutcome::Resolved,
         };
-        assert_eq!(ev.class(), EventClass::Semantic);
         let mut s = String::new();
         ev.write_jsonl(9, &mut s);
         assert_eq!(
@@ -737,7 +651,6 @@ mod tests {
             strong_calls: 64,
             reason: "budget_exhausted",
         };
-        assert_eq!(ev.class(), EventClass::Semantic);
         let mut s = String::new();
         ev.write_jsonl(2, &mut s);
         assert_eq!(
@@ -810,7 +723,6 @@ mod tests {
             ),
         ];
         for (ev, want) in cases {
-            assert_eq!(ev.class(), EventClass::Semantic, "{ev:?}");
             let mut s = String::new();
             ev.write_jsonl(1, &mut s);
             assert_eq!(s, want);

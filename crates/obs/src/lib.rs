@@ -6,10 +6,8 @@
 //!
 //! 1. **Determinism (I8).** A trace is a pure function of the workload
 //!    and seed: events carry logical sequence numbers and virtual time,
-//!    never wall time, and thread-dependent scheduling detail
-//!    (speculate/commit) is filtered out *before* sequence assignment
-//!    unless explicitly requested. The committed trace of a parallel
-//!    run is byte-identical to the sequential one.
+//!    never wall time. Plugged runs are sequential, so the trace is
+//!    byte-identical at any `--threads N`.
 //! 2. **Zero cost when off.** Instrumented hot paths test one
 //!    `Option` discriminant captured at resolver construction; the
 //!    disabled path allocates nothing and is pinned by a
@@ -36,9 +34,7 @@ mod sink;
 mod span;
 
 pub use diff::{normalize, semantic_diff, Divergence, TraceDiff};
-pub use event::{
-    CallOutcome, CorruptionAction, EventClass, ProbeKind, ProbeVerdict, TraceEvent, WeakOutcome,
-};
+pub use event::{CallOutcome, CorruptionAction, ProbeKind, ProbeVerdict, TraceEvent, WeakOutcome};
 pub use ledger::{ProvenanceLedger, ResolutionSource};
 pub use metrics::{quantize_width, Metrics, HISTO_BUCKETS};
 pub use replay::{replay, ReplayReport};

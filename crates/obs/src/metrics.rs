@@ -4,9 +4,7 @@
 //! Names are `&'static str` so registration is free and the registry is
 //! an ordered map (deterministic render order). Like trace sinks, the
 //! registry takes `&self` with interior mutability and never crosses a
-//! thread boundary: speculative workers accumulate into a private
-//! `Metrics` and the committer merges the delta with
-//! [`Metrics::merge_from`] iff the speculation is accepted.
+//! thread boundary.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -133,33 +131,6 @@ impl Metrics {
         self.inner.borrow().is_empty()
     }
 
-    /// Folds every counter and histogram bucket of `other` into `self`.
-    /// This is the commit-time merge for speculative deltas: the whole
-    /// delta lands atomically with the speculation's `PruneStats`.
-    pub fn merge_from(&self, other: &Metrics) {
-        let theirs = other.inner.borrow();
-        let mut ours = self.inner.borrow_mut();
-        for (name, metric) in theirs.iter() {
-            match metric {
-                Metric::Counter(c) => match ours.entry(name).or_insert(Metric::Counter(0)) {
-                    Metric::Counter(mine) => *mine += c,
-                    Metric::Histo(_) => {}
-                },
-                Metric::Histo(h) => match ours
-                    .entry(name)
-                    .or_insert_with(|| Metric::Histo(Box::new([0; HISTO_BUCKETS])))
-                {
-                    Metric::Histo(mine) => {
-                        for (m, t) in mine.iter_mut().zip(h.iter()) {
-                            *m += t;
-                        }
-                    }
-                    Metric::Counter(_) => {}
-                },
-            }
-        }
-    }
-
     /// Renders the registry as an aligned text table. Histograms print
     /// their sample count, p50/p99 bucket-bound estimates, then every
     /// non-empty `2^k` bucket.
@@ -228,24 +199,6 @@ mod tests {
         assert_eq!(h[3], 1);
         assert_eq!(m.histogram_count("retry.depth"), 2);
         assert!(m.histogram("oracle.calls").is_none());
-    }
-
-    #[test]
-    fn merge_folds_counters_and_buckets() {
-        let a = Metrics::new();
-        a.inc("x", 1);
-        a.observe("h", 8);
-        let b = Metrics::new();
-        b.inc("x", 2);
-        b.inc("y", 7);
-        b.observe("h", 8);
-        b.observe("h", 0);
-        a.merge_from(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.counter("y"), 7);
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h[bucket_of(8)], 2);
-        assert_eq!(h[0], 1);
     }
 
     #[test]

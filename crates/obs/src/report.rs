@@ -585,7 +585,6 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                     s.wal_salvaged += 1;
                 }
             }
-            "speculate" | "commit" => {}
             other => {
                 return Err(format!("line {lineno}: unknown event {other:?}"));
             }

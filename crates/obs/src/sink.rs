@@ -1,18 +1,13 @@
 //! Trace sinks: where events go.
 //!
-//! A [`TraceSink`] assigns each *accepted* event a monotone logical
-//! sequence number, starting at 0. Filtering (execution-class events are
-//! rejected unless the sink opts in) happens **before** sequence
-//! assignment, so the default, semantic-only stream numbers its events
-//! identically whether or not speculation ran — the key step in the I8
-//! determinism argument (see DESIGN.md §10).
+//! A [`TraceSink`] assigns each event a monotone logical sequence number,
+//! starting at 0.
 //!
 //! Sinks take `&self` and use interior mutability instead of requiring
 //! `&mut`: emission sites sit behind shared references (resolvers hold
 //! `Rc<dyn TraceSink>` clones of the oracle's sink). Sinks are *not*
-//! `Sync` and never cross threads — speculative workers buffer events
-//! locally and the sequential committer replays accepted buffers, so
-//! only one thread ever emits.
+//! `Sync` and never cross threads: a traced run is sequential, so only
+//! one thread ever emits.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -21,25 +16,17 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::rc::Rc;
 
-use crate::event::{EventClass, TraceEvent};
+use crate::event::TraceEvent;
 
 /// A destination for trace events. See the module docs for the
-/// filtering/sequencing contract.
+/// sequencing contract.
 pub trait TraceSink {
-    /// Offers an event to the sink. The sink either accepts it (assigning
-    /// the next sequence number) or filters it (no number consumed).
+    /// Records an event under the next sequence number.
     fn emit(&self, ev: TraceEvent);
 
-    /// Number of events accepted so far — equivalently, the sequence
-    /// number the next accepted event will receive.
+    /// Number of events emitted so far — equivalently, the sequence
+    /// number the next event will receive.
     fn emitted(&self) -> u64;
-
-    /// Whether this sink records execution-class events
-    /// ([`TraceEvent::Speculate`] / [`TraceEvent::Commit`]). Defaults to
-    /// false so traces stay thread-count independent.
-    fn wants_execution(&self) -> bool {
-        false
-    }
 
     /// Flushes any buffered output. A no-op for in-memory sinks.
     fn flush(&self) {}
@@ -54,52 +41,35 @@ pub fn emit_to(sink: Option<&Rc<dyn TraceSink>>, ev: TraceEvent) {
     }
 }
 
-fn accepts(exec: bool, ev: TraceEvent) -> bool {
-    exec || ev.class() == EventClass::Semantic
-}
-
-/// Counts accepted events, stores nothing. Exists so the enabled-path
+/// Counts events, stores nothing. Exists so the enabled-path
 /// overhead of the instrumentation itself can be benchmarked without
 /// any storage cost.
 #[derive(Default)]
 pub struct NullSink {
     seq: Cell<u64>,
-    exec: bool,
 }
 
 impl NullSink {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Also counts execution-class events.
-    pub fn with_execution(mut self) -> Self {
-        self.exec = true;
-        self
-    }
 }
 
 impl TraceSink for NullSink {
-    fn emit(&self, ev: TraceEvent) {
-        if accepts(self.exec, ev) {
-            self.seq.set(self.seq.get() + 1);
-        }
+    fn emit(&self, _ev: TraceEvent) {
+        self.seq.set(self.seq.get() + 1);
     }
     fn emitted(&self) -> u64 {
         self.seq.get()
     }
-    fn wants_execution(&self) -> bool {
-        self.exec
-    }
 }
 
-/// Keeps the last `cap` accepted events (with their sequence numbers)
+/// Keeps the last `cap` events (with their sequence numbers)
 /// in memory. Suited to tests and post-mortem inspection of the tail.
 pub struct RingSink {
     cap: usize,
     seq: Cell<u64>,
     buf: RefCell<VecDeque<(u64, TraceEvent)>>,
-    exec: bool,
 }
 
 impl RingSink {
@@ -108,14 +78,7 @@ impl RingSink {
             cap,
             seq: Cell::new(0),
             buf: RefCell::new(VecDeque::with_capacity(cap.min(1024))),
-            exec: false,
         }
-    }
-
-    /// Also records execution-class events.
-    pub fn with_execution(mut self) -> Self {
-        self.exec = true;
-        self
     }
 
     /// The retained tail, oldest first.
@@ -126,9 +89,6 @@ impl RingSink {
 
 impl TraceSink for RingSink {
     fn emit(&self, ev: TraceEvent) {
-        if !accepts(self.exec, ev) {
-            return;
-        }
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         let mut buf = self.buf.borrow_mut();
@@ -143,9 +103,6 @@ impl TraceSink for RingSink {
     fn emitted(&self) -> u64 {
         self.seq.get()
     }
-    fn wants_execution(&self) -> bool {
-        self.exec
-    }
 }
 
 enum JsonlWriter {
@@ -154,12 +111,11 @@ enum JsonlWriter {
     Custom(Box<dyn Write>),
 }
 
-/// Streams accepted events as JSON Lines, either to a file or to an
+/// Streams events as JSON Lines, either to a file or to an
 /// in-memory buffer (for tests and byte-identity comparisons).
 pub struct JsonlSink {
     w: RefCell<JsonlWriter>,
     seq: Cell<u64>,
-    exec: bool,
     io_errors: Cell<u64>,
 }
 
@@ -170,7 +126,6 @@ impl JsonlSink {
         Ok(JsonlSink {
             w: RefCell::new(JsonlWriter::File(BufWriter::new(f))),
             seq: Cell::new(0),
-            exec: false,
             io_errors: Cell::new(0),
         })
     }
@@ -181,7 +136,6 @@ impl JsonlSink {
         JsonlSink {
             w: RefCell::new(JsonlWriter::Mem(Vec::new())),
             seq: Cell::new(0),
-            exec: false,
             io_errors: Cell::new(0),
         }
     }
@@ -193,16 +147,8 @@ impl JsonlSink {
         JsonlSink {
             w: RefCell::new(JsonlWriter::Custom(w)),
             seq: Cell::new(0),
-            exec: false,
             io_errors: Cell::new(0),
         }
-    }
-
-    /// Also records execution-class events (opt-in; breaks cross-thread
-    /// byte identity by design).
-    pub fn with_execution(mut self) -> Self {
-        self.exec = true;
-        self
     }
 
     /// The JSONL text accumulated so far (in-memory sinks only).
@@ -222,9 +168,6 @@ impl JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn emit(&self, ev: TraceEvent) {
-        if !accepts(self.exec, ev) {
-            return;
-        }
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         let mut line = String::with_capacity(96);
@@ -243,9 +186,6 @@ impl TraceSink for JsonlSink {
     }
     fn emitted(&self) -> u64 {
         self.seq.get()
-    }
-    fn wants_execution(&self) -> bool {
-        self.exec
     }
     fn flush(&self) {
         let flushed = match &mut *self.w.borrow_mut() {
@@ -305,40 +245,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn execution_events_are_filtered_before_sequencing() {
-        let sink = JsonlSink::in_memory();
-        sink.emit(call(0, 1));
-        sink.emit(TraceEvent::Speculate {
-            generation: 1,
-            items: 4,
-        });
-        sink.emit(call(0, 2));
-        let text = sink.contents().unwrap();
-        // The speculate event consumed no sequence number: the two calls
-        // are numbered 0 and 1 with no gap.
-        assert!(text.contains("\"seq\":0,\"ev\":\"oracle_call\""));
-        assert!(text.contains("\"seq\":1,\"ev\":\"oracle_call\""));
-        assert!(!text.contains("speculate"));
-        assert_eq!(sink.emitted(), 2);
-    }
-
-    #[test]
-    fn execution_opt_in_records_speculation() {
-        let sink = JsonlSink::in_memory().with_execution();
-        sink.emit(TraceEvent::Speculate {
-            generation: 1,
-            items: 4,
-        });
-        sink.emit(TraceEvent::Commit {
-            generation: 1,
-            reused: 4,
-        });
-        let text = sink.contents().unwrap();
-        assert!(text.contains("\"seq\":0,\"ev\":\"speculate\",\"gen\":1,\"items\":4"));
-        assert!(text.contains("\"seq\":1,\"ev\":\"commit\",\"gen\":1,\"reused\":4"));
-    }
-
     /// Fails every write after the first `ok_writes`, but keeps
     /// accepting flushes, mimicking a disk that filled up mid-run.
     struct FailAfter {
@@ -395,12 +301,6 @@ mod tests {
         sink.emit(call(0, 1));
         assert_eq!(sink.io_errors(), 1);
         sink.flush();
-        assert_eq!(sink.io_errors(), 2);
-        // Filtered events never touch the writer and cost no error.
-        sink.emit(TraceEvent::Speculate {
-            generation: 0,
-            items: 1,
-        });
         assert_eq!(sink.io_errors(), 2);
         assert_eq!(sink.emitted(), 1);
         // Drop flushes once more; must not panic on a dead writer.
@@ -478,12 +378,8 @@ mod tests {
     fn null_sink_only_counts() {
         let sink = NullSink::new();
         sink.emit(call(0, 1));
-        sink.emit(TraceEvent::Speculate {
-            generation: 0,
-            items: 1,
-        });
-        assert_eq!(sink.emitted(), 1);
-        assert_eq!(NullSink::new().with_execution().emitted(), 0);
+        sink.emit(call(0, 2));
+        assert_eq!(sink.emitted(), 2);
     }
 
     #[test]

@@ -249,11 +249,11 @@ const L15_METRIC_SITES: &[&str] = &[
 
 /// Call-site prefixes whose first string-literal argument is a span
 /// (phase) name.
-const L15_SPAN_SITES: &[&str] = &["SpanGuard::enter(", "PhaseGuard::enter(", ".span("];
+const L15_SPAN_SITES: &[&str] = &["SpanGuard::enter(", "PhaseGuard::enter("];
 
 /// L15 — the observability-vocabulary lint. Every string literal passed to
 /// a metrics call (`inc`/`observe`/`counter`/`histogram*`) or a span entry
-/// (`SpanGuard::enter`/`PhaseGuard::enter`/`SpecProbe::span`) anywhere in
+/// (`SpanGuard::enter`/`PhaseGuard::enter`) anywhere in
 /// the workspace must appear in the central registry
 /// `crates/obs/src/names.rs` (`METRIC_NAMES` / `SPAN_NAMES`). A typo'd
 /// counter name silently splits one logical series into two and a rogue
@@ -559,23 +559,15 @@ pub const L9_ALLOWLIST: &[&str] = &[
 /// **unbounded** `Dijkstra::run` (the full single-source sweep). Everything
 /// else in the crate's query paths must use the bounded twin
 /// (`run_bidirectional_bounded`) so the cascade's early exits cannot
-/// silently regress into full sweeps. Every entry needs a reason; the two
-/// audited funnels are the exact tier and the speculation snapshot path.
+/// silently regress into full sweeps. Every entry needs a reason; the one
+/// audited funnel is the exact tier.
 ///
 /// * `bounds::splub::Splub::ensure_tree` — the exact tier. SPLUB's certified
 ///   bounds *are* full shortest-path trees; this fn is the single funnel that
 ///   builds (or incrementally repairs) them, and its output is what the
 ///   cascade's decisive answers are checked against. By design it is the one
 ///   place a full sweep is allowed to originate.
-/// * `bounds::splub::Splub::spec_bounds` — the speculation snapshot path.
-///   `SpecBounds` computes bounds against a frozen graph snapshot in
-///   worker-local scratch; it needs the same full trees as the exact tier
-///   and cannot share `ensure_tree`'s `&mut self` caches (I5 requires
-///   worker isolation), so it carries its own audited full-run site.
-pub const L13_ALLOWLIST: &[&str] = &[
-    "bounds::splub::Splub::ensure_tree",
-    "bounds::splub::Splub::spec_bounds",
-];
+pub const L13_ALLOWLIST: &[&str] = &["bounds::splub::Splub::ensure_tree"];
 
 /// The L9 analysis result: where the expensive calls live, where the choke
 /// points are, and which items can reach a sink *around* them.
@@ -1323,9 +1315,9 @@ mod tests {
 
     #[test]
     fn l15_span_sites_check_only_the_first_literal() {
-        // The closure argument may carry unrelated strings.
-        let src =
-            "fn f(p: &mut SpecProbe) {\n    p.span(\"scan\", |q| q.tag(\"not a span name\"));\n}\n";
+        // Later arguments may carry unrelated strings.
+        let src = "fn f(t: Option<Rc<dyn TraceSink>>) {\n    \
+                   let _g = SpanGuard::enter(t, pick(\"scan\", \"not a span name\"));\n}\n";
         assert!(lint_name_registry(&l15_files(src)).is_empty());
     }
 
