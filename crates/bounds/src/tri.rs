@@ -225,22 +225,6 @@ impl BoundScheme for TriScheme {
 }
 
 impl SpecBounds for TriScheme {
-    fn spec_n(&self) -> usize {
-        self.graph.n()
-    }
-
-    fn spec_generation(&self) -> u64 {
-        self.graph.generation()
-    }
-
-    fn spec_pair_stamp(&self, p: Pair) -> u64 {
-        self.graph.pair_stamp(p)
-    }
-
-    fn spec_known(&self, p: Pair) -> Option<f64> {
-        self.graph.get(p)
-    }
-
     fn spec_bounds(&self, p: Pair) -> (f64, f64) {
         self.bounds_ro(p)
     }

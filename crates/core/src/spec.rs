@@ -40,38 +40,13 @@ impl QueryGoal {
     }
 }
 
-/// A frozen, thread-shareable view of a bound scheme's state.
+/// A read-only, thread-shareable view of a bound scheme's state.
 ///
 /// No workspace code calls this trait; it goes with the benchmark's
 /// forwarding wrappers (ROADMAP item 8, see the module doc).
-///
-/// # Contract
-///
-/// With `g = spec_generation()`:
-///
-/// * `spec_known(p)` equals the live scheme's `known(p)` at generation `g`.
-/// * `spec_bounds(p)` equals the live scheme's `bounds(p)` at generation
-///   `g` **bitwise**.
-/// * For every pair `p` and any later live generation `g' >= g`: if the
-///   live `pair_stamp(p) <= g`, the live `bounds(p)` still equals the
-///   view's value bitwise.
 pub trait SpecBounds: Sync {
-    /// Number of objects.
-    ///
-    /// (All methods carry a `spec_` prefix so schemes can implement this
-    /// trait alongside `BoundScheme`, whose method names they would
-    /// otherwise shadow at concrete call sites.)
-    fn spec_n(&self) -> usize;
-
-    /// The view's generation.
-    fn spec_generation(&self) -> u64;
-
-    /// Upper bound on the last generation at which `spec_bounds(p)` changed.
-    fn spec_pair_stamp(&self, p: Pair) -> u64;
-
-    /// Exact distance for `p` if recorded in the view.
-    fn spec_known(&self, p: Pair) -> Option<f64>;
-
-    /// `(lower, upper)` bounds for `p` in the view; `(d, d)` when known.
+    /// `(lower, upper)` bounds for `p`, bitwise equal to the live scheme's
+    /// `bounds(p)`; `(d, d)` when known. (The `spec_` prefix keeps the
+    /// name from shadowing `BoundScheme::bounds` at concrete call sites.)
     fn spec_bounds(&self, p: Pair) -> (f64, f64);
 }
