@@ -167,6 +167,17 @@ fn audited_run_reports_corruption_accounting() {
 }
 
 #[test]
+fn single_run_commands_take_no_threads_flag() {
+    // Plugged runs are sequential at every thread count, so only `serve`
+    // and `repro` accept `--threads`.
+    for cmd in [&["knng"][..], &["trace", "pam"], &["profile", "knng"]] {
+        let mut args = cmd.to_vec();
+        args.extend_from_slice(&["--threads", "2"]);
+        assert_rejected(&args, "unknown flag \"--threads\"");
+    }
+}
+
+#[test]
 fn serve_requires_a_store_directory() {
     assert_rejected(&["serve"], "serve requires --store DIR");
     // A plain file is not a store directory.
