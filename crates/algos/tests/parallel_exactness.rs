@@ -6,7 +6,9 @@
 //! cells (`repro`) and serve sessions. The contract under test: `knn_graph`
 //! and `pam` produce outputs **and oracle-call counts and prune stats**
 //! bit-identical at threads {1, 2, 8}, for Tri and SPLUB on random
-//! Euclidean instances.
+//! Euclidean instances. The tests of one binary run concurrently and share
+//! the process-wide knob, so a run may see another test's setting; since
+//! no plugged algorithm reads it, every interleaving must agree.
 
 use prox_algos::{knn_graph, pam, KnnGraph, PamParams};
 use prox_bounds::{BoundResolver, DistanceResolver, Splub, TriScheme};
