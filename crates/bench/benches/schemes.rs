@@ -2,8 +2,13 @@
 
 use std::hint::black_box;
 
+use prox_algos::prim_mst;
 use prox_bench::microbench::Bench;
-use prox_bounds::{laesa_bootstrap, Adm, BoundScheme, Laesa, Splub, Tlaesa, TriScheme};
+use prox_bounds::bootstrap::default_landmarks;
+use prox_bounds::{
+    laesa_bootstrap, Adm, BoundResolver, BoundScheme, DistanceResolver, Laesa, Splub, Tlaesa,
+    TriScheme,
+};
 use prox_core::{
     CallBudget, FaultInjector, ObjectId, Oracle, Pair, QueryGoal, RetryPolicy, TinyRng,
 };
@@ -187,6 +192,39 @@ fn bench_tri_access(b: &mut Bench) {
             for &p in queries {
                 black_box(s.bounds(p));
             }
+        });
+    }
+}
+
+/// The resolver's bound memo under Prim's access pattern, in ns per bound
+/// probe (two per comparison): a whole `prim_mst`, whose extract-min
+/// tournaments and relaxation rows of `less` interleave with the
+/// `resolve` that records each tree edge, through `BoundResolver` over
+/// Tri + ⌈log2 n⌉ LAESA landmarks on `sf`. Each pass runs on a fresh
+/// clone of the bootstrapped scheme and a fresh resolver, whose memo it
+/// allocates.
+///
+/// * `dense` — n = 300: C(n, 2) ≤ 2^16, so every pair owns its memo slot.
+/// * `wrapped` — n = 1500: 1.1M pairs share the 2^16 slots.
+fn bench_resolver_memo(b: &mut Bench) {
+    b.sample_size(10);
+    for (id, n) in [
+        ("resolver_memo/dense", 300),
+        ("resolver_memo/wrapped", 1500),
+    ] {
+        let metric = ClusteredPlane::default().metric(n, SEED);
+        let oracle = Oracle::new(&*metric);
+        let boot = laesa_bootstrap(&oracle, default_landmarks(n), SEED);
+        let mut fed = TriScheme::new(n, 1.0);
+        boot.apply_to(&mut fed);
+        let run = || {
+            let mut r = BoundResolver::new(&oracle, fed.clone());
+            black_box(prim_mst(&mut r));
+            2 * r.prune_stats().comparisons()
+        };
+        let probes = run();
+        b.bench_per_op("bound_query", id, probes, || {
+            black_box(run());
         });
     }
 }
@@ -635,6 +673,7 @@ fn main() {
     bench_updates(&mut b);
     bench_tri_adjacency(&mut b);
     bench_tri_access(&mut b);
+    bench_resolver_memo(&mut b);
     bench_dijkstra_reset(&mut b);
     bench_oracle_fault_layer(&mut b);
     bench_oracle_trace_layer(&mut b);

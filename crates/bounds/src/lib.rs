@@ -46,6 +46,7 @@ pub mod cascade;
 pub mod checked;
 pub mod composite;
 pub mod laesa;
+mod memo;
 pub mod resolver;
 pub mod scheme;
 pub mod splub;

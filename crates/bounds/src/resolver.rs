@@ -5,7 +5,7 @@ use std::rc::Rc;
 use prox_core::invariant;
 use prox_core::invariant::{expect_ok, expect_some};
 use prox_core::{
-    Degradation, Metric, Oracle, OracleError, Pair, PairMap, PruneStats, QueryGoal, SpecBounds,
+    Degradation, Metric, Oracle, OracleError, Pair, PruneStats, QueryGoal, SpecBounds,
 };
 use prox_obs::{
     quantize_width, CorruptionAction, Metrics, ProbeKind, ProbeVerdict, ProvenanceLedger,
@@ -14,6 +14,7 @@ use prox_obs::{
 
 use crate::audit::{AuditPolicy, AuditState, CorruptionStats, VOTE_CAP};
 use crate::cascade::WeakStats;
+use crate::memo::BoundMemo;
 use crate::scheme::GoalBounds;
 use crate::{BoundScheme, NoScheme};
 
@@ -436,19 +437,21 @@ pub struct BoundResolver<'o, M: Metric, S: BoundScheme> {
     oracle: &'o Oracle<M>,
     scheme: S,
     stats: PruneStats,
-    /// Generation-stamped `(lb, ub, generation + 1)` memo, one slot per
-    /// unordered pair, used when the scheme opts in via
-    /// [`BoundScheme::bounds_cacheable`]. A hit is served only while
-    /// `scheme.pair_stamp(p) <= generation`, i.e. while the cached value is
-    /// bitwise what the scheme would recompute — a repeated probe then
-    /// costs one indexed load instead of a Tri merge or two Dijkstras.
-    /// Stamp `0` marks an empty slot, so the table is allocated zeroed on
-    /// the first insert (24 B × C(n, 2), lazily paged in) and a resolver
-    /// that never probes bounds never allocates it. Nothing is evicted, so
-    /// hits and misses depend only on the scheme's stamps. They are
+    /// Generation-stamped `(lb, ub, generation + 1)` memo, used when the
+    /// scheme opts in via [`BoundScheme::bounds_cacheable`]. A hit is
+    /// served only while `scheme.pair_stamp(p) <= generation`, i.e. while
+    /// the cached value is bitwise what the scheme would recompute — a
+    /// repeated probe then costs one indexed load instead of a Tri merge
+    /// or two Dijkstras. The table is direct-mapped by pair rank with at
+    /// most 2^16 slots (1.5 MB, see `crate::memo`), allocated zeroed on the
+    /// first insert, so a resolver that never probes bounds never
+    /// allocates it. Up to n = 362 every pair owns its slot; above that a
+    /// pair whose slot holds another pair's tag misses and is recomputed.
+    /// A miss therefore costs time, never a different answer or a
+    /// different provenance row (DESIGN.md §8). Hits and misses are
     /// deliberately *not* counted in [`PruneStats`]: the memo must not
     /// change any observable accounting.
-    bcache: Option<PairMap<(f64, f64, u64)>>,
+    bcache: Option<BoundMemo>,
     cache_on: bool,
     /// Observation handles, cloned from the oracle once at construction
     /// ("checked once per resolver construction"): the disabled hot path
@@ -703,13 +706,12 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
         (lb, ub)
     }
 
-    /// The memoized sandwich for `x`, if its slot is filled and still
-    /// current. Slots store `generation + 1`, so an empty slot (`0`) fails
-    /// the stamp test without a separate check. `None` whenever the table
+    /// The memoized sandwich for `x`, if its slot holds `x` and is still
+    /// current (slots store `generation + 1`). `None` whenever the table
     /// was never allocated (always, for schemes that do not opt in).
     #[inline]
     fn memo_get(&self, x: Pair) -> Option<(f64, f64)> {
-        let (lb, ub, stamp) = self.bcache.as_ref()?.get(x);
+        let (lb, ub, stamp) = self.bcache.as_ref()?.get(x)?;
         (self.scheme.pair_stamp(x) < stamp).then_some((lb, ub))
     }
 
@@ -724,8 +726,8 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
         let stamp = self.scheme.generation() + 1;
         let n = self.scheme.n();
         self.bcache
-            .get_or_insert_with(|| PairMap::new(n, (0.0, 0.0, 0)))
-            .set(x, (lb, ub, stamp));
+            .get_or_insert_with(|| BoundMemo::new(n))
+            .put(x, lb, ub, stamp);
     }
 
     /// True when threshold probes may route through the scheme's goal-aware
@@ -1470,7 +1472,7 @@ mod tests {
     #[test]
     fn resolve_and_preload_never_allocate_the_memo() {
         // A resolver that only preloads a cache and resolves must never
-        // pay for the C(n, 2) table.
+        // pay for the memo table.
         let oracle = line_oracle(64);
         let mut r = BoundResolver::new(&oracle, TriScheme::new(64, 1.0));
         for p in Pair::all(64).step_by(5) {
@@ -1485,36 +1487,61 @@ mod tests {
         assert!(r.bcache.is_some());
     }
 
-    /// Seeded fuzz over one scheme: `record`s interleaved with every probe
-    /// kind. At every step the resolver's (possibly memoized) sandwich must
-    /// be bitwise the one a freshly built scheme derives from the same
-    /// knowledge. Returns how many probes found their slot filled but stale
-    /// and how many found it current, so callers can assert both paths ran.
-    fn fuzz_memo_matches_fresh<S: BoundScheme>(make: impl Fn() -> S, seed: u64) -> (u32, u32) {
+    /// How the probes of one fuzz run found their pair's memo slot.
+    #[derive(Default)]
+    struct SlotCounts {
+        /// Filled with this pair's sandwich, but no longer current.
+        stale: u32,
+        /// Filled with this pair's sandwich and still current.
+        current: u32,
+        /// Filled with another pair's sandwich.
+        evicted: u32,
+    }
+
+    /// Seeded fuzz over one scheme at `n` objects: `record`s interleaved
+    /// with every probe kind, over a pool of pairs. Below 2^16 pairs the
+    /// pool is every pair; above it the pool is 24 pairs and their
+    /// partners 2^16 ranks up, so the probes keep evicting each other. At
+    /// every step the resolver's (possibly memoized) sandwich must be
+    /// bitwise the one a freshly built scheme derives from the same
+    /// knowledge. Returns how the probes found their slots, so callers can
+    /// assert every path ran.
+    fn fuzz_memo_matches_fresh<S: BoundScheme>(
+        make: impl Fn(usize) -> S,
+        n: usize,
+        seed: u64,
+    ) -> SlotCounts {
+        use crate::memo::MAX_SLOTS;
         use prox_core::TinyRng;
-        let n = 32;
         let mut rng = TinyRng::new(seed);
         let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.unit_f64(), rng.unit_f64())).collect();
         let oracle = Oracle::new(FnMetric::new(n, 1.0, move |a: ObjectId, b: ObjectId| {
             let (pa, pb) = (pts[a as usize], pts[b as usize]);
             (pa.0 - pb.0).hypot(pa.1 - pb.1) / 2f64.sqrt()
         }));
-        let mut r = BoundResolver::new(&oracle, make());
-        let mut records: Vec<(Pair, f64)> = Vec::new();
-        let (mut stale, mut current) = (0, 0);
-        let pick = |rng: &mut TinyRng| {
-            let a = rng.below(n) as ObjectId;
-            let b = (a + 1 + rng.below(n - 1) as ObjectId) % n as ObjectId;
-            Pair::new(a, b)
+        let all: Vec<Pair> = Pair::all(n).collect();
+        let pool: Vec<Pair> = if all.len() <= MAX_SLOTS {
+            all
+        } else {
+            (0..24)
+                .flat_map(|_| {
+                    let r = rng.below(all.len() - MAX_SLOTS);
+                    [all[r], all[r + MAX_SLOTS]]
+                })
+                .collect()
         };
+        let mut r = BoundResolver::new(&oracle, make(n));
+        let mut records: Vec<(Pair, f64)> = Vec::new();
+        let mut counts = SlotCounts::default();
+        let pick = |rng: &mut TinyRng| pool[rng.below(pool.len())];
         for _ in 0..600 {
             let p = pick(&mut rng);
-            let stamp = r.bcache.as_ref().map_or(0, |m| m.get(p).2);
-            if stamp != 0 {
-                if r.scheme.pair_stamp(p) < stamp {
-                    current += 1;
-                } else {
-                    stale += 1;
+            if let Some(m) = &r.bcache {
+                match m.get(p) {
+                    Some((_, _, stamp)) if r.scheme.pair_stamp(p) < stamp => counts.current += 1,
+                    Some(_) => counts.stale += 1,
+                    None if m.holds_other(p) => counts.evicted += 1,
+                    None => {}
                 }
             }
             let v = rng.unit_f64() * 0.6;
@@ -1537,7 +1564,7 @@ mod tests {
                     let _ = r.bounds_hint(p);
                 }
             }
-            let mut fresh = make();
+            let mut fresh = make(n);
             for &(q, d) in &records {
                 fresh.record(q, d);
             }
@@ -1547,23 +1574,39 @@ mod tests {
                 assert_eq!(
                     (lb.to_bits(), ub.to_bits()),
                     (fl.to_bits(), fu.to_bits()),
-                    "{} seed {seed}: memoized {q:?} diverged from a fresh scheme",
+                    "{} n {n} seed {seed}: memoized {q:?} diverged from a fresh scheme",
                     fresh.name()
                 );
             }
         }
-        (stale, current)
+        counts
     }
 
     #[test]
     fn memo_matches_fresh_scheme_under_interleaved_records() {
         for seed in 0..4 {
-            for (stale, current) in [
-                fuzz_memo_matches_fresh(|| TriScheme::new(32, 1.0), seed),
-                fuzz_memo_matches_fresh(|| crate::Splub::new(32, 1.0), seed),
+            for c in [
+                fuzz_memo_matches_fresh(|n| TriScheme::new(n, 1.0), 32, seed),
+                fuzz_memo_matches_fresh(|n| crate::Splub::new(n, 1.0), 32, seed),
             ] {
-                assert!(stale > 0, "seed {seed}: no probe met a stale slot");
-                assert!(current > 0, "seed {seed}: no probe met a current slot");
+                assert!(c.stale > 0, "seed {seed}: no probe met a stale slot");
+                assert!(c.current > 0, "seed {seed}: no probe met a current slot");
+                assert_eq!(c.evicted, 0, "seed {seed}: n = 32 owns every slot");
+            }
+        }
+    }
+
+    #[test]
+    fn memo_matches_fresh_scheme_at_a_wrapping_table_size() {
+        // C(400, 2) = 79,800 > 2^16: pairs share slots.
+        for seed in 0..2 {
+            for c in [
+                fuzz_memo_matches_fresh(|n| TriScheme::new(n, 1.0), 400, seed),
+                fuzz_memo_matches_fresh(|n| crate::Splub::new(n, 1.0), 400, seed),
+            ] {
+                assert!(c.stale > 0, "seed {seed}: no probe met a stale slot");
+                assert!(c.current > 0, "seed {seed}: no probe met a current slot");
+                assert!(c.evicted > 0, "seed {seed}: no probe met an evicted slot");
             }
         }
     }

@@ -148,12 +148,12 @@ pub trait BoundScheme {
 
     /// True when `bounds` is expensive enough that the resolver should
     /// memoize `(lb, ub)` per pair, invalidated via
-    /// [`BoundScheme::pair_stamp`]. The memo is a flat table with one
-    /// 24-byte slot per unordered pair, allocated on the first memoized
-    /// query. Tri (an adjacency merge) and SPLUB (two Dijkstras) opt in.
-    /// Schemes whose query is already a table read or a short scan (ADM's
-    /// bound matrices, LAESA's pivot rows) leave this off: the memo would
-    /// add `C(n, 2)` slots of memory and save next to no work.
+    /// [`BoundScheme::pair_stamp`]. The memo is a direct-mapped table of
+    /// at most 2^16 24-byte slots (1.5 MB), allocated on the first
+    /// memoized query. Tri (an adjacency merge) and SPLUB (two Dijkstras)
+    /// opt in. Schemes whose query is already a table read or a short scan
+    /// (ADM's bound matrices, LAESA's pivot rows) leave this off: the memo
+    /// would add memory and a lookup and save next to no work.
     fn bounds_cacheable(&self) -> bool {
         false
     }

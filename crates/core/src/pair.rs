@@ -90,13 +90,29 @@ impl Pair {
         let n = n as u64;
         n * n.saturating_sub(1) / 2
     }
+
+    /// This pair's position in [`Pair::all`]`(n)`: the dense index
+    /// `0..C(n, 2)` of the upper-triangular layout every pair table uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi >= n`. A real assert: an out-of-range pair would
+    /// otherwise silently alias another pair's slot in release builds.
+    #[inline]
+    pub fn rank(self, n: usize) -> usize {
+        let (lo, hi) = (self.lo as usize, self.hi as usize);
+        assert!(hi < n, "pair {self:?} out of range for n = {n}");
+        // Row `lo` starts after the triangle above it:
+        // lo * n - lo*(lo+1)/2, then offset (hi - lo - 1).
+        lo * n - lo * (lo + 1) / 2 + (hi - lo - 1)
+    }
 }
 
 /// A map from [`Pair`] to `T` backed by a flat upper-triangular matrix.
 ///
 /// Dense, cache-friendly storage for per-edge state when `n` is small enough
-/// that `C(n, 2)` entries fit in memory: ground-truth distance matrices
-/// ([`crate::MatrixMetric`]) and the resolver's per-pair bound memo. For
+/// that `C(n, 2)` entries fit in memory, such as ground-truth distance
+/// matrices ([`crate::MatrixMetric`]). Entries sit at [`Pair::rank`]. For
 /// `n = 4000` and `T = f64` this is ~64 MB. A `fill` whose bits are all zero
 /// is allocated as zeroed memory, so pages the map never writes are never
 /// made resident.
@@ -122,28 +138,16 @@ impl<T: Copy> PairMap<T> {
         self.n
     }
 
-    #[inline]
-    fn index(&self, p: Pair) -> usize {
-        let (lo, hi) = (p.lo() as usize, p.hi() as usize);
-        // A real assert: an out-of-range pair would otherwise silently
-        // alias another pair's slot in release builds.
-        assert!(hi < self.n, "pair {p:?} out of range for n = {}", self.n);
-        // Row `lo` starts after the triangle above it:
-        // lo * n - lo*(lo+1)/2, then offset (hi - lo - 1).
-        lo * self.n - lo * (lo + 1) / 2 + (hi - lo - 1)
-    }
-
     /// Reads the entry for `p`.
     #[inline]
     pub fn get(&self, p: Pair) -> T {
-        self.data[self.index(p)]
+        self.data[p.rank(self.n)]
     }
 
     /// Writes the entry for `p`.
     #[inline]
     pub fn set(&mut self, p: Pair, value: T) {
-        let i = self.index(p);
-        self.data[i] = value;
+        self.data[p.rank(self.n)] = value;
     }
 
     /// Iterates `(pair, value)` over all entries.
@@ -227,6 +231,15 @@ mod tests {
         }
         // Symmetric access hits the same slot.
         assert_eq!(m.get(Pair::new(5, 2)), m.get(Pair::new(2, 5)));
+    }
+
+    #[test]
+    fn rank_is_the_enumeration_index() {
+        for n in [2usize, 3, 13, 40] {
+            for (i, p) in Pair::all(n).enumerate() {
+                assert_eq!(p.rank(n), i, "{p:?} at n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -163,14 +163,13 @@ impl RoadNetwork {
                 max_d = max_d.max(v);
             }
         }
-        // Normalize into [0, 1]; scaling preserves the metric axioms.
+        // Normalize into [0, 1] in place; scaling preserves the metric
+        // axioms.
         if max_d > 0.0 {
             let inv = 1.0 / max_d;
-            let mut scaled = PairMap::new(n, 0.0f64);
-            for (p, v) in dists.iter() {
-                scaled.set(p, v * inv);
+            for p in Pair::all(n) {
+                dists.set(p, dists.get(p) * inv);
             }
-            dists = scaled;
         }
         MatrixMetric::new(dists, 1.0)
     }
@@ -207,6 +206,28 @@ mod tests {
     fn metric_axioms_hold() {
         let m = RoadNetwork::default().generate(15, 4);
         assert!(MetricCheck::default().check(&m).is_clean());
+    }
+
+    /// The whole matrix, bit for bit: a CRC-32 over every entry's
+    /// little-endian bits in [`Pair::all`] order.
+    fn matrix_crc(m: &MatrixMetric) -> u32 {
+        let bytes: Vec<u8> = Pair::all(m.len())
+            .flat_map(|p| m.distance(p.lo(), p.hi()).to_bits().to_le_bytes())
+            .collect();
+        prox_core::crc32(&bytes)
+    }
+
+    /// The CRC was taken while normalization still scaled into a second
+    /// matrix, so scaling in place must keep every bit.
+    #[test]
+    fn generated_matrix_is_pinned() {
+        let m = RoadNetwork::default().generate(64, 20210620);
+        assert_eq!(m.max_distance(), 1.0);
+        assert_eq!(
+            format!("{:08x}", matrix_crc(&m)),
+            "4813e58c",
+            "the urbangb ground truth moved"
+        );
     }
 
     #[test]

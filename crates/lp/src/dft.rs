@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use prox_bounds::{BoundScheme, DistanceResolver, Splub, DECISION_EPS};
 use prox_core::invariant::InvariantExt;
-use prox_core::{Metric, Oracle, Pair, PruneStats};
+use prox_core::{Metric, ObjectId, Oracle, Pair, PruneStats};
 
 use crate::{Feasibility, FeasibilityProblem};
 
@@ -158,10 +158,7 @@ impl<'o, M: Metric> DftResolver<'o, M> {
             self.cache = Some(self.build_base_system());
         }
         let base = self.cache.as_ref().expect_invariant("just built");
-        let n = self.n;
-        let (a, b) = (p.lo() as usize, p.hi() as usize);
-        let idx = a * n - a * (a + 1) / 2 + (b - a - 1);
-        let var = base.var_of[idx].expect_invariant("unknown pairs have a variable");
+        let var = base.var_of[p.rank(self.n)].expect_invariant("unknown pairs have a variable");
         crate::variable_range(&base.sys, var, self.max_distance)
     }
 
@@ -174,15 +171,9 @@ impl<'o, M: Metric> DftResolver<'o, M> {
         let mut var_of: Vec<Option<usize>> = vec![None; total_pairs];
         let mut const_of: Vec<f64> = vec![0.0; total_pairs];
 
-        // Pair -> dense triangular index (same layout as PairMap).
-        let tri_index = |a: usize, b: usize| -> usize {
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            lo * n - lo * (lo + 1) / 2 + (hi - lo - 1)
-        };
-
         let mut n_vars = 0usize;
         for p in Pair::all(n) {
-            let idx = tri_index(p.lo() as usize, p.hi() as usize);
+            let idx = p.rank(n);
             match (self.known_d(p), self.encoding) {
                 (Some(d), Encoding::Substituted) => const_of[idx] = d,
                 (Some(_), Encoding::Literal) | (None, _) => {
@@ -196,7 +187,7 @@ impl<'o, M: Metric> DftResolver<'o, M> {
 
         // Range rows (and equality pins under the literal encoding).
         for p in Pair::all(n) {
-            let idx = tri_index(p.lo() as usize, p.hi() as usize);
+            let idx = p.rank(n);
             if let Some(v) = var_of[idx] {
                 sys.add_le(&[(v, 1.0)], self.max_distance);
                 if self.encoding == Encoding::Literal {
@@ -208,12 +199,13 @@ impl<'o, M: Metric> DftResolver<'o, M> {
         }
 
         // Triangle rows: for every triple, each edge in turn as "long" edge.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let ij = tri_index(i, j);
-                for k in (j + 1)..n {
-                    let ik = tri_index(i, k);
-                    let jk = tri_index(j, k);
+        let ids = n as ObjectId;
+        for i in 0..ids {
+            for j in (i + 1)..ids {
+                let ij = Pair::new(i, j).rank(n);
+                for k in (j + 1)..ids {
+                    let ik = Pair::new(i, k).rank(n);
+                    let jk = Pair::new(j, k).rank(n);
                     let sides = [ij, ik, jk];
                     if sides.iter().all(|&s| var_of[s].is_none()) {
                         continue; // fully known; consistent by metric axioms
@@ -253,14 +245,10 @@ impl<'o, M: Metric> DftResolver<'o, M> {
             self.cache = Some(self.build_base_system());
         }
         let base = self.cache.as_ref().expect_invariant("just built");
-        let tri_index = |a: usize, b: usize| -> usize {
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            lo * n - lo * (lo + 1) / 2 + (hi - lo - 1)
-        };
         let mut terms: Vec<(usize, f64)> = Vec::new();
         let mut adj_rhs = rhs;
         for &(p, c) in extra {
-            let idx = tri_index(p.lo() as usize, p.hi() as usize);
+            let idx = p.rank(n);
             match base.var_of[idx] {
                 Some(v) => terms.push((v, c)),
                 None => adj_rhs -= c * base.const_of[idx],

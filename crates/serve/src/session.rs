@@ -171,8 +171,8 @@ impl ClientSession {
 /// ones a scheme preloaded with the same distances would give.
 ///
 /// Not `bounds_cacheable`: a group asks for the bounds of each missing
-/// pair about once, so the resolver's `C(n, 2)` memo table would cost
-/// more than it saves.
+/// pair about once, so the resolver's memo table (up to 1.5 MB) would
+/// cost more than it saves.
 struct HeldScheme<'a> {
     n: usize,
     max_distance: f64,
