@@ -12,7 +12,7 @@ use std::collections::BinaryHeap;
 use prox_bounds::DistanceResolver;
 use prox_core::invariant::{expect_ok, InvariantExt};
 use prox_core::{ObjectId, OracleError, Pair};
-use prox_obs::SpanGuard;
+use prox_obs::{SpanGuard, SpanName};
 
 /// The kNN graph: for each object, its `k` nearest neighbours sorted by
 /// `(distance, id)` ascending.
@@ -86,7 +86,7 @@ pub fn try_knn_query<R: DistanceResolver + ?Sized>(
     // Gather candidates keyed by the best current information.
     let mut cands: Vec<(f64, bool, ObjectId)> = Vec::with_capacity(n - 1);
     {
-        let _init = SpanGuard::enter(resolver.trace_sink(), "init");
+        let _init = SpanGuard::enter(resolver.trace_sink(), SpanName::Init);
         for v in 0..n as ObjectId {
             if v == u {
                 continue;
@@ -100,7 +100,7 @@ pub fn try_knn_query<R: DistanceResolver + ?Sized>(
         cands.sort_unstable_by(cand_cmp);
     }
 
-    let _span = SpanGuard::enter(resolver.trace_sink(), "query");
+    let _span = SpanGuard::enter(resolver.trace_sink(), SpanName::Query);
     let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(k + 1);
     for &(key, known, v) in &cands {
         let worst = heap.peek().copied();
@@ -157,7 +157,7 @@ pub fn try_knn_graph<R: DistanceResolver + ?Sized>(
     resolver: &mut R,
     k: usize,
 ) -> Result<KnnGraph, OracleError> {
-    let _span = SpanGuard::enter(resolver.trace_sink(), "build");
+    let _span = SpanGuard::enter(resolver.trace_sink(), SpanName::Build);
     (0..resolver.n() as ObjectId)
         .map(|u| try_knn_query(resolver, u, k))
         .collect()

@@ -8,7 +8,7 @@
 use prox_bounds::DistanceResolver;
 use prox_core::invariant::expect_ok;
 use prox_core::{ObjectId, OracleError};
-use prox_obs::SpanGuard;
+use prox_obs::{SpanGuard, SpanName};
 
 use crate::medoid::{try_assign, try_swap_delta};
 use crate::{Clustering, TinyRng};
@@ -54,14 +54,14 @@ pub fn try_pam<R: DistanceResolver + ?Sized>(
 ) -> Result<Clustering, OracleError> {
     // Semantic span; the guard closes it even on a fault abort.
     let trace = resolver.trace_sink();
-    let _span = SpanGuard::enter(trace.clone(), "build");
+    let _span = SpanGuard::enter(trace.clone(), SpanName::Build);
 
     let n = resolver.n();
     let l = params.l.clamp(1, n);
     let mut rng = TinyRng::new(params.seed);
     let mut medoids: Vec<ObjectId> = rng.distinct(l, n);
     let (mut near, mut cost) = {
-        let _init = SpanGuard::enter(trace.clone(), "init");
+        let _init = SpanGuard::enter(trace.clone(), SpanName::Init);
         try_assign(resolver, &medoids)?
     };
 
@@ -74,7 +74,7 @@ pub fn try_pam<R: DistanceResolver + ?Sized>(
                     continue;
                 }
                 let delta = {
-                    let _swap = SpanGuard::enter(trace.clone(), "swap");
+                    let _swap = SpanGuard::enter(trace.clone(), SpanName::Swap);
                     try_swap_delta(resolver, &medoids, &near, i, h)?
                 };
                 if delta < best_delta {
@@ -87,7 +87,7 @@ pub fn try_pam<R: DistanceResolver + ?Sized>(
         match best {
             Some((i, h)) => {
                 medoids[i] = h;
-                let _refine = SpanGuard::enter(trace.clone(), "refine");
+                let _refine = SpanGuard::enter(trace.clone(), SpanName::Refine);
                 let (na, c) = try_assign(resolver, &medoids)?;
                 near = na;
                 cost = c;

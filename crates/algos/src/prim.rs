@@ -3,7 +3,7 @@
 use prox_bounds::DistanceResolver;
 use prox_core::invariant::{expect_ok, InvariantExt};
 use prox_core::{ObjectId, OracleError, Pair};
-use prox_obs::SpanGuard;
+use prox_obs::{SpanGuard, SpanName};
 
 use crate::Mst;
 
@@ -42,7 +42,7 @@ pub fn try_prim_mst<R: DistanceResolver + ?Sized>(resolver: &mut R) -> Result<Ms
     // relaxation get nested child spans so profiles attribute calls to the
     // stage that paid them.
     let trace = resolver.trace_sink();
-    let _span = SpanGuard::enter(trace.clone(), "build");
+    let _span = SpanGuard::enter(trace.clone(), SpanName::Build);
     let n = resolver.n();
     assert!(n >= 1, "empty space has no MST");
     let mut in_tree = vec![false; n];
@@ -56,7 +56,7 @@ pub fn try_prim_mst<R: DistanceResolver + ?Sized>(resolver: &mut R) -> Result<Ms
     for _ in 1..n {
         // Extract-min: tournament over the symbolic candidate edges.
         let next = {
-            let _scan = SpanGuard::enter(trace.clone(), "scan");
+            let _scan = SpanGuard::enter(trace.clone(), SpanName::Scan);
             let mut best: Option<ObjectId> = None;
             for v in 1..n as ObjectId {
                 if in_tree[v as usize] {
@@ -82,7 +82,7 @@ pub fn try_prim_mst<R: DistanceResolver + ?Sized>(resolver: &mut R) -> Result<Ms
         total += w;
 
         // Relaxation: can `next` offer a cheaper connection?
-        let _refine = SpanGuard::enter(trace.clone(), "refine");
+        let _refine = SpanGuard::enter(trace.clone(), SpanName::Refine);
         for v in 1..n as ObjectId {
             if in_tree[v as usize] {
                 continue;

@@ -478,7 +478,7 @@ fn bench_oracle_weak_layer(b: &mut Bench) {
 
 fn bench_oracle_span_layer(b: &mut Bench) {
     use prox_bounds::{BoundResolver, DistanceResolver};
-    use prox_obs::{NullSink, SpanGuard, TraceSink};
+    use prox_obs::{NullSink, SpanGuard, SpanName, TraceSink};
     use std::rc::Rc;
 
     let n = 256;
@@ -503,7 +503,7 @@ fn bench_oracle_span_layer(b: &mut Bench) {
         let mut r = BoundResolver::vanilla(&oracle);
         let sink: Option<Rc<dyn TraceSink>> = None;
         for &q in &queries {
-            let _span = SpanGuard::enter(sink.clone(), "query");
+            let _span = SpanGuard::enter(sink.clone(), SpanName::Query);
             black_box(r.resolve(q));
         }
     });
@@ -515,7 +515,7 @@ fn bench_oracle_span_layer(b: &mut Bench) {
         let mut r = BoundResolver::vanilla(&oracle);
         let sink: Option<Rc<dyn TraceSink>> = Some(Rc::new(NullSink::new()));
         for &q in &queries {
-            let _span = SpanGuard::enter(sink.clone(), "query");
+            let _span = SpanGuard::enter(sink.clone(), SpanName::Query);
             black_box(r.resolve(q));
         }
     });

@@ -92,7 +92,7 @@ use prox_core::{
 };
 use prox_datasets::by_name;
 use prox_obs::{
-    semantic_diff, summarize, JsonlSink, Metrics, ProvenanceLedger, SpanTree, TraceSink,
+    semantic_diff, summarize, JsonlSink, MetricName, Metrics, ProvenanceLedger, SpanTree, TraceSink,
 };
 use prox_serve::{
     default_script, emit_recovery, parse_script, BoundServer, PairGroupQuery, ServeConfig,
@@ -1204,8 +1204,8 @@ fn main() -> ExitCode {
         result.algo_calls
     );
     if let Some(m) = &run_metrics {
-        let bidi = m.counter("splub_bidi_early_exit");
-        let full = m.counter("splub_full_fallback");
+        let bidi = m.counter(MetricName::SplubBidiEarlyExit);
+        let full = m.counter(MetricName::SplubFullFallback);
         // Zero across the board means the cascade never ran (non-SPLUB
         // plug, or disabled under `--trace` for byte-identity) — omit.
         if bidi + full > 0 {

@@ -15,7 +15,7 @@ use prox_core::{
     OracleError, RetryPolicy, WeakOracle,
 };
 use prox_lp::DftResolver;
-use prox_obs::{Metrics, ProvenanceLedger, SpanGuard, TraceEvent, TraceSink};
+use prox_obs::{Metrics, ProvenanceLedger, SpanGuard, SpanName, TraceEvent, TraceSink};
 
 /// The plug-in configurations the experiments compare.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -331,7 +331,7 @@ pub fn try_run_plugged_observed<T>(
     }
     let oracle = oracle;
     let mut result = RunResult::default();
-    let boot_phase = SpanGuard::enter(observers.trace.clone(), "bootstrap");
+    let boot_phase = SpanGuard::enter(observers.trace.clone(), SpanName::Bootstrap);
 
     macro_rules! finish_inner {
         ($resolver:expr) => {{

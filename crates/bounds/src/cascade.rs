@@ -63,7 +63,9 @@ use prox_core::invariant;
 use prox_core::invariant::expect_ok;
 use prox_core::weak::{Degradation, DegradationReport, DegradeReason, WeakOracle};
 use prox_core::{Metric, OracleError, Pair, PruneStats};
-use prox_obs::{Metrics, ProvenanceLedger, ResolutionSource, TraceEvent, TraceSink, WeakOutcome};
+use prox_obs::{
+    MetricName, Metrics, ProvenanceLedger, ResolutionSource, TraceEvent, TraceSink, WeakOutcome,
+};
 
 use crate::audit::{CorruptionStats, VOTE_CAP};
 use crate::resolver::DECISION_EPS;
@@ -255,9 +257,9 @@ impl<R: DistanceResolver, M: Metric> CascadeResolver<R, M> {
         if let Some(m) = &self.metrics {
             m.inc(
                 match outcome {
-                    WeakOutcome::Resolved => "cascade.weak_resolved",
-                    WeakOutcome::Lie => "cascade.weak_lies",
-                    WeakOutcome::NoQuorum => "cascade.weak_no_quorum",
+                    WeakOutcome::Resolved => MetricName::CascadeWeakResolved,
+                    WeakOutcome::Lie => MetricName::CascadeWeakLies,
+                    WeakOutcome::NoQuorum => MetricName::CascadeWeakNoQuorum,
                 },
                 1,
             );
@@ -286,7 +288,7 @@ impl<R: DistanceResolver, M: Metric> CascadeResolver<R, M> {
             });
         }
         if let Some(m) = &self.metrics {
-            m.inc("cascade.degraded", 1);
+            m.inc(MetricName::CascadeDegraded, 1);
         }
     }
 

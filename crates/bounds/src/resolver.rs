@@ -8,8 +8,8 @@ use prox_core::{
     Degradation, Metric, Oracle, OracleError, Pair, PruneStats, QueryGoal, SpecBounds,
 };
 use prox_obs::{
-    quantize_width, CorruptionAction, Metrics, ProbeKind, ProbeVerdict, ProvenanceLedger,
-    TraceEvent, TraceSink,
+    quantize_width, CorruptionAction, MetricName, Metrics, ProbeKind, ProbeVerdict,
+    ProvenanceLedger, TraceEvent, TraceSink,
 };
 
 use crate::audit::{AuditPolicy, AuditState, CorruptionStats, VOTE_CAP};
@@ -689,7 +689,7 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
             });
         }
         if let Some(m) = &self.metrics {
-            m.observe("probe.width", quantize_width(ub - lb));
+            m.observe(MetricName::ProbeWidth, quantize_width(ub - lb));
         }
     }
 
@@ -765,8 +765,8 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
         if let Some(m) = &self.metrics {
             m.inc(
                 match tier {
-                    ValueTier::Bidi => "splub_bidi_early_exit",
-                    _ => "splub_full_fallback",
+                    ValueTier::Bidi => MetricName::SplubBidiEarlyExit,
+                    _ => MetricName::SplubFullFallback,
                 },
                 1,
             );

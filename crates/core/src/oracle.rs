@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use prox_obs::{emit_to, CallOutcome, Metrics, TraceEvent, TraceSink};
+use prox_obs::{emit_to, CallOutcome, MetricName, Metrics, TraceEvent, TraceSink};
 
 use crate::fault::{
     CallBudget, CorruptionInjector, FaultInjector, FaultKind, FaultStats, OracleError, RetryPolicy,
@@ -283,7 +283,7 @@ impl<M: Metric> Oracle<M> {
                     },
                 );
                 if let Some(m) = &self.metrics {
-                    m.inc("oracle.budget_denied", 1);
+                    m.inc(MetricName::OracleBudgetDenied, 1);
                 }
                 return Err(OracleError::BudgetExhausted {
                     calls: self.calls.get(),
@@ -293,7 +293,7 @@ impl<M: Metric> Oracle<M> {
             // charges for the request either way.
             self.calls.set(self.calls.get() + 1);
             if let Some(m) = &self.metrics {
-                m.inc("oracle.calls", 1);
+                m.inc(MetricName::OracleCalls, 1);
             }
             match self.faults.as_ref().and_then(|f| f.fault_at(p, attempt)) {
                 None => {
@@ -308,7 +308,7 @@ impl<M: Metric> Oracle<M> {
                         },
                     );
                     if let Some(m) = &self.metrics {
-                        m.observe("oracle.retry_depth", u64::from(attempt));
+                        m.observe(MetricName::OracleRetryDepth, u64::from(attempt));
                     }
                     let truth = self.metric.distance(lo, hi);
                     // Value corruption applies to the *successful* attempt
@@ -346,7 +346,7 @@ impl<M: Metric> Oracle<M> {
                         },
                     );
                     if let Some(m) = &self.metrics {
-                        m.inc("oracle.faults", 1);
+                        m.inc(MetricName::OracleFaults, 1);
                     }
                     if attempt >= self.retry.max_retries {
                         emit_to(
@@ -384,8 +384,8 @@ impl<M: Metric> Oracle<M> {
                         },
                     );
                     if let Some(m) = &self.metrics {
-                        m.inc("oracle.retries", 1);
-                        m.observe("oracle.backoff_ns", backoff_ns);
+                        m.inc(MetricName::OracleRetries, 1);
+                        m.observe(MetricName::OracleBackoffNs, backoff_ns);
                     }
                     attempt += 1;
                 }
@@ -665,11 +665,17 @@ mod tests {
         for a in 0..10u32 {
             o.try_call(a, a + 1).expect("retries suffice");
         }
-        assert_eq!(m.counter("oracle.calls"), o.calls());
-        assert_eq!(m.counter("oracle.faults"), o.fault_stats().faults_injected);
-        assert_eq!(m.counter("oracle.retries"), o.fault_stats().retries);
+        assert_eq!(m.counter(MetricName::OracleCalls), o.calls());
         assert_eq!(
-            m.histogram_count("oracle.retry_depth"),
+            m.counter(MetricName::OracleFaults),
+            o.fault_stats().faults_injected
+        );
+        assert_eq!(
+            m.counter(MetricName::OracleRetries),
+            o.fault_stats().retries
+        );
+        assert_eq!(
+            m.histogram_count(MetricName::OracleRetryDepth),
             10,
             "one depth sample per successful logical call"
         );

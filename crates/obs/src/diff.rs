@@ -14,7 +14,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::report::field;
+use crate::event::EventKind;
+use crate::report::{event_kind, field};
 
 /// How many normalized events of context to show around a divergence.
 const CONTEXT: usize = 3;
@@ -36,13 +37,13 @@ pub fn normalize(trace: &str) -> Vec<String> {
             Some((head, rest)) if head.starts_with("{\"seq\":") => format!("{{{rest}"),
             _ => l.to_string(),
         })
-        .filter(|l| match field(l, "ev") {
-            Some("retry") => false,
-            Some("oracle_call") => field(l, "outcome") == Some("ok"),
+        .filter(|l| match event_kind(l) {
+            Some(EventKind::Retry) => false,
+            Some(EventKind::OracleCall) => field(l, "outcome") == Some("ok"),
             _ => true,
         })
         .map(|l| {
-            if field(&l, "ev") != Some("oracle_call") {
+            if event_kind(&l) != Some(EventKind::OracleCall) {
                 return l;
             }
             match l.split_once("\"attempt\":") {
@@ -152,16 +153,16 @@ fn phase_calls(lines: &[String]) -> BTreeMap<String, u64> {
     let mut out = BTreeMap::new();
     let mut stack: Vec<&str> = Vec::new();
     for l in lines {
-        match field(l, "ev") {
-            Some("phase_enter") => {
+        match event_kind(l) {
+            Some(EventKind::PhaseEnter) => {
                 if let Some(name) = field(l, "name") {
                     stack.push(name);
                 }
             }
-            Some("phase_exit") => {
+            Some(EventKind::PhaseExit) => {
                 stack.pop();
             }
-            Some("oracle_call") => {
+            Some(EventKind::OracleCall) => {
                 let phase = stack.last().copied().unwrap_or("(none)");
                 *out.entry(phase.to_string()).or_insert(0) += 1;
             }

@@ -317,29 +317,67 @@ pub enum TraceEvent {
     },
 }
 
+vocabulary! {
+    /// The class of a [`TraceEvent`]: its variant without the payload. The
+    /// name is the `ev` field of the JSONL encoding, so offline consumers
+    /// (report, replay, diff, span profiler) match on kinds, not strings.
+    pub enum EventKind => name {
+        OracleCall => "oracle_call",
+        BoundProbe => "bound_probe",
+        Fault => "fault",
+        Retry => "retry",
+        Corruption => "corruption",
+        WeakProbe => "weak_probe",
+        Degraded => "degraded",
+        CheckpointWrite => "checkpoint",
+        PhaseEnter => "phase_enter",
+        PhaseExit => "phase_exit",
+        Provenance => "provenance",
+        SessionAdmit => "session_admit",
+        SessionReject => "session_reject",
+        SessionDegrade => "session_degrade",
+        SessionQuarantine => "session_quarantine",
+        StoreCommit => "store_commit",
+        CommitFenced => "commit_fenced",
+        WalRecover => "wal_recover",
+    }
+}
+
+impl EventKind {
+    /// The kind whose name is `ev`, or `None` for a name no writer emits.
+    pub fn parse(ev: &str) -> Option<EventKind> {
+        EventKind::ALL.iter().copied().find(|k| k.name() == ev)
+    }
+}
+
 impl TraceEvent {
+    /// This event's class.
+    pub fn kind(self) -> EventKind {
+        match self {
+            TraceEvent::OracleCall { .. } => EventKind::OracleCall,
+            TraceEvent::BoundProbe { .. } => EventKind::BoundProbe,
+            TraceEvent::Fault { .. } => EventKind::Fault,
+            TraceEvent::Retry { .. } => EventKind::Retry,
+            TraceEvent::Corruption { .. } => EventKind::Corruption,
+            TraceEvent::WeakProbe { .. } => EventKind::WeakProbe,
+            TraceEvent::Degraded { .. } => EventKind::Degraded,
+            TraceEvent::CheckpointWrite { .. } => EventKind::CheckpointWrite,
+            TraceEvent::PhaseEnter { .. } => EventKind::PhaseEnter,
+            TraceEvent::PhaseExit { .. } => EventKind::PhaseExit,
+            TraceEvent::Provenance { .. } => EventKind::Provenance,
+            TraceEvent::SessionAdmit { .. } => EventKind::SessionAdmit,
+            TraceEvent::SessionReject { .. } => EventKind::SessionReject,
+            TraceEvent::SessionDegrade { .. } => EventKind::SessionDegrade,
+            TraceEvent::SessionQuarantine { .. } => EventKind::SessionQuarantine,
+            TraceEvent::StoreCommit { .. } => EventKind::StoreCommit,
+            TraceEvent::CommitFenced { .. } => EventKind::CommitFenced,
+            TraceEvent::WalRecover { .. } => EventKind::WalRecover,
+        }
+    }
+
     /// Short machine name used as the `ev` field in JSONL.
     pub fn name(self) -> &'static str {
-        match self {
-            TraceEvent::OracleCall { .. } => "oracle_call",
-            TraceEvent::BoundProbe { .. } => "bound_probe",
-            TraceEvent::Fault { .. } => "fault",
-            TraceEvent::Retry { .. } => "retry",
-            TraceEvent::Corruption { .. } => "corruption",
-            TraceEvent::WeakProbe { .. } => "weak_probe",
-            TraceEvent::Degraded { .. } => "degraded",
-            TraceEvent::CheckpointWrite { .. } => "checkpoint",
-            TraceEvent::PhaseEnter { .. } => "phase_enter",
-            TraceEvent::PhaseExit { .. } => "phase_exit",
-            TraceEvent::Provenance { .. } => "provenance",
-            TraceEvent::SessionAdmit { .. } => "session_admit",
-            TraceEvent::SessionReject { .. } => "session_reject",
-            TraceEvent::SessionDegrade { .. } => "session_degrade",
-            TraceEvent::SessionQuarantine { .. } => "session_quarantine",
-            TraceEvent::StoreCommit { .. } => "store_commit",
-            TraceEvent::CommitFenced { .. } => "commit_fenced",
-            TraceEvent::WalRecover { .. } => "wal_recover",
-        }
+        self.kind().name()
     }
 
     /// Appends the one-line JSONL encoding of this event (with its
@@ -528,42 +566,53 @@ impl TraceEvent {
 mod tests {
     use super::*;
 
+    /// Encodes `ev` at `seq`, checking that its kind names the `ev` field
+    /// and parses back from it.
+    fn encode(ev: TraceEvent, seq: u64) -> String {
+        let mut s = String::new();
+        ev.write_jsonl(seq, &mut s);
+        assert_eq!(ev.kind().name(), ev.name());
+        assert_eq!(crate::report::event_kind(&s), Some(ev.kind()), "{s}");
+        s
+    }
+
     #[test]
     fn jsonl_encoding_is_stable() {
-        let mut s = String::new();
-        TraceEvent::OracleCall {
-            lo: 3,
-            hi: 17,
-            attempt: 1,
-            outcome: CallOutcome::Transient,
-            virtual_ns: 1_500_000,
-        }
-        .write_jsonl(42, &mut s);
+        let s = encode(
+            TraceEvent::OracleCall {
+                lo: 3,
+                hi: 17,
+                attempt: 1,
+                outcome: CallOutcome::Transient,
+                virtual_ns: 1_500_000,
+            },
+            42,
+        );
         assert_eq!(
             s,
             "{\"seq\":42,\"ev\":\"oracle_call\",\"lo\":3,\"hi\":17,\"attempt\":1,\
              \"outcome\":\"transient\",\"virtual_ns\":1500000}\n"
         );
 
-        s.clear();
-        TraceEvent::BoundProbe {
-            lo: 0,
-            hi: 5,
-            lb: 0.25,
-            ub: 0.5,
-            verdict: ProbeVerdict::Inconclusive,
-            kind: ProbeKind::LeqValue,
-            scheme: "Tri",
-        }
-        .write_jsonl(7, &mut s);
+        let s = encode(
+            TraceEvent::BoundProbe {
+                lo: 0,
+                hi: 5,
+                lb: 0.25,
+                ub: 0.5,
+                verdict: ProbeVerdict::Inconclusive,
+                kind: ProbeKind::LeqValue,
+                scheme: "Tri",
+            },
+            7,
+        );
         assert_eq!(
             s,
             "{\"seq\":7,\"ev\":\"bound_probe\",\"lo\":0,\"hi\":5,\"lb\":0.25,\"ub\":0.5,\
              \"verdict\":\"open\",\"kind\":\"leq_value\",\"scheme\":\"Tri\"}\n"
         );
 
-        s.clear();
-        TraceEvent::PhaseEnter { name: "bootstrap" }.write_jsonl(0, &mut s);
+        let s = encode(TraceEvent::PhaseEnter { name: "bootstrap" }, 0);
         assert_eq!(
             s,
             "{\"seq\":0,\"ev\":\"phase_enter\",\"name\":\"bootstrap\"}\n"
@@ -578,10 +627,8 @@ mod tests {
             tier: "direct",
             count: 41,
         };
-        let mut s = String::new();
-        ev.write_jsonl(9, &mut s);
         assert_eq!(
-            s,
+            encode(ev, 9),
             "{\"seq\":9,\"ev\":\"provenance\",\"kind\":\"bound_decisive\",\
              \"scheme\":\"tri\",\"tier\":\"direct\",\"count\":41}\n"
         );
@@ -597,23 +644,22 @@ mod tests {
             lb: 0.1,
             ub: 0.3,
         };
-        let mut s = String::new();
-        ev.write_jsonl(5, &mut s);
         assert_eq!(
-            s,
+            encode(ev, 5),
             "{\"seq\":5,\"ev\":\"corruption\",\"lo\":2,\"hi\":9,\"action\":\"detected\",\
              \"value\":0.75,\"lb\":0.1,\"ub\":0.3}\n"
         );
-        let mut s = String::new();
-        TraceEvent::Corruption {
-            lo: 0,
-            hi: 1,
-            action: CorruptionAction::Retracted,
-            value: 0.5,
-            lb: 0.25,
-            ub: 0.25,
-        }
-        .write_jsonl(0, &mut s);
+        let s = encode(
+            TraceEvent::Corruption {
+                lo: 0,
+                hi: 1,
+                action: CorruptionAction::Retracted,
+                value: 0.5,
+                lb: 0.25,
+                ub: 0.25,
+            },
+            0,
+        );
         assert!(s.contains("\"action\":\"retracted\""));
     }
 
@@ -625,10 +671,8 @@ mod tests {
             attempts: 3,
             outcome: WeakOutcome::Resolved,
         };
-        let mut s = String::new();
-        ev.write_jsonl(9, &mut s);
         assert_eq!(
-            s,
+            encode(ev, 9),
             "{\"seq\":9,\"ev\":\"weak_probe\",\"lo\":1,\"hi\":8,\"attempts\":3,\
              \"outcome\":\"resolved\"}\n"
         );
@@ -636,14 +680,15 @@ mod tests {
             (WeakOutcome::Lie, "\"outcome\":\"lie\""),
             (WeakOutcome::NoQuorum, "\"outcome\":\"no_quorum\""),
         ] {
-            let mut s = String::new();
-            TraceEvent::WeakProbe {
-                lo: 0,
-                hi: 1,
-                attempts: 2,
-                outcome,
-            }
-            .write_jsonl(0, &mut s);
+            let s = encode(
+                TraceEvent::WeakProbe {
+                    lo: 0,
+                    hi: 1,
+                    attempts: 2,
+                    outcome,
+                },
+                0,
+            );
             assert!(s.contains(tag), "{s}");
         }
 
@@ -651,10 +696,8 @@ mod tests {
             strong_calls: 64,
             reason: "budget_exhausted",
         };
-        let mut s = String::new();
-        ev.write_jsonl(2, &mut s);
         assert_eq!(
-            s,
+            encode(ev, 2),
             "{\"seq\":2,\"ev\":\"degraded\",\"strong_calls\":64,\
              \"reason\":\"budget_exhausted\"}\n"
         );
@@ -723,10 +766,16 @@ mod tests {
             ),
         ];
         for (ev, want) in cases {
-            let mut s = String::new();
-            ev.write_jsonl(1, &mut s);
-            assert_eq!(s, want);
+            assert_eq!(encode(ev, 1), want);
         }
+    }
+
+    #[test]
+    fn event_kinds_round_trip() {
+        for &k in EventKind::ALL {
+            assert_eq!(EventKind::parse(k.name()), Some(k));
+        }
+        assert_eq!(EventKind::parse("oracle_cal"), None);
     }
 
     #[test]

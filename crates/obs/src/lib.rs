@@ -23,21 +23,55 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
 
+/// Declares a closed name vocabulary: a fieldless enum, its `ALL` list in
+/// declaration order, and the accessor `$name_fn` returning each variant's
+/// rendered name. The variant list is the one string table, so the enum,
+/// `ALL` and the names cannot drift apart.
+macro_rules! vocabulary {
+    (
+        $(#[$attr:meta])*
+        pub enum $ty:ident => $name_fn:ident {
+            $($(#[$vattr:meta])* $variant:ident => $name:literal,)*
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$vattr])* $variant,)*
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant,)*];
+
+            /// The rendered name.
+            pub const fn $name_fn(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
 mod diff;
 mod event;
 mod ledger;
 mod metrics;
-pub mod names;
+mod names;
 mod replay;
 mod report;
 mod sink;
 mod span;
 
 pub use diff::{normalize, semantic_diff, Divergence, TraceDiff};
-pub use event::{CallOutcome, CorruptionAction, ProbeKind, ProbeVerdict, TraceEvent, WeakOutcome};
+pub use event::{
+    CallOutcome, CorruptionAction, EventKind, ProbeKind, ProbeVerdict, TraceEvent, WeakOutcome,
+};
 pub use ledger::{ProvenanceLedger, ResolutionSource};
 pub use metrics::{quantize_width, Metrics, HISTO_BUCKETS};
+pub use names::{MetricName, SpanName};
 pub use replay::{replay, ReplayReport};
 pub use report::{summarize, PhaseRow, ProvenanceRow, PruneRow, TraceSummary, TrajPoint};
-pub use sink::{emit_to, JsonlSink, NullSink, PhaseGuard, RingSink, TraceSink};
+pub use sink::{emit_to, JsonlSink, NullSink, RingSink, TraceSink};
 pub use span::{SpanGuard, SpanNode, SpanTree};

@@ -1,13 +1,15 @@
 //! A static metrics registry: named counters and log2-bucketed
 //! histograms.
 //!
-//! Names are `&'static str` so registration is free and the registry is
-//! an ordered map (deterministic render order). Like trace sinks, the
-//! registry takes `&self` with interior mutability and never crosses a
-//! thread boundary.
+//! Names come from the closed [`MetricName`] vocabulary, so registration
+//! is free and the registry is an ordered map keyed by the rendered name
+//! (deterministic render order). Like trace sinks, the registry takes
+//! `&self` with interior mutability and never crosses a thread boundary.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+
+use crate::names::MetricName;
 
 /// Bucket count for log2 histograms: bucket 0 holds the value 0 and
 /// bucket `b >= 1` holds values in `[2^(b-1), 2^b)`; `u64::MAX` lands in
@@ -72,10 +74,25 @@ impl Metrics {
         Self::default()
     }
 
-    /// Adds `by` to counter `name`, creating it at zero first.
-    pub fn inc(&self, name: &'static str, by: u64) {
+    /// Adds `by` to counter `name`, creating it at zero first. Names come
+    /// from the closed vocabulary:
+    ///
+    /// ```
+    /// # use prox_obs::{MetricName, Metrics};
+    /// let m = Metrics::new();
+    /// m.inc(MetricName::OracleCalls, 1);
+    /// ```
+    ///
+    /// so a free-form (or typo'd) name does not compile:
+    ///
+    /// ```compile_fail
+    /// # use prox_obs::{MetricName, Metrics};
+    /// let m = Metrics::new();
+    /// m.inc("oracle.callz", 1);
+    /// ```
+    pub fn inc(&self, name: MetricName, by: u64) {
         let mut m = self.inner.borrow_mut();
-        match m.entry(name).or_insert(Metric::Counter(0)) {
+        match m.entry(name.as_str()).or_insert(Metric::Counter(0)) {
             Metric::Counter(c) => *c += by,
             // Name already registered as a histogram: drop the sample
             // rather than panic inside instrumentation.
@@ -84,10 +101,10 @@ impl Metrics {
     }
 
     /// Records `value` into histogram `name`, creating it empty first.
-    pub fn observe(&self, name: &'static str, value: u64) {
+    pub fn observe(&self, name: MetricName, value: u64) {
         let mut m = self.inner.borrow_mut();
         match m
-            .entry(name)
+            .entry(name.as_str())
             .or_insert_with(|| Metric::Histo(Box::new([0; HISTO_BUCKETS])))
         {
             Metric::Histo(h) => h[bucket_of(value)] += 1,
@@ -96,31 +113,31 @@ impl Metrics {
     }
 
     /// Current value of counter `name` (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        match self.inner.borrow().get(name) {
+    pub fn counter(&self, name: MetricName) -> u64 {
+        match self.inner.borrow().get(name.as_str()) {
             Some(Metric::Counter(c)) => *c,
             _ => 0,
         }
     }
 
     /// Bucket contents of histogram `name`, if registered.
-    pub fn histogram(&self, name: &str) -> Option<[u64; HISTO_BUCKETS]> {
-        match self.inner.borrow().get(name) {
+    pub fn histogram(&self, name: MetricName) -> Option<[u64; HISTO_BUCKETS]> {
+        match self.inner.borrow().get(name.as_str()) {
             Some(Metric::Histo(h)) => Some(**h),
             _ => None,
         }
     }
 
     /// Total samples recorded into histogram `name` (0 if absent).
-    pub fn histogram_count(&self, name: &str) -> u64 {
+    pub fn histogram_count(&self, name: MetricName) -> u64 {
         self.histogram(name).map(|h| h.iter().sum()).unwrap_or(0)
     }
 
     /// Quantile estimate for histogram `name`: the upper bound of the
     /// log2 bucket holding the `q`-th sample. `None` if the histogram is
     /// absent or empty.
-    pub fn histogram_quantile(&self, name: &str, q: f64) -> Option<u64> {
-        match self.inner.borrow().get(name) {
+    pub fn histogram_quantile(&self, name: MetricName, q: f64) -> Option<u64> {
+        match self.inner.borrow().get(name.as_str()) {
             Some(Metric::Histo(h)) => histo_quantile(h, q),
             _ => None,
         }
@@ -171,6 +188,10 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use MetricName::{
+        CascadeDegraded, OracleBackoffNs, OracleCalls, OracleFaults, OracleRetryDepth, ProbeWidth,
+        SplubFullFallback,
+    };
 
     #[test]
     fn buckets_are_log2() {
@@ -188,17 +209,17 @@ mod tests {
     fn counters_and_histograms_register_lazily() {
         let m = Metrics::new();
         assert!(m.is_empty());
-        m.inc("oracle.calls", 2);
-        m.inc("oracle.calls", 3);
-        m.observe("retry.depth", 0);
-        m.observe("retry.depth", 4);
-        assert_eq!(m.counter("oracle.calls"), 5);
-        assert_eq!(m.counter("missing"), 0);
-        let h = m.histogram("retry.depth").unwrap();
+        m.inc(OracleCalls, 2);
+        m.inc(OracleCalls, 3);
+        m.observe(OracleRetryDepth, 0);
+        m.observe(OracleRetryDepth, 4);
+        assert_eq!(m.counter(OracleCalls), 5);
+        assert_eq!(m.counter(OracleFaults), 0);
+        let h = m.histogram(OracleRetryDepth).unwrap();
         assert_eq!(h[0], 1);
         assert_eq!(h[3], 1);
-        assert_eq!(m.histogram_count("retry.depth"), 2);
-        assert!(m.histogram("oracle.calls").is_none());
+        assert_eq!(m.histogram_count(OracleRetryDepth), 2);
+        assert!(m.histogram(OracleCalls).is_none());
     }
 
     #[test]
@@ -213,13 +234,13 @@ mod tests {
     #[test]
     fn render_is_deterministic_and_ordered() {
         let m = Metrics::new();
-        m.inc("z.last", 1);
-        m.inc("a.first", 2);
-        m.observe("m.h", 3);
+        m.inc(SplubFullFallback, 1);
+        m.inc(CascadeDegraded, 2);
+        m.observe(ProbeWidth, 3);
         let r = m.render();
-        let a = r.find("a.first").unwrap();
-        let mh = r.find("m.h").unwrap();
-        let z = r.find("z.last").unwrap();
+        let a = r.find("cascade.degraded").unwrap();
+        let mh = r.find("probe.width").unwrap();
+        let z = r.find("splub_full_fallback").unwrap();
         assert!(a < mh && mh < z, "BTreeMap order: {r}");
         assert!(
             r.contains("n=1 p50<=3 p99<=3 [2^1]=1"),
@@ -230,25 +251,28 @@ mod tests {
     #[test]
     fn quantiles_report_bucket_upper_bounds() {
         let m = Metrics::new();
-        assert_eq!(m.histogram_quantile("missing", 0.5), None);
+        assert_eq!(m.histogram_quantile(ProbeWidth, 0.5), None);
         for _ in 0..99 {
-            m.observe("h", 1); // bucket 1, upper bound 1
+            m.observe(OracleBackoffNs, 1); // bucket 1, upper bound 1
         }
-        m.observe("h", 1000); // bucket 10, upper bound 1023
-        assert_eq!(m.histogram_quantile("h", 0.50), Some(1));
-        assert_eq!(m.histogram_quantile("h", 0.99), Some(1));
-        assert_eq!(m.histogram_quantile("h", 1.0), Some(1023));
+        m.observe(OracleBackoffNs, 1000); // bucket 10, upper bound 1023
+        assert_eq!(m.histogram_quantile(OracleBackoffNs, 0.50), Some(1));
+        assert_eq!(m.histogram_quantile(OracleBackoffNs, 0.99), Some(1));
+        assert_eq!(m.histogram_quantile(OracleBackoffNs, 1.0), Some(1023));
         assert_eq!(
-            m.histogram_quantile("h", 0.0),
+            m.histogram_quantile(OracleBackoffNs, 0.0),
             Some(1),
             "clamped to first sample"
         );
 
         let z = Metrics::new();
-        z.observe("zeros", 0);
-        assert_eq!(z.histogram_quantile("zeros", 0.5), Some(0));
+        z.observe(ProbeWidth, 0);
+        assert_eq!(z.histogram_quantile(ProbeWidth, 0.5), Some(0));
         let big = Metrics::new();
-        big.observe("big", u64::MAX);
-        assert_eq!(big.histogram_quantile("big", 0.5), Some(u64::MAX));
+        big.observe(OracleRetryDepth, u64::MAX);
+        assert_eq!(
+            big.histogram_quantile(OracleRetryDepth, 0.5),
+            Some(u64::MAX)
+        );
     }
 }

@@ -1,53 +1,49 @@
-//! Central registry of observability names (lint L15).
+//! The observability vocabulary: every metrics-registry name and every
+//! span (phase) name in the workspace, as closed enums.
 //!
-//! Every `Metrics` counter/histogram name and every span (phase) name used
-//! anywhere in the workspace must appear here. The registry exists so a
-//! typo'd counter cannot silently split one logical series into two, and so
-//! tooling (`prox-cli --metrics`, the span profiler, dashboards) has one
-//! authoritative vocabulary to enumerate. Lint L15 (`cargo xtask lint`)
-//! scans every `inc("…")` / `observe("…")` / `counter("…")` /
-//! `histogram("…")` call and every `SpanGuard::enter(…, "…")` /
-//! `PhaseGuard::enter(…, "…")` site and fails when the literal is missing
-//! from these tables.
+//! [`Metrics`](crate::Metrics) and [`SpanGuard::enter`](crate::SpanGuard::enter)
+//! take these types, not `&str`, so a typo'd counter cannot silently split
+//! one logical series into two and a rogue span name cannot escape the
+//! profiler's vocabulary: either fails to compile. `as_str` is the rendered
+//! name (the `prox-cli --metrics` row, the `name` field of
+//! `phase_enter`/`phase_exit` events) and `ALL` enumerates the vocabulary
+//! for tooling.
 //!
-//! Keep both lists sorted; `registry_is_sorted_and_unique` pins that.
+//! Both lists are kept sorted by rendered name, the order
+//! `Metrics::render` prints rows in; `registry_is_sorted_and_unique`
+//! pins that.
 
-/// Every metrics-registry counter and histogram name in the workspace.
-pub const METRIC_NAMES: &[&str] = &[
-    "cascade.degraded",
-    "cascade.weak_lies",
-    "cascade.weak_no_quorum",
-    "cascade.weak_resolved",
-    "oracle.backoff_ns",
-    "oracle.budget_denied",
-    "oracle.calls",
-    "oracle.faults",
-    "oracle.retries",
-    "oracle.retry_depth",
-    "probe.width",
-    "splub_bidi_early_exit",
-    "splub_full_fallback",
-];
-
-/// Every span (phase) name emitted through `SpanGuard`/`PhaseGuard`.
-pub const SPAN_NAMES: &[&str] = &[
-    "bootstrap",
-    "build",
-    "init",
-    "query",
-    "refine",
-    "scan",
-    "swap",
-];
-
-/// True when `name` is a registered metric name.
-pub fn metric_registered(name: &str) -> bool {
-    METRIC_NAMES.binary_search(&name).is_ok()
+vocabulary! {
+    /// A metrics-registry name. `oracle.backoff_ns`, `oracle.retry_depth`
+    /// and `probe.width` are histograms; the rest are counters.
+    pub enum MetricName => as_str {
+        CascadeDegraded => "cascade.degraded",
+        CascadeWeakLies => "cascade.weak_lies",
+        CascadeWeakNoQuorum => "cascade.weak_no_quorum",
+        CascadeWeakResolved => "cascade.weak_resolved",
+        OracleBackoffNs => "oracle.backoff_ns",
+        OracleBudgetDenied => "oracle.budget_denied",
+        OracleCalls => "oracle.calls",
+        OracleFaults => "oracle.faults",
+        OracleRetries => "oracle.retries",
+        OracleRetryDepth => "oracle.retry_depth",
+        ProbeWidth => "probe.width",
+        SplubBidiEarlyExit => "splub_bidi_early_exit",
+        SplubFullFallback => "splub_full_fallback",
+    }
 }
 
-/// True when `name` is a registered span name.
-pub fn span_registered(name: &str) -> bool {
-    SPAN_NAMES.binary_search(&name).is_ok()
+vocabulary! {
+    /// A span (phase) name, as entered through `SpanGuard`.
+    pub enum SpanName => as_str {
+        Bootstrap => "bootstrap",
+        Build => "build",
+        Init => "init",
+        Query => "query",
+        Refine => "refine",
+        Scan => "scan",
+        Swap => "swap",
+    }
 }
 
 #[cfg(test)]
@@ -56,7 +52,9 @@ mod tests {
 
     #[test]
     fn registry_is_sorted_and_unique() {
-        for table in [METRIC_NAMES, SPAN_NAMES] {
+        let metrics: Vec<&str> = MetricName::ALL.iter().map(|m| m.as_str()).collect();
+        let spans: Vec<&str> = SpanName::ALL.iter().map(|s| s.as_str()).collect();
+        for table in [metrics, spans] {
             for w in table.windows(2) {
                 assert!(w[0] < w[1], "registry out of order: {} vs {}", w[0], w[1]);
             }
@@ -65,9 +63,12 @@ mod tests {
 
     #[test]
     fn lookups_work() {
-        assert!(metric_registered("probe.width"));
-        assert!(!metric_registered("probe.widht"));
-        assert!(span_registered("bootstrap"));
-        assert!(!span_registered("boostrap"));
+        assert_eq!(MetricName::OracleCalls.as_str(), "oracle.calls");
+        assert_eq!(MetricName::ProbeWidth.as_str(), "probe.width");
+        assert_eq!(
+            MetricName::SplubFullFallback.as_str(),
+            "splub_full_fallback"
+        );
+        assert_eq!(SpanName::Bootstrap.as_str(), "bootstrap");
     }
 }

@@ -11,7 +11,8 @@
 
 use std::fmt::Write as _;
 
-use crate::report::{field, summarize, u64_field, TraceSummary};
+use crate::event::EventKind;
+use crate::report::{event_kind, field, summarize, u64_field, TraceSummary};
 
 /// Outcome of revalidating one trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,20 +73,20 @@ pub fn replay(text: &str) -> Result<ReplayReport, String> {
         }
         events += 1;
         let lineno = idx + 1;
-        match field(line, "ev") {
-            Some("oracle_call") if field(line, "outcome") != Some("budget") => {
+        match event_kind(line) {
+            Some(EventKind::OracleCall) if field(line, "outcome") != Some("budget") => {
                 billed += 1;
             }
-            Some("phase_enter") => {
+            Some(EventKind::PhaseEnter) => {
                 if let Some(name) = field(line, "name") {
                     stack.push(name.to_string());
                 }
             }
-            Some("phase_exit") => {
+            Some(EventKind::PhaseExit) => {
                 // Mismatches already failed summarize; only depth matters.
                 stack.pop();
             }
-            Some("checkpoint") => {
+            Some(EventKind::CheckpointWrite) => {
                 let resolved = u64_field(line, "resolved", lineno)?;
                 if let Some(prev) = last_checkpoint {
                     if resolved < prev {

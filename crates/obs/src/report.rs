@@ -11,6 +11,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::event::EventKind;
+
 /// Number of sample rows in the call trajectory (deciles + endpoint).
 const TRAJECTORY_POINTS: u64 = 10;
 
@@ -37,6 +39,11 @@ pub(crate) fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
             return None;
         }
     }
+}
+
+/// The kind of one JSONL line (`None` when `ev` is absent or unknown).
+pub(crate) fn event_kind(line: &str) -> Option<EventKind> {
+    field(line, "ev").and_then(EventKind::parse)
 }
 
 pub(crate) fn u64_field(line: &str, key: &str, lineno: usize) -> Result<u64, String> {
@@ -357,6 +364,16 @@ impl TraceSummary {
 }
 
 /// Parses JSONL trace text into a [`TraceSummary`].
+///
+/// Every [`EventKind`] has its own arm, so a new event class fails to
+/// compile until the report accounts for it. The two lints below forbid a
+/// catch-all arm (clippy reports a wildcard covering one variant under the
+/// second). A name no kind parses is an error: that input comes from a
+/// file.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn summarize(text: &str) -> Result<TraceSummary, String> {
     let total_events = text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
     let mut s = TraceSummary {
@@ -408,8 +425,10 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
             prev_seq = Some(seq);
         }
         let ev = field(line, "ev").ok_or_else(|| format!("line {lineno}: missing field \"ev\""))?;
-        match ev {
-            "oracle_call" => {
+        let kind =
+            EventKind::parse(ev).ok_or_else(|| format!("line {lineno}: unknown event {ev:?}"))?;
+        match kind {
+            EventKind::OracleCall => {
                 let outcome = field(line, "outcome")
                     .ok_or_else(|| format!("line {lineno}: missing field \"outcome\""))?;
                 if outcome == "budget" {
@@ -425,7 +444,7 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                     }
                 }
             }
-            "bound_probe" => {
+            EventKind::BoundProbe => {
                 s.probes += 1;
                 let verdict = field(line, "verdict")
                     .ok_or_else(|| format!("line {lineno}: missing field \"verdict\""))?;
@@ -468,17 +487,17 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                     }
                 }
             }
-            "retry" => {
+            EventKind::Retry => {
                 s.retries += 1;
                 s.backoff_ns += u64_field(line, "backoff_ns", lineno)?;
             }
-            "fault" => {
+            EventKind::Fault => {
                 s.gave_up += 1;
             }
-            "checkpoint" => {
+            EventKind::CheckpointWrite => {
                 s.checkpoints += 1;
             }
-            "corruption" => {
+            EventKind::Corruption => {
                 let action = field(line, "action")
                     .ok_or_else(|| format!("line {lineno}: missing field \"action\""))?;
                 match action {
@@ -492,7 +511,7 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                     }
                 }
             }
-            "weak_probe" => {
+            EventKind::WeakProbe => {
                 s.weak_votes += 1;
                 s.weak_probe_attempts += u64_field(line, "attempts", lineno)?;
                 let outcome = field(line, "outcome")
@@ -506,14 +525,14 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                     }
                 }
             }
-            "degraded" => {
+            EventKind::Degraded => {
                 s.degraded_events += 1;
                 s.degraded_strong_calls = u64_field(line, "strong_calls", lineno)?;
                 s.degraded_reason = field(line, "reason")
                     .ok_or_else(|| format!("line {lineno}: missing field \"reason\""))?
                     .to_string();
             }
-            "phase_enter" => {
+            EventKind::PhaseEnter => {
                 let name = field(line, "name")
                     .ok_or_else(|| format!("line {lineno}: missing field \"name\""))?;
                 if !phase_rows.contains_key(name) {
@@ -528,7 +547,7 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                 row.enters += 1;
                 phase_stack.push(name.to_string());
             }
-            "phase_exit" => {
+            EventKind::PhaseExit => {
                 let name = field(line, "name")
                     .ok_or_else(|| format!("line {lineno}: missing field \"name\""))?;
                 match phase_stack.pop() {
@@ -545,7 +564,7 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                     }
                 }
             }
-            "provenance" => {
+            EventKind::Provenance => {
                 let kind = field(line, "kind")
                     .ok_or_else(|| format!("line {lineno}: missing field \"kind\""))?;
                 s.provenance.push(ProvenanceRow {
@@ -555,27 +574,27 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                     count: u64_field(line, "count", lineno)?,
                 });
             }
-            "session_admit" => {
+            EventKind::SessionAdmit => {
                 s.serve_admitted += 1;
             }
-            "session_reject" => {
+            EventKind::SessionReject => {
                 s.serve_rejected += 1;
             }
-            "session_degrade" => {
+            EventKind::SessionDegrade => {
                 s.serve_degraded += 1;
             }
-            "session_quarantine" => {
+            EventKind::SessionQuarantine => {
                 s.serve_quarantined += 1;
             }
-            "store_commit" => {
+            EventKind::StoreCommit => {
                 s.store_commits += 1;
                 s.store_fresh += u64_field(line, "fresh", lineno)?;
                 s.store_duplicates += u64_field(line, "duplicates", lineno)?;
             }
-            "commit_fenced" => {
+            EventKind::CommitFenced => {
                 s.commits_fenced += 1;
             }
-            "wal_recover" => {
+            EventKind::WalRecover => {
                 s.wal_recoveries += 1;
                 s.wal_recovered_entries += u64_field(line, "entries", lineno)?;
                 s.wal_dropped_lines += u64_field(line, "dropped_lines", lineno)?;
@@ -584,9 +603,6 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                 if salvaged == "true" {
                     s.wal_salvaged += 1;
                 }
-            }
-            other => {
-                return Err(format!("line {lineno}: unknown event {other:?}"));
             }
         }
         seen += 1;

@@ -205,31 +205,6 @@ impl Drop for JsonlSink {
     }
 }
 
-/// RAII phase marker: emits [`TraceEvent::PhaseEnter`] on construction
-/// and the matching [`TraceEvent::PhaseExit`] on drop, so early returns
-/// (including fault aborts via `?`) still close the phase.
-pub struct PhaseGuard {
-    sink: Option<Rc<dyn TraceSink>>,
-    name: &'static str,
-}
-
-impl PhaseGuard {
-    pub fn enter(sink: Option<Rc<dyn TraceSink>>, name: &'static str) -> Self {
-        if let Some(s) = &sink {
-            s.emit(TraceEvent::PhaseEnter { name });
-        }
-        PhaseGuard { sink, name }
-    }
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Some(s) = &self.sink {
-            s.emit(TraceEvent::PhaseExit { name: self.name });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,18 +355,6 @@ mod tests {
         sink.emit(call(0, 1));
         sink.emit(call(0, 2));
         assert_eq!(sink.emitted(), 2);
-    }
-
-    #[test]
-    fn phase_guard_closes_on_drop() {
-        let sink: Rc<dyn TraceSink> = Rc::new(JsonlSink::in_memory());
-        {
-            let _g = PhaseGuard::enter(Some(Rc::clone(&sink)), "build");
-            sink.emit(call(0, 1));
-        }
-        // Downcast via contents on the concrete type is not possible
-        // through the trait object; count instead.
-        assert_eq!(sink.emitted(), 3, "enter + call + exit");
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! [`SpanGuard`] is the RAII span marker algorithms hold while a logical
 //! stage runs. Spans nest freely (`build` > `query` > `refine`), emit the
-//! same `phase_enter`/`phase_exit` trace events the flat [`PhaseGuard`]
-//! always did (so every existing trace consumer keeps working), and cost
-//! nothing when detached: entering with `None` is a single discriminant
-//! test, pinned by the `oracle_span_layer/*` bench cells and their
-//! bench-gate bound.
+//! `phase_enter`/`phase_exit` trace events every trace consumer reads, are
+//! named from the closed [`SpanName`] vocabulary, and cost nothing when
+//! detached: entering with `None` is a single discriminant test, pinned by
+//! the `oracle_span_layer/*` bench cells and their bench-gate bound.
 //!
 //! [`SpanTree`] is the offline side: it replays a JSONL trace into a tree
 //! of spans with per-span attribution — billed calls, virtual-ns, bound
@@ -15,13 +14,12 @@
 //! span was innermost); the `total_*` accessors roll children up. The
 //! collapsed-stack export ([`SpanTree::fold`]) feeds any flamegraph
 //! renderer.
-//!
-//! [`PhaseGuard`]: crate::sink::PhaseGuard
 
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::event::TraceEvent;
+use crate::event::{EventKind, TraceEvent};
+use crate::names::SpanName;
 use crate::report::{field, u64_field};
 use crate::sink::TraceSink;
 
@@ -35,9 +33,23 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Opens a span named `name` on `sink` (detached when `None`).
+    /// Opens a span named `name` on `sink` (detached when `None`). Names
+    /// come from the closed vocabulary:
+    ///
+    /// ```
+    /// # use prox_obs::{SpanGuard, SpanName};
+    /// let _span = SpanGuard::enter(None, SpanName::Scan);
+    /// ```
+    ///
+    /// so a free-form (or typo'd) name does not compile:
+    ///
+    /// ```compile_fail
+    /// # use prox_obs::{SpanGuard, SpanName};
+    /// let _span = SpanGuard::enter(None, "scam");
+    /// ```
     #[inline]
-    pub fn enter(sink: Option<Rc<dyn TraceSink>>, name: &'static str) -> Self {
+    pub fn enter(sink: Option<Rc<dyn TraceSink>>, name: SpanName) -> Self {
+        let name = name.as_str();
         if let Some(s) = &sink {
             s.emit(TraceEvent::PhaseEnter { name });
         }
@@ -152,8 +164,8 @@ impl SpanTree {
                 }
                 n.last_seq = seq;
             }
-            match ev {
-                "phase_enter" => {
+            match EventKind::parse(ev) {
+                Some(EventKind::PhaseEnter) => {
                     let name = field(line, "name")
                         .ok_or_else(|| format!("line {lineno}: missing field \"name\""))?;
                     let child = arena[top]
@@ -183,7 +195,7 @@ impl SpanTree {
                     arena[child].node.last_seq = seq;
                     stack.push(child);
                 }
-                "phase_exit" => {
+                Some(EventKind::PhaseExit) => {
                     let name = field(line, "name")
                         .ok_or_else(|| format!("line {lineno}: missing field \"name\""))?;
                     if stack.len() == 1 {
@@ -199,7 +211,7 @@ impl SpanTree {
                     }
                     stack.pop();
                 }
-                "oracle_call" => {
+                Some(EventKind::OracleCall) => {
                     let outcome = field(line, "outcome")
                         .ok_or_else(|| format!("line {lineno}: missing field \"outcome\""))?;
                     if outcome != "budget" {
@@ -208,7 +220,7 @@ impl SpanTree {
                         n.virtual_ns += u64_field(line, "virtual_ns", lineno)?;
                     }
                 }
-                "bound_probe" => {
+                Some(EventKind::BoundProbe) => {
                     let verdict = field(line, "verdict")
                         .ok_or_else(|| format!("line {lineno}: missing field \"verdict\""))?;
                     let n = &mut arena[top].node;
@@ -217,7 +229,7 @@ impl SpanTree {
                         n.decided += 1;
                     }
                 }
-                "weak_probe" => {
+                Some(EventKind::WeakProbe) => {
                     arena[top].node.weak_votes += 1;
                 }
                 _ => {}
@@ -375,15 +387,17 @@ mod tests {
     fn guard_nests_and_detached_guard_emits_nothing() {
         let sink = Rc::new(JsonlSink::in_memory());
         {
-            let _outer = SpanGuard::enter(Some(Rc::clone(&sink) as Rc<dyn TraceSink>), "build");
-            let _inner = SpanGuard::enter(Some(Rc::clone(&sink) as Rc<dyn TraceSink>), "query");
+            let _outer =
+                SpanGuard::enter(Some(Rc::clone(&sink) as Rc<dyn TraceSink>), SpanName::Build);
+            let _inner =
+                SpanGuard::enter(Some(Rc::clone(&sink) as Rc<dyn TraceSink>), SpanName::Query);
         }
         let text = sink.contents().expect("in-memory");
         let t = SpanTree::from_trace(&text).expect("valid");
         assert_eq!(t.root.children[0].name, "build");
         assert_eq!(t.root.children[0].children[0].name, "query");
 
-        let _detached = SpanGuard::enter(None, "build");
+        let _detached = SpanGuard::enter(None, SpanName::Build);
         assert_eq!(sink.emitted(), 4, "detached guard emitted nothing");
     }
 }

@@ -8,10 +8,11 @@
 //!
 //! * [`SharedStore`] — the generation-stamped certified-distance store
 //!   every session reads via views of its shared immutable runs and feeds through exactly one
-//!   WAL-logged, epoch-fenced commit API (lint **L16**).
-//! * [`WriteAheadLog`] — crash-safe segment log reusing the checkpoint
-//!   v2 CRC32 block format; torn tails salvage leniently, foreign
-//!   manifests are refused (invariant **I12**).
+//!   WAL-logged, epoch-fenced commit API.
+//! * [`wal`] — the crash-safe segment log behind the store, reusing the
+//!   checkpoint v2 CRC32 block format; torn tails salvage leniently,
+//!   foreign manifests are refused (invariant **I12**). The log type is
+//!   crate-private, so only the store appends to it.
 //! * [`PairGroupQuery`] — the client API: a pair selector plus a skip
 //!   set, resolved as one amortised block.
 //! * [`run_group_view`] / [`ClientSession`] — per-client admission control
@@ -38,4 +39,4 @@ pub use session::{
     SessionStats,
 };
 pub use store::{CommitError, CommitReceipt, EpochToken, SharedStore, StoreSnapshot, StoreView};
-pub use wal::{WalConfig, WalRecovery, WriteAheadLog};
+pub use wal::{WalConfig, WalRecovery};

@@ -5,7 +5,8 @@
 //! views, so the *n*-th client's query mix is radically cheaper
 //! than the first's (ROADMAP item 1). The store is fed **exclusively**
 //! through [`SharedStore::commit`] — the WAL-logged, epoch-fenced
-//! choke point that lint **L16** pins statically — and read through
+//! choke point that visibility pins: the store's state is private to
+//! this module and its WAL is private to the crate — and read through
 //! immutable [`StoreView`]s, so readers never contend with an
 //! in-flight commit.
 //!
@@ -34,7 +35,7 @@
 //! quarantined — whatever it resolved against the old epoch can never
 //! reach the store; it must re-sync from a fresh view first.
 //!
-//! Durability: fresh entries hit the [`WriteAheadLog`] *before* they
+//! Durability: fresh entries hit the write-ahead log *before* they
 //! become visible to readers. A crash between the WAL write and the
 //! in-memory apply loses nothing (recovery replays the WAL); a crash
 //! before the WAL write loses only the unacknowledged batch.
@@ -198,9 +199,9 @@ pub struct CommitReceipt {
     pub generation: u64,
 }
 
-/// The mutable heart of the store. Every mutator on this type is an
-/// **L16 sink**: the only sanctioned chains to them run through
-/// [`SharedStore::commit`] (and the audited recovery/fencing funnels).
+/// The mutable heart of the store, private to this module: its only
+/// writers are [`SharedStore::commit`] and the recovery (`open`) and
+/// fencing (`advance_epoch`) funnels.
 struct StoreInner {
     /// Sealed runs, oldest first: disjoint, each more than twice the
     /// size of the next.
@@ -329,11 +330,31 @@ impl SharedStore {
         }
     }
 
-    /// **The** write path (lint L16): durably logs the fresh subset of
-    /// `entries` to the WAL, then makes it visible and stamps a new
-    /// generation. Refuses totally on a stale epoch token (fenced
-    /// session), a bit-level disagreement with an already-certified
-    /// value (poisoned session), or a WAL write failure.
+    /// **The** write path: durably logs the fresh subset of `entries` to
+    /// the WAL, then makes it visible and stamps a new generation.
+    /// Refuses totally on a stale epoch token (fenced session), a
+    /// bit-level disagreement with an already-certified value (poisoned
+    /// session), or a WAL write failure.
+    ///
+    /// The WAL type is private to this crate, so no caller can log
+    /// around this method. The `wal` module's public items stay in reach:
+    ///
+    /// ```
+    /// use prox_serve::wal::{segment_path, WalConfig};
+    /// use prox_serve::SharedStore;
+    /// ```
+    ///
+    /// but the log itself does not, at the crate root:
+    ///
+    /// ```compile_fail
+    /// use prox_serve::WriteAheadLog;
+    /// ```
+    ///
+    /// or in its module:
+    ///
+    /// ```compile_fail
+    /// use prox_serve::wal::WriteAheadLog;
+    /// ```
     pub fn commit(
         &self,
         token: EpochToken,

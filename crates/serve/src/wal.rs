@@ -9,7 +9,7 @@
 //! (CRC32 rolling block markers + `#! crc32=` trailers). A segment's
 //! first batch is published whole with the temp + fsync + rename
 //! discipline of [`prox_core::write_checkpoint_file`]; so is the first
-//! batch after [`WriteAheadLog::recover`] or after a failed append,
+//! batch after `WriteAheadLog::recover` or after a failed append,
 //! which also drops any torn bytes the tail held. Every later batch is
 //! *appended*: one write of its data lines followed by a fresh
 //! `#! crc32=<hex>` trailer over every earlier byte of the file, then
@@ -22,7 +22,7 @@
 //! was never acknowledged. The `#!` lines are comments, so a segment
 //! stays a plain [`prox_core::load_known`] cache.
 //!
-//! Recovery ([`WriteAheadLog::recover`]) reads segments in index order:
+//! Recovery (`WriteAheadLog::recover`) reads segments in index order:
 //! sealed segments strictly (damage there is a hard error — they were
 //! fully fsynced long ago), the final segment leniently, salvaging the
 //! longest CRC-verified prefix. A tear so deep that *nothing* in the
@@ -64,7 +64,7 @@ impl Default for WalConfig {
     }
 }
 
-/// What [`WriteAheadLog::recover`] found on disk.
+/// What WAL recovery (run by [`crate::SharedStore::open`]) found on disk.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WalRecovery {
     /// Segments read (sealed + active).
@@ -77,13 +77,13 @@ pub struct WalRecovery {
     pub salvaged: bool,
 }
 
-/// Everything [`WriteAheadLog::recover`] hands back: the opened log,
+/// Everything `WriteAheadLog::recover` hands back: the opened log,
 /// the deduplicated recovered entries, and the recovery stats.
-pub type RecoveredLog = (WriteAheadLog, Vec<(Pair, f64)>, WalRecovery);
+pub(crate) type RecoveredLog = (WriteAheadLog, Vec<(Pair, f64)>, WalRecovery);
 
 /// A crash-safe, append-only log of `(pair, distance)` entries.
 #[derive(Debug)]
-pub struct WriteAheadLog {
+pub(crate) struct WriteAheadLog {
     dir: PathBuf,
     manifest: Vec<(String, String)>,
     config: WalConfig,
@@ -101,8 +101,6 @@ pub struct WriteAheadLog {
     dir_exists: bool,
     /// Entries appended over the log's whole life (recovered + new).
     entries_logged: u64,
-    /// Segments sealed over the log's whole life.
-    segments_sealed: u64,
 }
 
 impl WriteAheadLog {
@@ -128,7 +126,6 @@ impl WriteAheadLog {
         let mut seen = std::collections::BTreeSet::new();
         let mut active: Vec<(Pair, f64)> = Vec::new();
         let mut active_index = 0u64;
-        let mut sealed = 0u64;
         for (i, &idx) in indices.iter().enumerate() {
             let path = segment_path(dir, idx);
             let last = i + 1 == indices.len();
@@ -170,13 +167,10 @@ impl WriteAheadLog {
             if last {
                 active_index = idx;
                 active = segment_entries;
-            } else {
-                sealed += 1;
             }
         }
         if !indices.is_empty() && active.len() >= config.segment_entries {
             // The tail segment recovered full: seal it and start fresh.
-            sealed += 1;
             active_index += 1;
             active = Vec::new();
         }
@@ -192,7 +186,6 @@ impl WriteAheadLog {
             open: None,
             dir_exists,
             entries_logged: recovery.entries,
-            segments_sealed: sealed,
         };
         Ok((wal, known, recovery))
     }
@@ -220,7 +213,6 @@ impl WriteAheadLog {
             }
             self.entries_logged += batch.len() as u64;
             if self.active.len() >= self.config.segment_entries {
-                self.segments_sealed += 1;
                 self.active_index += 1;
                 self.active.clear();
                 self.open = None;
@@ -230,19 +222,9 @@ impl WriteAheadLog {
         Ok(())
     }
 
-    /// Path of the directory the log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Entries appended over the log's whole life (recovered + new).
     pub fn entries_logged(&self) -> u64 {
         self.entries_logged
-    }
-
-    /// Segments sealed so far (the active segment is not counted).
-    pub fn segments_sealed(&self) -> u64 {
-        self.segments_sealed
     }
 
     /// Makes `batch` (already pushed onto `active`) durable: appended
@@ -468,7 +450,11 @@ mod tests {
             wal.append(&entries[..3]).unwrap();
             wal.append(&entries[3..]).unwrap();
             assert_eq!(wal.entries_logged(), 10);
-            assert_eq!(wal.segments_sealed(), 2);
+            // Ten entries at four per segment: 0 and 1 sealed, 2 active.
+            for k in 0..3 {
+                assert!(segment_path(&dir, k).is_file(), "segment {k}");
+            }
+            assert!(!segment_path(&dir, 3).is_file());
         }
         let (wal, known, rec) = WriteAheadLog::recover(&dir, &manifest(), cfg).unwrap();
         assert_eq!(known, entries);

@@ -8,9 +8,10 @@
 //!    `mod` / `trait`, with `cfg(test)` and crate attribution) and
 //!    best-effort name-resolved call edges into a whole-workspace
 //!    [`graph::ItemGraph`].
-//! 3. [`rules`] — the lint rules: L3, L6, L8 and L15 are lexical (per line
-//!    of masked code), L9 and L12–L16 are graph rules over the item graph
-//!    (the other numbers are clippy lints, see `docs/INVARIANTS.md`).
+//! 3. [`rules`] — the lint rules: L3 and L6 are lexical (per line of
+//!    masked code), L9 and L12–L14 are graph rules over the item graph
+//!    (L8, L15 and L16 are held by types and visibility, the other numbers
+//!    are clippy lints; see `docs/INVARIANTS.md`).
 //!    [`analyze`] drives
 //!    the graph construction and renders the JSON / DOT dumps and the
 //!    choke-point report behind `cargo xtask analyze`.

@@ -1,7 +1,7 @@
 //! `cargo xtask` — repo-specific checks that `rustc`/`clippy` cannot express.
 //!
 //! ```text
-//! cargo xtask lint                      # enforce L3, L6, L8, L9, L12–L16
+//! cargo xtask lint                      # enforce L3, L6, L9, L12–L14
 //!                                       # + stale-escape gate
 //! cargo xtask lint --allow-unused-allows  # grace mode: stale escapes warn only
 //! cargo xtask analyze                   # choke-point report on stdout

@@ -6,10 +6,9 @@
 //!
 //! Rules come in two flavours:
 //!
-//! * **Lexical** (L3, L6, L8, L15) — per line of the masked code
-//!   produced by [`crate::lexer::scan`] (L8 and L15 are cross-file
-//!   vocabulary checks).
-//! * **Graph** (L9, L12, L13, L14, L16) — over the whole-workspace
+//! * **Lexical** (L3, L6) — per line of the masked code produced by
+//!   [`crate::lexer::scan`].
+//! * **Graph** (L9, L12, L13, L14) — over the whole-workspace
 //!   [`crate::graph::ItemGraph`], so they can see call *chains* that no
 //!   single line reveals.
 //!
@@ -22,21 +21,21 @@
 //! accumulate. L9 additionally carries [`L9_ALLOWLIST`], the audited list
 //! of items that may sit on an oracle path outside the resolver choke
 //! point, and L13 carries [`L13_ALLOWLIST`], the audited list of
-//! `crates/bounds` items that may invoke the unbounded `Dijkstra::run`,
-//! and L16 carries [`L16_ALLOWLIST`], the audited `crates/serve` funnels
-//! that may touch the shared store's mutators outside the commit path.
+//! `crates/bounds` items that may invoke the unbounded `Dijkstra::run`.
+//!
+//! L8, L15 and L16 are held by the compiler, not here: the observability
+//! vocabularies are closed enums (`prox_obs::{EventKind, MetricName,
+//! SpanName}`, with the report's event match kept exhaustive) and the
+//! write-ahead log is private to `crates/serve` (see `docs/INVARIANTS.md`).
 //!
 //! | rule | scope | it forbids |
 //! |------|-------|------------|
 //! | L3 | `try_*` bodies in `crates/bounds` + `crates/lp` | raw float comparisons with no `DECISION_EPS`/eps margin |
 //! | L6 | library crates | discarding a fallible oracle result via `.ok()` / `let _ =` (an `OracleError` must propagate or be handled, never vanish) |
-//! | L8 | `crates/obs` | emitting a `TraceEvent` name the report summarizer never mentions (an event class `prox-cli report` would silently drop) — see [`lint_event_coverage`] |
 //! | L9 | public APIs of `crates/algos` + `crates/bounds` (graph) | reaching `Oracle::call`/`call_pair` (or their `try_` forms) through any call chain that does not pass a `DistanceResolver` method — see [`oracle_exposure`] |
 //! | L12 | library crates (graph) | an infallible `X` that re-implements its fallible twin `try_X` instead of delegating to it (the copies drift apart) |
 //! | L13 | `crates/bounds` (graph) | reaching the unbounded `Dijkstra::run` from bound-query paths — the query cascade must use the bounded twin `run_bidirectional_bounded`; the exact tier funnels through the audited [`L13_ALLOWLIST`] — see [`l13_violations`] |
 //! | L14 | `crates/algos` (graph) | reaching `WeakOracle::probe`/`error_at` through any call chain that does not pass a `CascadeResolver` method — weak answers are untrusted until the cascade's quorum + sandwich audit, so algorithms must never consume them raw — see [`l14_violations`] |
-//! | L15 | library crates | a metrics or span name literal (`inc`/`observe`/`counter`/`histogram*`, `SpanGuard::enter`/`PhaseGuard::enter`/`span`) missing from the central `prox_obs::names` registry — a typo'd counter silently splits one series into two — see [`lint_name_registry`] |
-//! | L16 | whole workspace (graph) | reaching the shared bound store's mutators (`StoreInner` methods, `WriteAheadLog::append`) through any call chain that does not pass the WAL-logged `SharedStore::commit` — a side-door write breaks the crash-recovery byte-identity of I12; recovery/fencing funnels live in the audited [`L16_ALLOWLIST`] — see [`l16_violations`] |
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,7 +45,7 @@ use crate::lexer::{line_starts, match_brace, scan, test_line_ranges};
 /// One finding, addressable as `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`"L3"`, `"L6"`, `"L8"`, `"L9"`, `"L12"`–`"L16"`), or
+    /// Rule id (`"L3"`, `"L6"`, `"L9"`, `"L12"`–`"L14"`), or
     /// `"stale-allow"` for a dead escape.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
@@ -203,221 +202,6 @@ fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
                     .to_string(),
             );
         }
-    }
-    out
-}
-
-/// L8 — the trace-audit lint. Every event name `TraceEvent::name()` can
-/// emit (the `ev` field of the JSONL encoding) must appear *quoted* in
-/// the report summarizer, or `prox-cli report` silently drops that event
-/// class — exactly the failure mode the corruption audit exists to
-/// prevent. Cross-file by nature, so it runs once per workspace, not per
-/// file: pass the sources of `crates/obs/src/event.rs` and
-/// `crates/obs/src/report.rs`.
-pub fn lint_event_coverage(event_src: &str, report_src: &str) -> Vec<Violation> {
-    let src_lines: Vec<&str> = event_src.lines().collect();
-    let mut out = Vec::new();
-    for (line, name) in trace_event_names(event_src) {
-        let quoted = format!("\"{name}\"");
-        if !report_src.contains(&quoted) {
-            out.push(Violation {
-                rule: "L8",
-                file: "crates/obs/src/event.rs".to_string(),
-                line,
-                msg: format!(
-                    "trace event {name:?} is emitted but never mentioned in \
-                     crates/obs/src/report.rs; `prox-cli report` would silently \
-                     drop the whole event class"
-                ),
-                excerpt: src_lines.get(line - 1).unwrap_or(&"").trim().to_string(),
-            });
-        }
-    }
-    out
-}
-
-/// Call-site prefixes whose string-literal arguments are metrics-registry
-/// names (counters and histograms, read *and* write sides).
-const L15_METRIC_SITES: &[&str] = &[
-    ".inc(",
-    ".observe(",
-    ".counter(",
-    ".histogram(",
-    ".histogram_count(",
-    ".histogram_quantile(",
-];
-
-/// Call-site prefixes whose first string-literal argument is a span
-/// (phase) name.
-const L15_SPAN_SITES: &[&str] = &["SpanGuard::enter(", "PhaseGuard::enter("];
-
-/// L15 — the observability-vocabulary lint. Every string literal passed to
-/// a metrics call (`inc`/`observe`/`counter`/`histogram*`) or a span entry
-/// (`SpanGuard::enter`/`PhaseGuard::enter`) anywhere in
-/// the workspace must appear in the central registry
-/// `crates/obs/src/names.rs` (`METRIC_NAMES` / `SPAN_NAMES`). A typo'd
-/// counter name silently splits one logical series into two and a rogue
-/// span name escapes every dashboard's vocabulary — L15 makes both a lint
-/// failure instead. Dynamic names (no literal at the call site) are out of
-/// scope. Cross-file like L8: runs once per workspace.
-pub fn lint_name_registry(files: &[(String, String)]) -> Vec<Violation> {
-    let names_src = files
-        .iter()
-        .find(|(r, _)| r == "crates/obs/src/names.rs")
-        .map(|(_, s)| s.as_str());
-    let Some(names_src) = names_src else {
-        return Vec::new();
-    };
-    let metric_names = registry_table(names_src, "METRIC_NAMES");
-    let span_names = registry_table(names_src, "SPAN_NAMES");
-    let mut out = Vec::new();
-    for (rel, src) in files {
-        if !linted_path(rel) {
-            continue;
-        }
-        l15_file(rel, src, &metric_names, &span_names, &mut out);
-    }
-    out
-}
-
-/// The string literals of one `&[&str]` table in `names.rs`, located by its
-/// identifier (the registry file is ours, so a plain quote scan suffices).
-fn registry_table(src: &str, table: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let Some(start) = src.find(table) else {
-        return out;
-    };
-    let rest = &src[start..];
-    let Some(end) = rest.find("];") else {
-        return out;
-    };
-    let body = &rest.as_bytes()[..end];
-    let mut i = 0usize;
-    while i < body.len() {
-        if body[i] == b'"' {
-            if let Some(j) = rest[..end][i + 1..].find('"') {
-                out.insert(rest[i + 1..i + 1 + j].to_string());
-                i = i + 1 + j + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Scans one file for L15 violations (see [`lint_name_registry`]).
-fn l15_file(
-    rel: &str,
-    src: &str,
-    metric_names: &BTreeSet<String>,
-    span_names: &BTreeSet<String>,
-    out: &mut Vec<Violation>,
-) {
-    let scanned = scan(src);
-    let masked = scanned.masked.as_str();
-    let mb = masked.as_bytes();
-    let test_ranges = test_line_ranges(masked);
-    let starts = line_starts(masked);
-    let src_lines: Vec<&str> = src.lines().collect();
-    let in_test = |line: usize| test_ranges.iter().any(|&(lo, hi)| lo <= line && line <= hi);
-
-    // One pass per site kind: for each pattern occurrence in *code*, walk
-    // the paren-balanced call extent (paren counting is sound on the
-    // masked shadow — literal contents are blanked) and check the string
-    // literals inside it against the registry. Span sites check only the
-    // first literal (later args may be closures carrying unrelated
-    // strings); metric sites check every literal (names can sit in match
-    // arms, as in the cascade's weak-outcome counter).
-    for (sites, names, registry, what) in [
-        (L15_METRIC_SITES, metric_names, "METRIC_NAMES", "metric"),
-        (L15_SPAN_SITES, span_names, "SPAN_NAMES", "span"),
-    ] {
-        for pat in sites {
-            let mut from = 0usize;
-            while let Some(off) = masked[from..].find(pat) {
-                let open = from + off + pat.len() - 1;
-                from = open + 1;
-                let line = crate::lexer::line_of(&starts, open);
-                if in_test(line) {
-                    continue;
-                }
-                // Call extent: from the opening paren to its match.
-                let mut depth = 0usize;
-                let mut close = None;
-                for (k, &c) in mb.iter().enumerate().skip(open) {
-                    match c {
-                        b'(' => depth += 1,
-                        b')' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                close = Some(k);
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                let Some(close) = close else { continue };
-                // Literals inside the extent: delimiters survive masking,
-                // contents read from the raw source.
-                let mut i = open;
-                while i < close {
-                    if mb[i] == b'"' {
-                        let Some(j) = masked[i + 1..close].find('"') else {
-                            break;
-                        };
-                        let name = &src[i + 1..i + 1 + j];
-                        let lit_line = crate::lexer::line_of(&starts, i);
-                        if !names.contains(name) {
-                            out.push(Violation {
-                                rule: "L15",
-                                file: rel.to_string(),
-                                line: lit_line,
-                                msg: format!(
-                                    "{what} name {name:?} is not in the central \
-                                     registry (crates/obs/src/names.rs {registry}); \
-                                     add it there or fix the typo"
-                                ),
-                                excerpt: src_lines
-                                    .get(lit_line - 1)
-                                    .unwrap_or(&"")
-                                    .trim()
-                                    .to_string(),
-                            });
-                        }
-                        i = i + 1 + j + 1;
-                        if what == "span" {
-                            break;
-                        }
-                        continue;
-                    }
-                    i += 1;
-                }
-            }
-        }
-    }
-}
-
-/// The `(line, name)` pairs from `TraceEvent::name()`'s match arms:
-/// lines of the shape `TraceEvent::Variant { .. } => "name",`. Variant
-/// paths in other enums' `name()` impls (outcomes, verdicts, actions)
-/// are keys *inside* an event, not event classes, and are not collected.
-fn trace_event_names(event_src: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (idx, line) in event_src.lines().enumerate() {
-        let t = line.trim();
-        if !t.starts_with("TraceEvent::") {
-            continue;
-        }
-        let Some(arrow) = t.find("=> \"") else {
-            continue;
-        };
-        let rest = &t[arrow + 4..];
-        let Some(close) = rest.find('"') else {
-            continue;
-        };
-        out.push((idx + 1, rest[..close].to_string()));
     }
     out
 }
@@ -961,133 +745,12 @@ pub fn l14_violations(g: &ItemGraph) -> Vec<Violation> {
     out
 }
 
-/// The audited L16 allowlist: `crates/serve` funnels that may reach the
-/// shared store's mutators without passing `SharedStore::commit`.
-///
-/// * `SharedStore::open` — recovery replay: it builds the store's
-///   immutable runs from WAL segments it just CRC-verified; nothing new is
-///   logged, so the durable and visible states cannot diverge.
-/// * `SharedStore::advance_epoch` — the quarantine fence: it mutates only
-///   the epoch counter, never the certified map or the WAL.
-pub const L16_ALLOWLIST: &[&str] = &[
-    "serve::store::SharedStore::open",
-    "serve::store::SharedStore::advance_epoch",
-];
-
-/// L16 — the shared bound store is fed **only** through the WAL-logged
-/// commit API. The crash-safety argument (I12) hinges on every visible
-/// mutation being durably logged first; a side door that inserts into the
-/// store's map (or appends to its WAL) without going through
-/// `SharedStore::commit` silently breaks recovery byte-identity. A reverse
-/// BFS from the mutator sinks (`StoreInner`'s methods and
-/// `WriteAheadLog::append`, mirroring [`l13_violations`]) flags every
-/// non-test item — in *any* crate — that can reach one through a chain
-/// that passes neither `SharedStore::commit` nor an audited
-/// [`L16_ALLOWLIST`] funnel.
-pub fn l16_violations(g: &ItemGraph, allowlist: &[&str]) -> Vec<Violation> {
-    let n = g.items.len();
-    let paths: Vec<String> = g.items.iter().map(Item::path).collect();
-    let sink: Vec<bool> = g
-        .items
-        .iter()
-        .map(|it| {
-            it.krate == "serve"
-                && (it.container.as_deref() == Some("StoreInner")
-                    || (it.container.as_deref() == Some("WriteAheadLog") && it.name == "append"))
-        })
-        .collect();
-    let choke: Vec<bool> = g
-        .items
-        .iter()
-        .map(|it| {
-            it.krate == "serve"
-                && it.container.as_deref() == Some("SharedStore")
-                && it.name == "commit"
-        })
-        .collect();
-    let allowed: Vec<bool> = paths
-        .iter()
-        .map(|p| allowlist.contains(&p.as_str()))
-        .collect();
-
-    let mut visited = vec![false; n];
-    let mut next: Vec<Option<usize>> = vec![None; n];
-    let mut stack: Vec<usize> = (0..n).filter(|&v| sink[v] && !g.items[v].is_test).collect();
-    for &s in &stack {
-        visited[s] = true;
-    }
-    while let Some(v) = stack.pop() {
-        // Sinks propagate to their callers; any other node propagates only
-        // if it is neither the commit chokepoint nor an audited funnel.
-        if !sink[v] && (choke[v] || allowed[v]) {
-            continue;
-        }
-        for &e in &g.inc[v] {
-            let u = g.edges[e].from;
-            if !visited[u] && !g.items[u].is_test {
-                visited[u] = true;
-                next[u] = Some(v);
-                stack.push(u);
-            }
-        }
-    }
-
-    let chain = |mut v: usize| {
-        let mut s = paths[v].clone();
-        while let Some(nx) = next[v] {
-            s.push_str(" -> ");
-            s.push_str(&paths[nx]);
-            v = nx;
-        }
-        s
-    };
-    let mut out = Vec::new();
-    for v in 0..n {
-        if !visited[v] || sink[v] || choke[v] || allowed[v] {
-            continue;
-        }
-        let it = &g.items[v];
-        out.push(Violation {
-            rule: "L16",
-            file: it.file.clone(),
-            line: it.line,
-            msg: format!(
-                "`{}` mutates the shared bound store without passing the \
-                 WAL-logged `SharedStore::commit`: {}; route the write \
-                 through `commit` or add an audited `L16_ALLOWLIST` entry",
-                it.path(),
-                chain(v)
-            ),
-            excerpt: it.path(),
-        });
-    }
-    for e in allowlist.iter().filter(|e| !paths.iter().any(|p| p == *e)) {
-        out.push(Violation {
-            rule: "L16",
-            file: "crates/xtask/src/rules.rs".to_string(),
-            line: 1,
-            msg: format!(
-                "stale `L16_ALLOWLIST` entry `{e}` matches no workspace item; \
-                 remove it or fix the path"
-            ),
-            excerpt: e.to_string(),
-        });
-    }
-    out
-}
-
-/// The graph rules (L9 + L12 + L13 + L14 + L16), *before* escape filtering.
-pub fn lint_graph(
-    g: &ItemGraph,
-    l9_allowlist: &[&str],
-    l13_allowlist: &[&str],
-    l16_allowlist: &[&str],
-) -> Vec<Violation> {
+/// The graph rules (L9 + L12 + L13 + L14), *before* escape filtering.
+pub fn lint_graph(g: &ItemGraph, l9_allowlist: &[&str], l13_allowlist: &[&str]) -> Vec<Violation> {
     let mut out = l9_violations(g, l9_allowlist);
     out.extend(l12_violations(g));
     out.extend(l13_violations(g, l13_allowlist));
     out.extend(l14_violations(g));
-    out.extend(l16_violations(g, l16_allowlist));
     out
 }
 
@@ -1110,20 +773,18 @@ pub struct WorkspaceLint {
 }
 
 /// Lints a workspace snapshot (`(workspace-relative path, source)` pairs):
-/// lexical rules per file, L8 across `crates/obs`, L15 across the whole
-/// workspace, and the graph rules over the item graph, with escape
-/// filtering and stale-escape detection.
+/// lexical rules per file and the graph rules over the item graph, with
+/// escape filtering and stale-escape detection.
 pub fn lint_workspace(files: &[(String, String)]) -> WorkspaceLint {
-    lint_workspace_with(files, L9_ALLOWLIST, L13_ALLOWLIST, L16_ALLOWLIST)
+    lint_workspace_with(files, L9_ALLOWLIST, L13_ALLOWLIST)
 }
 
-/// [`lint_workspace`] with explicit L9/L13/L16 allowlists (tests use
+/// [`lint_workspace`] with explicit L9/L13 allowlists (tests use
 /// fixtures).
 pub fn lint_workspace_with(
     files: &[(String, String)],
     l9_allowlist: &[&str],
     l13_allowlist: &[&str],
-    l16_allowlist: &[&str],
 ) -> WorkspaceLint {
     let mut raw = Vec::new();
     let mut escapes = Vec::new();
@@ -1135,16 +796,8 @@ pub fn lint_workspace_with(
             escapes.extend(collect_escapes(rel, src));
         }
     }
-    let find = |p: &str| files.iter().find(|(r, _)| r == p).map(|(_, s)| s.as_str());
-    if let (Some(ev), Some(rep)) = (
-        find("crates/obs/src/event.rs"),
-        find("crates/obs/src/report.rs"),
-    ) {
-        raw.extend(lint_event_coverage(ev, rep));
-    }
-    raw.extend(lint_name_registry(files));
     let g = ItemGraph::build(files);
-    raw.extend(lint_graph(&g, l9_allowlist, l13_allowlist, l16_allowlist));
+    raw.extend(lint_graph(&g, l9_allowlist, l13_allowlist));
 
     let (violations, used) = apply_escapes(raw, &escapes);
     let stale_escapes = escapes
@@ -1244,142 +897,6 @@ mod tests {
         assert!(lint_source("crates/core/src/x.rs", src).is_empty());
     }
 
-    // ---------------------------------------------------------------- L8
-
-    const EVENT_FIXTURE: &str = "impl TraceEvent {\n    pub fn name(self) -> &'static str {\n        match self {\n            TraceEvent::OracleCall { .. } => \"oracle_call\",\n            TraceEvent::Corruption { .. } => \"corruption\",\n        }\n    }\n}\n";
-
-    #[test]
-    fn l8_flags_event_names_missing_from_the_report() {
-        let report = "fn summarize(ev: &str) { match ev { \"oracle_call\" => {} _ => {} } }\n";
-        let vs = lint_event_coverage(EVENT_FIXTURE, report);
-        assert_eq!(lines(&vs, "L8"), vec![5]);
-        assert!(vs[0].msg.contains("\"corruption\""));
-        assert!(vs[0].render().contains("crates/obs/src/event.rs:5"));
-    }
-
-    #[test]
-    fn l8_passes_when_every_event_name_is_quoted_in_the_report() {
-        let report = "match ev { \"oracle_call\" => {} \"corruption\" => {} _ => {} }\n";
-        assert!(lint_event_coverage(EVENT_FIXTURE, report).is_empty());
-    }
-
-    #[test]
-    fn l8_ignores_field_name_enums_and_non_arm_lines() {
-        // Variant names of inner enums (CallOutcome etc.) are field
-        // values, not event classes; they must not be collected.
-        let with_inner = "impl CallOutcome {\n    fn name(self) -> &'static str {\n        match self {\n            CallOutcome::Ok => \"ok\",\n        }\n    }\n}\n";
-        assert!(lint_event_coverage(with_inner, "").is_empty());
-        let names = trace_event_names(EVENT_FIXTURE);
-        assert_eq!(
-            names,
-            vec![
-                (4, "oracle_call".to_string()),
-                (5, "corruption".to_string())
-            ]
-        );
-    }
-
-    // ---------------------------------------------------------------- L15
-
-    const NAMES_FIXTURE: &str = "pub const METRIC_NAMES: &[&str] = &[\n    \"oracle.calls\",\n    \"probe.width\",\n];\n\npub const SPAN_NAMES: &[&str] = &[\n    \"build\",\n    \"scan\",\n];\n";
-
-    fn l15_files(src: &str) -> Vec<(String, String)> {
-        vec![
-            (
-                "crates/obs/src/names.rs".to_string(),
-                NAMES_FIXTURE.to_string(),
-            ),
-            ("crates/bounds/src/x.rs".to_string(), src.to_string()),
-        ]
-    }
-
-    #[test]
-    fn l15_flags_unregistered_metric_and_span_names() {
-        let src = "fn f(m: &Metrics, t: Option<Rc<dyn TraceSink>>) {\n    m.inc(\"oracle.callz\", 1);\n    m.observe(\"probe.width\", 3);\n    let _g = SpanGuard::enter(t, \"scam\");\n}\n";
-        let vs = lint_name_registry(&l15_files(src));
-        assert_eq!(lines(&vs, "L15"), vec![2, 4]);
-        assert!(vs[0].msg.contains("\"oracle.callz\""));
-        assert!(vs[0].msg.contains("METRIC_NAMES"));
-        assert!(vs[1].msg.contains("\"scam\""));
-        assert!(vs[1].msg.contains("SPAN_NAMES"));
-    }
-
-    #[test]
-    fn l15_checks_every_literal_in_a_metric_call_extent() {
-        // Names can sit in match arms spanning lines (the cascade's
-        // weak-outcome counter); every literal in the extent is checked.
-        let src = "fn f(m: &Metrics, o: O) {\n    m.inc(\n        match o {\n            O::A => \"oracle.calls\",\n            O::B => \"cascade.weak_liez\",\n        },\n        1,\n    );\n}\n";
-        let vs = lint_name_registry(&l15_files(src));
-        assert_eq!(lines(&vs, "L15"), vec![5]);
-    }
-
-    #[test]
-    fn l15_span_sites_check_only_the_first_literal() {
-        // Later arguments may carry unrelated strings.
-        let src = "fn f(t: Option<Rc<dyn TraceSink>>) {\n    \
-                   let _g = SpanGuard::enter(t, pick(\"scan\", \"not a span name\"));\n}\n";
-        assert!(lint_name_registry(&l15_files(src)).is_empty());
-    }
-
-    #[test]
-    fn l15_skips_tests_dynamic_names_and_unlinted_paths() {
-        let in_test =
-            "#[cfg(test)]\nmod tests {\n    fn f(m: &Metrics) { m.inc(\"nope\", 1); }\n}\n";
-        assert!(lint_name_registry(&l15_files(in_test)).is_empty());
-        let dynamic = "fn f(m: &Metrics, name: &str) { m.inc(name, 1); }\n";
-        assert!(lint_name_registry(&l15_files(dynamic)).is_empty());
-        let files = vec![
-            (
-                "crates/obs/src/names.rs".to_string(),
-                NAMES_FIXTURE.to_string(),
-            ),
-            (
-                "crates/bounds/tests/t.rs".to_string(),
-                "fn f(m: &Metrics) { m.inc(\"nope\", 1); }\n".to_string(),
-            ),
-        ];
-        assert!(lint_name_registry(&files).is_empty());
-    }
-
-    #[test]
-    fn l15_respects_allow_annotation_via_workspace_filtering() {
-        let src = "fn f(m: &Metrics) {\n    // experimental counter, not yet in the registry; lint: allow(L15)\n    m.inc(\"experimental.counter\", 1);\n}\n";
-        let lint = lint_workspace_with(&l15_files(src), &[], &[], &[]);
-        assert!(
-            !lint.violations.iter().any(|v| v.rule == "L15"),
-            "{:?}",
-            lint.violations
-        );
-    }
-
-    #[test]
-    fn l15_registry_table_parses_the_real_registry() {
-        let names_src = include_str!("../../obs/src/names.rs");
-        let metrics = registry_table(names_src, "METRIC_NAMES");
-        let spans = registry_table(names_src, "SPAN_NAMES");
-        assert!(metrics.contains("oracle.calls"));
-        assert!(metrics.contains("probe.width"));
-        assert!(metrics.contains("splub_full_fallback"));
-        assert!(spans.contains("bootstrap"));
-        assert!(spans.contains("swap"));
-        assert!(metrics.len() >= 13, "{metrics:?}");
-        assert!(spans.len() >= 7, "{spans:?}");
-    }
-
-    #[test]
-    fn l8_holds_on_the_real_sources() {
-        // The actual emitter/summarizer pair must stay in sync; this is
-        // the same check `cargo xtask lint` runs on the workspace.
-        let event_src = include_str!("../../obs/src/event.rs");
-        let report_src = include_str!("../../obs/src/report.rs");
-        let vs = lint_event_coverage(event_src, report_src);
-        assert!(vs.is_empty(), "{:?}", vs);
-        assert!(
-            trace_event_names(event_src).len() >= 10,
-            "the extractor must see every TraceEvent variant"
-        );
-    }
-
     // ----------------------------------------------------------- plumbing
 
     #[test]
@@ -1416,7 +933,7 @@ mod tests {
             ),
         ]);
         let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[], &[], &[]);
+        let vs = lint_graph(&g, &[], &[]);
         let l9: Vec<&Violation> = vs.iter().filter(|v| v.rule == "L9").collect();
         assert_eq!(l9.len(), 1, "{vs:?}");
         assert_eq!(l9[0].file, "crates/algos/src/leak.rs");
@@ -1437,7 +954,7 @@ mod tests {
             ),
         ]);
         let g = ItemGraph::build(&files);
-        assert!(lint_graph(&g, &[], &[], &[]).iter().all(|v| v.rule != "L9"));
+        assert!(lint_graph(&g, &[], &[]).iter().all(|v| v.rule != "L9"));
     }
 
     #[test]
@@ -1453,20 +970,19 @@ mod tests {
         let g = ItemGraph::build(&files);
         // Unallowed: both bootstrap fns are exposed.
         assert_eq!(
-            lint_graph(&g, &[], &[], &[])
+            lint_graph(&g, &[], &[])
                 .iter()
                 .filter(|v| v.rule == "L9")
                 .count(),
             2
         );
         // Allowlisting the audited choke fn sanctions everything above it.
-        let vs = lint_graph(&g, &["bounds::bootstrap::try_pick"], &[], &[]);
+        let vs = lint_graph(&g, &["bounds::bootstrap::try_pick"], &[]);
         assert!(vs.iter().all(|v| v.rule != "L9"), "{vs:?}");
         // A stale entry is itself a violation.
         let vs = lint_graph(
             &g,
             &["bounds::bootstrap::try_pick", "bounds::gone::nope"],
-            &[],
             &[],
         );
         assert!(vs.iter().any(|v| v.rule == "L9" && v.msg.contains("stale")));
@@ -1482,7 +998,7 @@ mod tests {
                 "// audited one-off probe; lint: allow(L9)\npub fn leaky(o: &Oracle) { o.call(); }\n",
             ),
         ]);
-        let lint = lint_workspace_with(&files, &[], &[], &[]);
+        let lint = lint_workspace_with(&files, &[], &[]);
         assert!(
             lint.violations.iter().all(|v| v.rule != "L9"),
             "{:?}",
@@ -1507,7 +1023,7 @@ mod tests {
             ),
         ]);
         let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[], &[], &[]);
+        let vs = lint_graph(&g, &[], &[]);
         let l13: Vec<&Violation> = vs.iter().filter(|v| v.rule == "L13").collect();
         // Both the private full-run site and the public query path above it.
         assert_eq!(l13.len(), 2, "{vs:?}");
@@ -1531,7 +1047,7 @@ mod tests {
             ),
         ]);
         let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[], &[], &[]);
+        let vs = lint_graph(&g, &[], &[]);
         assert!(vs.iter().all(|v| v.rule != "L13"), "{vs:?}");
     }
 
@@ -1546,14 +1062,13 @@ mod tests {
         ]);
         let g = ItemGraph::build(&files);
         // Allowlisting the audited funnel sanctions everything above it.
-        let vs = lint_graph(&g, &[], &["bounds::splub::ensure_tree"], &[]);
+        let vs = lint_graph(&g, &[], &["bounds::splub::ensure_tree"]);
         assert!(vs.iter().all(|v| v.rule != "L13"), "{vs:?}");
         // A stale entry is itself a violation.
         let vs = lint_graph(
             &g,
             &[],
             &["bounds::splub::ensure_tree", "bounds::gone::nope"],
-            &[],
         );
         assert!(vs
             .iter()
@@ -1587,7 +1102,7 @@ mod tests {
             ),
         ]);
         let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[], &[], &[]);
+        let vs = lint_graph(&g, &[], &[]);
         let l14: Vec<&Violation> = vs.iter().filter(|v| v.rule == "L14").collect();
         // Both the private probe site and the public path above it.
         assert_eq!(l14.len(), 2, "{vs:?}");
@@ -1608,7 +1123,7 @@ mod tests {
             ),
         ]);
         let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[], &[], &[]);
+        let vs = lint_graph(&g, &[], &[]);
         assert!(vs.iter().all(|v| v.rule != "L14"), "{vs:?}");
     }
 
@@ -1634,94 +1149,6 @@ mod tests {
         );
     }
 
-    // ------------------------------------------------ graph rules: L16
-
-    /// Store skeleton shared by the L16 tests: the mutator sinks, the
-    /// commit chokepoint, and the audited fencing funnel.
-    const STORE_SRC: &str = "pub struct StoreInner;\nimpl StoreInner {\n    pub fn absorb(&mut self) { self.wal_append() }\n    pub fn fence(&mut self) {}\n    fn wal_append(&mut self) {}\n}\npub struct SharedStore;\nimpl SharedStore {\n    pub fn commit(&self, i: &mut StoreInner) { i.absorb(); }\n    pub fn advance_epoch(&self, i: &mut StoreInner) { i.fence(); }\n}\n";
-
-    #[test]
-    fn l16_flags_a_side_door_store_write_with_its_chain() {
-        let files = fixture(&[
-            ("crates/serve/src/store.rs", STORE_SRC),
-            (
-                "crates/algos/src/sidedoor.rs",
-                "pub fn inject(i: &mut StoreInner) { poke(i); }\nfn poke(i: &mut StoreInner) { i.absorb(); }\n",
-            ),
-        ]);
-        let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[], &[], &["serve::store::SharedStore::advance_epoch"]);
-        let l16: Vec<&Violation> = vs.iter().filter(|v| v.rule == "L16").collect();
-        // Both the private poke site and the public path above it.
-        assert_eq!(l16.len(), 2, "{vs:?}");
-        assert!(l16.iter().all(|v| v.file == "crates/algos/src/sidedoor.rs"));
-        assert!(l16.iter().any(|v| v.msg.contains(
-            "algos::sidedoor::inject -> algos::sidedoor::poke -> serve::store::StoreInner::absorb"
-        )));
-    }
-
-    #[test]
-    fn l16_accepts_the_commit_choke_and_audited_funnels() {
-        let files = fixture(&[
-            ("crates/serve/src/store.rs", STORE_SRC),
-            (
-                "crates/serve/src/server.rs",
-                "pub fn run(s: &SharedStore, i: &mut StoreInner) { s.commit(i); s.advance_epoch(i); }\n",
-            ),
-        ]);
-        let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[], &[], &["serve::store::SharedStore::advance_epoch"]);
-        assert!(vs.iter().all(|v| v.rule != "L16"), "{vs:?}");
-    }
-
-    #[test]
-    fn l16_without_the_funnel_flags_the_fence_and_stale_entries() {
-        let files = fixture(&[
-            ("crates/serve/src/store.rs", STORE_SRC),
-            (
-                "crates/serve/src/server.rs",
-                "pub fn run(s: &SharedStore, i: &mut StoreInner) { s.advance_epoch(i); }\n",
-            ),
-        ]);
-        let g = ItemGraph::build(&files);
-        // With no allowlist, the fencing funnel and its caller are flagged.
-        let vs = lint_graph(&g, &[], &[], &[]);
-        assert!(
-            vs.iter()
-                .any(|v| v.rule == "L16" && v.excerpt == "serve::store::SharedStore::advance_epoch"),
-            "{vs:?}"
-        );
-        // A stale entry is itself a violation.
-        let vs = lint_graph(&g, &[], &[], &["serve::gone::nope"]);
-        assert!(vs
-            .iter()
-            .any(|v| v.rule == "L16" && v.msg.contains("stale")));
-    }
-
-    #[test]
-    fn l16_real_allowlist_matches_the_workspace() {
-        let files = crate::load_workspace_sources(&crate::workspace_root());
-        let g = ItemGraph::build(&files);
-        let vs = l16_violations(&g, L16_ALLOWLIST);
-        assert!(vs.is_empty(), "{vs:?}");
-        // The rule must not be vacuous: the real graph contains the store
-        // mutator sinks and the commit chokepoint they funnel through.
-        assert!(
-            g.items.iter().any(|it| it.krate == "serve"
-                && it.container.as_deref() == Some("StoreInner")
-                && it.name == "absorb"),
-            "StoreInner::absorb must exist in the item graph"
-        );
-        assert!(
-            g.items.iter().any(|it| it.krate == "serve"
-                && it.container.as_deref() == Some("SharedStore")
-                && it.name == "commit"),
-            "SharedStore::commit must exist in the item graph"
-        );
-    }
-
-    // ------------------------------------------------ graph rules: L12
-
     #[test]
     fn l12_flags_a_non_delegating_twin() {
         let files = fixture(&[(
@@ -1729,7 +1156,7 @@ mod tests {
             "pub fn prim() { body(); }\npub fn try_prim() { body(); }\nfn body() {}\n",
         )]);
         let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[], &[], &[]);
+        let vs = lint_graph(&g, &[], &[]);
         let l12: Vec<&Violation> = vs.iter().filter(|v| v.rule == "L12").collect();
         assert_eq!(l12.len(), 1, "{vs:?}");
         assert_eq!(l12[0].line, 1);
@@ -1743,9 +1170,7 @@ mod tests {
             "pub fn mst() { expect_ok(try_mst()) }\npub fn try_mst() {}\nfn expect_ok(x: u32) -> u32 { x }\n",
         )]);
         let g = ItemGraph::build(&direct);
-        assert!(lint_graph(&g, &[], &[], &[])
-            .iter()
-            .all(|v| v.rule != "L12"));
+        assert!(lint_graph(&g, &[], &[]).iter().all(|v| v.rule != "L12"));
         // kruskal-style: mst -> mst_with, try_mst -> try_mst_with, and the
         // `_with` pair delegates — so `mst` counts as delegating too.
         let chained = fixture(&[(
@@ -1753,7 +1178,7 @@ mod tests {
             "pub fn mst() { mst_with() }\npub fn mst_with() { expect_ok(try_mst_with()) }\npub fn try_mst() { try_mst_with() }\npub fn try_mst_with() {}\nfn expect_ok(x: u32) -> u32 { x }\n",
         )]);
         let g = ItemGraph::build(&chained);
-        let vs = lint_graph(&g, &[], &[], &[]);
+        let vs = lint_graph(&g, &[], &[]);
         assert!(vs.iter().all(|v| v.rule != "L12"), "{vs:?}");
     }
 
@@ -1764,14 +1189,12 @@ mod tests {
             "pub fn run() { body(); }\npub fn try_run() { body(); }\nfn body() {}\n",
         )]);
         let g = ItemGraph::build(&in_bench);
-        assert!(lint_graph(&g, &[], &[], &[])
-            .iter()
-            .all(|v| v.rule != "L12"));
+        assert!(lint_graph(&g, &[], &[]).iter().all(|v| v.rule != "L12"));
         let escaped = fixture(&[(
             "crates/algos/src/a.rs",
             "// different semantics, not a wrapper; lint: allow(L12)\npub fn go() { body(); }\npub fn try_go() { body(); }\nfn body() {}\n",
         )]);
-        let lint = lint_workspace_with(&escaped, &[], &[], &[]);
+        let lint = lint_workspace_with(&escaped, &[], &[]);
         assert!(lint.violations.iter().all(|v| v.rule != "L12"));
         assert!(lint.stale_escapes.is_empty());
     }
@@ -1788,12 +1211,8 @@ mod tests {
             ("crates/core/src/oracle.rs", ORACLE_SRC),
             ("crates/bounds/src/resolver.rs", RESOLVER_SRC),
         ]);
-        let lint = lint_workspace_with(
-            &files,
-            &["bounds::gone::nine"],
-            &["bounds::gone::thirteen"],
-            &[],
-        );
+        let lint =
+            lint_workspace_with(&files, &["bounds::gone::nine"], &["bounds::gone::thirteen"]);
         for (rule, entry) in [
             ("L9", "bounds::gone::nine"),
             ("L13", "bounds::gone::thirteen"),
@@ -1816,7 +1235,7 @@ mod tests {
             "crates/core/src/x.rs",
             "fn f() {\n    // lint: allow(L6)\n    let _ = o.try_call(a, b);\n    // lint: allow(L3)\n    let y = 1;\n}\n",
         )]);
-        let lint = lint_workspace_with(&files, &[], &[], &[]);
+        let lint = lint_workspace_with(&files, &[], &[]);
         assert!(lint.violations.iter().all(|v| v.rule != "L6"));
         assert_eq!(lint.stale_escapes.len(), 1, "{:?}", lint.stale_escapes);
         assert_eq!(lint.stale_escapes[0].rule, "stale-allow");
@@ -1830,7 +1249,7 @@ mod tests {
             "crates/core/src/x.rs",
             "#[cfg(test)]\nmod tests {\n    // lint: allow(L6)\n    fn f() { let _ = o.try_call(a, b); }\n}\n",
         )]);
-        let lint = lint_workspace_with(&files, &[], &[], &[]);
+        let lint = lint_workspace_with(&files, &[], &[]);
         assert!(lint.violations.is_empty());
         assert!(lint.stale_escapes.is_empty());
     }

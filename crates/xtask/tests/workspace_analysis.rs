@@ -85,8 +85,8 @@ fn oracle_is_reachable_only_through_resolver_chokes() {
     assert!(leaks.is_empty(), "exposed public APIs: {leaks:#?}");
 }
 
-/// The workspace lint (lexical L3/L6, L8 and L15 vocabulary, graph L9 and
-/// L12–L16, escape accounting) is clean end to end.
+/// The workspace lint (lexical L3/L6, graph L9 and L12–L14, escape
+/// accounting) is clean end to end.
 #[test]
 fn workspace_lint_is_clean() {
     let (files, _) = real_graph();
