@@ -12,7 +12,7 @@ use prox_bounds::{
 use prox_core::{
     CallBudget, FaultInjector, ObjectId, Oracle, Pair, QueryGoal, RetryPolicy, TinyRng,
 };
-use prox_datasets::{ClusteredPlane, Dataset};
+use prox_datasets::{ClusteredPlane, Dataset, RoadNetwork};
 use prox_graph::{Dijkstra, PartialGraph};
 
 const SEED: u64 = 20210620;
@@ -227,6 +227,17 @@ fn bench_resolver_memo(b: &mut Bench) {
             black_box(run());
         });
     }
+}
+
+/// The UrbanGB stand-in's ground truth at prox-perf's `prim-road-tri` size:
+/// `RoadNetwork::generate(1500, SEED)` builds the road graph, runs one
+/// exact bucket sweep per POI and normalises the matrix. Reported in ns
+/// per source sweep.
+fn bench_dataset_build(b: &mut Bench) {
+    let n = 1500;
+    b.bench_per_op("dataset_build", "urbangb/1500", n as u64, || {
+        black_box(RoadNetwork::default().generate(n, SEED));
+    });
 }
 
 /// DESIGN.md ablation: the sorted-`Vec` adjacency inside Tri. (The losing
@@ -674,6 +685,7 @@ fn main() {
     bench_tri_adjacency(&mut b);
     bench_tri_access(&mut b);
     bench_resolver_memo(&mut b);
+    bench_dataset_build(&mut b);
     bench_dijkstra_reset(&mut b);
     bench_oracle_fault_layer(&mut b);
     bench_oracle_trace_layer(&mut b);

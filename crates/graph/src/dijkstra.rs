@@ -1,6 +1,7 @@
-//! Single-source shortest paths with reusable, epoch-stamped scratch space.
-//!
-//! Three kernels share one scratch structure:
+//! Single-source shortest paths with reusable, epoch-stamped scratch space,
+//! for SPLUB's bound queries (road-network ground truth is built by
+//! `prox-datasets`' own bucket sweep). Three kernels share one scratch
+//! structure and walk each node's arcs as one slice:
 //!
 //! * [`Dijkstra::run`] — classic full SSSP, now `O(touched)` per call
 //!   instead of paying an `O(n)` dist reset (epoch stamps);
@@ -17,25 +18,23 @@ use prox_core::ObjectId;
 
 use crate::PartialGraph;
 
-/// Anything Dijkstra can walk: a node count plus a neighbour visitor.
+/// Anything Dijkstra can walk: a node count plus each node's arc slice.
 ///
-/// Implemented by [`PartialGraph`] (SPLUB's bound queries) and by the road
-/// network graphs in `prox-datasets` (ground-truth generation).
+/// Implemented by [`PartialGraph`] (SPLUB's bound queries) and by the
+/// `prox-datasets` road graph, as the reference for its bucket sweep.
 pub trait Adjacency {
     /// Number of nodes; valid ids are `0..n()`.
     fn n(&self) -> usize;
-    /// Calls `f(neighbour, edge_weight)` for every edge incident on `v`.
-    fn for_each_neighbor(&self, v: ObjectId, f: &mut dyn FnMut(ObjectId, f64));
+    /// Every edge incident on `v`, as `(neighbour, edge_weight)`.
+    fn neighbors(&self, v: ObjectId) -> &[(ObjectId, f64)];
 }
 
 impl Adjacency for PartialGraph {
     fn n(&self) -> usize {
         PartialGraph::n(self)
     }
-    fn for_each_neighbor(&self, v: ObjectId, f: &mut dyn FnMut(ObjectId, f64)) {
-        for &(u, w) in self.neighbors(v) {
-            f(u, w);
-        }
+    fn neighbors(&self, v: ObjectId) -> &[(ObjectId, f64)] {
+        PartialGraph::neighbors(self, v)
     }
 }
 
@@ -178,14 +177,14 @@ impl Dijkstra {
             if d > dist[v as usize] {
                 continue; // stale entry (every heap entry's node is stamped)
             }
-            graph.for_each_neighbor(v, &mut |u, w| {
+            for &(u, w) in graph.neighbors(v) {
                 let nd = d + w;
                 if nd < Self::label(dist, stamp, epoch, u) {
                     dist[u as usize] = nd;
                     stamp[u as usize] = epoch;
                     heap.push(Entry { dist: nd, node: u });
                 }
-            });
+            }
         }
         self.view()
     }
@@ -238,14 +237,14 @@ impl Dijkstra {
             if d > dist[v as usize] {
                 continue;
             }
-            graph.for_each_neighbor(v, &mut |u, w| {
+            for &(u, w) in graph.neighbors(v) {
                 let nd = d + w;
                 if nd < Self::label(dist, stamp, epoch, u) {
                     dist[u as usize] = nd;
                     stamp[u as usize] = epoch;
                     heap.push(Entry { dist: nd, node: u });
                 }
-            });
+            }
         }
         self.view()
     }
@@ -312,7 +311,7 @@ impl Dijkstra {
             } = this;
             let epoch = *epoch;
             let other_view = other.view();
-            graph.for_each_neighbor(v, &mut |u, w| {
+            for &(u, w) in graph.neighbors(v) {
                 let nd = d + w;
                 if nd < Self::label(dist, stamp, epoch, u) {
                     dist[u as usize] = nd;
@@ -323,7 +322,7 @@ impl Dijkstra {
                         mu = nd + od;
                     }
                 }
-            });
+            }
         }
         (mu < cutoff).then_some(mu)
     }
