@@ -90,38 +90,39 @@ fn bench_queries(b: &mut Bench) {
 }
 
 fn bench_updates(b: &mut Bench) {
-    b.sample_size(10);
-    for n in [128usize, 256] {
-        let metric = ClusteredPlane::default().metric(n, SEED);
-        let oracle = Oracle::new(&*metric);
-        let edges: Vec<(Pair, f64)> = Pair::all(n)
-            .step_by(7)
-            .take(200)
-            .map(|p| (p, oracle.call_pair(p)))
-            .collect();
+    b.with_sample_size(10, |b| {
+        for n in [128usize, 256] {
+            let metric = ClusteredPlane::default().metric(n, SEED);
+            let oracle = Oracle::new(&*metric);
+            let edges: Vec<(Pair, f64)> = Pair::all(n)
+                .step_by(7)
+                .take(200)
+                .map(|p| (p, oracle.call_pair(p)))
+                .collect();
 
-        b.bench("bound_update", &format!("tri/{n}"), || {
-            let mut s = TriScheme::new(n, 1.0);
-            for &(p, d) in &edges {
-                s.record(p, d);
-            }
-            black_box(s.m());
-        });
-        b.bench("bound_update", &format!("splub/{n}"), || {
-            let mut s = Splub::new(n, 1.0);
-            for &(p, d) in &edges {
-                s.record(p, d);
-            }
-            black_box(s.m());
-        });
-        b.bench("bound_update", &format!("adm/{n}"), || {
-            let mut s = Adm::new(n, 1.0);
-            for &(p, d) in &edges {
-                s.record(p, d);
-            }
-            black_box(s.m());
-        });
-    }
+            b.bench("bound_update", &format!("tri/{n}"), || {
+                let mut s = TriScheme::new(n, 1.0);
+                for &(p, d) in &edges {
+                    s.record(p, d);
+                }
+                black_box(s.m());
+            });
+            b.bench("bound_update", &format!("splub/{n}"), || {
+                let mut s = Splub::new(n, 1.0);
+                for &(p, d) in &edges {
+                    s.record(p, d);
+                }
+                black_box(s.m());
+            });
+            b.bench("bound_update", &format!("adm/{n}"), || {
+                let mut s = Adm::new(n, 1.0);
+                for &(p, d) in &edges {
+                    s.record(p, d);
+                }
+                black_box(s.m());
+            });
+        }
+    });
 }
 
 /// Tri's query cost by access pattern, in ns per query, at n = 256 with
@@ -207,26 +208,27 @@ fn bench_tri_access(b: &mut Bench) {
 /// * `dense` — n = 300: C(n, 2) ≤ 2^16, so every pair owns its memo slot.
 /// * `wrapped` — n = 1500: 1.1M pairs share the 2^16 slots.
 fn bench_resolver_memo(b: &mut Bench) {
-    b.sample_size(10);
-    for (id, n) in [
-        ("resolver_memo/dense", 300),
-        ("resolver_memo/wrapped", 1500),
-    ] {
-        let metric = ClusteredPlane::default().metric(n, SEED);
-        let oracle = Oracle::new(&*metric);
-        let boot = laesa_bootstrap(&oracle, default_landmarks(n), SEED);
-        let mut fed = TriScheme::new(n, 1.0);
-        boot.apply_to(&mut fed);
-        let run = || {
-            let mut r = BoundResolver::new(&oracle, fed.clone());
-            black_box(prim_mst(&mut r));
-            2 * r.prune_stats().comparisons()
-        };
-        let probes = run();
-        b.bench_per_op("bound_query", id, probes, || {
-            black_box(run());
-        });
-    }
+    b.with_sample_size(10, |b| {
+        for (id, n) in [
+            ("resolver_memo/dense", 300),
+            ("resolver_memo/wrapped", 1500),
+        ] {
+            let metric = ClusteredPlane::default().metric(n, SEED);
+            let oracle = Oracle::new(&*metric);
+            let boot = laesa_bootstrap(&oracle, default_landmarks(n), SEED);
+            let mut fed = TriScheme::new(n, 1.0);
+            boot.apply_to(&mut fed);
+            let run = || {
+                let mut r = BoundResolver::new(&oracle, fed.clone());
+                black_box(prim_mst(&mut r));
+                2 * r.prune_stats().comparisons()
+            };
+            let probes = run();
+            b.bench_per_op("bound_query", id, probes, || {
+                black_box(run());
+            });
+        }
+    });
 }
 
 /// The UrbanGB stand-in's ground truth at prox-perf's `prim-road-tri` size:
@@ -606,7 +608,10 @@ fn bench_store_layer(b: &mut Bench) {
 /// Each batch is fresh and lands in a partly filled segment: one append
 /// and one `fdatasync`. With the default 256-entry segments about one
 /// commit in eleven also publishes the next segment whole, the mix a
-/// serve run sees. Not gated: the cell is bound by the host's fsync.
+/// serve run sees. `store_layer/commit_round` commits a serve round's
+/// two such batches as one `commit_group` (one append and one
+/// `fdatasync` for both), in ns per batch. Not gated: both cells are
+/// bound by the host's fsync.
 fn bench_store_commit(b: &mut Bench) {
     use prox_serve::{SharedStore, WalConfig};
 
@@ -616,12 +621,22 @@ fn bench_store_commit(b: &mut Bench) {
     let (store, _) =
         SharedStore::open(&dir, &manifest, WalConfig::default()).expect("open bench store");
     let mut next: ObjectId = 0;
-    let mut batch = Vec::with_capacity(24);
-    b.bench("store_layer", "commit", || {
-        batch.clear();
-        batch.extend((next..next + 24).map(|i| (Pair::new(i, i + 1), f64::from(i) * 0.5)));
+    let mut fresh_batch = move || {
+        let batch: Vec<(Pair, f64)> = (next..next + 24)
+            .map(|i| (Pair::new(i, i + 1), f64::from(i) * 0.5))
+            .collect();
         next += 24;
+        batch
+    };
+    b.bench("store_layer", "commit", || {
+        let batch = fresh_batch();
         black_box(store.commit(store.token(), &batch).expect("bench commit"));
+    });
+    b.bench_per_op("store_layer", "commit_round", 2, || {
+        let (first, second) = (fresh_batch(), fresh_batch());
+        let group = store.commit_group(store.token(), &[&first, &second]);
+        assert!(group.refused.is_none(), "bench group commit refused");
+        black_box(group.receipts);
     });
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);

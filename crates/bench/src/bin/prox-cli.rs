@@ -171,7 +171,7 @@ fn usage() -> ExitCode {
          \x20  prox-cli serve --store DIR [--dataset D] [--n N] [--seed S]\n\
          \x20       [--sessions N] [--admit CALLS] [--client-script FILE] [--groups G]\n\
          \x20       [--weak RATE[:SEED]] [--degrade] [--kill-after-commits K]\n\
-         \x20       [--threads N] [--trace FILE.jsonl]"
+         \x20       [--trace FILE.jsonl]"
     );
     ExitCode::FAILURE
 }
@@ -538,7 +538,6 @@ fn parse_serve() -> Option<ServeArgs> {
                 }
             }
             "--trace" => trace = Some(val()?),
-            "--threads" => prox_exec::set_global_threads(val()?.parse().ok()?),
             other => {
                 eprintln!("unknown serve flag {other:?}");
                 return None;

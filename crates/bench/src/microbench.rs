@@ -67,6 +67,16 @@ impl Bench {
         self
     }
 
+    /// Runs `f` with `n` samples per benchmark, then restores the
+    /// previous sample size, so a slow group cannot leak its smaller
+    /// sample count into the cells measured after it.
+    pub fn with_sample_size(&mut self, n: usize, f: impl FnOnce(&mut Self)) {
+        let previous = self.sample_size;
+        self.sample_size(n);
+        f(self);
+        self.sample_size = previous;
+    }
+
     /// Measures `f`, attributing the result to `group/id`.
     pub fn bench(&mut self, group: &str, id: &str, f: impl FnMut()) {
         self.bench_per_op(group, id, 1, f);
@@ -210,6 +220,21 @@ mod tests {
         assert_eq!(b.rows.len(), 1);
         assert!(b.rows[0].samples.iter().all(|&s| s > 0.0));
         b.finish();
+    }
+
+    #[test]
+    fn a_scoped_sample_size_does_not_leak() {
+        let mut b = Bench {
+            filter: None,
+            sample_size: 4,
+            min_sample_time: Duration::from_micros(10),
+            rows: Vec::new(),
+            name: None,
+        };
+        b.with_sample_size(3, |b| b.bench("scoped", "cell", || {}));
+        b.bench("after", "cell", || {});
+        assert_eq!(b.rows[0].samples.len(), 3);
+        assert_eq!(b.rows[1].samples.len(), 4);
     }
 
     #[test]

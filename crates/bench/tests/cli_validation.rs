@@ -168,13 +168,17 @@ fn audited_run_reports_corruption_accounting() {
 
 #[test]
 fn single_run_commands_take_no_threads_flag() {
-    // Plugged runs are sequential at every thread count, so only `serve`
-    // and `repro` accept `--threads`.
+    // Plugged runs and serve rounds run on one thread, so only `repro`
+    // accepts `--threads`.
     for cmd in [&["knng"][..], &["trace", "pam"], &["profile", "knng"]] {
         let mut args = cmd.to_vec();
         args.extend_from_slice(&["--threads", "2"]);
         assert_rejected(&args, "unknown flag \"--threads\"");
     }
+    assert_rejected(
+        &["serve", "--store", "ignored-store", "--threads", "2"],
+        "unknown serve flag \"--threads\"",
+    );
 }
 
 #[test]

@@ -6,17 +6,17 @@
 //! (`Oracle`'s call counter is not `Sync`, on purpose) and the order in
 //! which distances are resolved feeds back into every later bound. So
 //! every plugged algorithm (kNN graph and PAM included) runs sequentially
-//! at any thread count, and this crate parallelises only work that shares
-//! no resolver: `repro`'s independent experiment cells
-//! (`prox_bench::runner::parallel_cells`) and serve's per-session groups
-//! (`prox_serve::BoundServer::run`). Each such cell owns its oracle and
-//! resolver, so its results are identical to running the cells in a loop.
+//! at any thread count. Serve rounds run on one thread too: a round's
+//! per-session cells take microseconds, less than a scoped pool costs to
+//! start. So this crate's only caller is `repro`, whose independent
+//! experiment cells (`prox_bench::runner::parallel_cells`) each own their
+//! oracle and resolver, so their results are identical to running the
+//! cells in a loop.
 //!
 //! The crate provides a dependency-free scoped-thread pool
-//! ([`ExecPool::map_indexed`]) plus the process-wide thread-count knob the
-//! `--threads` flags of `repro` and `prox-cli serve` set
-//! ([`set_global_threads`]). Clippy (lint L5, `clippy.toml`) rejects
-//! `std::thread` spawning anywhere else.
+//! ([`ExecPool::map_indexed`]) plus the process-wide thread-count knob
+//! `repro --threads` sets ([`set_global_threads`]). Clippy (lint L5,
+//! `clippy.toml`) rejects `std::thread` spawning anywhere else.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]

@@ -4,7 +4,7 @@ use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// Process-wide worker count, set once at startup by the `--threads` flags.
+/// Process-wide worker count, set once at startup by `repro --threads`.
 /// Defaults to 1 so every run is sequential unless parallelism is asked
 /// for explicitly.
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(1);
@@ -47,7 +47,7 @@ impl ExecPool {
         }
     }
 
-    /// The pool configured by [`set_global_threads`] (the `--threads` flag).
+    /// The pool configured by [`set_global_threads`] (`repro --threads`).
     pub fn global() -> Self {
         ExecPool::new(global_threads())
     }

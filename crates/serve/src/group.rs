@@ -51,7 +51,7 @@ impl PairGroupQuery {
     /// The group's concrete pair list: selector expanded, skip set
     /// applied, deduplicated, ascending by pair key — the canonical
     /// order every session resolves a group in, which is what keeps
-    /// responses byte-identical across thread counts (I12/I5).
+    /// responses byte-identical from run to run (I12/I5).
     pub fn pairs(&self) -> Vec<Pair> {
         let mut out: Vec<Pair> = match &self.selector {
             PairSelector::Explicit(ps) => ps.clone(),

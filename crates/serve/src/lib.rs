@@ -7,19 +7,22 @@
 //! queries, clients, and crashes:
 //!
 //! * [`SharedStore`] — the generation-stamped certified-distance store
-//!   every session reads via views of its shared immutable runs and feeds through exactly one
-//!   WAL-logged, epoch-fenced commit API.
+//!   every session reads via views of its shared immutable runs and
+//!   feeds through exactly one WAL-logged, epoch-fenced commit API,
+//!   [`SharedStore::commit_group`] (a single batch is a group of one).
 //! * [`wal`] — the crash-safe segment log behind the store, reusing the
 //!   checkpoint v2 CRC32 block format; torn tails salvage leniently,
 //!   foreign manifests are refused (invariant **I12**). The log type is
-//!   crate-private, so only the store appends to it.
+//!   crate-private, so only the store appends to it: one append and one
+//!   `fdatasync` per serve round.
 //! * [`PairGroupQuery`] — the client API: a pair selector plus a skip
 //!   set, resolved as one amortised block.
 //! * [`run_group_view`] / [`ClientSession`] — per-client admission control
 //!   (deterministic reject-with-retry-hint), budget/deadline fencing,
 //!   cascade degradation, poisoned-state quarantine.
-//! * [`BoundServer`] — the deterministic round loop tying it together;
-//!   byte-identical responses and store contents at any thread count.
+//! * [`BoundServer`] — the deterministic round loop tying it together:
+//!   a round's cells run on one thread, and its batches commit as one
+//!   group with receipts bit-equal to committing them one by one.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::print_stdout, clippy::print_stderr)]
@@ -38,5 +41,7 @@ pub use session::{
     run_group, run_group_view, ClientSession, GroupOutcome, RetryHint, ServedGroup, SessionConfig,
     SessionStats,
 };
-pub use store::{CommitError, CommitReceipt, EpochToken, SharedStore, StoreSnapshot, StoreView};
+pub use store::{
+    CommitError, CommitReceipt, EpochToken, GroupCommit, SharedStore, StoreSnapshot, StoreView,
+};
 pub use wal::{WalConfig, WalRecovery};

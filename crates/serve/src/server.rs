@@ -2,23 +2,41 @@
 //!
 //! [`BoundServer::run`] drives a script of group queries to completion
 //! in *rounds*. Each round takes **one** store view (the store's shared
-//! runs, no copy), runs every active session's next group as an
-//! independent [`run_group_view`] cell on the global [`ExecPool`], then
-//! applies the outcomes sequentially in session-id order. Cells are
-//! pure functions of the round-start view and the session's private
-//! memo, and the apply step is single-threaded, so the whole serve —
-//! responses, call counts, store contents, trace — is byte-identical at
-//! any `--threads N` (I12/I5).
+//! runs, no copy), runs every active session's next group as a
+//! [`run_group_view`] cell in a plain loop, then applies the outcomes in
+//! session-id order. The round's cells are a few microseconds each, so
+//! they run on the calling thread: a thread pool would cost more to
+//! start than the cells take. Cells are pure functions of the
+//! round-start view and the session's private memo, so the whole serve —
+//! responses, call counts, store contents, trace — is deterministic
+//! (I12/I5).
+//!
+//! Group commit: the apply step stages each served session's batch,
+//! and the round commits its staged batches as **one**
+//! [`SharedStore::commit_group`] — one WAL append and one `fdatasync`
+//! for the round instead of one per session. Every batch still gets its
+//! own receipt and generation, bit-equal to committing it alone, and the
+//! trace events a round produces are held back and emitted after the
+//! commit in the order a batch-at-a-time loop emits them. The group is
+//! committed early at two points, so that nothing observable moves:
+//!
+//! * before any quarantine's `advance_epoch`, so the fence refuses
+//!   exactly the batches staged after it;
+//! * as soon as the staged batches would reach `kill_after_commits`, so
+//!   a kill still lands right after its `k`-th commit.
 //!
 //! Crash semantics (the chaos suite's kill switches):
 //!
 //! * `kill_after_commits: Some(k)` stops the server immediately after
 //!   the `k`-th durable commit, mid-round — everything uncommitted
 //!   (later sessions' fresh work, pending memos) is lost, exactly as a
-//!   `kill -9` between WAL appends would lose it.
+//!   `kill -9` after that commit's WAL append would lose it. A torn
+//!   append loses at most the in-flight group, none of which was
+//!   acknowledged.
 //! * A [`GroupOutcome::Failed`] cell (virtual-deadline exhaustion with
-//!   degradation off) also crashes the server: a session that lost its
-//!   strong tier mid-group has nothing certified to hand over.
+//!   degradation off) commits what the round staged before it, then
+//!   crashes the server: a session that lost its strong tier mid-group
+//!   has nothing certified to hand over.
 //!
 //! Either way the WAL already holds every acknowledged commit, so a
 //! restart recovers the store byte-identically and re-pays nothing.
@@ -26,13 +44,12 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use prox_core::Metric;
-use prox_exec::ExecPool;
+use prox_core::{Metric, Pair};
 use prox_obs::{emit_to, ProvenanceLedger, TraceEvent, TraceSink};
 
 use crate::group::{GroupResponse, PairGroupQuery};
 use crate::session::{run_group_view, ClientSession, GroupOutcome, SessionConfig, SessionStats};
-use crate::store::{CommitError, SharedStore};
+use crate::store::{CommitError, EpochToken, GroupCommit, SharedStore};
 
 /// Server-wide serving knobs.
 #[derive(Copy, Clone, Debug)]
@@ -128,35 +145,34 @@ impl<'a> BoundServer<'a> {
         let mut commits_done = 0u64;
         'rounds: loop {
             let view = self.store.view();
-            // One cell per active session: its id, script line, query,
-            // and a copy of its memo (the cell must not borrow the
-            // session table the apply step mutates).
-            let mut cells = Vec::new();
-            for (i, sess) in sessions.iter().enumerate() {
-                if sess.quarantined {
-                    continue;
-                }
-                if let Some(&(line, query)) = queues[i].front() {
-                    cells.push((i, line, query, sess.memo.clone()));
-                }
-            }
-            if cells.is_empty() {
+            let runs = view.runs();
+            // One cell per active session, run in session order against
+            // the round-start view and the session's memo.
+            let outcomes: Vec<(usize, usize, GroupOutcome)> = sessions
+                .iter()
+                .enumerate()
+                .filter(|(_, sess)| !sess.quarantined)
+                .filter_map(|(i, sess)| {
+                    let &(line, query) = queues[i].front()?;
+                    let outcome = run_group_view(
+                        self.metric,
+                        &runs,
+                        &sess.memo,
+                        query,
+                        i as u32,
+                        &self.config.session,
+                    );
+                    Some((i, line, outcome))
+                })
+                .collect();
+            if outcomes.is_empty() {
                 break;
             }
 
-            let session_config = self.config.session;
-            let metric = self.metric;
-            let runs = &view.runs();
-            let cell_refs = &cells;
-            let outcomes = ExecPool::global().map_indexed(cells.len(), |k| {
-                let (id, _line, query, memo) = &cell_refs[k];
-                run_group_view(metric, runs, memo, query, *id as u32, &session_config)
-            });
-
+            let mut group = Group::new(view.token, sink.is_some());
             let mut any_served = false;
             let mut rejected_cells = Vec::new();
-            for (k, outcome) in outcomes.into_iter().enumerate() {
-                let (i, line, ..) = cells[k];
+            for (i, line, outcome) in outcomes {
                 let id = i as u32;
                 match outcome {
                     GroupOutcome::Rejected {
@@ -165,22 +181,21 @@ impl<'a> BoundServer<'a> {
                         retry,
                     } => {
                         sessions[i].stats.rejected += 1;
-                        emit_to(
-                            sink,
-                            TraceEvent::SessionReject {
-                                session: id,
-                                missing,
-                                admit,
-                                retry_at: retry.store_entries_at_least,
-                            },
-                        );
+                        group.note(TraceEvent::SessionReject {
+                            session: id,
+                            missing,
+                            admit,
+                            retry_at: retry.store_entries_at_least,
+                        });
                         rejected_cells.push(i);
                     }
                     GroupOutcome::Failed { error: _ } => {
                         // The session died mid-group; nothing it held was
-                        // certified, so the server crashes with the store
-                        // exactly as durable as its last acknowledged
-                        // commit.
+                        // certified. The batches staged before it commit,
+                        // as they would have one at a time, and the server
+                        // crashes with the store exactly as durable as its
+                        // last acknowledged commit.
+                        self.flush(&mut group, &mut sessions, &mut commits_done, sink);
                         out.crashed = true;
                         break 'rounds;
                     }
@@ -192,24 +207,17 @@ impl<'a> BoundServer<'a> {
                         stats.admitted += 1;
                         stats.strong_calls += served.response.strong_calls;
                         stats.store_hits += served.response.store_hits;
-                        emit_to(
-                            sink,
-                            TraceEvent::SessionAdmit {
-                                session: id,
-                                pairs: served.response.resolved.len() as u32,
-                                missing: (served.fresh.len() + served.response.degraded.len())
-                                    as u32,
-                            },
-                        );
+                        group.note(TraceEvent::SessionAdmit {
+                            session: id,
+                            pairs: served.response.resolved.len() as u32,
+                            missing: (served.fresh.len() + served.response.degraded.len()) as u32,
+                        });
                         if served.degraded {
                             stats.degraded += 1;
-                            emit_to(
-                                sink,
-                                TraceEvent::SessionDegrade {
-                                    session: id,
-                                    pairs: served.response.degraded.len() as u32,
-                                },
-                            );
+                            group.note(TraceEvent::SessionDegrade {
+                                session: id,
+                                pairs: served.response.degraded.len() as u32,
+                            });
                         }
                         out.ledger.merge(&served.ledger);
                         out.responses.push(ServedResponse {
@@ -220,12 +228,17 @@ impl<'a> BoundServer<'a> {
                         if served.quarantine {
                             // Poisoned state detected: fence every
                             // outstanding token (including this round's
-                            // later commits) and drop the session's
-                            // uncommitted knowledge.
+                            // later commits, not the ones staged before
+                            // it) and drop the session's uncommitted
+                            // knowledge.
+                            if self.flush(&mut group, &mut sessions, &mut commits_done, sink) {
+                                out.crashed = true;
+                                break 'rounds;
+                            }
                             sessions[i].quarantined = true;
                             sessions[i].memo.clear();
                             self.store.advance_epoch();
-                            emit_to(sink, TraceEvent::SessionQuarantine { session: id });
+                            group.note(TraceEvent::SessionQuarantine { session: id });
                             continue;
                         }
                         let mut batch = std::mem::take(&mut sessions[i].memo);
@@ -234,65 +247,27 @@ impl<'a> BoundServer<'a> {
                         if batch.is_empty() {
                             continue;
                         }
-                        match self.store.commit(view.token, &batch) {
-                            Ok(receipt) => {
-                                sessions[i].stats.commits += 1;
-                                commits_done += 1;
-                                emit_to(
-                                    sink,
-                                    TraceEvent::StoreCommit {
-                                        session: id,
-                                        fresh: receipt.fresh,
-                                        duplicates: receipt.duplicates,
-                                        generation: receipt.generation,
-                                    },
-                                );
-                                if self
-                                    .config
-                                    .kill_after_commits
-                                    .is_some_and(|k| commits_done >= k)
-                                {
-                                    out.crashed = true;
-                                    break 'rounds;
-                                }
-                            }
-                            Err(CommitError::Fenced {
-                                token_epoch,
-                                store_epoch,
-                            }) => {
-                                // The epoch moved under us (a quarantine
-                                // fence). The response already went out;
-                                // keep the batch as memo and re-commit
-                                // against a fresh token next round.
-                                sessions[i].stats.fenced += 1;
-                                sessions[i].memo = batch;
-                                emit_to(
-                                    sink,
-                                    TraceEvent::CommitFenced {
-                                        session: id,
-                                        token_epoch,
-                                        store_epoch,
-                                    },
-                                );
-                            }
-                            Err(CommitError::Conflict { .. }) => {
-                                // This session certified a value that
-                                // disagrees bit-for-bit with the store:
-                                // poisoned knowledge. Quarantine it.
-                                sessions[i].quarantined = true;
-                                sessions[i].memo.clear();
-                                self.store.advance_epoch();
-                                emit_to(sink, TraceEvent::SessionQuarantine { session: id });
-                            }
-                            Err(CommitError::Io(_)) => {
-                                // The WAL is unwritable; the server cannot
-                                // promise durability, so it crashes.
-                                out.crashed = true;
-                                break 'rounds;
-                            }
+                        group.stage(i, batch);
+                        // Commit before the batch that would fire the
+                        // kill switch is followed by any other work, so a
+                        // kill lands exactly where it lands one commit at
+                        // a time.
+                        let kill_due = self
+                            .config
+                            .kill_after_commits
+                            .is_some_and(|k| commits_done + group.staged() as u64 >= k);
+                        if kill_due
+                            && self.flush(&mut group, &mut sessions, &mut commits_done, sink)
+                        {
+                            out.crashed = true;
+                            break 'rounds;
                         }
                     }
                 }
+            }
+            if self.flush(&mut group, &mut sessions, &mut commits_done, sink) {
+                out.crashed = true;
+                break 'rounds;
             }
 
             // Progress rule: a round where every active session was
@@ -312,6 +287,139 @@ impl<'a> BoundServer<'a> {
         out.generation = self.store.generation();
         out.store_entries = self.store.len();
         out
+    }
+
+    /// Commits the batches `group` staged as one [`SharedStore::commit_group`],
+    /// settles each session's outcome exactly as committing its batch alone
+    /// would, then emits the trace events held back so far in apply order.
+    /// Returns true when the server must crash: the WAL refused a write, or
+    /// the kill switch fired.
+    fn flush(
+        &self,
+        group: &mut Group,
+        sessions: &mut [ClientSession],
+        commits_done: &mut u64,
+        sink: Option<&Rc<dyn TraceSink>>,
+    ) -> bool {
+        let mut staged = std::mem::take(&mut group.batches);
+        // One commit event (or none) per staged batch, in stage order.
+        let mut settled: Vec<Option<TraceEvent>> = Vec::with_capacity(staged.len());
+        let mut crashed = false;
+        let mut next = 0;
+        while next < staged.len() && !crashed {
+            let batches: Vec<&[(Pair, f64)]> = staged[next..].iter().map(|(_, b)| &b[..]).collect();
+            let GroupCommit { receipts, refused } = self.store.commit_group(group.token, &batches);
+            for receipt in receipts {
+                let (i, _) = staged[next];
+                next += 1;
+                sessions[i].stats.commits += 1;
+                *commits_done += 1;
+                settled.push(Some(TraceEvent::StoreCommit {
+                    session: i as u32,
+                    fresh: receipt.fresh,
+                    duplicates: receipt.duplicates,
+                    generation: receipt.generation,
+                }));
+                if self
+                    .config
+                    .kill_after_commits
+                    .is_some_and(|k| *commits_done >= k)
+                {
+                    crashed = true;
+                    break;
+                }
+            }
+            let Some(error) = refused.filter(|_| !crashed) else {
+                continue;
+            };
+            let (i, batch) = std::mem::take(&mut staged[next]);
+            next += 1;
+            let id = i as u32;
+            settled.push(match error {
+                CommitError::Fenced {
+                    token_epoch,
+                    store_epoch,
+                } => {
+                    // The epoch moved under us (a quarantine fence). The
+                    // response already went out; keep the batch as memo
+                    // and re-commit against a fresh token next round.
+                    sessions[i].stats.fenced += 1;
+                    sessions[i].memo = batch;
+                    Some(TraceEvent::CommitFenced {
+                        session: id,
+                        token_epoch,
+                        store_epoch,
+                    })
+                }
+                CommitError::Conflict { .. } => {
+                    // This session certified a value that disagrees
+                    // bit-for-bit with the store: poisoned knowledge.
+                    // Quarantine it; the fence refuses the rest of the
+                    // round's batches.
+                    sessions[i].quarantined = true;
+                    sessions[i].memo.clear();
+                    self.store.advance_epoch();
+                    Some(TraceEvent::SessionQuarantine { session: id })
+                }
+                CommitError::Io(_) => {
+                    // The WAL is unwritable; the server cannot promise
+                    // durability, so it crashes with nothing of the
+                    // group acknowledged.
+                    crashed = true;
+                    None
+                }
+            });
+        }
+        let mut settled = settled.into_iter();
+        for event in std::mem::take(&mut group.events) {
+            if let Some(event) = event.or_else(|| settled.next().flatten()) {
+                emit_to(sink, event);
+            }
+        }
+        crashed
+    }
+}
+
+/// One round's commit group: the batches its apply step staged, in
+/// session order, and the trace events held back until they commit.
+struct Group {
+    token: EpochToken,
+    /// Staged batches with their session index, each ascending by key.
+    batches: Vec<(usize, Vec<(Pair, f64)>)>,
+    /// Held-back trace events in apply order; `None` marks where a
+    /// staged batch's commit event goes. Empty when nothing traces.
+    events: Vec<Option<TraceEvent>>,
+    tracing: bool,
+}
+
+impl Group {
+    fn new(token: EpochToken, tracing: bool) -> Self {
+        Group {
+            token,
+            batches: Vec::new(),
+            events: Vec::new(),
+            tracing,
+        }
+    }
+
+    /// Holds `event` back until the next flush.
+    fn note(&mut self, event: TraceEvent) {
+        if self.tracing {
+            self.events.push(Some(event));
+        }
+    }
+
+    /// Stages session `i`'s sorted batch for the next flush.
+    fn stage(&mut self, i: usize, batch: Vec<(Pair, f64)>) {
+        self.batches.push((i, batch));
+        if self.tracing {
+            self.events.push(None);
+        }
+    }
+
+    /// Batches staged since the last flush.
+    fn staged(&self) -> usize {
+        self.batches.len()
     }
 }
 
@@ -379,29 +487,74 @@ mod tests {
     }
 
     #[test]
-    fn serve_is_byte_identical_across_thread_counts() {
+    fn serve_is_byte_identical_across_session_counts() {
+        // The session count moves who pays for a pair and how a round's
+        // batches overlap, never a value: every line's answer and the
+        // final store are the same bits at 1, 2 and 4 sessions, and a
+        // rerun repeats a run exactly.
         let metric = ClusteredPlane::default().metric(24, 7);
         let script = default_script(24, 8, 11);
-        let mut runs = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let dir = tmpdir(&format!("threads-{threads}"));
-            prox_exec::set_global_threads(threads);
-            let (store, _) = SharedStore::open(&dir, &manifest(), WalConfig::default()).unwrap();
-            let server = BoundServer::new(
-                &*metric,
-                &store,
-                ServeConfig {
-                    sessions: 4,
+        let mut per_sessions = Vec::new();
+        for sessions in [1u32, 2, 4] {
+            let mut reruns = Vec::new();
+            for rerun in 0..2 {
+                let dir = tmpdir(&format!("sessions-{sessions}-{rerun}"));
+                let (store, _) =
+                    SharedStore::open(&dir, &manifest(), WalConfig::default()).unwrap();
+                let config = ServeConfig {
+                    sessions,
                     ..ServeConfig::default()
-                },
-            );
-            let out = server.run(&script, None);
-            runs.push((out.responses, out.stats, store.export()));
-            let _ = std::fs::remove_dir_all(&dir);
+                };
+                let out = BoundServer::new(&*metric, &store, config).run(&script, None);
+                assert!(!out.crashed);
+                reruns.push((out.responses, out.stats, store.export()));
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            assert_eq!(reruns[0], reruns[1], "{sessions} sessions: rerun diverged");
+            let (mut responses, _, export) = reruns.swap_remove(0);
+            responses.sort_by_key(|r| r.line);
+            let answers: Vec<Vec<(Pair, u64)>> = responses
+                .iter()
+                .map(|r| {
+                    let resolved = &r.response.resolved;
+                    resolved.iter().map(|&(p, d)| (p, d.to_bits())).collect()
+                })
+                .collect();
+            let export: Vec<(Pair, u64)> = export.iter().map(|&(p, d)| (p, d.to_bits())).collect();
+            per_sessions.push((answers, export));
         }
-        prox_exec::set_global_threads(1);
-        assert_eq!(runs[0], runs[1], "threads 1 vs 2 diverged");
-        assert_eq!(runs[0], runs[2], "threads 1 vs 8 diverged");
+        assert_eq!(per_sessions[0], per_sessions[1], "1 vs 2 sessions diverged");
+        assert_eq!(per_sessions[0], per_sessions[2], "1 vs 4 sessions diverged");
+    }
+
+    #[test]
+    fn a_healthy_round_commits_with_one_wal_append() {
+        // Four sessions, eight disjoint groups: two rounds of four fresh
+        // batches each. Every batch gets its own commit and generation,
+        // but each round reaches the WAL as one synced write.
+        let metric = ClusteredPlane::default().metric(24, 7);
+        let dir = tmpdir("one-append");
+        let cfg = WalConfig {
+            segment_entries: 1 << 12,
+        };
+        let (store, _) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+        let all: Vec<Pair> = Pair::all(24).collect();
+        let script: Vec<PairGroupQuery> = all
+            .chunks(5)
+            .take(8)
+            .map(|c| PairGroupQuery::explicit(c.to_vec()))
+            .collect();
+        let config = ServeConfig {
+            sessions: 4,
+            ..ServeConfig::default()
+        };
+        let out = BoundServer::new(&*metric, &store, config).run(&script, None);
+        assert!(!out.crashed);
+        assert_eq!(out.stats.iter().map(|s| s.commits).sum::<u64>(), 8);
+        assert_eq!(out.generation, 8);
+        assert_eq!(store.len(), 40);
+        assert_eq!(store.wal_writes(), 2, "one WAL append per round");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! cumulative accounting, and its health. The actual resolution work
 //! for one group runs in [`run_group_view`] — a **pure function** of the
 //! round-start store view, the session's memo, and the query. That
-//! purity is the whole determinism argument: the server can run any
-//! number of these cells concurrently (one per session) and the
-//! outcome is identical to running them in a loop, so responses and
-//! call counts are byte-identical at every `--threads N` (I12/I5).
+//! purity is the whole determinism argument: the server runs a round's
+//! cells (one per session) in a loop, and any order or concurrency
+//! would give the same outcome, so responses and call counts are
+//! byte-identical from run to run (I12/I5).
 //!
 //! A group reads the view's runs and the memo in place, by binary
 //! search: it copies none of them into a scheme. Only the weak cascade

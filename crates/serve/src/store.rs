@@ -4,8 +4,9 @@
 //! distances committed by any session are visible to all later
 //! views, so the *n*-th client's query mix is radically cheaper
 //! than the first's (ROADMAP item 1). The store is fed **exclusively**
-//! through [`SharedStore::commit`] — the WAL-logged, epoch-fenced
-//! choke point that visibility pins: the store's state is private to
+//! through [`SharedStore::commit_group`] — the WAL-logged, epoch-fenced
+//! choke point that visibility pins, whose one-batch case is
+//! [`SharedStore::commit`]: the store's state is private to
 //! this module and its WAL is private to the crate — and read through
 //! immutable [`StoreView`]s, so readers never contend with an
 //! in-flight commit.
@@ -36,9 +37,13 @@
 //! reach the store; it must re-sync from a fresh view first.
 //!
 //! Durability: fresh entries hit the write-ahead log *before* they
-//! become visible to readers. A crash between the WAL write and the
-//! in-memory apply loses nothing (recovery replays the WAL); a crash
-//! before the WAL write loses only the unacknowledged batch.
+//! become visible to readers. A group commit checks its batches in
+//! order, logs the fresh entries of every accepted one as one WAL
+//! append, then absorbs them batch by batch, so receipts and
+//! generations are those of committing each batch alone. A crash
+//! between the WAL write and the in-memory apply loses nothing
+//! (recovery replays the WAL); a crash before the WAL write loses only
+//! the unacknowledged group.
 
 use std::io;
 use std::path::Path;
@@ -199,8 +204,20 @@ pub struct CommitReceipt {
     pub generation: u64,
 }
 
+/// What a [`SharedStore::commit_group`] did: a receipt for each batch it
+/// accepted, in group order, and why the batch after them was refused.
+/// Batches past a refused one were not tried.
+#[derive(Debug, Default)]
+pub struct GroupCommit {
+    /// One receipt per accepted batch, equal to what committing the
+    /// batches one by one would have returned.
+    pub receipts: Vec<CommitReceipt>,
+    /// The refusal of batch `receipts.len()`, if the group stopped there.
+    pub refused: Option<CommitError>,
+}
+
 /// The mutable heart of the store, private to this module: its only
-/// writers are [`SharedStore::commit`] and the recovery (`open`) and
+/// writers are [`SharedStore::commit_group`] and the recovery (`open`) and
 /// fencing (`advance_epoch`) funnels.
 struct StoreInner {
     /// Sealed runs, oldest first: disjoint, each more than twice the
@@ -224,10 +241,11 @@ impl StoreInner {
     /// the visible runs and stamps a new generation. Only the tail and
     /// the runs a seal merges are replaced; every other run stays the
     /// `Arc` earlier views hold.
-    fn absorb(&mut self, mut fresh: Vec<(Pair, f64)>) {
+    fn absorb(&mut self, fresh: &[(Pair, f64)]) {
         if fresh.is_empty() {
             return;
         }
+        let mut fresh = fresh.to_vec();
         fresh.sort_unstable_by_key(|e| e.0);
         self.generation += 1;
         let tail = merge_two(&self.tail, &fresh);
@@ -245,6 +263,44 @@ impl StoreInner {
             self.runs.pop();
         }
         self.runs.push(run);
+    }
+
+    /// Checks one batch against the store, against `staged` (the fresh
+    /// entries of earlier batches in its group, key-sorted) and against
+    /// itself, pushing its fresh entries onto `fresh` in batch order.
+    /// Returns how many entries were duplicates, or the conflict that
+    /// refuses the batch.
+    fn validate(
+        &self,
+        entries: &[(Pair, f64)],
+        staged: &[(Pair, f64)],
+        fresh: &mut Vec<(Pair, f64)>,
+    ) -> Result<u64, CommitError> {
+        // Where each pair first occurs in the batch: a later entry for it
+        // duplicates that one or conflicts with it.
+        let mut firsts: Vec<(Pair, usize)> =
+            entries.iter().enumerate().map(|(i, e)| (e.0, i)).collect();
+        firsts.sort_unstable();
+        firsts.dedup_by_key(|e| e.0);
+        let mut duplicates = 0u64;
+        for (i, &(p, d)) in entries.iter().enumerate() {
+            let first = firsts
+                .binary_search_by_key(&p, |e| e.0)
+                .map_or(i, |at| firsts[at].1);
+            let existing = self
+                .runs
+                .iter()
+                .chain([&self.tail])
+                .find_map(|run| lookup(run, p))
+                .or_else(|| lookup(staged, p))
+                .or_else(|| (first < i).then(|| entries[first].1));
+            match existing {
+                Some(have) if have.to_bits() == d.to_bits() => duplicates += 1,
+                Some(_) => return Err(CommitError::Conflict { pair: p }),
+                None => fresh.push((p, d)),
+            }
+        }
+        Ok(duplicates)
     }
 
     /// Invalidates every outstanding epoch token.
@@ -330,11 +386,12 @@ impl SharedStore {
         }
     }
 
-    /// **The** write path: durably logs the fresh subset of `entries` to
-    /// the WAL, then makes it visible and stamps a new generation.
-    /// Refuses totally on a stale epoch token (fenced session), a
-    /// bit-level disagreement with an already-certified value (poisoned
-    /// session), or a WAL write failure.
+    /// **The** write path for one batch: durably logs the fresh subset of
+    /// `entries` to the WAL, then makes it visible and stamps a new
+    /// generation. Refuses totally on a stale epoch token (fenced
+    /// session), a bit-level disagreement with an already-certified value
+    /// (poisoned session), or a WAL write failure. The one-batch case of
+    /// [`SharedStore::commit_group`].
     ///
     /// The WAL type is private to this crate, so no caller can log
     /// around this method. The `wal` module's public items stay in reach:
@@ -360,47 +417,86 @@ impl SharedStore {
         token: EpochToken,
         entries: &[(Pair, f64)],
     ) -> Result<CommitReceipt, CommitError> {
+        let GroupCommit {
+            mut receipts,
+            refused,
+        } = self.commit_group(token, &[entries]);
+        match refused {
+            Some(e) => Err(e),
+            None => Ok(receipts
+                .pop()
+                .expect_invariant("an accepted batch has a receipt")),
+        }
+    }
+
+    /// Group commit: `batches` in order, each checked as [`SharedStore::commit`]
+    /// checks one batch — against the store and against the batches before
+    /// it in the group — up to the first refused one. The fresh entries of
+    /// every accepted batch are then logged as **one** WAL append (one
+    /// write, one trailer, one `fdatasync`, unless a segment boundary
+    /// splits it), and absorbed batch by batch, so each receipt and
+    /// generation equals what committing the batches one after another
+    /// would have given.
+    ///
+    /// A failed append refuses the whole group: nothing is logged or
+    /// visible, no receipt is returned, and the refusal is batch 0's.
+    pub fn commit_group(&self, token: EpochToken, batches: &[&[(Pair, f64)]]) -> GroupCommit {
         let mut inner = self.write();
         if token.epoch != inner.epoch {
-            return Err(CommitError::Fenced {
+            let refused = (!batches.is_empty()).then(|| CommitError::Fenced {
                 token_epoch: token.epoch,
                 store_epoch: inner.epoch,
             });
+            return GroupCommit {
+                receipts: Vec::new(),
+                refused,
+            };
         }
-        // Where each pair first occurs in the batch: a later entry for it
-        // duplicates that one or conflicts with it.
-        let mut firsts: Vec<(Pair, usize)> =
-            entries.iter().enumerate().map(|(i, e)| (e.0, i)).collect();
-        firsts.sort_unstable();
-        firsts.dedup_by_key(|e| e.0);
-        let mut fresh: Vec<(Pair, f64)> = Vec::new();
-        let mut duplicates = 0u64;
-        for (i, &(p, d)) in entries.iter().enumerate() {
-            let first = firsts
-                .binary_search_by_key(&p, |e| e.0)
-                .map_or(i, |at| firsts[at].1);
-            let existing = inner
-                .runs
-                .iter()
-                .chain([&inner.tail])
-                .find_map(|run| lookup(run, p))
-                .or_else(|| (first < i).then(|| entries[first].1));
-            match existing {
-                Some(have) if have.to_bits() == d.to_bits() => duplicates += 1,
-                Some(_) => return Err(CommitError::Conflict { pair: p }),
-                None => fresh.push((p, d)),
+        let mut refused = None;
+        // Every accepted batch's fresh entries in group order, where each
+        // batch's entries end, and its duplicates.
+        let mut logged: Vec<(Pair, f64)> = Vec::new();
+        let mut accepted: Vec<(usize, u64)> = Vec::with_capacity(batches.len());
+        // The fresh entries of the accepted batches, key-sorted: what a
+        // later batch of the group sees as already certified.
+        let mut staged: Vec<(Pair, f64)> = Vec::new();
+        for (b, entries) in batches.iter().enumerate() {
+            let start = logged.len();
+            match inner.validate(entries, &staged, &mut logged) {
+                Ok(duplicates) => accepted.push((logged.len(), duplicates)),
+                Err(e) => {
+                    logged.truncate(start);
+                    refused = Some(e);
+                    break;
+                }
+            }
+            if b + 1 < batches.len() && logged.len() > start {
+                let mut fresh = logged[start..].to_vec();
+                fresh.sort_unstable_by_key(|e| e.0);
+                staged = merge_two(&staged, &fresh);
             }
         }
-        if let Err(e) = inner.wal.append(&fresh) {
-            return Err(CommitError::Io(e));
+        if let Err(e) = inner.wal.append(&logged) {
+            return GroupCommit {
+                receipts: Vec::new(),
+                refused: Some(CommitError::Io(e)),
+            };
         }
-        let logged = fresh.len() as u64;
-        inner.absorb(fresh);
-        Ok(CommitReceipt {
-            fresh: logged,
-            duplicates,
-            generation: inner.generation,
-        })
+        let mut start = 0;
+        let receipts = accepted
+            .into_iter()
+            .map(|(end, duplicates)| {
+                inner.absorb(&logged[start..end]);
+                let fresh = (end - start) as u64;
+                start = end;
+                CommitReceipt {
+                    fresh,
+                    duplicates,
+                    generation: inner.generation,
+                }
+            })
+            .collect();
+        GroupCommit { receipts, refused }
     }
 
     /// Quarantine fence: invalidates every outstanding epoch token.
@@ -434,6 +530,13 @@ impl SharedStore {
     /// Entries the WAL has durably logged over its whole life.
     pub fn wal_entries_logged(&self) -> u64 {
         self.read().wal.entries_logged()
+    }
+
+    /// Synced WAL writes since the store opened: one per group commit
+    /// that logged anything, plus one per segment boundary it crossed.
+    #[cfg(test)]
+    pub(crate) fn wal_writes(&self) -> u64 {
+        self.read().wal.writes()
     }
 
     /// The full certified set, ascending by pair key — the
@@ -573,6 +676,204 @@ mod tests {
         assert_eq!(rec.entries, store.wal_entries_logged());
         assert_eq!(rec.entries, 5);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn refused_group_append_leaves_nothing_behind() {
+        let dir = tmpdir("refused-group");
+        let cfg = WalConfig { segment_entries: 4 };
+        let (store, _) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+        let full: Vec<(Pair, f64)> = (0..4)
+            .map(|i| (Pair::new(0, i + 1), 1.0 + f64::from(i)))
+            .collect();
+        store.commit(store.token(), &full).unwrap();
+        // The group's append publishes segment 1, which the blocker
+        // refuses: no batch of the group may be logged or acknowledged.
+        let blocker = dir.join("wal-00001.ckpt.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let a = [(Pair::new(5, 6), 2.0)];
+        let b = [(Pair::new(5, 6), 2.0), (Pair::new(6, 7), 3.0)];
+        let group = store.commit_group(store.token(), &[&a, &b]);
+        assert!(group.receipts.is_empty(), "{:?}", group.receipts);
+        assert!(matches!(group.refused, Some(CommitError::Io(_))));
+        assert_eq!(store.len(), 4);
+        assert_eq!(store.generation(), 1);
+        assert_eq!(store.wal_entries_logged(), 4);
+
+        std::fs::remove_dir(&blocker).unwrap();
+        let group = store.commit_group(store.token(), &[&a, &b]);
+        assert!(group.refused.is_none());
+        assert_eq!(group.receipts.len(), 2);
+        assert_eq!((store.len(), store.generation()), (6, 3));
+        let exported = store.export();
+        drop(store);
+        let (store, rec) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+        assert_eq!(store.export(), exported, "the refused group stayed refused");
+        assert_eq!(rec.entries, 6);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_append_across_a_segment_boundary_logs_nothing() {
+        // Two fresh entries sit in segment 0. The group's fresh entries
+        // fill it (sealing it) and go on into segment 1, or through a
+        // full segment 1 into segment 2, whose publication the blocker
+        // refuses: every part already written must be undone as well.
+        for (blocked, fresh) in [(1u32, 4u32), (2, 8)] {
+            let dir = tmpdir(&format!("refused-split-{blocked}"));
+            let cfg = WalConfig { segment_entries: 4 };
+            let (store, _) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+            let first = [(Pair::new(0, 1), 1.0), (Pair::new(0, 2), 2.0)];
+            store.commit(store.token(), &first).unwrap();
+            let blocker = dir.join(format!("wal-0000{blocked}.ckpt.tmp"));
+            std::fs::create_dir(&blocker).unwrap();
+            let a: Vec<(Pair, f64)> = (3..3 + fresh - 1)
+                .map(|i| (Pair::new(0, i), f64::from(i)))
+                .collect();
+            let b = [(Pair::new(1, 2), 9.0)];
+            let group = store.commit_group(store.token(), &[&a, &b]);
+            assert!(group.receipts.is_empty());
+            assert!(matches!(group.refused, Some(CommitError::Io(_))));
+            assert_eq!((store.len(), store.wal_entries_logged()), (2, 2));
+            drop(store);
+            std::fs::remove_dir(&blocker).unwrap();
+            let (store, rec) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+            assert_eq!(
+                rec.entries, 2,
+                "segment {blocked}: the refused group stayed logged"
+            );
+            assert_eq!(store.export(), first);
+
+            let group = store.commit_group(store.token(), &[&a, &b]);
+            assert!(group.refused.is_none());
+            let exported = store.export();
+            drop(store);
+            let (store, rec) = SharedStore::open(&dir, &manifest(), cfg).unwrap();
+            assert_eq!(
+                (rec.entries, store.export()),
+                (u64::from(fresh) + 2, exported)
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_group_commit_equals_its_batches_committed_one_by_one() {
+        use prox_core::TinyRng;
+
+        // Twin stores see the same batches: `grouped` as one
+        // `commit_group` per round, `single` one `commit` at a time up to
+        // the first refusal. Small segments make groups cross segment
+        // boundaries; a small universe makes batches repeat pairs inside
+        // themselves and across a round.
+        let cfg = WalConfig { segment_entries: 8 };
+        let (gdir, sdir) = (tmpdir("group-g"), tmpdir("group-s"));
+        let (grouped, _) = SharedStore::open(&gdir, &manifest(), cfg).unwrap();
+        let (single, _) = SharedStore::open(&sdir, &manifest(), cfg).unwrap();
+        let universe: Vec<Pair> = Pair::all(24).collect();
+        let value = |p: Pair| p.key() as f64 * 0.5;
+        let mut rng = TinyRng::new(0x6a0c);
+        let mut seen = [0u32; 5];
+        for round in 0..240 {
+            let mut batches: Vec<Vec<(Pair, f64)>> = (0..rng.range(1, 5))
+                .map(|_| {
+                    (0..rng.range(0, 9))
+                        .map(|_| universe[rng.below(universe.len())])
+                        .map(|p| (p, value(p)))
+                        .collect()
+                })
+                .collect();
+            if rng.below(8) == 0 {
+                // A conflict in a random batch: against the store, or
+                // against a pair an earlier batch of the round holds.
+                let at = rng.below(batches.len());
+                let p = match batches[..at].iter().flatten().next() {
+                    Some(&(p, _)) if rng.below(2) == 0 => p,
+                    _ => universe[rng.below(universe.len())],
+                };
+                let mut p_value = value(p) + 1.0;
+                if rng.below(4) == 0 {
+                    p_value = value(p);
+                }
+                batches[at].push((p, p_value));
+            }
+            let stale = rng.below(10) == 0;
+            let (gtoken, stoken) = (grouped.token(), single.token());
+            if stale {
+                grouped.advance_epoch();
+                single.advance_epoch();
+            }
+            let ctx = format!("round {round}");
+            let refs: Vec<&[(Pair, f64)]> = batches.iter().map(|b| &b[..]).collect();
+            let (logged, writes) = (grouped.wal_entries_logged(), grouped.wal_writes());
+            let group = grouped.commit_group(gtoken, &refs);
+
+            let mut receipts = Vec::new();
+            let mut refused = None;
+            for batch in &refs {
+                match single.commit(stoken, batch) {
+                    Ok(r) => receipts.push(r),
+                    Err(e) => {
+                        refused = Some(e);
+                        break;
+                    }
+                }
+            }
+            assert_eq!(group.receipts, receipts, "{ctx}");
+            match (&group.refused, &refused) {
+                (None, None) => seen[0] += 1,
+                (Some(CommitError::Fenced { .. }), Some(CommitError::Fenced { .. })) => {
+                    assert_eq!(format!("{:?}", group.refused), format!("{refused:?}"));
+                    seen[1] += 1;
+                }
+                (
+                    Some(CommitError::Conflict { pair: a }),
+                    Some(CommitError::Conflict { pair: b }),
+                ) => {
+                    assert_eq!(a, b, "{ctx}");
+                    seen[2] += u32::from(receipts.is_empty());
+                    seen[3] += u32::from(!receipts.is_empty());
+                }
+                other => panic!("{ctx}: refusals differ: {other:?}"),
+            }
+            assert_eq!(grouped.export(), single.export(), "{ctx}");
+            assert_eq!(grouped.generation(), single.generation(), "{ctx}");
+            assert_eq!(
+                grouped.wal_entries_logged(),
+                single.wal_entries_logged(),
+                "{ctx}"
+            );
+
+            // One synced write per segment the group's entries reach.
+            let seg = cfg.segment_entries as u64;
+            let fresh = grouped.wal_entries_logged() - logged;
+            let room = seg - logged % seg;
+            let chunks = match fresh {
+                0 => 0,
+                f if f <= room => 1,
+                f => 1 + (f - room).div_ceil(seg),
+            };
+            assert_eq!(grouped.wal_writes() - writes, chunks, "{ctx}");
+            seen[4] += u32::from(receipts.len() > 1 && chunks == 1);
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "accepted, fenced, conflict first, conflict mid-round, one-append groups: {seen:?}"
+        );
+        assert!(grouped.wal_writes() < single.wal_writes());
+        let exported = grouped.export();
+        assert!(
+            exported.len() > 200,
+            "the rounds must fill several segments"
+        );
+        drop((grouped, single));
+        let (grouped, grec) = SharedStore::open(&gdir, &manifest(), cfg).unwrap();
+        let (single, srec) = SharedStore::open(&sdir, &manifest(), cfg).unwrap();
+        assert_eq!(grec, srec);
+        assert_eq!(grouped.export(), exported);
+        assert_eq!(single.export(), exported);
+        let _ = std::fs::remove_dir_all(&gdir);
+        let _ = std::fs::remove_dir_all(&sdir);
     }
 
     #[test]

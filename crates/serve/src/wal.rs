@@ -1,25 +1,31 @@
 //! Segment-rotating write-ahead log on the checkpoint-v2 format.
 //!
-//! The shared store's only durability channel. Every committed batch of
-//! fresh certified distances is appended here *before* it becomes
-//! visible to readers, so a crash at any instant loses at most the
-//! in-flight batch — never a batch a client was told succeeded.
+//! The shared store's only durability channel. Every committed group of
+//! batches of fresh certified distances is appended here *before* it
+//! becomes visible to readers, so a crash at any instant loses at most
+//! the in-flight group — never a batch a client was told succeeded. A
+//! serve round commits its sessions' batches as one group
+//! ([`crate::SharedStore::commit_group`]), so the log pays one append
+//! and one `fdatasync` per round, not one per session.
 //!
 //! Layout: `DIR/wal-NNNNN.ckpt`, each a self-contained v2 checkpoint
 //! (CRC32 rolling block markers + `#! crc32=` trailers). A segment's
-//! first batch is published whole with the temp + fsync + rename
+//! first append is published whole with the temp + fsync + rename
 //! discipline of [`prox_core::write_checkpoint_file`]; so is the first
-//! batch after `WriteAheadLog::recover` or after a failed append,
-//! which also drops any torn bytes the tail held. Every later batch is
-//! *appended*: one write of its data lines followed by a fresh
-//! `#! crc32=<hex>` trailer over every earlier byte of the file, then
-//! one `fdatasync`. Once a segment reaches [`WalConfig::segment_entries`]
-//! entries it is sealed and a new segment starts. Every acknowledged
-//! batch ends in a verifying trailer, so a sealed segment loads
+//! append after `WriteAheadLog::recover` or after a failed append,
+//! which also drops any torn bytes the tail held. Every later append
+//! writes its data lines followed by a fresh `#! crc32=<hex>` trailer
+//! over every earlier byte of the file in one write, then one
+//! `fdatasync`. Once a segment reaches [`WalConfig::segment_entries`]
+//! entries it is sealed and a new segment starts, so an append that
+//! crosses a segment boundary is split there; if a later part of a split
+//! append fails, the parts already written are undone, so a refused
+//! append logs nothing. Every acknowledged
+//! append ends in a verifying trailer, so a sealed segment loads
 //! strictly, and a `kill -9` mid-append leaves a tail whose longest
-//! verified prefix ends at the last acknowledged batch: the lenient
-//! tail read loses exactly the in-flight batch, which is correct — it
-//! was never acknowledged. The `#!` lines are comments, so a segment
+//! verified prefix ends at the last acknowledged append: the lenient
+//! tail read loses exactly the in-flight group, which is correct — none
+//! of it was acknowledged. The `#!` lines are comments, so a segment
 //! stays a plain [`prox_core::load_known`] cache.
 //!
 //! Recovery (`WriteAheadLog::recover`) reads segments in index order:
@@ -101,6 +107,9 @@ pub(crate) struct WriteAheadLog {
     dir_exists: bool,
     /// Entries appended over the log's whole life (recovered + new).
     entries_logged: u64,
+    /// Synced writes (appends and whole publications) since recovery.
+    #[cfg(test)]
+    writes: u64,
 }
 
 impl WriteAheadLog {
@@ -186,16 +195,26 @@ impl WriteAheadLog {
             open: None,
             dir_exists,
             entries_logged: recovery.entries,
+            #[cfg(test)]
+            writes: 0,
         };
         Ok((wal, known, recovery))
     }
 
     /// Durably appends `entries` (already deduplicated by the store) to
-    /// the active segment, sealing it when full. A batch is acknowledged
-    /// only once it and its trailer are synced; on any error the log
-    /// forgets the batch, and its next append republishes the segment
-    /// whole from the acknowledged entries alone.
+    /// the active segment in one synced write, sealing it when full and
+    /// splitting the write at a segment boundary. Entries are
+    /// acknowledged only once all of them and their trailers are synced.
+    /// On any error the log forgets the whole append — a part already
+    /// written before a segment boundary is undone too — and its next
+    /// append republishes the segment whole from the acknowledged entries
+    /// alone.
     pub fn append(&mut self, entries: &[(Pair, f64)]) -> io::Result<()> {
+        let (first_index, kept, logged) =
+            (self.active_index, self.active.len(), self.entries_logged);
+        // The first segment's entries from before this append, kept once
+        // the append seals it with more to write.
+        let mut sealed: Option<Vec<(Pair, f64)>> = None;
         let mut rest = entries;
         while !rest.is_empty() {
             let room = self
@@ -209,10 +228,16 @@ impl WriteAheadLog {
             if let Err(e) = self.write_batch(batch) {
                 self.active.truncate(acknowledged);
                 self.open = None;
+                if let Some(before) = sealed {
+                    self.undo(first_index, before, logged);
+                }
                 return Err(e);
             }
             self.entries_logged += batch.len() as u64;
             if self.active.len() >= self.config.segment_entries {
+                if sealed.is_none() && !tail.is_empty() {
+                    sealed = Some(self.active[..kept].to_vec());
+                }
                 self.active_index += 1;
                 self.active.clear();
                 self.open = None;
@@ -227,13 +252,29 @@ impl WriteAheadLog {
         self.entries_logged
     }
 
+    /// Synced writes (appends and whole publications) since recovery.
+    #[cfg(test)]
+    pub fn writes(&self) -> u64 {
+        self.writes
+    }
+
     /// Makes `batch` (already pushed onto `active`) durable: appended
     /// through the open handle when there is one, else by publishing
     /// the whole active segment.
     fn write_batch(&mut self, batch: &[(Pair, f64)]) -> io::Result<()> {
+        #[cfg(test)]
+        {
+            self.writes += 1;
+        }
         if let Some(seg) = &mut self.open {
             return seg.append(batch);
         }
+        self.publish()
+    }
+
+    /// Writes the whole active segment with the temp + fsync + rename
+    /// discipline, then opens an append handle on it.
+    fn publish(&mut self) -> io::Result<()> {
         if !self.dir_exists {
             create_dir_durably(&self.dir)?;
             self.dir_exists = true;
@@ -246,6 +287,27 @@ impl WriteAheadLog {
         // batches: without one they keep publishing the segment whole.
         self.open = OpenSegment::open(&path).ok();
         Ok(())
+    }
+
+    /// Undoes an append that sealed segment `index` and then failed in a
+    /// later segment, so that a refused append logs nothing: every
+    /// segment it published after `index` is removed, and `index` is
+    /// republished with the `before` entries it held (or removed when it
+    /// held none). Best effort: a crash midway can leave some of the
+    /// refused entries durable, never an acknowledged one lost.
+    fn undo(&mut self, index: u64, before: Vec<(Pair, f64)>, logged: u64) {
+        for idx in index + 1..=self.active_index {
+            let _ = std::fs::remove_file(segment_path(&self.dir, idx));
+        }
+        self.active_index = index;
+        self.active = before;
+        self.entries_logged = logged;
+        self.open = None;
+        let _ = if self.active.is_empty() {
+            std::fs::remove_file(segment_path(&self.dir, index))
+        } else {
+            self.publish()
+        };
     }
 }
 

@@ -13,8 +13,10 @@
 //!   tail built from several appended commits is also cut at every
 //!   byte, and must salvage exactly a prefix of those commits;
 //! * process kills — `kill_after_commits` fires after every commit
-//!   count, at exec-pool thread counts {1, 2, 8}, with a recording
-//!   metric proving the restart never re-pays a committed pair.
+//!   count, at 1, 2 and 4 sessions (so most kills land inside a round's
+//!   multi-batch commit group), leaves exactly the first `k` commits
+//!   durable, and a recording metric proves the restart never re-pays
+//!   a committed pair.
 //!
 //! The suite also runs under `--features paranoid` (the bound machinery
 //! swaps in its `CheckedResolver` audits) — `cargo test -p prox-serve
@@ -30,7 +32,7 @@ use std::time::Duration;
 
 use prox_core::{Metric, ObjectId, Pair};
 use prox_datasets::{ClusteredPlane, Dataset};
-use prox_obs::{summarize, JsonlSink, TraceSink};
+use prox_obs::{summarize, JsonlSink, RingSink, TraceEvent, TraceSink};
 use prox_serve::wal::segment_path;
 use prox_serve::{
     default_script, emit_recovery, run_group, BoundServer, GroupOutcome, PairGroupQuery,
@@ -321,43 +323,59 @@ fn torn_appended_tail_salvages_whole_acknowledged_batches_at_every_byte() {
 
 #[test]
 fn kill_at_every_commit_point_restarts_byte_identical_with_zero_repay() {
+    // A round commits its sessions' batches as one group, so at 2 and 4
+    // sessions most kill points fall inside a multi-batch group: the kill
+    // must still land right after its k-th commit, no earlier and no
+    // later.
     let script = default_script(24, 6, 3);
     let manifest = vec![("n".to_string(), "24".to_string())];
-    let config = |kill| ServeConfig {
-        sessions: 2,
-        kill_after_commits: kill,
-        ..ServeConfig::default()
-    };
+    for sessions in [1u32, 2, 4] {
+        let config = |kill| ServeConfig {
+            sessions,
+            kill_after_commits: kill,
+            ..ServeConfig::default()
+        };
 
-    // Uninterrupted reference run.
-    let clean_dir = tmpdir("kill-clean");
-    let (clean, total_commits) = {
-        let metric = ClusteredPlane::default().metric(24, 7);
-        let (store, _) = SharedStore::open(&clean_dir, &manifest, WalConfig::default()).unwrap();
-        let out = BoundServer::new(&*metric, &store, config(None)).run(&script, None);
-        assert!(!out.crashed);
-        (
-            store.export(),
-            out.stats.iter().map(|s| s.commits).sum::<u64>(),
-        )
-    };
-    let _ = std::fs::remove_dir_all(&clean_dir);
-    assert!(total_commits >= 3, "script too small to sweep kill points");
+        // Uninterrupted reference run, with the fresh entries of each
+        // commit in commit order read off its trace.
+        let clean_dir = tmpdir(&format!("kill-clean-s{sessions}"));
+        let (clean, fresh_per_commit) = {
+            let metric = ClusteredPlane::default().metric(24, 7);
+            let (store, _) =
+                SharedStore::open(&clean_dir, &manifest, WalConfig::default()).unwrap();
+            let ring = Rc::new(RingSink::new(1 << 12));
+            let sink: Rc<dyn TraceSink> = ring.clone();
+            let out = BoundServer::new(&*metric, &store, config(None)).run(&script, Some(&sink));
+            assert!(!out.crashed);
+            let fresh: Vec<u64> = ring
+                .events()
+                .iter()
+                .filter_map(|&(_, ev)| match ev {
+                    TraceEvent::StoreCommit { fresh, .. } => Some(fresh),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                fresh.len() as u64,
+                out.stats.iter().map(|s| s.commits).sum::<u64>()
+            );
+            (store.export(), fresh)
+        };
+        let _ = std::fs::remove_dir_all(&clean_dir);
+        let total_commits = fresh_per_commit.len() as u64;
+        assert!(total_commits >= 3, "script too small to sweep kill points");
 
-    let mut per_thread = Vec::new();
-    for threads in [1usize, 2, 8] {
-        prox_exec::set_global_threads(threads);
-        let mut resumed_runs = Vec::new();
         for kill in 1..=total_commits {
-            let dir = tmpdir(&format!("kill-t{threads}-k{kill}"));
+            let ctx = format!("sessions {sessions} kill {kill}");
+            let dir = tmpdir(&format!("kill-s{sessions}-k{kill}"));
             let metric = ClusteredPlane::default().metric(24, 7);
             let (store, _) = SharedStore::open(&dir, &manifest, WalConfig::default()).unwrap();
             let out = BoundServer::new(&*metric, &store, config(Some(kill))).run(&script, None);
-            assert!(
-                out.crashed,
-                "kill {kill}: server should have died mid-script"
-            );
-            // Everything acknowledged before the kill is durable.
+            assert!(out.crashed, "{ctx}: server should have died mid-script");
+            // Exactly the first `kill` commits are durable.
+            let acknowledged: u64 = fresh_per_commit[..kill as usize].iter().sum();
+            assert_eq!(store.len() as u64, acknowledged, "{ctx}: kill granularity");
+            assert_eq!(out.stats.iter().map(|s| s.commits).sum::<u64>(), kill);
             let at_crash: BTreeSet<u64> = store.export().iter().map(|(p, _)| p.key()).collect();
             drop(store);
 
@@ -369,28 +387,23 @@ fn kill_at_every_commit_point_restarts_byte_identical_with_zero_repay() {
             assert_eq!(
                 rec.entries as usize,
                 at_crash.len(),
-                "kill {kill}: WAL lost a commit"
+                "{ctx}: WAL lost a commit"
             );
             let resumed = BoundServer::new(&recording, &store, config(None)).run(&script, None);
             assert!(!resumed.crashed);
             assert_eq!(
                 bits(&store.export()),
                 bits(&clean),
-                "kill {kill} threads {threads}: recovered store diverged (I12)"
+                "{ctx}: recovered store diverged (I12)"
             );
             assert!(
                 recording.paid().is_disjoint(&at_crash),
-                "kill {kill} threads {threads}: restart re-paid an acknowledged pair"
+                "{ctx}: restart re-paid an acknowledged pair"
             );
-            resumed_runs.push((kill, resumed.responses, resumed.stats, store.export()));
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);
         }
-        per_thread.push(resumed_runs);
     }
-    prox_exec::set_global_threads(1);
-    assert_eq!(per_thread[0], per_thread[1], "threads 1 vs 2 diverged");
-    assert_eq!(per_thread[0], per_thread[2], "threads 1 vs 8 diverged");
 }
 
 /// The CI `serve-chaos` matrix cell: `PROX_SERVE_KILL` (commits before
