@@ -15,7 +15,7 @@
 //! save:
 //!
 //! * **min** ([`crate::single_linkage`]) and **max**
-//!   ([`crate::complete_linkage`]) are *selective*: one member pins the
+//!   ([`crate::complete_linkage()`]) are *selective*: one member pins the
 //!   aggregate and dominated members never need resolving.
 //! * **sum/mean** is *exhaustive*: the mean is strictly monotone in every
 //!   term, so an exact mean needs every member distance.
@@ -68,267 +68,80 @@
 
 use prox_bounds::resolver::DECISION_EPS;
 use prox_bounds::DistanceResolver;
-use prox_core::invariant::{expect_ok, InvariantExt};
-use prox_core::{ObjectId, OracleError, Pair};
+use prox_core::invariant::expect_ok;
+use prox_core::{invariant, ObjectId, OracleError, Pair};
 
-use crate::linkage::{Dendrogram, Merge};
+use crate::linkage::{agglomerate, partition, Aggregate, Band, Dendrogram};
 
-/// Sum-interval state of one cluster pair. Only the lower end matters:
-/// the argmin certificate excludes by mean lower bound, and upper bounds
-/// on sums never decide anything (the best pair is refined exactly).
-#[derive(Copy, Clone, Debug)]
-struct SumBand {
-    /// Lower bound on the member-distance **sum**.
-    slo: f64,
-    /// Canonical mean once every member distance is resolver-known.
-    mean: Option<f64>,
+/// The sum aggregate. A band's `lo` is the member-distance **sum**'s
+/// lower bound divided by `|A||B|`; upper bounds on sums never decide
+/// anything (the best pair is refined exactly), so none is kept.
+struct Sum;
+
+/// Member pairs in canonical order: outer loop over the lower slot's
+/// members (the driver passes that slot first).
+fn member_pairs(ma: &[ObjectId], mb: &[ObjectId]) -> Vec<Pair> {
+    ma.iter()
+        .flat_map(|&x| mb.iter().map(move |&y| Pair::new(x, y)))
+        .collect()
 }
 
-struct State {
-    /// Members of each cluster slot (`None` = merged away).
-    members: Vec<Option<Vec<ObjectId>>>,
-    /// Dendrogram cluster id of each active slot.
-    cluster_id: Vec<u32>,
-    /// Triangular pair state indexed by slot ids (`slot_lo < slot_hi`).
-    bands: Vec<SumBand>,
-    n0: usize,
-}
-
-impl State {
-    fn idx(&self, a: usize, b: usize) -> usize {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        lo * self.n0 - lo * (lo + 1) / 2 + (hi - lo - 1)
-    }
-    fn band(&self, a: usize, b: usize) -> SumBand {
-        self.bands[self.idx(a, b)]
-    }
-    fn set_band(&mut self, a: usize, b: usize, band: SumBand) {
-        let i = self.idx(a, b);
-        self.bands[i] = band;
-    }
-    /// Number of member pairs between two active slots.
-    fn pair_count(&self, a: usize, b: usize) -> f64 {
-        let ma = self.members[a].as_ref().expect_invariant("active cluster");
-        let mb = self.members[b].as_ref().expect_invariant("active cluster");
-        (ma.len() * mb.len()) as f64
-    }
-    /// Member pairs in canonical iteration order: outer loop over the
-    /// lower slot's members. Slot order must be normalized because float
-    /// accumulation is order-sensitive and several call sites pass the
-    /// slots in either order (the post-merge refresh iterates `(a, c)`
-    /// with `c` possibly below `a`).
-    fn member_pairs(&self, a: usize, b: usize) -> Vec<Pair> {
-        let (a, b) = if a < b { (a, b) } else { (b, a) };
-        let ma = self.members[a].as_ref().expect_invariant("active cluster");
-        let mb = self.members[b].as_ref().expect_invariant("active cluster");
-        let mut out = Vec::with_capacity(ma.len() * mb.len());
+impl<R: DistanceResolver + ?Sized> Aggregate<R> for Sum {
+    /// When every member distance is known the band collapses to the
+    /// canonical mean: knowns accumulate in canonical member order, so the
+    /// float result is identical across resolvers that made the same
+    /// merges.
+    fn recompute(r: &mut R, ma: &[ObjectId], mb: &[ObjectId]) -> Band {
+        let mut sum = 0.0f64;
+        let mut all_known = true;
         for &x in ma {
             for &y in mb {
-                out.push(Pair::new(x, y));
-            }
-        }
-        out
-    }
-}
-
-/// Recomputes a cluster pair's sum band from the scheme's *current*
-/// bounds — no oracle calls. When every member distance is known the band
-/// collapses to the canonical mean: knowns accumulate in normalized
-/// member-list order, so the float result is identical across resolvers
-/// that made the same merges.
-fn recompute_band<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    state: &State,
-    a: usize,
-    b: usize,
-) -> SumBand {
-    // Normalize the slot order: the accumulation below is float-order
-    // sensitive, and the height invariant needs every writer of a band to
-    // produce bit-identical sums for identical member lists.
-    let (a, b) = if a < b { (a, b) } else { (b, a) };
-    let (ma, mb) = (
-        state.members[a].as_ref().expect_invariant("active cluster"),
-        state.members[b].as_ref().expect_invariant("active cluster"),
-    );
-    let mut slo = 0.0f64;
-    let mut all_known = true;
-    for &x in ma {
-        for &y in mb {
-            let p = Pair::new(x, y);
-            if let Some(d) = resolver.known(p) {
-                slo += d;
-            } else {
-                slo += resolver.lower_bound_hint(p);
-                all_known = false;
-            }
-        }
-    }
-    // When all members are known, `slo` is the canonical sum (same values,
-    // same accumulation order as the vanilla run).
-    let mean = all_known.then(|| slo / (ma.len() * mb.len()) as f64);
-    SumBand { slo, mean }
-}
-
-/// Refines a cluster pair until its average-linkage distance is exact:
-/// unlike the max aggregate, the mean needs every member, so all unknown
-/// member distances resolve (in canonical order).
-fn refine<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    state: &mut State,
-    a: usize,
-    b: usize,
-) -> Result<f64, OracleError> {
-    if let Some(m) = state.band(a, b).mean {
-        return Ok(m);
-    }
-    for p in state.member_pairs(a, b) {
-        if resolver.known(p).is_none() {
-            resolver.resolve_fallible(p)?;
-        }
-    }
-    let band = recompute_band(resolver, state, a, b);
-    let m = band.mean.expect_invariant("all members resolved");
-    state.set_band(a, b, band);
-    Ok(m)
-}
-
-/// The agglomeration engine: merges until `stop_at` clusters remain and
-/// returns the merges plus the final cluster state.
-fn agglomerate<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    stop_at: usize,
-) -> Result<(Vec<Merge>, State), OracleError> {
-    let n = resolver.n();
-    let stop_at = stop_at.clamp(1, n.max(1));
-    let mut state = State {
-        members: (0..n as ObjectId).map(|o| Some(vec![o])).collect(),
-        cluster_id: (0..n as u32).collect(),
-        bands: Vec::new(),
-        n0: n,
-    };
-    state.bands = Pair::all(n)
-        .map(|p| match resolver.known(p) {
-            Some(d) => SumBand {
-                slo: d,
-                mean: Some(d),
-            },
-            None => SumBand {
-                slo: resolver.lower_bound_hint(p),
-                mean: None,
-            },
-        })
-        .collect();
-
-    let mut active: Vec<usize> = (0..n).collect();
-    let steps = n.saturating_sub(stop_at);
-    let mut merges = Vec::with_capacity(steps);
-
-    for step in 0..steps {
-        // Lazy argmin over active cluster pairs, mirroring
-        // `complete_linkage`: hold the best *exact* mean seen so far (by
-        // `(mean, scan order)`); a contender is first refreshed from
-        // current knowledge (free), then probed as a sum aggregate (free
-        // for bound resolvers, one LP feasibility test for DFT), and only
-        // resolved when both fail to exclude it.
-        let (a, b, height) = loop {
-            let mut best: Option<(usize, usize, f64)> = None;
-            for (ai, &x) in active.iter().enumerate() {
-                for &y in active.iter().skip(ai + 1) {
-                    if let Some(m) = state.band(x, y).mean {
-                        if best.is_none_or(|(_, _, bd)| m < bd) {
-                            best = Some((x, y, m));
-                        }
-                    }
+                let p = Pair::new(x, y);
+                if let Some(d) = r.known(p) {
+                    sum += d;
+                } else {
+                    sum += r.lower_bound_hint(p);
+                    all_known = false;
                 }
             }
-            // Nothing exact yet: refine the pair with the smallest mean
-            // lower bound (ties to scan order) and try again.
-            let Some((bx, by, bd)) = best else {
-                let mut pick: Option<(usize, usize, f64)> = None;
-                for (ai, &x) in active.iter().enumerate() {
-                    for &y in active.iter().skip(ai + 1) {
-                        let mlo = state.band(x, y).slo / state.pair_count(x, y);
-                        if pick.is_none_or(|(_, _, pl)| mlo < pl) {
-                            pick = Some((x, y, mlo));
-                        }
-                    }
-                }
-                let (x, y, _) = pick.expect_invariant("two active clusters remain");
-                refine(resolver, &mut state, x, y)?;
-                continue;
-            };
-            // Certificate: every other pair must be excluded by a mean
-            // lower bound strictly above `bd` (with the framework's
-            // rounding margin — excluding a true tie would break
-            // cross-resolver output equality), or be exact.
-            let mut disturbed = false;
-            'scan: for (ai, &x) in active.iter().enumerate() {
-                for &y in active.iter().skip(ai + 1) {
-                    if (x, y) == (bx, by) {
-                        continue;
-                    }
-                    let band = state.band(x, y);
-                    if band.mean.is_some() {
-                        continue;
-                    }
-                    let cnt = state.pair_count(x, y);
-                    if band.slo / cnt > bd + DECISION_EPS {
-                        continue;
-                    }
-                    // Refresh from current knowledge (no oracle calls).
-                    let fresh = recompute_band(resolver, &state, x, y);
-                    state.set_band(x, y, fresh);
-                    if fresh.mean.is_some() {
-                        disturbed = true; // re-enter best-exact selection
-                        break 'scan;
-                    }
-                    if fresh.slo / cnt > bd + DECISION_EPS {
-                        continue;
-                    }
-                    // Joint aggregate probe: can the whole member sum
-                    // certainly not undercut `bd * cnt`? `Some(false)`
-                    // certifies `Σ ≥ bd·cnt + cnt·ε`, i.e. mean > bd.
-                    let terms = state.member_pairs(x, y);
-                    let threshold = bd * cnt + cnt * DECISION_EPS;
-                    if resolver.try_sum_less_value(&terms, threshold) == Some(false) {
-                        continue;
-                    }
-                    // Still a contender (or a potential tie): resolve.
-                    refine(resolver, &mut state, x, y)?;
-                    disturbed = true;
-                    break 'scan;
-                }
-            }
-            if !disturbed {
-                break (bx, by, bd);
-            }
-        };
-
-        // Merge members (slot `a` absorbs slot `b`), then refresh every
-        // affected band from current knowledge — heights must come from a
-        // fresh canonical accumulation, never from adding cached sums.
-        let mut merged = state.members[a].take().expect_invariant("active");
-        merged.extend(state.members[b].take().expect_invariant("active"));
-        state.members[a] = Some(merged);
-        active.retain(|&c| c != b);
-        for &c in &active {
-            if c == a {
-                continue;
-            }
-            let band = recompute_band(resolver, &state, a, c);
-            state.set_band(a, c, band);
         }
-
-        let (ca, cb) = (state.cluster_id[a], state.cluster_id[b]);
-        state.cluster_id[a] = (n + step) as u32;
-        merges.push(Merge {
-            a: ca.min(cb),
-            b: ca.max(cb),
-            height,
-        });
+        // When all members are known, `lo` is the canonical mean (same
+        // values, same accumulation order as the vanilla run).
+        let lo = sum / (ma.len() * mb.len()) as f64;
+        Band {
+            lo,
+            exact: all_known.then_some(lo),
+        }
     }
 
-    Ok((merges, state))
+    /// Unlike the max aggregate, the mean needs every member, so all
+    /// unknown member distances resolve (in canonical order).
+    fn refine(r: &mut R, ma: &[ObjectId], mb: &[ObjectId]) -> Result<Band, OracleError> {
+        for p in member_pairs(ma, mb) {
+            if r.known(p).is_none() {
+                r.resolve_fallible(p)?;
+            }
+        }
+        let band = Self::recompute(r, ma, mb);
+        invariant!(band.exact.is_some(), "all members resolved");
+        Ok(band)
+    }
+
+    /// Joint aggregate probe: can the whole member sum certainly not
+    /// undercut `best · cnt`? `Some(false)` certifies
+    /// `Σ ≥ best·cnt + cnt·ε`, i.e. mean > best.
+    fn excludes(r: &mut R, ma: &[ObjectId], mb: &[ObjectId], best: f64) -> bool {
+        let cnt = (ma.len() * mb.len()) as f64;
+        let threshold = best * cnt + cnt * DECISION_EPS;
+        r.try_sum_less_value(&member_pairs(ma, mb), threshold) == Some(false)
+    }
+
+    /// Heights must come from a fresh canonical accumulation, never from
+    /// adding cached sums: recompute from current knowledge (no oracle
+    /// calls).
+    fn merged(r: &mut R, _ac: Band, _bc: Band, ma: &[ObjectId], mb: &[ObjectId]) -> Band {
+        Self::recompute(r, ma, mb)
+    }
 }
 
 /// Builds the full average-linkage (UPGMA) dendrogram (`n − 1` merges,
@@ -354,7 +167,7 @@ pub fn try_average_linkage<R: DistanceResolver + ?Sized>(
     resolver: &mut R,
 ) -> Result<Dendrogram, OracleError> {
     let n = resolver.n();
-    let (merges, _) = agglomerate(resolver, 1)?;
+    let merges = agglomerate::<Sum, R>(resolver, 1)?;
     Ok(Dendrogram::from_merges(n, merges))
 }
 
@@ -376,27 +189,7 @@ pub fn try_average_linkage_cut<R: DistanceResolver + ?Sized>(
     k: usize,
 ) -> Result<Vec<u32>, OracleError> {
     let n = resolver.n();
-    let (_, state) = agglomerate(resolver, k)?;
-    // Dense labels by first-seen object id, matching `Dendrogram::cut`.
-    let mut slot_of = vec![usize::MAX; n];
-    for (s, slot) in state.members.iter().enumerate() {
-        if let Some(ms) = slot {
-            for &m in ms {
-                slot_of[m as usize] = s;
-            }
-        }
-    }
-    let mut label_of_slot = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut labels = Vec::with_capacity(n);
-    for &s in &slot_of {
-        if label_of_slot[s] == u32::MAX {
-            label_of_slot[s] = next;
-            next += 1;
-        }
-        labels.push(label_of_slot[s]);
-    }
-    Ok(labels)
+    Ok(partition(n, &agglomerate::<Sum, R>(resolver, k)?))
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Complete-linkage hierarchical clustering with interval pruning.
+//! Complete-linkage hierarchical clustering with bound pruning.
 //!
 //! Complete linkage merges, at every step, the two clusters with the
 //! smallest **maximum** member distance:
@@ -9,168 +9,119 @@
 //!
 //! The classical algorithm resolves all `C(n,2)` distances up front and
 //! then runs Lance–Williams updates. Re-authored for the resolver
-//! framework, every cluster pair instead carries an **interval**
-//! `[max of member LBs, max of member UBs]`:
+//! framework ([`crate::linkage`]'s agglomerative driver), every cluster
+//! pair instead carries a **lower bound** `max of member LBs`, and member
+//! upper bounds decide when the maximum is pinned:
 //!
-//! * the argmin tournament compares intervals first — `U(x) < L(y)`
-//!   decides `D(x) < D(y)` with zero oracle calls;
+//! * the argmin certificate excludes a pair whose lower bound exceeds the
+//!   best exact distance with zero oracle calls;
 //! * only the pairs that stay contenders are *refined*: their member
 //!   distances resolve in descending upper-bound order, stopping as soon
 //!   as a resolved value dominates every remaining member's UB — the exact
 //!   maximum is then known without resolving the rest;
-//! * Lance–Williams stays free: `I(A∪B, C) = [max(L_AC, L_BC),
-//!   max(U_AC, U_BC)]`, exact whenever both inputs are exact.
+//! * Lance–Williams stays free: `L(A∪B, C) = max(L_AC, L_BC)`, exact
+//!   whenever both inputs are exact.
 //!
 //! This is a *max-aggregate* IF shape — a different beast from the
 //! pairwise and sum forms in the rest of the crate, and the paper's
 //! generality claim (§7: "substitute expensive distance comparison within
 //! these algorithms") is exactly what it exercises. Outputs are identical
-//! to the vanilla run: interval decisions are sound (with the framework's
+//! to the vanilla run: bound decisions are sound (with the framework's
 //! rounding margin), fallbacks are exact, and ties keep the earliest pair
-//! in the active-slot scan order — an ordering that depends only on the
-//! merge history, never on distance values.
+//! in the active-slot scan order.
 
 use prox_bounds::resolver::DECISION_EPS;
 use prox_bounds::DistanceResolver;
-use prox_core::invariant::{expect_ok, InvariantExt};
+use prox_core::invariant::expect_ok;
 use prox_core::{ObjectId, OracleError, Pair};
 
-use crate::linkage::{Dendrogram, Merge};
+use crate::linkage::{agglomerate, Aggregate, Band, Dendrogram};
 
-/// Interval state of one cluster pair.
-#[derive(Copy, Clone, Debug)]
-struct Band {
-    lo: f64,
-    hi: f64,
-    /// Exact `D` once every contributing member distance is pinned.
-    exact: Option<f64>,
-}
+/// The max aggregate.
+struct Max;
 
-struct State {
-    /// Members of each cluster slot (`None` = merged away).
-    members: Vec<Option<Vec<ObjectId>>>,
-    /// Dendrogram cluster id of each active slot.
-    cluster_id: Vec<u32>,
-    /// Triangular pair state indexed by slot ids (`slot_lo < slot_hi`).
-    bands: Vec<Band>,
-    n0: usize,
-}
-
-impl State {
-    fn idx(&self, a: usize, b: usize) -> usize {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        lo * self.n0 - lo * (lo + 1) / 2 + (hi - lo - 1)
-    }
-    fn band(&self, a: usize, b: usize) -> Band {
-        self.bands[self.idx(a, b)]
-    }
-    fn set_band(&mut self, a: usize, b: usize, band: Band) {
-        let i = self.idx(a, b);
-        self.bands[i] = band;
-    }
-}
-
-/// Recomputes a cluster pair's band from the scheme's *current* bounds —
-/// no oracle calls. The band can collapse to exact without any resolution
-/// when some known member distance dominates every unknown member's UB.
-fn recompute_band<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    state: &State,
-    a: usize,
-    b: usize,
-) -> Band {
-    let (ma, mb) = (
-        state.members[a].as_ref().expect_invariant("active cluster"),
-        state.members[b].as_ref().expect_invariant("active cluster"),
-    );
-    let mut lo = 0.0f64;
-    let mut hi = 0.0f64;
-    let mut max_known = 0.0f64;
-    let mut max_unknown_ub = 0.0f64;
-    let mut any_unknown = false;
-    for &x in ma {
-        for &y in mb {
-            let p = Pair::new(x, y);
-            // Only resolver-certified exact values may pin the maximum:
-            // a derived lb==ub collapse can sit an ulp off the oracle's
-            // float and heights must be bit-identical across resolvers.
-            if let Some(d) = resolver.known(p) {
-                lo = lo.max(d);
-                hi = hi.max(d);
-                max_known = max_known.max(d);
-            } else {
-                let (l, u) = resolver.bounds_hint(p);
-                lo = lo.max(l);
-                hi = hi.max(u);
-                any_unknown = true;
-                max_unknown_ub = max_unknown_ub.max(u);
+impl<R: DistanceResolver + ?Sized> Aggregate<R> for Max {
+    /// The band can collapse to exact without any resolution when some
+    /// known member distance dominates every unknown member's UB.
+    fn recompute(r: &mut R, ma: &[ObjectId], mb: &[ObjectId]) -> Band {
+        let mut lo = 0.0f64;
+        let mut max_known = 0.0f64;
+        let mut max_unknown_ub = 0.0f64;
+        let mut any_unknown = false;
+        for &x in ma {
+            for &y in mb {
+                let p = Pair::new(x, y);
+                // Only resolver-certified exact values may pin the maximum:
+                // a derived lb==ub collapse can sit an ulp off the oracle's
+                // float and heights must be bit-identical across resolvers.
+                if let Some(d) = r.known(p) {
+                    lo = lo.max(d);
+                    max_known = max_known.max(d);
+                } else {
+                    let (l, u) = r.bounds_hint(p);
+                    lo = lo.max(l);
+                    any_unknown = true;
+                    max_unknown_ub = max_unknown_ub.max(u);
+                }
             }
         }
+        // The margin keeps the gate conservative under ulp-noisy derived UBs:
+        // when in doubt, stay non-exact and let `refine` resolve with the
+        // oracle, so heights stay bit-identical across resolvers.
+        let exact = if !any_unknown || max_known >= max_unknown_ub + DECISION_EPS {
+            Some(max_known)
+        } else {
+            None
+        };
+        Band { lo, exact }
     }
-    // The margin keeps the gate conservative under ulp-noisy derived UBs:
-    // when in doubt, stay non-exact and let `refine` resolve with the
-    // oracle, so heights stay bit-identical across resolvers.
-    let exact = if !any_unknown || max_known >= max_unknown_ub + DECISION_EPS {
-        Some(max_known)
-    } else {
-        None
-    };
-    Band { lo, hi, exact }
-}
 
-/// Refines a cluster pair until its complete-linkage distance is exact.
-///
-/// Member distances resolve in descending UB order; once the running
-/// maximum of resolved values reaches every remaining UB, the maximum is
-/// determined and the rest never resolve.
-fn refine<R: DistanceResolver + ?Sized>(
-    resolver: &mut R,
-    state: &mut State,
-    a: usize,
-    b: usize,
-) -> Result<f64, OracleError> {
-    let band = state.band(a, b);
-    if let Some(d) = band.exact {
-        return Ok(d);
-    }
-    let (ma, mb) = (
-        state.members[a].as_ref().expect_invariant("active cluster"),
-        state.members[b].as_ref().expect_invariant("active cluster"),
-    );
-    let mut entries: Vec<(f64, Pair)> = Vec::with_capacity(ma.len() * mb.len());
-    for &x in ma {
-        for &y in mb {
-            let p = Pair::new(x, y);
-            let (_, ub) = resolver.bounds_hint(p);
-            entries.push((ub, p));
+    /// Member distances resolve in descending UB order; once the running
+    /// maximum of resolved values reaches every remaining UB, the maximum
+    /// is determined and the rest never resolve.
+    fn refine(r: &mut R, ma: &[ObjectId], mb: &[ObjectId]) -> Result<Band, OracleError> {
+        let mut entries: Vec<(f64, Pair)> = Vec::with_capacity(ma.len() * mb.len());
+        for &x in ma {
+            for &y in mb {
+                let p = Pair::new(x, y);
+                let (_, ub) = r.bounds_hint(p);
+                entries.push((ub, p));
+            }
         }
-    }
-    // Descending UB; deterministic tie order by pair key.
-    entries.sort_unstable_by(|p, q| q.0.total_cmp(&p.0).then_with(|| p.1.key().cmp(&q.1.key())));
-    let mut max_d = 0.0f64;
-    for (i, &(_, p)) in entries.iter().enumerate() {
-        // Everything not yet visited has UB <= the next entry's UB; once
-        // the resolved maximum dominates it (by the framework's rounding
-        // margin, to tolerate ulp-noisy derived UBs), the maximum is
-        // pinned without resolving the rest.
-        if i > 0 && max_d >= entries[i].0 + DECISION_EPS {
-            break;
+        // Descending UB; deterministic tie order by pair key.
+        entries
+            .sort_unstable_by(|p, q| q.0.total_cmp(&p.0).then_with(|| p.1.key().cmp(&q.1.key())));
+        let mut max_d = 0.0f64;
+        for (i, &(_, p)) in entries.iter().enumerate() {
+            // Everything not yet visited has UB <= the next entry's UB; once
+            // the resolved maximum dominates it (by the framework's rounding
+            // margin, to tolerate ulp-noisy derived UBs), the maximum is
+            // pinned without resolving the rest.
+            if i > 0 && max_d >= entries[i].0 + DECISION_EPS {
+                break;
+            }
+            let d = r.resolve_fallible(p)?;
+            if d > max_d {
+                max_d = d;
+            }
         }
-        let d = resolver.resolve_fallible(p)?;
-        if d > max_d {
-            max_d = d;
-        }
-    }
-    state.set_band(
-        a,
-        b,
-        Band {
+        Ok(Band {
             lo: max_d,
-            hi: max_d,
             exact: Some(max_d),
-        },
-    );
-    Ok(max_d)
+        })
+    }
+
+    /// Lance–Williams on bands: no resolver call.
+    fn merged(_r: &mut R, ac: Band, bc: Band, _ma: &[ObjectId], _mb: &[ObjectId]) -> Band {
+        let exact = match (ac.exact, bc.exact) {
+            (Some(x), Some(y)) => Some(x.max(y)),
+            _ => None,
+        };
+        Band {
+            lo: ac.lo.max(bc.lo),
+            exact,
+        }
+    }
 }
 
 /// Builds the complete-linkage dendrogram (`n − 1` merges, heights
@@ -189,142 +140,7 @@ pub fn try_complete_linkage<R: DistanceResolver + ?Sized>(
     resolver: &mut R,
 ) -> Result<Dendrogram, OracleError> {
     let n = resolver.n();
-    let max_d = resolver.max_distance();
-    let mut state = State {
-        members: (0..n as ObjectId).map(|o| Some(vec![o])).collect(),
-        cluster_id: (0..n as u32).collect(),
-        bands: Vec::new(),
-        n0: n,
-    };
-    state.bands = Pair::all(n)
-        .map(|p| match resolver.known(p) {
-            Some(d) => Band {
-                lo: d,
-                hi: d,
-                exact: Some(d),
-            },
-            None => {
-                let (lo, hi) = resolver.bounds_hint(p);
-                Band {
-                    lo,
-                    hi: hi.min(max_d),
-                    exact: None,
-                }
-            }
-        })
-        .collect();
-
-    let mut active: Vec<usize> = (0..n).collect();
-    let mut merges = Vec::with_capacity(n.saturating_sub(1));
-
-    for step in 0..n.saturating_sub(1) {
-        // Lazy argmin over active cluster pairs.
-        //
-        // Invariant-driven loop: hold the best *exact* pair seen so far
-        // (by `(D, scan order)`); any non-exact pair whose lower bound can
-        // still reach that value gets its band *recomputed* from current
-        // scheme knowledge first (free), and only refined (resolved) when
-        // the refreshed bound still cannot exclude it. Early refinements
-        // feed the scheme, which excludes most later pairs for free.
-        let (a, b, height) = loop {
-            // Best exact pair so far, by (value, scan order).
-            let mut best: Option<(usize, usize, f64)> = None;
-            for (ai, &x) in active.iter().enumerate() {
-                for &y in active.iter().skip(ai + 1) {
-                    if let Some(d) = state.band(x, y).exact {
-                        if best.is_none_or(|(_, _, bd)| d < bd) {
-                            best = Some((x, y, d));
-                        }
-                    }
-                }
-            }
-            // Nothing exact yet: refine the pair with the smallest lower
-            // bound (ties to scan order) and try again.
-            let Some((bx, by, bd)) = best else {
-                let mut pick: Option<(usize, usize, f64)> = None;
-                for (ai, &x) in active.iter().enumerate() {
-                    for &y in active.iter().skip(ai + 1) {
-                        let band = state.band(x, y);
-                        if pick.is_none_or(|(_, _, pl)| band.lo < pl) {
-                            pick = Some((x, y, band.lo));
-                        }
-                    }
-                }
-                let (x, y, _) = pick.expect_invariant("two active clusters remain");
-                refine(resolver, &mut state, x, y)?;
-                continue;
-            };
-            // Certificate: every other pair must be excluded by a lower
-            // bound strictly above bd, or be exact (and then not smaller —
-            // the best-exact scan above already preferred it if it were).
-            let mut disturbed = false;
-            'scan: for (ai, &x) in active.iter().enumerate() {
-                for &y in active.iter().skip(ai + 1) {
-                    if (x, y) == (bx, by) {
-                        continue;
-                    }
-                    let band = state.band(x, y);
-                    // The same rounding margin as the resolver's decisions:
-                    // derived bounds may sit an ulp high, and excluding a
-                    // true tie would break cross-resolver output equality.
-                    if band.exact.is_some() || band.lo > bd + DECISION_EPS {
-                        continue;
-                    }
-                    // Refresh from current knowledge (no oracle calls).
-                    let fresh = recompute_band(resolver, &state, x, y);
-                    state.set_band(x, y, fresh);
-                    if fresh.exact.is_some() {
-                        disturbed = true; // re-enter best-exact selection
-                        break 'scan;
-                    }
-                    if fresh.lo <= bd + DECISION_EPS {
-                        // Still a contender (or a potential tie): resolve.
-                        refine(resolver, &mut state, x, y)?;
-                        disturbed = true;
-                        break 'scan;
-                    }
-                }
-            }
-            if !disturbed {
-                break (bx, by, bd);
-            }
-        };
-
-        // Lance–Williams on intervals: merged cluster occupies slot `a`.
-        for &c in &active {
-            if c == a || c == b {
-                continue;
-            }
-            let ia = state.band(a, c);
-            let ib = state.band(b, c);
-            let exact = match (ia.exact, ib.exact) {
-                (Some(x), Some(y)) => Some(x.max(y)),
-                _ => None,
-            };
-            state.set_band(
-                a,
-                c,
-                Band {
-                    lo: ia.lo.max(ib.lo),
-                    hi: ia.hi.max(ib.hi),
-                    exact,
-                },
-            );
-        }
-        let mut merged = state.members[a].take().expect_invariant("active");
-        merged.extend(state.members[b].take().expect_invariant("active"));
-        state.members[a] = Some(merged);
-        active.retain(|&c| c != b);
-
-        let (ca, cb) = (state.cluster_id[a], state.cluster_id[b]);
-        state.cluster_id[a] = (n + step) as u32;
-        merges.push(Merge {
-            a: ca.min(cb),
-            b: ca.max(cb),
-            height,
-        });
-    }
-
+    let merges = agglomerate::<Max, R>(resolver, 1)?;
     Ok(Dendrogram::from_merges(n, merges))
 }
 

@@ -10,7 +10,7 @@
 //! sound; here both the conclusion and the premise are checked on every
 //! random instance.
 
-use prox_algos::{knn_graph, pam, prim_mst, PamParams};
+use prox_algos::{average_linkage_cut, complete_linkage, knn_graph, pam, prim_mst, PamParams};
 use prox_bounds::{BoundResolver, CheckedResolver, Splub, TriScheme};
 use prox_core::{Metric, Oracle, Pair, TinyRng};
 use prox_datasets::testgen::{property, random_points};
@@ -111,6 +111,48 @@ fn pam_medoids_are_exact_under_audit() {
             let got = pam(r, params);
             assert_eq!(got, want, "PAM clustering diverged under audit");
             assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+        });
+    });
+}
+
+#[test]
+fn complete_linkage_is_exact_under_audit() {
+    property(0x5EED_0304, 16, |rng| {
+        let pts = points(rng);
+        let n = pts.len();
+        let metric = EuclideanPoints::new(pts);
+
+        let o_v = Oracle::new(&metric);
+        let mut v = BoundResolver::vanilla(&o_v);
+        let want = complete_linkage(&mut v);
+
+        for_each_checked_scheme(&metric, n, |r| {
+            let got = complete_linkage(r);
+            assert_eq!(
+                got, want,
+                "complete-linkage dendrogram diverged under audit"
+            );
+        });
+    });
+}
+
+#[test]
+fn average_linkage_cut_is_exact_under_audit() {
+    property(0x5EED_0305, 16, |rng| {
+        // DFT answers each `try_sum_less_value` probe with an LP, so the
+        // cut's instances stay smaller than the other cases'.
+        let n = rng.range(5, 11);
+        let pts = random_points(rng, n);
+        let metric = EuclideanPoints::new(pts);
+        let k = 3;
+
+        let o_v = Oracle::new(&metric);
+        let mut v = BoundResolver::vanilla(&o_v);
+        let want = average_linkage_cut(&mut v, k);
+
+        for_each_checked_scheme(&metric, n, |r| {
+            let got = average_linkage_cut(r, k);
+            assert_eq!(got, want, "average-linkage cut diverged under audit");
         });
     });
 }

@@ -44,7 +44,6 @@ pub mod bootstrap;
 pub mod cascade;
 #[cfg(feature = "paranoid")]
 pub mod checked;
-pub mod composite;
 pub mod laesa;
 mod memo;
 pub mod resolver;
@@ -61,7 +60,6 @@ pub use bootstrap::{
 pub use cascade::{CascadeResolver, WeakStats};
 #[cfg(feature = "paranoid")]
 pub use checked::CheckedResolver;
-pub use composite::Composite;
 pub use laesa::Laesa;
 pub use resolver::{BoundResolver, DistanceResolver, VanillaResolver, DECISION_EPS};
 pub use scheme::{BoundScheme, GoalBounds, NoScheme};
