@@ -12,7 +12,7 @@ use std::rc::Rc;
 use prox_algos::{try_knn_graph, try_pam, try_prim_mst, PamParams};
 use prox_bounds::{BoundResolver, TriScheme};
 use prox_core::{FaultInjector, FnMetric, ObjectId, Oracle, RetryPolicy};
-use prox_obs::{JsonlSink, TraceSink};
+use prox_obs::{normalize, JsonlSink, TraceSink};
 
 const N: usize = 24;
 
@@ -63,47 +63,6 @@ fn trace_of(algo: &str, threads: usize, fault_rate: f64) -> String {
     sink.contents().expect("in-memory sink")
 }
 
-/// Strips the leading `"seq":<n>` field so traces can be compared as
-/// event sequences after lines are inserted or removed.
-fn without_seq(trace: &str) -> Vec<String> {
-    trace
-        .lines()
-        .map(|l| {
-            let (_, rest) = l.split_once(',').expect("seq field first");
-            rest.to_owned()
-        })
-        .collect()
-}
-
-/// Drops the lines only a faulted run produces — `retry` events and
-/// `oracle_call` attempts whose outcome is not `ok` — and resets the
-/// attempt index on the surviving successes (a retried call succeeds at
-/// attempt `k > 0` where the clean run succeeds at attempt 0).
-fn semantic_lines(trace: &str) -> Vec<String> {
-    without_seq(trace)
-        .into_iter()
-        .filter(|l| {
-            if l.contains("\"ev\":\"retry\"") {
-                return false;
-            }
-            !l.contains("\"ev\":\"oracle_call\"") || l.contains("\"outcome\":\"ok\"")
-        })
-        .map(|l| {
-            if !l.contains("\"ev\":\"oracle_call\"") {
-                return l;
-            }
-            let (head, tail) = l
-                .split_once("\"attempt\":")
-                .expect("oracle_call carries an attempt field");
-            let rest = tail
-                .split_once(',')
-                .expect("attempt is not the last field")
-                .1;
-            format!("{head}\"attempt\":0,{rest}")
-        })
-        .collect()
-}
-
 #[test]
 fn traces_are_byte_identical_across_thread_counts() {
     for algo in ["knng", "prim", "pam"] {
@@ -144,15 +103,31 @@ fn faulted_traces_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn faults_only_insert_retry_lines() {
-    // Removing the retry/fault lines (and renumbering) from a faulted
-    // trace must reproduce the clean trace exactly: the fault layer may
-    // insert attempts, never change what the algorithm decided.
+    // Normalizing a faulted trace (dropping retry and failed-attempt lines,
+    // renumbering, as `prox-cli diff` does) must reproduce the clean trace
+    // exactly: the fault layer may insert attempts, never change what the
+    // algorithm decided.
     for algo in ["knng", "prim", "pam"] {
         let clean = trace_of(algo, 1, 0.0);
         let faulted = trace_of(algo, 1, 0.1);
+        // Normalization must leave the clean side as it is: no retry line,
+        // and every oracle call a first-attempt success.
+        assert!(
+            !clean.contains("\"ev\":\"retry\""),
+            "{algo}: clean trace retries"
+        );
+        for l in clean
+            .lines()
+            .filter(|l| l.contains("\"ev\":\"oracle_call\""))
+        {
+            assert!(
+                l.contains("\"attempt\":0,") && l.contains("\"outcome\":\"ok\""),
+                "{algo}: clean oracle call is not a first-attempt success: {l}"
+            );
+        }
         assert_eq!(
-            semantic_lines(&faulted),
-            without_seq(&clean),
+            normalize(&faulted),
+            normalize(&clean),
             "{algo}: faulted trace must be the clean trace plus retry lines"
         );
     }

@@ -276,6 +276,10 @@ fn bench_tri_adjacency(b: &mut Bench) {
 /// (O(touched) per run); `fill` adds the O(n) `dist.fill(INFINITY)` sweep
 /// the pre-epoch implementation paid before every run — the delta between
 /// the cells is the retired reset cost.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L13: measures the full sweep itself, outside any query path"
+)]
 fn bench_dijkstra_reset(b: &mut Bench) {
     let n = 4096usize;
     let mut g = PartialGraph::new(n);

@@ -5,7 +5,9 @@
 //!
 //! Lives in its own integration-test binary because `set_oracle_config`
 //! is process-wide: sharing a binary with unrelated concurrent tests
-//! would race on the global.
+//! would race on the global. A local lock serializes the tests here.
+
+use std::sync::Mutex;
 
 use prox_algos::{prim_mst, try_prim_mst};
 use prox_bench::{
@@ -14,8 +16,11 @@ use prox_bench::{
 use prox_core::{CallBudget, FaultInjector, OracleError, RetryPolicy};
 use prox_datasets::{ClusteredPlane, Dataset};
 
+static CONFIG_LOCK: Mutex<()> = Mutex::new(());
+
 #[test]
 fn faulty_run_matches_clean_run_and_bills_the_faults() {
+    let _g = CONFIG_LOCK.lock().expect("config lock");
     let metric = ClusteredPlane::default().metric(60, 9);
 
     clear_oracle_config();
@@ -59,6 +64,7 @@ fn faulty_run_matches_clean_run_and_bills_the_faults() {
 
 #[test]
 fn budget_exhaustion_surfaces_as_an_error_not_a_panic() {
+    let _g = CONFIG_LOCK.lock().expect("config lock");
     let metric = ClusteredPlane::default().metric(60, 9);
     set_oracle_config(OracleConfig {
         faults: None,
@@ -81,6 +87,7 @@ fn budget_exhaustion_surfaces_as_an_error_not_a_panic() {
 
 #[test]
 fn config_install_and_clear_round_trip() {
+    let _g = CONFIG_LOCK.lock().expect("config lock");
     clear_oracle_config();
     assert!(oracle_config().is_none());
     set_oracle_config(OracleConfig::default());

@@ -207,6 +207,10 @@ impl<R: DistanceResolver, M: Metric> CascadeResolver<R, M> {
         let mut counts: Vec<(u64, u32)> = Vec::new();
         let mut first = 0.0f64;
         for attempt in 0..VOTE_CAP {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "L14: the audit itself; the answer counts only on a quorum and the bound sandwich"
+            )]
             let v = self.weak.probe(p, attempt);
             if attempt == 0 {
                 first = v;

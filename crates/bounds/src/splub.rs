@@ -102,6 +102,10 @@ impl Splub {
     /// Settles the shortest-path tree for `src` into `dij`, preferring an
     /// incremental decrease-only repair of the tree already held when only
     /// insertions happened since it was settled.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L13: the exact tier; SPLUB's certified bounds are full shortest-path trees"
+    )]
     fn ensure_tree(
         dij: &mut Dijkstra,
         tag: &mut Option<TreeTag>,

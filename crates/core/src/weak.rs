@@ -145,6 +145,10 @@ impl<M: Metric> WeakOracle<M> {
     pub fn probe(&self, p: Pair, attempt: u32) -> f64 {
         self.probes.set(self.probes.get() + 1);
         let truth = self.metric.distance(p.lo(), p.hi());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "L14: the probe applies its own error schedule"
+        )]
         let Some(kind) = self.error_at(p, attempt) else {
             return truth;
         };
@@ -258,7 +262,10 @@ impl<T> Degraded<T> {
 }
 
 #[cfg(test)]
-#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "un-metered ground truth; L14: these tests pin the raw probe and its error schedule"
+)]
 mod tests {
     use super::*;
     use crate::FnMetric;

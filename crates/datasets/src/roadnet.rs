@@ -265,7 +265,10 @@ impl Dataset for RoadNetwork {
 }
 
 #[cfg(test)]
-#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "un-metered ground truth; L13: the heap Dijkstra is the bucket sweep's reference"
+)]
 mod tests {
     use super::*;
     use prox_core::metric::MetricCheck;

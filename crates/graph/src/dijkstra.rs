@@ -329,6 +329,10 @@ impl Dijkstra {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L13: the full sweep is the reference the bounded and incremental searches are checked against"
+)]
 mod tests {
     use super::*;
     use prox_core::Pair;

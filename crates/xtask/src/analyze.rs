@@ -16,34 +16,13 @@ use crate::rules::{self, OracleExposure};
 pub struct Analysis {
     pub graph: ItemGraph,
     pub exposure: OracleExposure,
-    /// `L13_ALLOWLIST` entries matching no workspace item — stale, and a
-    /// gate failure exactly like the L9 `stale_allow` set.
-    pub l13_stale: Vec<String>,
 }
 
 /// Builds the graph and the L9 exposure analysis for a workspace snapshot.
 pub fn analyze(files: &[(String, String)]) -> Analysis {
-    analyze_with(files, rules::L9_ALLOWLIST, rules::L13_ALLOWLIST)
-}
-
-/// [`analyze`] with explicit allowlists (tests use fixtures).
-pub fn analyze_with(
-    files: &[(String, String)],
-    l9_allowlist: &[&str],
-    l13_allowlist: &[&str],
-) -> Analysis {
     let graph = ItemGraph::build(files);
-    let exposure = rules::oracle_exposure(&graph, l9_allowlist);
-    let l13_stale = l13_allowlist
-        .iter()
-        .filter(|e| !graph.items.iter().any(|it| it.path() == **e))
-        .map(|e| e.to_string())
-        .collect();
-    Analysis {
-        graph,
-        exposure,
-        l13_stale,
-    }
+    let exposure = rules::oracle_exposure(&graph, rules::L9_ALLOWLIST);
+    Analysis { graph, exposure }
 }
 
 impl Analysis {
@@ -80,11 +59,6 @@ impl Analysis {
         }
         for stale in &e.stale_allow {
             s.push_str(&format!("  {stale}  [STALE: matches no item]\n"));
-        }
-        for stale in &self.l13_stale {
-            s.push_str(&format!(
-                "  {stale}  [STALE L13_ALLOWLIST entry: matches no item]\n"
-            ));
         }
 
         // Public algos/bounds APIs, classified by how they touch the oracle.
@@ -161,25 +135,5 @@ mod tests {
         assert!(report.contains("1 never touch it"), "{report}");
         assert!(report.contains("1 EXPOSED"), "{report}");
         assert!(report.contains("EXPOSED algos::a::leaky via algos::a::leaky"));
-    }
-
-    #[test]
-    fn stale_l13_entries_are_tracked_and_rendered() {
-        let files: Vec<(String, String)> = [(
-            "crates/bounds/src/splub.rs".to_string(),
-            "pub fn ensure_tree() {}\n".to_string(),
-        )]
-        .into_iter()
-        .collect();
-        let a = analyze_with(&files, &[], &["bounds::splub::ensure_tree"]);
-        assert!(a.l13_stale.is_empty());
-        let a = analyze_with(&files, &[], &["bounds::gone::nope"]);
-        assert_eq!(a.l13_stale, vec!["bounds::gone::nope".to_string()]);
-        assert!(
-            a.choke_report()
-                .contains("bounds::gone::nope  [STALE L13_ALLOWLIST entry"),
-            "{}",
-            a.choke_report()
-        );
     }
 }

@@ -1,5 +1,5 @@
 //! Test harness for the rules clippy enforces (L1, L2, L4, L5, L7, L10,
-//! L11; `docs/INVARIANTS.md` "Enforced by clippy").
+//! L11, L13, L14; `docs/INVARIANTS.md` "Enforced by clippy").
 //!
 //! [`run`] writes a small fixture workspace whose packages stand in for
 //! real crates of this one: each reads a copy of the `clippy.toml` clippy
@@ -90,6 +90,7 @@ fn write_fixture(root: &Path, dir: &Path, files: &[(&str, &str)]) {
     let root_toml = fs::read_to_string(root.join("clippy.toml")).expect("root clippy.toml");
     write(&dir.join("clippy.toml"), &root_toml);
     let core = root.join("crates/core").display().to_string();
+    let graph = root.join("crates/graph").display().to_string();
     for (pkg, real) in PACKAGES {
         let pkg_dir = dir.join(pkg);
         // Start clean so files of an earlier fixture version cannot linger.
@@ -98,7 +99,8 @@ fn write_fixture(root: &Path, dir: &Path, files: &[(&str, &str)]) {
         }
         let manifest = format!(
             "[package]\nname = \"fixture-{pkg}\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\
-             publish = false\n\n[dependencies]\nprox-core = {{ path = {core:?} }}\n"
+             publish = false\n\n[dependencies]\nprox-core = {{ path = {core:?} }}\n\
+             prox-graph = {{ path = {graph:?} }}\n"
         );
         write(&pkg_dir.join("Cargo.toml"), &manifest);
         if let Ok(toml) = fs::read_to_string(root.join(real).join("clippy.toml")) {

@@ -9,9 +9,9 @@
 //!    best-effort name-resolved call edges into a whole-workspace
 //!    [`graph::ItemGraph`].
 //! 3. [`rules`] — the lint rules: L3 and L6 are lexical (per line of
-//!    masked code), L9 and L12–L14 are graph rules over the item graph
-//!    (L8, L15 and L16 are held by types and visibility, the other numbers
-//!    are clippy lints; see `docs/INVARIANTS.md`).
+//!    masked code), L9 and L12 are graph rules over the item graph (L8,
+//!    L15 and L16 are held by types and visibility, the other numbers are
+//!    clippy lints; see `docs/INVARIANTS.md`).
 //!    [`analyze`] drives
 //!    the graph construction and renders the JSON / DOT dumps and the
 //!    choke-point report behind `cargo xtask analyze`.

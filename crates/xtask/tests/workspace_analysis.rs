@@ -4,7 +4,8 @@
 //! through `DistanceResolver` choke nodes (or the audited allowlist), and
 //! the full lint converges with zero violations and zero stale escapes.
 //! It also pins where the clippy half of the rules (L1, L2, L4, L5, L7,
-//! L10, L11) is configured, so a config edit cannot narrow their scope.
+//! L10, L11, L13, L14) is configured, so a config edit cannot narrow their
+//! scope.
 
 use std::collections::BTreeSet;
 
@@ -85,8 +86,8 @@ fn oracle_is_reachable_only_through_resolver_chokes() {
     assert!(leaks.is_empty(), "exposed public APIs: {leaks:#?}");
 }
 
-/// The workspace lint (lexical L3/L6, graph L9 and L12–L14, escape
-/// accounting) is clean end to end.
+/// The workspace lint (lexical L3/L6, graph L9 and L12, escape accounting)
+/// is clean end to end.
 #[test]
 fn workspace_lint_is_clean() {
     let (files, _) = real_graph();
@@ -124,6 +125,11 @@ const L1_L5: [&str; 4] = [
 const L2: [&str; 2] = [
     "disallowed-methods prox_core::oracle::Oracle::call",
     "disallowed-methods prox_core::oracle::Oracle::call_pair",
+];
+const L13_L14: [&str; 3] = [
+    "disallowed-methods prox_graph::dijkstra::Dijkstra::run",
+    "disallowed-methods prox_core::weak::WeakOracle::probe",
+    "disallowed-methods prox_core::weak::WeakOracle::error_at",
 ];
 const L10_L11: [&str; 4] = [
     "disallowed-types std::collections::HashMap",
@@ -171,11 +177,12 @@ fn disallowed(toml: &str) -> BTreeSet<String> {
     out
 }
 
-/// L1 and L5 cover every package, L2 only `crates/algos`, L10 and L11 all
-/// but `crates/bench`: algos' file is the root lists plus L2, bench's the
-/// root lists minus L10/L11. Audited uses carry `#[expect]`s instead.
+/// L1, L5, L13 and L14 cover every package, L2 only `crates/algos`, L10
+/// and L11 all but `crates/bench`: algos' file is the root lists plus L2,
+/// bench's the root lists minus L10/L11. Audited uses carry `#[expect]`s
+/// instead.
 #[test]
-fn clippy_config_pins_l1_l2_l5_l10_l11_scopes() {
+fn clippy_config_pins_l1_l2_l5_l10_l11_l13_l14_scopes() {
     let tomls = clippy_tomls();
     let root_list = disallowed(&tomls.iter().find(|(d, _)| d == ".").expect("root").1);
     for (dir, toml) in &tomls {
@@ -187,7 +194,11 @@ fn clippy_config_pins_l1_l2_l5_l10_l11_scopes() {
         }
         assert_eq!(disallowed(toml), want, "{dir}");
     }
-    let want_root = L1_L5.iter().chain(&L10_L11).map(|e| e.to_string());
+    let want_root = L1_L5
+        .iter()
+        .chain(&L10_L11)
+        .chain(&L13_L14)
+        .map(|e| e.to_string());
     assert_eq!(root_list, want_root.collect(), "root clippy.toml");
 }
 
