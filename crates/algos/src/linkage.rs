@@ -229,8 +229,8 @@ impl<R: DistanceResolver + ?Sized> Clusters<'_, R> {
         // bounds may sit an ulp high, and excluding a true tie would break
         // cross-resolver output equality.
         let bar = best + DECISION_EPS;
-        for (x, y) in scan(active) {
-            let band = self.band(x, y);
+        for (x, y, rank) in scan(active, self.bands.n()) {
+            let band = self.bands.get_ranked(rank);
             if (x, y) == (bx, by) || band.exact.is_some() || band.lo > bar {
                 continue;
             }
@@ -249,12 +249,17 @@ impl<R: DistanceResolver + ?Sized> Clusters<'_, R> {
     }
 }
 
-/// Active slot pairs `(x, y)`, `x < y`, in scan order.
-fn scan(active: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
-    active
-        .iter()
-        .enumerate()
-        .flat_map(move |(i, &x)| active[i + 1..].iter().map(move |&y| (x, y)))
+/// Active slot pairs `(x, y)`, `x < y`, in scan order, each with its
+/// [`Pair::rank`] among `n` slots. Active slots ascend, so a row ranks its
+/// first pair and steps the rest from it.
+fn scan(active: &[usize], n: usize) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    active.iter().enumerate().flat_map(move |(i, &x)| {
+        let row = &active[i + 1..];
+        let (first, rank) = row.first().map_or((0, 0), |&y| {
+            (y, Pair::new(x as ObjectId, y as ObjectId).rank(n))
+        });
+        row.iter().map(move |&y| (x, y, rank + (y - first)))
+    })
 }
 
 /// The first candidate with the smallest value; ties keep the earliest.
@@ -296,13 +301,14 @@ pub(crate) fn agglomerate<A: Aggregate<R>, R: DistanceResolver + ?Sized>(
     let mut merges = Vec::with_capacity(steps);
     for step in 0..steps {
         let (a, b, height) = loop {
-            let exact = scan(&active).filter_map(|(x, y)| c.band(x, y).exact.map(|d| (x, y, d)));
+            let exact = scan(&active, n)
+                .filter_map(|(x, y, rank)| c.bands.get_ranked(rank).exact.map(|d| (x, y, d)));
             if let Some(best) = argmin(exact) {
                 if c.certify::<A>(&active, best)? {
                     break best;
                 }
             } else {
-                let lows = scan(&active).map(|(x, y)| (x, y, c.band(x, y).lo));
+                let lows = scan(&active, n).map(|(x, y, rank)| (x, y, c.bands.get_ranked(rank).lo));
                 let (x, y, _) = argmin(lows).expect_invariant("two active clusters remain");
                 c.refine::<A>(x, y)?;
             }

@@ -21,6 +21,10 @@ use prox_core::{ObjectId, OracleError, Pair};
 /// Per-object nearest/second-nearest medoid record.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct Near {
+    /// Whether the object is itself a medoid: the medoid set's mask, built
+    /// once per set by [`try_assign`] so a scan over objects need not
+    /// search the `l` medoid slots for each one.
+    pub medoid: bool,
     /// Slot index of the nearest medoid (`u32::MAX` unset).
     pub n1: u32,
     /// Exact distance to it.
@@ -46,6 +50,7 @@ pub(crate) fn try_assign<R: DistanceResolver + ?Sized>(
     let n = resolver.n();
     let mut near = vec![
         Near {
+            medoid: false,
             n1: u32::MAX,
             d1: f64::INFINITY,
             n2: u32::MAX,
@@ -56,6 +61,7 @@ pub(crate) fn try_assign<R: DistanceResolver + ?Sized>(
     // Medoids first: their nearest is themselves.
     for (t, &m) in medoids.iter().enumerate() {
         near[m as usize] = Near {
+            medoid: true,
             n1: t as u32,
             d1: 0.0,
             n2: u32::MAX,
@@ -64,10 +70,10 @@ pub(crate) fn try_assign<R: DistanceResolver + ?Sized>(
     }
     let mut cost = 0.0;
     for j in 0..n as ObjectId {
-        if medoids.contains(&j) {
+        let rec = &mut near[j as usize];
+        if rec.medoid {
             continue;
         }
-        let rec = &mut near[j as usize];
         for (t, &m) in medoids.iter().enumerate() {
             // if dist(j, m) < d2 it matters; otherwise it can't even be the
             // second-nearest — the paper's re-authored comparison.
@@ -90,7 +96,8 @@ pub(crate) fn try_assign<R: DistanceResolver + ?Sized>(
 
 /// Exact cost delta of the swap "remove medoid slot `i`, promote `h`".
 ///
-/// `h` must not currently be a medoid.
+/// `h` must not currently be a medoid; `near` is [`try_assign`]'s record
+/// for `medoids`.
 pub(crate) fn try_swap_delta<R: DistanceResolver + ?Sized>(
     resolver: &mut R,
     medoids: &[ObjectId],
@@ -127,10 +134,10 @@ pub(crate) fn try_swap_delta<R: DistanceResolver + ?Sized>(
             delta += best;
             continue;
         }
-        if medoids.contains(&j) {
+        let rec = near[j as usize];
+        if rec.medoid {
             continue; // other medoids stay medoids: contribution 0
         }
-        let rec = near[j as usize];
         if rec.n1 == i as u32 {
             // j loses its nearest; new contribution = min(d(j,h), d2).
             match resolver.distance_if_less_fallible(Pair::new(j, h), rec.d2)? {

@@ -70,7 +70,7 @@ pub fn try_pam<R: DistanceResolver + ?Sized>(
         let mut best: Option<(usize, ObjectId)> = None;
         for i in 0..l {
             for h in 0..n as ObjectId {
-                if medoids.contains(&h) {
+                if near[h as usize].medoid {
                     continue;
                 }
                 let delta = {

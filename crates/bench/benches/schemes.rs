@@ -197,6 +197,47 @@ fn bench_tri_access(b: &mut Bench) {
     }
 }
 
+/// SPLUB's exact tier cold, in ns per query, at n = 200 with every 16th
+/// pair known (≈1,240 edges, the kNN workload's average graph): for each
+/// of 8 anchors `u`, query `(u, v)` over every `v`, recording the queried
+/// pair every 8th query. Each record moves the graph's generation, so no
+/// query is a memo hit: the anchor's tree is repaired, the other
+/// endpoint's tree is rebuilt, and the wrap pass runs. Each pass feeds a
+/// fresh scheme (inside the timing, under 1 % of a pass).
+fn bench_splub_cold(b: &mut Bench) {
+    let n = 200usize;
+    let metric = ClusteredPlane::default().metric(n, SEED);
+    let oracle = Oracle::new(&*metric);
+    let fed: Vec<(Pair, f64)> = Pair::all(n)
+        .step_by(16)
+        .map(|p| (p, oracle.call_pair(p)))
+        .collect();
+    let rows: Vec<(Pair, Option<f64>)> = (0..n as ObjectId)
+        .step_by(n / 8)
+        .flat_map(|u| {
+            (0..n as ObjectId)
+                .filter(move |&v| v != u)
+                .map(move |v| Pair::new(u, v))
+        })
+        .enumerate()
+        .map(|(i, p)| (p, (i % 8 == 7).then(|| oracle.call_pair(p))))
+        .collect();
+    b.with_sample_size(10, |b| {
+        b.bench_per_op("bound_query", "splub_cold/200", rows.len() as u64, || {
+            let mut s = Splub::new(n, 1.0);
+            for &(p, d) in &fed {
+                s.record(p, d);
+            }
+            for &(p, d) in &rows {
+                black_box(s.bounds(p));
+                if let Some(d) = d {
+                    s.record(p, d);
+                }
+            }
+        });
+    });
+}
+
 /// The resolver's bound memo under Prim's access pattern, in ns per bound
 /// probe (two per comparison): a whole `prim_mst`, whose extract-min
 /// tournaments and relaxation rows of `less` interleave with the
@@ -703,6 +744,7 @@ fn main() {
     bench_updates(&mut b);
     bench_tri_adjacency(&mut b);
     bench_tri_access(&mut b);
+    bench_splub_cold(&mut b);
     bench_resolver_memo(&mut b);
     bench_dataset_build(&mut b);
     bench_dijkstra_reset(&mut b);

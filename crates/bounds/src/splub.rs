@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use prox_core::invariant::InvariantExt;
 use prox_core::{ObjectId, Pair};
 use prox_graph::{Dijkstra, DistMap, PartialGraph};
 
@@ -36,7 +37,10 @@ struct TreeTag {
 ///   (Definition 2 / Equation 3).
 ///
 /// Both come out of **two** Dijkstra runs (one per endpoint) plus one pass
-/// over the known edge list: `O(m + n log n)` per query, `O(1)` per update.
+/// over the known edges in descending weight, which stops at the first edge
+/// no heavier than the running `TLB`: `O(m + n log n)` per query, and one
+/// binary-search insertion into that order (`O(m)` with the shift) per
+/// update.
 /// Lemma 4.1 proves these bounds are the tightest derivable from the
 /// triangle inequality on paths, i.e. identical to what the `O(n²)`-update
 /// ADM baseline maintains — a property the cross-scheme test-suite checks on
@@ -54,9 +58,13 @@ struct TreeTag {
 ///    meeting-point search with cutoff `v −` [`CASCADE_EPS`] certifies
 ///    `d < v` from a real path long before either full tree settles.
 /// 3. **Exact tier** — two SSSP trees (incrementally repaired across pure
-///    growth) plus the wrap fold.
+///    growth) plus the wrap fold over the known edges in weight order.
 pub struct Splub {
     graph: PartialGraph,
+    /// The known edges in descending weight (ties in recording order), kept
+    /// in step with `graph` by `record` and `retract` for [`wrap_bounds`]'
+    /// early exit.
+    by_weight: Vec<(Pair, f64)>,
     max_distance: f64,
     dij_a: Dijkstra,
     dij_b: Dijkstra,
@@ -81,6 +89,7 @@ impl Splub {
     pub fn new(n: usize, max_distance: f64) -> Self {
         Splub {
             graph: PartialGraph::new(n),
+            by_weight: Vec::new(),
             max_distance,
             dij_a: Dijkstra::new(n),
             dij_b: Dijkstra::new(n),
@@ -137,8 +146,15 @@ impl Splub {
 }
 
 /// TUB/TLB from two settled shortest-path trees (Equations 2 and 3).
+///
+/// `by_weight` holds the known edges in descending weight. Shortest-path
+/// labels are never negative and IEEE subtraction rounds monotonically, so
+/// a residue `w − (sp_a(k) + sp_b(l))` never exceeds `w`: once an edge has
+/// `w <= lb`, neither it nor any lighter edge can raise `lb`, and the pass
+/// stops. `max` over the edges it did scan equals the full pass's, bit for
+/// bit, because `max` over the same values does not depend on their order.
 fn wrap_bounds(
-    graph: &PartialGraph,
+    by_weight: &[(Pair, f64)],
     max_distance: f64,
     b: ObjectId,
     sp_a: DistMap<'_>,
@@ -147,10 +163,14 @@ fn wrap_bounds(
     // TUB: shortest path a -> b (Equation 2), capped by the a-priori max.
     let ub = max_distance.min(sp_a.get(b));
 
-    // TLB: wrap both shortest-path trees onto every known edge
-    // (Equation 3). Unreachable endpoints contribute -inf and drop out.
+    // TLB: wrap both shortest-path trees onto every known edge heavier
+    // than the running bound (Equation 3). Unreachable endpoints
+    // contribute -inf and drop out.
     let mut lb = 0.0f64;
-    for &(e, w) in graph.edges() {
+    for &(e, w) in by_weight {
+        if w <= lb {
+            break;
+        }
         let (k, l) = (e.lo(), e.hi());
         let via = w - (sp_a.get(k) + sp_b.get(l));
         let via_sym = w - (sp_a.get(l) + sp_b.get(k));
@@ -206,7 +226,7 @@ impl BoundScheme for Splub {
             self.last_retract_gen,
         );
         let (lb, ub) = wrap_bounds(
-            &self.graph,
+            &self.by_weight,
             self.max_distance,
             b,
             self.dij_a.view(),
@@ -217,19 +237,27 @@ impl BoundScheme for Splub {
     }
 
     fn record(&mut self, p: Pair, d: f64) {
-        self.graph.insert(p, d);
+        if self.graph.insert(p, d) {
+            let at = self.by_weight.partition_point(|&(_, w)| w >= d);
+            self.by_weight.insert(at, (p, d));
+        }
     }
 
     fn retract(&mut self, p: Pair) -> bool {
         // Removal bumps the graph generation, so the generation tags on both
         // cached Dijkstra trees (and the memo) miss; marking the retraction
         // generation also bars incremental repair across it.
-        if self.graph.remove(p).is_some() {
-            self.last_retract_gen = self.graph.generation();
-            true
-        } else {
-            false
-        }
+        let Some(d) = self.graph.remove(p) else {
+            return false;
+        };
+        let first = self.by_weight.partition_point(|&(_, w)| w > d);
+        let at = self.by_weight[first..]
+            .iter()
+            .position(|&(e, _)| e == p)
+            .expect_invariant("a known edge sits in SPLUB's weight order");
+        self.by_weight.remove(first + at);
+        self.last_retract_gen = self.graph.generation();
+        true
     }
 
     fn m(&self) -> usize {
@@ -458,6 +486,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The wrap pass as it was before the weight order: every known edge,
+    /// in recording order, no early exit. The reference for the fuzz below.
+    fn full_wrap(
+        graph: &PartialGraph,
+        max_distance: f64,
+        b: ObjectId,
+        sp_a: DistMap<'_>,
+        sp_b: DistMap<'_>,
+    ) -> (f64, f64) {
+        let ub = max_distance.min(sp_a.get(b));
+        let mut lb = 0.0f64;
+        for &(e, w) in graph.edges() {
+            let (k, l) = (e.lo(), e.hi());
+            let via = w - (sp_a.get(k) + sp_b.get(l));
+            let via_sym = w - (sp_a.get(l) + sp_b.get(k));
+            let best = via.max(via_sym);
+            if best > lb {
+                lb = best;
+            }
+        }
+        (if lb > ub { ub } else { lb }, ub)
+    }
+
+    /// Seeded fuzz over interleaved `record`/`retract`/query schedules:
+    /// every exact answer, which stops the wrap pass early, must equal
+    /// bitwise the full pass over freshly settled trees. Weights include
+    /// `0.0`, `−0.0` and repeated values, so ties in the weight order and
+    /// zero-weight stops are common.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L13: fresh full trees are the reference the exact tier is checked against"
+    )]
+    fn early_exit_wrap_matches_the_full_pass_bitwise() {
+        use prox_datasets::testgen::property;
+
+        let (mut stopped_early, mut retracts) = (0usize, 0usize);
+        property(0x5B1B_0A7E, 48, |rng| {
+            let n = rng.range(6, 40);
+            let mut s = Splub::new(n, 1.0);
+            let (mut fa, mut fb) = (Dijkstra::new(n), Dijkstra::new(n));
+            let pair = |rng: &mut TinyRng| {
+                let a = rng.below(n) as ObjectId;
+                Pair::new(a, ((a as usize + 1 + rng.below(n - 1)) % n) as ObjectId)
+            };
+            for step in 0..300 {
+                match rng.below(6) {
+                    0..=2 => {
+                        let e = pair(rng);
+                        let w = match rng.below(4) {
+                            0 => [0.0, -0.0, 0.25, 0.5][rng.below(4)],
+                            _ => rng.unit_f64(),
+                        };
+                        if s.known(e).is_none() {
+                            s.record(e, w);
+                        }
+                    }
+                    3 if s.m() > 0 => {
+                        let e = s.graph().edges()[rng.below(s.m())].0;
+                        assert!(s.retract(e));
+                        retracts += 1;
+                    }
+                    _ => {}
+                }
+                let q = pair(rng);
+                if s.known(q).is_some() {
+                    continue;
+                }
+                let (lb, ub) = s.bounds(q);
+                let (a, b) = q.ends();
+                let _ = fa.run(s.graph(), a);
+                let _ = fb.run(s.graph(), b);
+                let (want_lb, want_ub) = full_wrap(s.graph(), 1.0, b, fa.view(), fb.view());
+                assert_eq!(
+                    (lb.to_bits(), ub.to_bits()),
+                    (want_lb.to_bits(), want_ub.to_bits()),
+                    "n {n} step {step} {q:?}: early exit {lb} vs full pass {want_lb}"
+                );
+                stopped_early += usize::from(s.by_weight.last().is_some_and(|&(_, w)| w <= lb));
+            }
+        });
+        assert!(
+            stopped_early > 2000,
+            "early exit barely taken: {stopped_early}"
+        );
+        assert!(retracts > 1000, "few retractions: {retracts}");
     }
 
     #[test]

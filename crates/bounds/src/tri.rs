@@ -79,26 +79,36 @@ impl TriScheme {
     /// The bounds of `p`, which touches the anchor, from the anchor row: one
     /// lookup per neighbour of the other endpoint. Neighbours the anchor
     /// does not know read NaN, which [`tighten`] ignores, so the loop has no
-    /// branch and folds exactly the common neighbours, in ascending order,
-    /// with `d_lo` and `d_hi` in the merge's operand order.
+    /// branch and folds exactly the common neighbours.
+    ///
+    /// The fold runs in [`LANES`] independent `(lb, ub)` accumulators, so
+    /// one `max`/`min` need not wait for the previous one, and combines them
+    /// at the end. `max` and `min` are exact and order-free on the non-NaN
+    /// values the lanes hold, and `|x − y|` and `x + y` do not depend on
+    /// operand order, so the answer is the merge's, bit for bit (the one
+    /// order-dependent case, the sign of a zero `ub`, is normalised by
+    /// [`clamp`]).
     fn bounds_from_row(&self, anchor: ObjectId, p: Pair) -> (f64, f64) {
         let other = p.other(anchor);
         let known = self.row[other as usize];
         if !known.is_nan() {
             return (known, known);
         }
-        let (mut lb, mut ub) = (0.0, self.max_distance);
-        let adj = self.graph.neighbors(other);
-        if anchor == p.lo() {
-            for &(c, d_hi) in adj {
-                tighten(&mut lb, &mut ub, self.row[c as usize], d_hi);
-            }
-        } else {
-            for &(c, d_lo) in adj {
-                tighten(&mut lb, &mut ub, d_lo, self.row[c as usize]);
+        let (mut lb, mut ub) = ([0.0; LANES], [self.max_distance; LANES]);
+        let chunks = self.graph.neighbors(other).chunks_exact(LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (i, &(c, d)) in chunk.iter().enumerate() {
+                tighten(&mut lb[i], &mut ub[i], self.row[c as usize], d);
             }
         }
-        clamp(lb, ub)
+        for (i, &(c, d)) in tail.iter().enumerate() {
+            tighten(&mut lb[i], &mut ub[i], self.row[c as usize], d);
+        }
+        clamp(
+            lb.into_iter().fold(0.0, f64::max),
+            ub.into_iter().fold(self.max_distance, f64::min),
+        )
     }
 
     /// Moves the anchor to `v`: clears the old anchor's neighbours back to
@@ -128,6 +138,9 @@ impl TriScheme {
     }
 }
 
+/// Independent accumulators in [`TriScheme::bounds_from_row`]'s fold.
+const LANES: usize = 4;
+
 /// One triangle `(d_lo, d_hi)` folded into the running sandwich. A NaN side
 /// leaves both bounds unchanged: `f64::max`/`f64::min` return the other
 /// operand.
@@ -138,9 +151,13 @@ fn tighten(lb: &mut f64, ub: &mut f64, d_lo: f64, d_hi: f64) {
 }
 
 /// Floating-point noise can cross the bounds when |d(a,c) − d(b,c)| and
-/// d(a,c') + d(b,c') are nearly equal; keep the invariant lb ≤ ub.
+/// d(a,c') + d(b,c') are nearly equal; keep the invariant lb ≤ ub. A zero
+/// `ub` reads `+0.0`: two recorded `−0.0` sides sum to `−0.0`, and which
+/// zero `min` keeps would depend on the fold order (`x + 0.0` is `x` for
+/// every other value).
 #[inline(always)]
 fn clamp(lb: f64, ub: f64) -> (f64, f64) {
+    let ub = ub + 0.0;
     (if lb > ub { ub } else { lb }, ub)
 }
 
@@ -348,18 +365,16 @@ mod tests {
     /// edges incident to the anchor) and queries drawn as anchored rows,
     /// chains, and random pairs. Every answer must be bitwise the merge's and
     /// the snapshot's, on the scheme and on a clone taken mid-schedule.
-    #[test]
-    fn anchor_row_matches_the_merge_bitwise() {
+    /// Instances have `6..max_n` objects; `dist(points, pair)` gives each
+    /// recorded distance.
+    fn fuzz_anchor_row(seed: u64, max_n: usize, dist: impl Fn(&[(f64, f64)], Pair) -> f64) {
         use prox_datasets::testgen::{property, random_points};
 
         let (mut row_answers, mut anchor_records, mut anchor_retracts) = (0, 0, 0);
-        property(0x7121_A9C0, 32, |rng| {
-            let n = rng.range(6, 48);
+        property(seed, 32, |rng| {
+            let n = rng.range(6, max_n);
             let pts = random_points(rng, n);
-            let dist = |q: Pair| {
-                let (a, b) = (pts[q.lo() as usize], pts[q.hi() as usize]);
-                (a.0 - b.0).hypot(a.1 - b.1) / std::f64::consts::SQRT_2
-            };
+            let dist = |q: Pair| dist(&pts, q);
             let pick = |rng: &mut prox_core::TinyRng, a: ObjectId| {
                 let b = (a as usize + 1 + rng.below(n - 1)) % n;
                 Pair::new(a, b as ObjectId)
@@ -424,5 +439,31 @@ mod tests {
             anchor_retracts > 100,
             "few anchor retracts: {anchor_retracts}"
         );
+    }
+
+    fn euclid(pts: &[(f64, f64)], q: Pair) -> f64 {
+        let (a, b) = (pts[q.lo() as usize], pts[q.hi() as usize]);
+        (a.0 - b.0).hypot(a.1 - b.1) / std::f64::consts::SQRT_2
+    }
+
+    #[test]
+    fn anchor_row_matches_the_merge_bitwise() {
+        fuzz_anchor_row(0x7121_A9C0, 48, euclid);
+    }
+
+    /// The lane fold against the sequential merge where their answers could
+    /// part: zero and `−0.0` sides (a `−0.0 + −0.0` triangle makes a zero
+    /// `ub` whose sign `min` picks by order) and many equal distances, on
+    /// instances small enough to be dense in triangles.
+    #[test]
+    fn anchor_row_matches_the_merge_on_zero_and_tied_distances() {
+        fuzz_anchor_row(0x7121_2E60, 12, |pts, q| {
+            match (q.lo() * 7 + q.hi() * 13) % 6 {
+                0 | 1 => 0.0,
+                2 | 3 => -0.0,
+                4 => 0.5,
+                _ => euclid(pts, q),
+            }
+        });
     }
 }

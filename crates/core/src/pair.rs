@@ -150,6 +150,14 @@ impl<T: Copy> PairMap<T> {
         self.data[p.rank(self.n)] = value;
     }
 
+    /// Reads the entry at `rank`, a [`Pair::rank`]. Pairs `(lo, hi)` with
+    /// the same `lo` sit at consecutive ranks in `hi` order, so a caller
+    /// walking one such row steps the rank instead of ranking every pair.
+    #[inline]
+    pub fn get_ranked(&self, rank: usize) -> T {
+        self.data[rank]
+    }
+
     /// Iterates `(pair, value)` over all entries.
     pub fn iter(&self) -> impl Iterator<Item = (Pair, T)> + '_ {
         Pair::all(self.n).map(move |p| (p, self.get(p)))
@@ -228,6 +236,7 @@ mod tests {
         }
         for (i, p) in Pair::all(n).enumerate() {
             assert_eq!(m.get(p), i as i64);
+            assert_eq!(m.get_ranked(p.rank(n)), i as i64);
         }
         // Symmetric access hits the same slot.
         assert_eq!(m.get(Pair::new(5, 2)), m.get(Pair::new(2, 5)));

@@ -11,6 +11,13 @@
 //! * [`Dijkstra::run_bidirectional_bounded`] — a threshold-aware
 //!   bidirectional search that stops the moment its meeting-point bound is
 //!   decisive for the comparison at hand.
+//!
+//! The heap is keyed by the integer `(label.to_bits(), node)`. Labels are
+//! sums of non-negative weights from `+0.0` (and `+0.0 + −0.0 = +0.0`), so
+//! none is negative, NaN or `−0.0`, and on such values the bit pattern read
+//! as an unsigned integer orders exactly like `f64::total_cmp`. The heap
+//! pops the sequence a float-keyed one would, at the cost of one inlined
+//! integer compare (`integer_key_pops_the_total_cmp_sequence` pins it).
 
 use std::collections::BinaryHeap;
 
@@ -38,27 +45,45 @@ impl Adjacency for PartialGraph {
     }
 }
 
-/// Max-heap entry ordered so the smallest tentative distance pops first.
-#[derive(Copy, Clone, PartialEq)]
+/// Max-heap entry ordered so the smallest tentative distance pops first,
+/// keyed by the label's bit pattern (the module docs say why that orders
+/// like `f64::total_cmp`).
+#[derive(Copy, Clone, PartialEq, Eq)]
 struct Entry {
-    dist: f64,
+    key: u64,
     node: ObjectId,
 }
 
-impl Eq for Entry {}
+impl Entry {
+    #[inline]
+    fn new(dist: f64, node: ObjectId) -> Self {
+        debug_assert!(
+            dist.is_sign_positive() && !dist.is_nan(),
+            "Dijkstra label {dist} is negative, -0.0 or NaN"
+        );
+        Entry {
+            key: dist.to_bits(),
+            node,
+        }
+    }
+
+    #[inline]
+    fn dist(self) -> f64 {
+        f64::from_bits(self.key)
+    }
+}
 
 impl Ord for Entry {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reverse on distance for a min-heap; break ties by node id so the
         // visit order is fully deterministic.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
+        (other.key, other.node).cmp(&(self.key, self.node))
     }
 }
 
 impl PartialOrd for Entry {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -169,11 +194,9 @@ impl Dijkstra {
 
         dist[src as usize] = 0.0;
         stamp[src as usize] = epoch;
-        heap.push(Entry {
-            dist: 0.0,
-            node: src,
-        });
-        while let Some(Entry { dist: d, node: v }) = heap.pop() {
+        heap.push(Entry::new(0.0, src));
+        while let Some(e) = heap.pop() {
+            let (d, v) = (e.dist(), e.node);
             if d > dist[v as usize] {
                 continue; // stale entry (every heap entry's node is stamped)
             }
@@ -182,7 +205,7 @@ impl Dijkstra {
                 if nd < Self::label(dist, stamp, epoch, u) {
                     dist[u as usize] = nd;
                     stamp[u as usize] = epoch;
-                    heap.push(Entry { dist: nd, node: u });
+                    heap.push(Entry::new(nd, u));
                 }
             }
         }
@@ -224,16 +247,17 @@ impl Dijkstra {
                 let nd = da + w;
                 dist[b as usize] = nd;
                 stamp[b as usize] = epoch;
-                heap.push(Entry { dist: nd, node: b });
+                heap.push(Entry::new(nd, b));
             } else if db + w < da {
                 let nd = db + w;
                 dist[a as usize] = nd;
                 stamp[a as usize] = epoch;
-                heap.push(Entry { dist: nd, node: a });
+                heap.push(Entry::new(nd, a));
             }
         }
         // Drain: propagate the decreases over the full (grown) adjacency.
-        while let Some(Entry { dist: d, node: v }) = heap.pop() {
+        while let Some(e) = heap.pop() {
+            let (d, v) = (e.dist(), e.node);
             if d > dist[v as usize] {
                 continue;
             }
@@ -242,7 +266,7 @@ impl Dijkstra {
                 if nd < Self::label(dist, stamp, epoch, u) {
                     dist[u as usize] = nd;
                     stamp[u as usize] = epoch;
-                    heap.push(Entry { dist: nd, node: u });
+                    heap.push(Entry::new(nd, u));
                 }
             }
         }
@@ -277,16 +301,16 @@ impl Dijkstra {
         bwd.begin_epoch();
         fwd.dist[a as usize] = 0.0;
         fwd.stamp[a as usize] = fwd.epoch;
-        fwd.heap.push(Entry { dist: 0.0, node: a });
+        fwd.heap.push(Entry::new(0.0, a));
         bwd.dist[b as usize] = 0.0;
         bwd.stamp[b as usize] = bwd.epoch;
-        bwd.heap.push(Entry { dist: 0.0, node: b });
+        bwd.heap.push(Entry::new(0.0, b));
 
         let mut mu = f64::INFINITY;
         // One frontier exhausting means no better meeting exists.
         while let (Some(tf), Some(tb)) = (
-            fwd.heap.peek().map(|e| e.dist),
-            bwd.heap.peek().map(|e| e.dist),
+            fwd.heap.peek().map(|e| e.dist()),
+            bwd.heap.peek().map(|e| e.dist()),
         ) {
             if tf + tb >= mu.min(cutoff) {
                 break;
@@ -297,9 +321,10 @@ impl Dijkstra {
             } else {
                 (&mut *bwd, &mut *fwd)
             };
-            let Some(Entry { dist: d, node: v }) = this.heap.pop() else {
+            let Some(e) = this.heap.pop() else {
                 break;
             };
+            let (d, v) = (e.dist(), e.node);
             if d > this.dist[v as usize] {
                 continue; // stale
             }
@@ -316,7 +341,7 @@ impl Dijkstra {
                 if nd < Self::label(dist, stamp, epoch, u) {
                     dist[u as usize] = nd;
                     stamp[u as usize] = epoch;
-                    heap.push(Entry { dist: nd, node: u });
+                    heap.push(Entry::new(nd, u));
                     let od = other_view.get(u);
                     if od.is_finite() && nd + od < mu {
                         mu = nd + od;
@@ -549,6 +574,210 @@ mod tests {
             Dijkstra::run_bidirectional_bounded(&mut fa, &mut fb, &g, 0, 1, 1.0),
             Some(0.4)
         );
+    }
+
+    /// The float-keyed heap entry the integer key replaced, ordered by
+    /// `total_cmp` then node id: the reference the kernels are pinned to.
+    #[derive(Copy, Clone, PartialEq)]
+    struct FloatEntry {
+        dist: f64,
+        node: ObjectId,
+    }
+
+    impl Eq for FloatEntry {}
+
+    impl Ord for FloatEntry {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other
+                .dist
+                .total_cmp(&self.dist)
+                .then_with(|| other.node.cmp(&self.node))
+        }
+    }
+
+    impl PartialOrd for FloatEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// Reference drain: `run` and `repair`'s relaxation loop over plain
+    /// `INFINITY`-filled labels and the float-keyed heap.
+    fn ref_drain(g: &PartialGraph, dist: &mut [f64], heap: &mut BinaryHeap<FloatEntry>) {
+        while let Some(FloatEntry { dist: d, node: v }) = heap.pop() {
+            if d > dist[v as usize] {
+                continue;
+            }
+            for &(u, w) in g.neighbors(v) {
+                let nd = d + w;
+                if nd < dist[u as usize] {
+                    dist[u as usize] = nd;
+                    heap.push(FloatEntry { dist: nd, node: u });
+                }
+            }
+        }
+    }
+
+    fn ref_run(g: &PartialGraph, src: ObjectId) -> Vec<f64> {
+        let mut dist = vec![f64::INFINITY; g.n()];
+        dist[src as usize] = 0.0;
+        let mut heap = BinaryHeap::from([FloatEntry {
+            dist: 0.0,
+            node: src,
+        }]);
+        ref_drain(g, &mut dist, &mut heap);
+        dist
+    }
+
+    fn ref_repair(g: &PartialGraph, dist: &mut [f64], new: &[(Pair, f64)]) {
+        let mut heap = BinaryHeap::new();
+        for &(p, w) in new {
+            let (a, b) = (p.lo() as usize, p.hi() as usize);
+            let (da, db) = (dist[a], dist[b]);
+            if da + w < db {
+                dist[b] = da + w;
+                heap.push(FloatEntry {
+                    dist: da + w,
+                    node: p.hi(),
+                });
+            } else if db + w < da {
+                dist[a] = db + w;
+                heap.push(FloatEntry {
+                    dist: db + w,
+                    node: p.lo(),
+                });
+            }
+        }
+        ref_drain(g, dist, &mut heap);
+    }
+
+    fn ref_bidi(g: &PartialGraph, a: ObjectId, b: ObjectId, cutoff: f64) -> Option<f64> {
+        let mut dist = [vec![f64::INFINITY; g.n()], vec![f64::INFINITY; g.n()]];
+        dist[0][a as usize] = 0.0;
+        dist[1][b as usize] = 0.0;
+        let mut heap = [
+            BinaryHeap::from([FloatEntry { dist: 0.0, node: a }]),
+            BinaryHeap::from([FloatEntry { dist: 0.0, node: b }]),
+        ];
+        let mut mu = f64::INFINITY;
+        while let (Some(tf), Some(tb)) = (
+            heap[0].peek().map(|e| e.dist),
+            heap[1].peek().map(|e| e.dist),
+        ) {
+            if tf + tb >= mu.min(cutoff) {
+                break;
+            }
+            let side = usize::from(tf > tb);
+            let Some(FloatEntry { dist: d, node: v }) = heap[side].pop() else {
+                break;
+            };
+            if d > dist[side][v as usize] {
+                continue;
+            }
+            for &(u, w) in g.neighbors(v) {
+                let nd = d + w;
+                if nd < dist[side][u as usize] {
+                    dist[side][u as usize] = nd;
+                    heap[side].push(FloatEntry { dist: nd, node: u });
+                    let od = dist[1 - side][u as usize];
+                    if od.is_finite() && nd + od < mu {
+                        mu = nd + od;
+                    }
+                }
+            }
+        }
+        (mu < cutoff).then_some(mu)
+    }
+
+    /// Seeded edges over nodes `0..reach` (any beyond stay unreachable),
+    /// with weights drawn from a few values including `0.0` and `−0.0`, so
+    /// equal labels and zero-length paths are common.
+    fn tied_web(reach: usize, m: usize, seed: u64) -> Vec<(Pair, f64)> {
+        const WEIGHTS: [f64; 6] = [0.0, -0.0, 0.125, 0.25, 0.25, 0.375];
+        let mut rng = prox_core::TinyRng::new(seed);
+        let mut edges: Vec<(Pair, f64)> = Vec::new();
+        while edges.len() < m {
+            let (a, b) = (rng.below(reach) as ObjectId, rng.below(reach) as ObjectId);
+            if a != b && edges.iter().all(|&(q, _)| q != Pair::new(a, b)) {
+                edges.push((Pair::new(a, b), WEIGHTS[rng.below(WEIGHTS.len())]));
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn integer_key_pops_the_total_cmp_sequence() {
+        // Labels as Dijkstra makes them: sums of non-negative weights from
+        // +0.0, with many duplicates and every node pushed several times.
+        let mut rng = prox_core::TinyRng::new(0x4EA9);
+        let (mut ints, mut floats) = (BinaryHeap::new(), BinaryHeap::new());
+        let mut label = 0.0f64;
+        for i in 0..4000u32 {
+            if i % 7 == 0 {
+                label = 0.0;
+            }
+            label += [0.0, -0.0, 0.1, 0.25, 1e-300, 3.0][rng.below(6)];
+            let node = rng.below(40) as ObjectId;
+            ints.push(Entry::new(label, node));
+            floats.push(FloatEntry { dist: label, node });
+        }
+        ints.push(Entry::new(f64::INFINITY, 3));
+        floats.push(FloatEntry {
+            dist: f64::INFINITY,
+            node: 3,
+        });
+        while let Some(f) = floats.pop() {
+            let e = ints.pop().expect("same length");
+            assert_eq!((e.dist().to_bits(), e.node), (f.dist.to_bits(), f.node));
+        }
+        assert!(ints.is_empty());
+    }
+
+    #[test]
+    fn integer_keyed_kernels_match_the_total_cmp_reference() {
+        let (n, reach) = (28, 24);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..24u64 {
+            let edges = tied_web(reach, 64, 0x1E47 + seed);
+            let (head, tail) = edges.split_at(40);
+            let mut g = PartialGraph::new(n);
+            for &(p, w) in head {
+                g.insert(p, w);
+            }
+            let mut dj = Dijkstra::new(n);
+            let mut grown = g.clone();
+            for &(p, w) in tail {
+                grown.insert(p, w);
+            }
+            for src in [0 as ObjectId, 7, 19, 25] {
+                let mut want = ref_run(&g, src);
+                let got = labels(dj.run(&g, src), n);
+                assert_eq!(bits(&got), bits(&want), "seed {seed} run from {src}");
+                ref_repair(&grown, &mut want, tail);
+                let tail_edges = tail.iter().map(|&(p, w)| (p.lo(), p.hi(), w));
+                let got = labels(dj.repair(&grown, tail_edges), n);
+                assert_eq!(bits(&got), bits(&want), "seed {seed} repair from {src}");
+            }
+            let (mut fa, mut fb) = (Dijkstra::new(n), Dijkstra::new(n));
+            for q in Pair::all(n).step_by(5) {
+                for cutoff in [0.125, 0.3, 0.5, f64::INFINITY] {
+                    let got = Dijkstra::run_bidirectional_bounded(
+                        &mut fa,
+                        &mut fb,
+                        &grown,
+                        q.lo(),
+                        q.hi(),
+                        cutoff,
+                    );
+                    let want = ref_bidi(&grown, q.lo(), q.hi(), cutoff);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "seed {seed} bidi {q:?} cutoff {cutoff}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

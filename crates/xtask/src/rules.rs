@@ -1485,6 +1485,10 @@ pub fn stale(fwd: &mut Dijkstra, bwd: &mut Dijkstra, g: &PartialGraph) -> Option
                     "fn bench_dijkstra_reset(b: &mut Bench) {"
                 ),
                 ("crates/bounds/src/splub.rs", "fn ensure_tree("),
+                (
+                    "crates/bounds/src/splub.rs",
+                    "fn early_exit_wrap_matches_the_full_pass_bitwise() {"
+                ),
                 ("crates/datasets/src/roadnet.rs", "mod tests {"),
                 ("crates/graph/src/dijkstra.rs", "mod tests {"),
             ])
