@@ -11,7 +11,7 @@
 //! | Scheme | Bounds | Query | Update | Paper |
 //! |---|---|---|---|---|
 //! | [`TriScheme`] | triangles only (paths of length 2) | `O(deg a + deg b)` | `O(deg)` | §4.2, Algorithm 2 |
-//! | [`Splub`] | **tightest** (all paths) | `O(m + n log n)` | `O(1)` | §4.1, Algorithm 1 |
+//! | [`Splub`] | **tightest** (all paths) | `O(m log n)` | `O(m)` (sorted insert) | §4.1, Algorithm 1 |
 //! | [`Adm`] | tightest (bound matrices) | `O(1)` | `O(n²)` per resolve | baseline [Shasha–Wang 1990] |
 //! | [`Laesa`] | landmark rows, static | `O(k)` | `O(1)` (cache only) | baseline [Micó–Oncina–Vidal 1994] |
 //! | [`Tlaesa`] | landmark rows + pivot tree | `O(k + depth)` | `O(1)` (cache only) | baseline [Micó–Oncina–Carrasco 1996] |

@@ -38,9 +38,11 @@ struct TreeTag {
 ///
 /// Both come out of **two** Dijkstra runs (one per endpoint) plus one pass
 /// over the known edges in descending weight, which stops at the first edge
-/// no heavier than the running `TLB`: `O(m + n log n)` per query, and one
-/// binary-search insertion into that order (`O(m)` with the shift) per
-/// update.
+/// no heavier than the running `TLB`: `O(m log n)` per query (each
+/// Dijkstra lowers a label at most once per arc, and each lowering sifts
+/// an indexed 4-ary queue; the paper's `O(m + n log n)` assumes a
+/// Fibonacci heap), and one binary-search insertion into that order
+/// (`O(m)` with the shift) per update.
 /// Lemma 4.1 proves these bounds are the tightest derivable from the
 /// triangle inequality on paths, i.e. identical to what the `O(n²)`-update
 /// ADM baseline maintains — a property the cross-scheme test-suite checks on

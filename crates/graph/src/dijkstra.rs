@@ -12,12 +12,21 @@
 //!   bidirectional search that stops the moment its meeting-point bound is
 //!   decisive for the comparison at hand.
 //!
-//! The heap is keyed by the integer `(label.to_bits(), node)`. Labels are
-//! sums of non-negative weights from `+0.0` (and `+0.0 + −0.0 = +0.0`), so
-//! none is negative, NaN or `−0.0`, and on such values the bit pattern read
-//! as an unsigned integer orders exactly like `f64::total_cmp`. The heap
-//! pops the sequence a float-keyed one would, at the cost of one inlined
-//! integer compare (`integer_key_pops_the_total_cmp_sequence` pins it).
+//! Both queues are keyed by the integer `(label.to_bits(), node)`. Labels
+//! are sums of non-negative weights from `+0.0` (and `+0.0 + −0.0 =
+//! +0.0`), so none is negative, NaN or `−0.0`, and on such values the bit
+//! pattern read as an unsigned integer orders exactly like
+//! `f64::total_cmp`. Each queue pops the sequence a float-keyed one would,
+//! at the cost of one inlined integer compare
+//! (`integer_key_pops_the_total_cmp_sequence` pins it).
+//!
+//! `run` and `repair` drain an indexed 4-ary queue with decrease-key: a
+//! node holds one slot, so it is queued at most once and popped once, and
+//! a popped node's slot is cleared, which lets `repair` re-open exactly
+//! the settled nodes whose label drops. `run_bidirectional_bounded` keeps
+//! a lazy binary heap that pushes a duplicate per improved label: its stop
+//! test and frontier choice read the heap's top, stale entries included,
+//! and on an indexed queue it would stop at other points.
 
 use std::collections::BinaryHeap;
 
@@ -47,7 +56,8 @@ impl Adjacency for PartialGraph {
 
 /// Max-heap entry ordered so the smallest tentative distance pops first,
 /// keyed by the label's bit pattern (the module docs say why that orders
-/// like `f64::total_cmp`).
+/// like `f64::total_cmp`). Only the bidirectional search's lazy heap uses
+/// it.
 #[derive(Copy, Clone, PartialEq, Eq)]
 struct Entry {
     key: u64,
@@ -89,6 +99,140 @@ impl PartialOrd for Entry {
     }
 }
 
+/// A [`Queue`] key: the derived order is `(label bits, node)`, as
+/// [`Entry`]'s, but ascending.
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    bits: u64,
+    node: ObjectId,
+}
+
+/// Slot of a node that is not in the [`Queue`].
+const UNQUEUED: u32 = u32::MAX;
+
+/// Indexed 4-ary min-queue with decrease-key over [`Key`]s. No two
+/// entries share a node, so no two share a key, and the pop sequence does
+/// not depend on the heap's shape.
+///
+/// Every slot reads [`UNQUEUED`] whenever the queue is empty, which is
+/// between any two kernel calls: `run` and `repair` drain it, and
+/// [`Queue::clear`] restores it after a panic cut a drain short.
+struct Queue {
+    /// Heap-ordered keys: each is no larger than its four children's.
+    heap: Vec<Key>,
+    /// Each node's index in `heap`, or [`UNQUEUED`].
+    slot: Vec<u32>,
+}
+
+impl Queue {
+    fn new(n: usize) -> Self {
+        Queue {
+            heap: Vec::with_capacity(64),
+            slot: vec![UNQUEUED; n],
+        }
+    }
+
+    fn clear(&mut self) {
+        for &k in &self.heap {
+            self.slot[k.node as usize] = UNQUEUED;
+        }
+        self.heap.clear();
+    }
+
+    /// Queues `node` at `label`, or lowers its queued label to `label`
+    /// (which must be smaller than the queued one).
+    #[inline(always)]
+    fn set(&mut self, node: ObjectId, label: f64) {
+        debug_assert!(
+            label.is_sign_positive() && !label.is_nan(),
+            "Dijkstra label {label} is negative, -0.0 or NaN"
+        );
+        let key = Key {
+            bits: label.to_bits(),
+            node,
+        };
+        let at = match self.slot[node as usize] {
+            UNQUEUED => {
+                self.heap.push(key);
+                self.heap.len() - 1
+            }
+            at => at as usize,
+        };
+        self.sift_up(at, key);
+    }
+
+    /// Removes and returns the smallest `(label, node)`, clearing its slot.
+    #[inline(always)]
+    fn pop(&mut self) -> Option<(f64, ObjectId)> {
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&top) => {
+                self.sift_down(last);
+                top
+            }
+            None => last,
+        };
+        self.slot[top.node as usize] = UNQUEUED;
+        Some((f64::from_bits(top.bits), top.node))
+    }
+
+    /// Moves the hole at `at` up until `key` fits, then fills it.
+    #[inline(always)]
+    fn sift_up(&mut self, mut at: usize, key: Key) {
+        while at > 0 {
+            let parent = (at - 1) / 4;
+            let pk = self.heap[parent];
+            if pk < key {
+                break;
+            }
+            self.heap[at] = pk;
+            self.slot[pk.node as usize] = at as u32;
+            at = parent;
+        }
+        self.heap[at] = key;
+        self.slot[key.node as usize] = at as u32;
+    }
+
+    /// Moves the hole at the root down until `key` fits, then fills it.
+    #[inline]
+    fn sift_down(&mut self, key: Key) {
+        let len = self.heap.len();
+        let mut at = 0;
+        loop {
+            let first = 4 * at + 1;
+            if first >= len {
+                break;
+            }
+            let (child, ck) = if let Some(c) = self.heap.get(first..first + 4) {
+                // Two rounds of pairwise minima.
+                let (a, ak) = if c[1] < c[0] { (1, c[1]) } else { (0, c[0]) };
+                let (b, bk) = if c[3] < c[2] { (3, c[3]) } else { (2, c[2]) };
+                if bk < ak {
+                    (first + b, bk)
+                } else {
+                    (first + a, ak)
+                }
+            } else {
+                let mut best = (first, self.heap[first]);
+                for (i, &k) in self.heap.iter().enumerate().skip(first + 1) {
+                    if k < best.1 {
+                        best = (i, k);
+                    }
+                }
+                best
+            };
+            if key < ck {
+                break;
+            }
+            self.heap[at] = ck;
+            self.slot[ck.node as usize] = at as u32;
+            at = child;
+        }
+        self.heap[at] = key;
+        self.slot[key.node as usize] = at as u32;
+    }
+}
+
 /// Read-only view of the distance labels written by the most recent run.
 ///
 /// Nodes whose stamp is not the current epoch were never touched by that
@@ -116,14 +260,19 @@ impl DistMap<'_> {
 
 /// Dijkstra's algorithm with owned, reusable scratch buffers.
 ///
-/// SPLUB runs SSSP computations per bound query (`O(m + n log n)` each);
-/// reusing the distance array and heap across queries keeps them
-/// allocation-free after warm-up, and the epoch stamp makes the per-run
-/// reset `O(1)` instead of `O(n)` (`dijkstra_reset/*` bench cells).
+/// SPLUB runs SSSP computations per bound query (`O(m log n)` each: every
+/// relaxation that lowers a label costs one `O(log n)` sift in the 4-ary
+/// queue; the paper's `O(m + n log n)` assumes a Fibonacci heap's `O(1)`
+/// decrease-key); reusing the distance array and queues across queries
+/// keeps them allocation-free after warm-up, and the epoch stamp makes the
+/// per-run reset `O(1)` instead of `O(n)` (`dijkstra_reset/*` bench cells).
 pub struct Dijkstra {
     dist: Vec<f64>,
     stamp: Vec<u32>,
     epoch: u32,
+    /// `run` and `repair`'s indexed queue.
+    queue: Queue,
+    /// `run_bidirectional_bounded`'s lazy heap.
     heap: BinaryHeap<Entry>,
 }
 
@@ -136,6 +285,7 @@ impl Dijkstra {
             // 1), so an all-zero stamp array means "nothing visited".
             stamp: vec![0; n],
             epoch: 0,
+            queue: Queue::new(n),
             heap: BinaryHeap::with_capacity(64),
         }
     }
@@ -149,7 +299,19 @@ impl Dijkstra {
             self.stamp.fill(0);
             self.epoch = 1;
         }
+        self.queue.clear();
         self.heap.clear();
+    }
+
+    /// Panics unless the scratch holds every node of `graph`.
+    fn check_fits<G: Adjacency + ?Sized>(&self, graph: &G) {
+        let n = graph.n();
+        assert!(
+            n <= self.dist.len(),
+            "graph larger than Dijkstra scratch ({} > {})",
+            n,
+            self.dist.len()
+        );
     }
 
     /// The labels written by the most recent run (all-`INFINITY` before
@@ -173,43 +335,58 @@ impl Dijkstra {
         }
     }
 
-    /// Runs SSSP from `src` over `graph` and returns the label view;
-    /// unreachable nodes read `f64::INFINITY`.
-    pub fn run<G: Adjacency + ?Sized>(&mut self, graph: &G, src: ObjectId) -> DistMap<'_> {
-        let n = graph.n();
-        assert!(
-            n <= self.dist.len(),
-            "graph larger than Dijkstra scratch ({} > {})",
-            n,
-            self.dist.len()
-        );
-        self.begin_epoch();
+    /// Writes `label` as `v`'s label and queues `v` at it (or lowers its
+    /// queued entry).
+    #[inline]
+    fn lower(&mut self, v: ObjectId, label: f64) {
+        self.dist[v as usize] = label;
+        self.stamp[v as usize] = self.epoch;
+        self.queue.set(v, label);
+    }
+
+    /// Pops the queue until it is empty, relaxing each popped node's arcs
+    /// over `graph`, and reports each pop to `settled` in pop order.
+    #[inline]
+    fn drain<G: Adjacency + ?Sized>(&mut self, graph: &G, mut settled: impl FnMut(ObjectId, f64)) {
         let Dijkstra {
             dist,
             stamp,
             epoch,
-            heap,
+            queue,
+            ..
         } = self;
         let epoch = *epoch;
-
-        dist[src as usize] = 0.0;
-        stamp[src as usize] = epoch;
-        heap.push(Entry::new(0.0, src));
-        while let Some(e) = heap.pop() {
-            let (d, v) = (e.dist(), e.node);
-            if d > dist[v as usize] {
-                continue; // stale entry (every heap entry's node is stamped)
-            }
+        while let Some((d, v)) = queue.pop() {
+            settled(v, d);
             for &(u, w) in graph.neighbors(v) {
                 let nd = d + w;
                 if nd < Self::label(dist, stamp, epoch, u) {
                     dist[u as usize] = nd;
                     stamp[u as usize] = epoch;
-                    heap.push(Entry::new(nd, u));
+                    queue.set(u, nd);
                 }
             }
         }
+    }
+
+    /// Runs SSSP from `src` over `graph` and returns the label view;
+    /// unreachable nodes read `f64::INFINITY`.
+    pub fn run<G: Adjacency + ?Sized>(&mut self, graph: &G, src: ObjectId) -> DistMap<'_> {
+        self.run_settling(graph, src, |_, _| {});
         self.view()
+    }
+
+    /// [`run`](Dijkstra::run), reporting each pop to `settled`.
+    fn run_settling<G: Adjacency + ?Sized>(
+        &mut self,
+        graph: &G,
+        src: ObjectId,
+        settled: impl FnMut(ObjectId, f64),
+    ) {
+        self.check_fits(graph);
+        self.begin_epoch();
+        self.lower(src, 0.0);
+        self.drain(graph, settled);
     }
 
     /// Decrease-only repair of the tree left by the previous [`run`] after
@@ -218,6 +395,7 @@ impl Dijkstra {
     /// over the grown graph: a Dijkstra label is the minimum over paths of
     /// the left-folded float sum, which is order-independent, and the
     /// drain below relaxes every path that improves through a new edge.
+    /// Only the nodes whose label drops are queued again.
     ///
     /// Only valid for pure growth — edge removals require a fresh `run`
     /// (the caller tracks retractions and falls back).
@@ -228,49 +406,30 @@ impl Dijkstra {
         G: Adjacency + ?Sized,
         I: IntoIterator<Item = (ObjectId, ObjectId, f64)>,
     {
-        let Dijkstra {
-            dist,
-            stamp,
-            epoch,
-            heap,
-        } = self;
-        let epoch = *epoch;
-        heap.clear();
+        self.repair_settling(graph, new_edges, |_, _| {});
+        self.view()
+    }
 
+    /// [`repair`](Dijkstra::repair), reporting each pop to `settled`.
+    fn repair_settling<G, I>(&mut self, graph: &G, new_edges: I, settled: impl FnMut(ObjectId, f64))
+    where
+        G: Adjacency + ?Sized,
+        I: IntoIterator<Item = (ObjectId, ObjectId, f64)>,
+    {
+        self.check_fits(graph);
+        self.queue.clear();
         // Seed: each new edge may shortcut either endpoint from the other.
         for (a, b, w) in new_edges {
-            let (da, db) = (
-                Self::label(dist, stamp, epoch, a),
-                Self::label(dist, stamp, epoch, b),
-            );
+            let label = |v| Self::label(&self.dist, &self.stamp, self.epoch, v);
+            let (da, db) = (label(a), label(b));
             if da + w < db {
-                let nd = da + w;
-                dist[b as usize] = nd;
-                stamp[b as usize] = epoch;
-                heap.push(Entry::new(nd, b));
+                self.lower(b, da + w);
             } else if db + w < da {
-                let nd = db + w;
-                dist[a as usize] = nd;
-                stamp[a as usize] = epoch;
-                heap.push(Entry::new(nd, a));
+                self.lower(a, db + w);
             }
         }
         // Drain: propagate the decreases over the full (grown) adjacency.
-        while let Some(e) = heap.pop() {
-            let (d, v) = (e.dist(), e.node);
-            if d > dist[v as usize] {
-                continue;
-            }
-            for &(u, w) in graph.neighbors(v) {
-                let nd = d + w;
-                if nd < Self::label(dist, stamp, epoch, u) {
-                    dist[u as usize] = nd;
-                    stamp[u as usize] = epoch;
-                    heap.push(Entry::new(nd, u));
-                }
-            }
-        }
-        self.view()
+        self.drain(graph, settled);
     }
 
     /// Bidirectional Dijkstra from `a` and `b` that gives up the moment it
@@ -333,6 +492,7 @@ impl Dijkstra {
                 stamp,
                 epoch,
                 heap,
+                ..
             } = this;
             let epoch = *epoch;
             let other_view = other.view();
@@ -601,13 +761,25 @@ mod tests {
         }
     }
 
+    /// What a reference drain did: its pops that were not stale, as
+    /// `(label bits, node)` in pop order, and how many stale entries it
+    /// skipped (one per label that dropped after its node was queued).
+    #[derive(Default)]
+    struct Drained {
+        pops: Vec<(u64, ObjectId)>,
+        stale: usize,
+    }
+
     /// Reference drain: `run` and `repair`'s relaxation loop over plain
-    /// `INFINITY`-filled labels and the float-keyed heap.
-    fn ref_drain(g: &PartialGraph, dist: &mut [f64], heap: &mut BinaryHeap<FloatEntry>) {
+    /// `INFINITY`-filled labels and the lazy float-keyed heap.
+    fn ref_drain(g: &PartialGraph, dist: &mut [f64], heap: &mut BinaryHeap<FloatEntry>) -> Drained {
+        let mut drained = Drained::default();
         while let Some(FloatEntry { dist: d, node: v }) = heap.pop() {
             if d > dist[v as usize] {
+                drained.stale += 1;
                 continue;
             }
+            drained.pops.push((d.to_bits(), v));
             for &(u, w) in g.neighbors(v) {
                 let nd = d + w;
                 if nd < dist[u as usize] {
@@ -616,20 +788,21 @@ mod tests {
                 }
             }
         }
+        drained
     }
 
-    fn ref_run(g: &PartialGraph, src: ObjectId) -> Vec<f64> {
+    fn ref_run(g: &PartialGraph, src: ObjectId) -> (Vec<f64>, Drained) {
         let mut dist = vec![f64::INFINITY; g.n()];
         dist[src as usize] = 0.0;
         let mut heap = BinaryHeap::from([FloatEntry {
             dist: 0.0,
             node: src,
         }]);
-        ref_drain(g, &mut dist, &mut heap);
-        dist
+        let drained = ref_drain(g, &mut dist, &mut heap);
+        (dist, drained)
     }
 
-    fn ref_repair(g: &PartialGraph, dist: &mut [f64], new: &[(Pair, f64)]) {
+    fn ref_repair(g: &PartialGraph, dist: &mut [f64], new: &[(Pair, f64)]) -> Drained {
         let mut heap = BinaryHeap::new();
         for &(p, w) in new {
             let (a, b) = (p.lo() as usize, p.hi() as usize);
@@ -648,7 +821,7 @@ mod tests {
                 });
             }
         }
-        ref_drain(g, dist, &mut heap);
+        ref_drain(g, dist, &mut heap)
     }
 
     fn ref_bidi(g: &PartialGraph, a: ObjectId, b: ObjectId, cutoff: f64) -> Option<f64> {
@@ -733,30 +906,71 @@ mod tests {
         assert!(ints.is_empty());
     }
 
+    /// Each of `n` seeded points in the unit square joined to its `k`
+    /// nearest, weighted by distance, in a seeded order: like kNN's known
+    /// graph, many short edges join near points, so a label drops several
+    /// times before it settles.
+    fn plane_web(n: usize, k: usize, seed: u64) -> Vec<(Pair, f64)> {
+        let mut rng = prox_core::TinyRng::new(seed);
+        let at: Vec<(f64, f64)> = (0..n).map(|_| (rng.unit_f64(), rng.unit_f64())).collect();
+        let len = |a: usize, b: usize| (at[a].0 - at[b].0).hypot(at[a].1 - at[b].1);
+        let mut edges: Vec<(Pair, f64)> = Vec::new();
+        for a in 0..n {
+            let mut near: Vec<usize> = (0..n).filter(|&b| b != a).collect();
+            near.sort_by(|&x, &y| len(a, x).total_cmp(&len(a, y)));
+            for &b in &near[..k] {
+                let p = Pair::new(a as ObjectId, b as ObjectId);
+                if edges.iter().all(|&(q, _)| q != p) {
+                    edges.push((p, len(a, b)));
+                }
+            }
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.below(i + 1));
+        }
+        edges
+    }
+
+    /// `edges[..split]` and all of `edges` as graphs over `n` nodes.
+    fn head_and_grown(
+        n: usize,
+        edges: &[(Pair, f64)],
+        split: usize,
+    ) -> (PartialGraph, PartialGraph) {
+        let mut g = PartialGraph::new(n);
+        for &(p, w) in &edges[..split] {
+            g.insert(p, w);
+        }
+        let mut grown = g.clone();
+        for &(p, w) in &edges[split..] {
+            grown.insert(p, w);
+        }
+        (g, grown)
+    }
+
     #[test]
     fn integer_keyed_kernels_match_the_total_cmp_reference() {
-        let (n, reach) = (28, 24);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for seed in 0..24u64 {
-            let edges = tied_web(reach, 64, 0x1E47 + seed);
-            let (head, tail) = edges.split_at(40);
-            let mut g = PartialGraph::new(n);
-            for &(p, w) in head {
-                g.insert(p, w);
-            }
+        // Tied webs (equal and `±0.0` weights, nodes 24.. unreachable) and
+        // kNN-like plane webs, where labels drop many times.
+        let webs = (0..24u64)
+            .map(|s| (28, tied_web(24, 64, 0x1E47 + s)))
+            .chain((0..12u64).map(|s| (60, plane_web(60, 5, 0x9A7E + s))));
+        let (mut stale_run, mut stale_repair) = (0, 0);
+        for (web, (n, edges)) in webs.enumerate() {
+            let split = edges.len() * 5 / 8;
+            let (g, grown) = head_and_grown(n, &edges, split);
+            let tail = &edges[split..];
             let mut dj = Dijkstra::new(n);
-            let mut grown = g.clone();
-            for &(p, w) in tail {
-                grown.insert(p, w);
-            }
             for src in [0 as ObjectId, 7, 19, 25] {
-                let mut want = ref_run(&g, src);
+                let (mut want, drained) = ref_run(&g, src);
+                stale_run += drained.stale;
                 let got = labels(dj.run(&g, src), n);
-                assert_eq!(bits(&got), bits(&want), "seed {seed} run from {src}");
-                ref_repair(&grown, &mut want, tail);
+                assert_eq!(bits(&got), bits(&want), "web {web} run from {src}");
+                stale_repair += ref_repair(&grown, &mut want, tail).stale;
                 let tail_edges = tail.iter().map(|&(p, w)| (p.lo(), p.hi(), w));
                 let got = labels(dj.repair(&grown, tail_edges), n);
-                assert_eq!(bits(&got), bits(&want), "seed {seed} repair from {src}");
+                assert_eq!(bits(&got), bits(&want), "web {web} repair from {src}");
             }
             let (mut fa, mut fb) = (Dijkstra::new(n), Dijkstra::new(n));
             for q in Pair::all(n).step_by(5) {
@@ -773,11 +987,88 @@ mod tests {
                     assert_eq!(
                         got.map(f64::to_bits),
                         want.map(f64::to_bits),
-                        "seed {seed} bidi {q:?} cutoff {cutoff}"
+                        "web {web} bidi {q:?} cutoff {cutoff}"
                     );
                 }
             }
         }
+        // The webs exercise decrease-key: every stale entry the lazy
+        // reference skipped is a queued label that dropped.
+        assert!(
+            stale_run > 300 && stale_repair > 300,
+            "labels dropped too rarely: {stale_run} in runs, {stale_repair} in repairs"
+        );
+    }
+
+    #[test]
+    fn each_reached_node_pops_once_in_key_order() {
+        let n = 60;
+        let webs = (0..8u64)
+            .map(|s| (true, plane_web(n, 5, 0x509 + s)))
+            .chain((0..8u64).map(|s| (false, tied_web(48, 110, 0x7E + s))));
+        for (w, (positive, edges)) in webs.enumerate() {
+            let split = edges.len() * 2 / 3;
+            let (g, grown) = head_and_grown(n, &edges, split);
+            let tail = &edges[split..];
+            let mut dj = Dijkstra::new(n);
+            for src in [0 as ObjectId, 5, 31] {
+                let mut pops = Vec::new();
+                dj.run_settling(&g, src, |v, d| pops.push((d.to_bits(), v)));
+                let before = labels(dj.view(), n);
+                let (mut want, drained) = ref_run(&g, src);
+                // The lazy heap's pops that are not stale, in its order.
+                assert_eq!(pops, drained.pops, "web {w} run from {src}");
+                // Each reached node once, at its final label.
+                let mut reached: Vec<(u64, ObjectId)> = (0..n as ObjectId)
+                    .filter(|&v| before[v as usize].is_finite())
+                    .map(|v| (before[v as usize].to_bits(), v))
+                    .collect();
+                let mut sorted = pops.clone();
+                sorted.sort_unstable();
+                reached.sort_unstable();
+                assert_eq!(sorted, reached, "web {w} run from {src}");
+                // Ascending `(label, node)`. A zero-weight arc may reach a
+                // lower-numbered node at the popped label itself, so
+                // webs with zero weights are only ascending in label.
+                if positive {
+                    assert!(
+                        pops.windows(2).all(|p| p[0] < p[1]),
+                        "web {w} run from {src}"
+                    );
+                } else {
+                    assert!(
+                        pops.windows(2).all(|p| p[0].0 <= p[1].0),
+                        "web {w} run from {src}"
+                    );
+                }
+
+                let mut pops = Vec::new();
+                let tail_edges = tail.iter().map(|&(p, w)| (p.lo(), p.hi(), w));
+                dj.repair_settling(&grown, tail_edges, |v, d| pops.push((d.to_bits(), v)));
+                let after = labels(dj.view(), n);
+                assert_eq!(
+                    pops,
+                    ref_repair(&grown, &mut want, tail).pops,
+                    "web {w} repair from {src}"
+                );
+                // Exactly the nodes whose label dropped, once each.
+                let mut dropped: Vec<(u64, ObjectId)> = (0..n as ObjectId)
+                    .filter(|&v| after[v as usize] < before[v as usize])
+                    .map(|v| (after[v as usize].to_bits(), v))
+                    .collect();
+                pops.sort_unstable();
+                dropped.sort_unstable();
+                assert_eq!(pops, dropped, "web {w} repair from {src}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "graph larger than Dijkstra scratch")]
+    fn repair_refuses_a_graph_larger_than_its_scratch() {
+        let mut dj = Dijkstra::new(4);
+        let _ = dj.run(&path_graph(4), 0);
+        let _ = dj.repair(&path_graph(6), [(3, 4, 1.0)]);
     }
 
     #[test]
