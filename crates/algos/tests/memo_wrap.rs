@@ -3,16 +3,21 @@
 //! Above C(n, 2) = 2^16 pairs (n > 362) the memo is a direct-mapped table
 //! whose pairs share slots, so a sandwich can be evicted before its next
 //! probe. An eviction must only cost a recomputation: this suite runs the
-//! same work with the memo on and off (the `NoMemo` wrapper below opts its
-//! scheme out via `bounds_cacheable`) at n = 400 on `sf` and requires
+//! same work with the memo on and off (the `Wrapped` scheme below opts out
+//! via `bounds_cacheable` when told to) at n = 400 on `sf` and requires
 //! equal output bits, oracle calls, `PruneStats` and I11 ledger rows.
 //!
 //! * Prim and a short PAM with Tri (plus `⌈log2 n⌉` LAESA landmarks), run
 //!   inside `CheckedResolver`, so every sandwich the memo serves at this
-//!   size is also audited against the ground truth.
+//!   size is also audited against the ground truth. Both runs must meet
+//!   Tri's first-visit anchor rows, whose `pair_stamp` reads `u64::MAX`
+//!   and which bypass the memo, so the equality covers the bypass.
 //! * A SPLUB resolver-level schedule of records and threshold probes over
 //!   pairs chosen to collide in the table. SPLUB is goal-aware, so this
 //!   also pins the bidi/full split of its ledger rows under eviction.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use prox_algos::{pam, prim_mst, PamParams};
 use prox_bounds::bootstrap::default_landmarks;
@@ -29,52 +34,71 @@ const SEED: u64 = 7;
 /// The memo's slot count; ranks this far apart share a slot.
 const SLOTS: usize = 1 << 16;
 
-/// A scheme that opts out of the resolver's memo and forwards everything
-/// else, so a resolver over it asks the scheme for every sandwich.
-struct NoMemo<S>(S);
+/// A scheme that forwards everything, opts out of the resolver's memo when
+/// `memo` is false (so a resolver over it asks the scheme for every
+/// sandwich), and counts the `pair_stamp` answers that read `u64::MAX`.
+struct Wrapped<S> {
+    inner: S,
+    memo: bool,
+    max_stamps: Rc<Cell<u64>>,
+}
 
-impl<S: BoundScheme> BoundScheme for NoMemo<S> {
+impl<S> Wrapped<S> {
+    fn new(inner: S, memo: bool) -> Self {
+        Wrapped {
+            inner,
+            memo,
+            max_stamps: Rc::default(),
+        }
+    }
+}
+
+impl<S: BoundScheme> BoundScheme for Wrapped<S> {
     fn n(&self) -> usize {
-        self.0.n()
+        self.inner.n()
     }
     fn max_distance(&self) -> f64 {
-        self.0.max_distance()
+        self.inner.max_distance()
     }
     fn known(&self, p: Pair) -> Option<f64> {
-        self.0.known(p)
+        self.inner.known(p)
     }
     fn bounds(&mut self, p: Pair) -> (f64, f64) {
-        self.0.bounds(p)
+        self.inner.bounds(p)
     }
     fn record(&mut self, p: Pair, d: f64) {
-        self.0.record(p, d);
+        self.inner.record(p, d);
     }
     fn retract(&mut self, p: Pair) -> bool {
-        self.0.retract(p)
+        self.inner.retract(p)
     }
     fn m(&self) -> usize {
-        self.0.m()
+        self.inner.m()
     }
     fn name(&self) -> &'static str {
-        self.0.name()
+        self.inner.name()
     }
     fn for_each_known(&self, f: &mut dyn FnMut(Pair, f64)) {
-        self.0.for_each_known(f);
+        self.inner.for_each_known(f);
     }
     fn generation(&self) -> u64 {
-        self.0.generation()
+        self.inner.generation()
     }
     fn pair_stamp(&self, p: Pair) -> u64 {
-        self.0.pair_stamp(p)
+        let stamp = self.inner.pair_stamp(p);
+        if stamp == u64::MAX {
+            self.max_stamps.set(self.max_stamps.get() + 1);
+        }
+        stamp
     }
     fn bounds_cacheable(&self) -> bool {
-        false
+        self.memo && self.inner.bounds_cacheable()
     }
     fn goal_aware(&self) -> bool {
-        self.0.goal_aware()
+        self.inner.goal_aware()
     }
     fn bounds_for_goal(&mut self, p: Pair, goal: QueryGoal) -> GoalBounds {
-        self.0.bounds_for_goal(p, goal)
+        self.inner.bounds_for_goal(p, goal)
     }
 }
 
@@ -102,8 +126,9 @@ fn sf() -> Box<dyn Metric + Send + Sync> {
 
 /// Runs `algo` over Tri + landmarks, memo on or off, inside
 /// `CheckedResolver`. Returns the outcome with the output `Debug`-rendered
-/// (which round-trips every `f64` bit for bit).
-fn tri_run(metric: &(dyn Metric + Send + Sync), memo: bool, algo: &str) -> Outcome {
+/// (which round-trips every `f64` bit for bit), and how many `pair_stamp`
+/// answers read `u64::MAX`.
+fn tri_run(metric: &(dyn Metric + Send + Sync), memo: bool, algo: &str) -> (Outcome, u64) {
     #[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
     let truth = |p: Pair| metric.distance(p.lo(), p.hi());
     let oracle = Oracle::new(metric);
@@ -125,34 +150,32 @@ fn tri_run(metric: &(dyn Metric + Send + Sync), memo: bool, algo: &str) -> Outco
         ),
         other => panic!("unknown algorithm {other}"),
     };
-    if memo {
-        let mut r = CheckedResolver::new(BoundResolver::new(&oracle, tri), truth);
-        let out = run(&mut r);
-        assert!(r.checks() > 0, "the audit never fired");
-        outcome(out, oracle.calls(), &r)
-    } else {
-        let mut r = CheckedResolver::new(BoundResolver::new(&oracle, NoMemo(tri)), truth);
-        let out = run(&mut r);
-        outcome(out, oracle.calls(), &r)
-    }
+    let scheme = Wrapped::new(tri, memo);
+    let max_stamps = Rc::clone(&scheme.max_stamps);
+    let mut r = CheckedResolver::new(BoundResolver::new(&oracle, scheme), truth);
+    let out = run(&mut r);
+    assert!(r.checks() > 0, "the audit never fired");
+    (outcome(out, oracle.calls(), &r), max_stamps.get())
+}
+
+/// The memo-on and memo-off runs of `algo` agree, and the memo-on run met
+/// first-visit anchor pairs (the memo-off resolver never asks for stamps).
+fn assert_memo_unobservable(algo: &str) {
+    let metric = sf();
+    let (with_memo, bypassed) = tri_run(&*metric, true, algo);
+    let (without, _) = tri_run(&*metric, false, algo);
+    assert_eq!(with_memo, without);
+    assert!(bypassed > 0, "{algo}: no pair_stamp read u64::MAX");
 }
 
 #[test]
 fn prim_with_tri_is_unchanged_by_memo_eviction() {
-    let metric = sf();
-    assert_eq!(
-        tri_run(&*metric, true, "prim"),
-        tri_run(&*metric, false, "prim")
-    );
+    assert_memo_unobservable("prim");
 }
 
 #[test]
 fn pam_with_tri_is_unchanged_by_memo_eviction() {
-    let metric = sf();
-    assert_eq!(
-        tri_run(&*metric, true, "pam"),
-        tri_run(&*metric, false, "pam")
-    );
+    assert_memo_unobservable("pam");
 }
 
 /// A seeded schedule of records and probes over the pairs among objects
@@ -193,7 +216,7 @@ fn splub_schedule_is_unchanged_by_memo_eviction() {
         let with_memo = outcome(out, o_on.calls(), &on);
 
         let o_off = Oracle::new(&*metric);
-        let mut off = BoundResolver::new(&o_off, NoMemo(Splub::new(N, 1.0)));
+        let mut off = BoundResolver::new(&o_off, Wrapped::new(Splub::new(N, 1.0), false));
         let out = splub_schedule(&mut off, seed);
         let without = outcome(out, o_off.calls(), &off);
 

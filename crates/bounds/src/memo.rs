@@ -25,6 +25,12 @@ pub(crate) struct BoundMemo {
     slots: Vec<(f64, f64, u64)>,
     /// Width of the tag field: enough bits for the largest `rank >> 16`.
     tag_bits: u32,
+    /// Slot reads and writes so far, for tests that pin which probes touch
+    /// the table.
+    #[cfg(test)]
+    pub(crate) reads: std::cell::Cell<u64>,
+    #[cfg(test)]
+    pub(crate) writes: u64,
 }
 
 impl BoundMemo {
@@ -36,6 +42,10 @@ impl BoundMemo {
             n,
             slots: vec![(0.0, 0.0, 0); pairs.min(MAX_SLOTS as u64) as usize],
             tag_bits: u64::BITS - max_tag.leading_zeros(),
+            #[cfg(test)]
+            reads: std::cell::Cell::new(0),
+            #[cfg(test)]
+            writes: 0,
         }
     }
 
@@ -56,6 +66,8 @@ impl BoundMemo {
     /// empty or holds another pair.
     #[inline]
     pub(crate) fn get(&self, p: Pair) -> Option<(f64, f64, u64)> {
+        #[cfg(test)]
+        self.reads.set(self.reads.get() + 1);
         let (slot, tag) = self.locate(p);
         let (lb, ub, word) = self.slots[slot];
         let tag_mask = (1u64 << self.tag_bits) - 1;
@@ -74,6 +86,10 @@ impl BoundMemo {
     /// pair held the slot.
     #[inline]
     pub(crate) fn put(&mut self, p: Pair, lb: f64, ub: f64, stamp: u64) {
+        #[cfg(test)]
+        {
+            self.writes += 1;
+        }
         invariant!(stamp != 0, "memo stamp 0 marks an empty slot");
         let (slot, tag) = self.locate(p);
         self.slots[slot] = (lb, ub, pack(tag, stamp, self.tag_bits));

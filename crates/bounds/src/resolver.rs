@@ -451,6 +451,10 @@ pub struct BoundResolver<'o, M: Metric, S: BoundScheme> {
     /// different provenance row (DESIGN.md §8). Hits and misses are
     /// deliberately *not* counted in [`PruneStats`]: the memo must not
     /// change any observable accounting.
+    ///
+    /// A pair whose `pair_stamp` reads `u64::MAX` (a Tri anchor's
+    /// first-visit row) is neither looked up nor stored: its probe would
+    /// pay for a slot read that cannot hit and a write nothing reads.
     bcache: Option<BoundMemo>,
     cache_on: bool,
     /// Observation handles, cloned from the oracle once at construction
@@ -708,19 +712,26 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
 
     /// The memoized sandwich for `x`, if its slot holds `x` and is still
     /// current (slots store `generation + 1`). `None` whenever the table
-    /// was never allocated (always, for schemes that do not opt in).
+    /// was never allocated (always, for schemes that do not opt in), and
+    /// without reading the slot when `x`'s stamp is `u64::MAX`.
     #[inline]
     fn memo_get(&self, x: Pair) -> Option<(f64, f64)> {
-        let (lb, ub, stamp) = self.bcache.as_ref()?.get(x)?;
-        (self.scheme.pair_stamp(x) < stamp).then_some((lb, ub))
+        let memo = self.bcache.as_ref()?;
+        let now = self.scheme.pair_stamp(x);
+        if now == u64::MAX {
+            return None;
+        }
+        let (lb, ub, stamp) = memo.get(x)?;
+        (now < stamp).then_some((lb, ub))
     }
 
     /// Memoizes the exact sandwich for `x` at the current generation,
     /// allocating the table on first use. A no-op for schemes that do not
-    /// opt in.
+    /// opt in and for a pair whose stamp reads `u64::MAX` — read after
+    /// `bounds`, which may have moved the anchor that decides it.
     #[inline]
     fn memo_put(&mut self, x: Pair, lb: f64, ub: f64) {
-        if !self.cache_on {
+        if !self.cache_on || self.scheme.pair_stamp(x) == u64::MAX {
             return;
         }
         let stamp = self.scheme.generation() + 1;
@@ -818,11 +829,6 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
     /// Read access to the scheme.
     pub fn scheme(&self) -> &S {
         &self.scheme
-    }
-
-    /// Mutable access to the scheme (e.g. for out-of-band recording).
-    pub fn scheme_mut(&mut self) -> &mut S {
-        &mut self.scheme
     }
 
     /// The wired oracle.
@@ -1487,6 +1493,77 @@ mod tests {
         assert!(r.bcache.is_some());
     }
 
+    /// The table's `(reads, writes)` so far.
+    fn slot_accesses<S: BoundScheme>(r: &BoundResolver<'_, impl Metric, S>) -> (u64, u64) {
+        r.bcache
+            .as_ref()
+            .map_or((0, 0), |m| (m.reads.get(), m.writes))
+    }
+
+    #[test]
+    fn one_off_anchor_rows_skip_the_memo_and_revisited_columns_hit_it() {
+        let n = 40;
+        let oracle = line_oracle(n);
+        let mut r = BoundResolver::new(&oracle, TriScheme::new(n, 1.0));
+        for p in Pair::all(n).step_by(7) {
+            r.preload(p, oracle.call_pair(p));
+        }
+        let (a, b, c): (ObjectId, ObjectId, ObjectId) = (3, 11, 17);
+        let row = |x: ObjectId| {
+            (0..n as ObjectId)
+                .filter(move |&z| z != x)
+                .map(move |z| Pair::new(x, z))
+        };
+        let on_first_visit = |r: &BoundResolver<'_, _, TriScheme>, x: ObjectId| {
+            r.scheme.pair_stamp(Pair::new(x, (x + 1) % n as ObjectId)) == u64::MAX
+        };
+        // Two probes on `a` anchor Tri there; the rest of its row is the
+        // anchor's first visit and never touches the table.
+        let _ = r.bounds_hint(Pair::new(a, 0));
+        let _ = r.bounds_hint(Pair::new(a, 1));
+        assert!(on_first_visit(&r, a));
+        let before = slot_accesses(&r);
+        for q in row(a) {
+            let _ = r.bounds_hint(q);
+        }
+        assert_eq!(
+            slot_accesses(&r),
+            before,
+            "a first-visit row touched the table"
+        );
+        // Leave for `b` and come back: the second visit memoizes the row.
+        for anchor in [b, a] {
+            let _ = r.bounds_hint(Pair::new(anchor, 0));
+            let _ = r.bounds_hint(Pair::new(anchor, 1));
+        }
+        assert!(!on_first_visit(&r, a));
+        let (_, writes) = slot_accesses(&r);
+        for q in row(a) {
+            let _ = r.bounds_hint(q);
+        }
+        assert!(
+            slot_accesses(&r).1 > writes,
+            "the revisited row was not stored"
+        );
+        // Anchored at a fresh `c`, the column of `a` is served from the
+        // table: one read per pair, no write, and Tri is never asked (two
+        // misses on `a` would have moved its anchor there).
+        let _ = r.bounds_hint(Pair::new(c, 0));
+        let _ = r.bounds_hint(Pair::new(c, 1));
+        assert!(on_first_visit(&r, c));
+        let (reads, writes) = slot_accesses(&r);
+        let column: Vec<Pair> = row(a).filter(|q| q.other(a) != c).collect();
+        for &q in &column {
+            let _ = r.bounds_hint(q);
+        }
+        assert_eq!(
+            slot_accesses(&r),
+            (reads + column.len() as u64, writes),
+            "the revisited column missed the table"
+        );
+        assert!(on_first_visit(&r, c), "Tri was asked for the column");
+    }
+
     /// How the probes of one fuzz run found their pair's memo slot.
     #[derive(Default)]
     struct SlotCounts {
@@ -1496,16 +1573,48 @@ mod tests {
         current: u32,
         /// Filled with another pair's sandwich.
         evicted: u32,
+        /// Not looked up: the pair's stamp read `u64::MAX`.
+        bypassed: u32,
+        /// Current, on an anchored row whose anchor was visited before.
+        revisited: u32,
+    }
+
+    impl SlotCounts {
+        /// Tallies how `r`'s memo would meet a probe of `p`; `on_row` marks
+        /// a probe on an anchored row.
+        fn note<S: BoundScheme>(
+            &mut self,
+            r: &BoundResolver<'_, impl Metric, S>,
+            p: Pair,
+            on_row: bool,
+        ) {
+            let Some(m) = &r.bcache else { return };
+            let now = r.scheme.pair_stamp(p);
+            if now == u64::MAX {
+                self.bypassed += 1;
+                return;
+            }
+            match m.get(p) {
+                Some((_, _, stamp)) if now < stamp => {
+                    self.current += 1;
+                    self.revisited += u32::from(on_row);
+                }
+                Some(_) => self.stale += 1,
+                None if m.holds_other(p) => self.evicted += 1,
+                None => {}
+            }
+        }
     }
 
     /// Seeded fuzz over one scheme at `n` objects: `record`s interleaved
-    /// with every probe kind, over a pool of pairs. Below 2^16 pairs the
-    /// pool is every pair; above it the pool is 24 pairs and their
-    /// partners 2^16 ranks up, so the probes keep evicting each other. At
-    /// every step the resolver's (possibly memoized) sandwich must be
-    /// bitwise the one a freshly built scheme derives from the same
-    /// knowledge. Returns how the probes found their slots, so callers can
-    /// assert every path ran.
+    /// with every probe kind, over a pool of pairs, and anchored rows — runs
+    /// of probes sharing one of three anchors, so each anchor is left and
+    /// revisited. Below 2^16 pairs the pool is every pair; above it the
+    /// pool is 24 pairs and their partners 2^16 ranks up, so the probes
+    /// keep evicting each other. At every step the resolver's (possibly
+    /// memoized) sandwich must be bitwise the one a freshly built scheme
+    /// derives from the same knowledge. Returns how the probes found their
+    /// slots, so callers can assert every path ran.
     fn fuzz_memo_matches_fresh<S: BoundScheme>(
         make: impl Fn(usize) -> S,
         n: usize,
@@ -1530,45 +1639,52 @@ mod tests {
                 })
                 .collect()
         };
+        let anchors: [ObjectId; 3] = [1, 5, 9];
         let mut r = BoundResolver::new(&oracle, make(n));
         let mut records: Vec<(Pair, f64)> = Vec::new();
         let mut counts = SlotCounts::default();
         let pick = |rng: &mut TinyRng| pool[rng.below(pool.len())];
         for _ in 0..600 {
-            let p = pick(&mut rng);
-            if let Some(m) = &r.bcache {
-                match m.get(p) {
-                    Some((_, _, stamp)) if r.scheme.pair_stamp(p) < stamp => counts.current += 1,
-                    Some(_) => counts.stale += 1,
-                    None if m.holds_other(p) => counts.evicted += 1,
-                    None => {}
-                }
-            }
-            let v = rng.unit_f64() * 0.6;
-            match rng.below(6) {
-                0 => {
-                    if r.known(p).is_none() {
-                        records.push((p, r.resolve(p)));
+            let row: Vec<Pair> = if rng.below(4) == 0 {
+                let a = anchors[rng.below(anchors.len())];
+                (0..8)
+                    .map(|_| {
+                        let b = (a as usize + 1 + rng.below(n - 1)) % n;
+                        Pair::new(a, b as ObjectId)
+                    })
+                    .collect()
+            } else {
+                vec![pick(&mut rng)]
+            };
+            let on_row = row.len() > 1;
+            for &p in &row {
+                counts.note(&r, p, on_row);
+                let v = rng.unit_f64() * 0.6;
+                match rng.below(6) {
+                    0 => {
+                        if r.known(p).is_none() {
+                            records.push((p, r.resolve(p)));
+                        }
                     }
-                }
-                1 => {
-                    let _ = r.try_less_value(p, v);
-                }
-                2 => {
-                    let _ = r.try_leq_value(p, v);
-                }
-                3 => {
-                    let _ = r.try_less(p, pick(&mut rng));
-                }
-                _ => {
-                    let _ = r.bounds_hint(p);
+                    1 => {
+                        let _ = r.try_less_value(p, v);
+                    }
+                    2 => {
+                        let _ = r.try_leq_value(p, v);
+                    }
+                    3 => {
+                        let _ = r.try_less(p, pick(&mut rng));
+                    }
+                    _ => {
+                        let _ = r.bounds_hint(p);
+                    }
                 }
             }
             let mut fresh = make(n);
             for &(q, d) in &records {
                 fresh.record(q, d);
             }
-            for q in [p, pick(&mut rng)] {
+            for q in row.into_iter().chain([pick(&mut rng)]) {
                 let (lb, ub) = r.bounds_hint(q);
                 let (fl, fu) = fresh.bounds(q);
                 assert_eq!(
@@ -1585,14 +1701,15 @@ mod tests {
     #[test]
     fn memo_matches_fresh_scheme_under_interleaved_records() {
         for seed in 0..4 {
-            for c in [
-                fuzz_memo_matches_fresh(|n| TriScheme::new(n, 1.0), 32, seed),
-                fuzz_memo_matches_fresh(|n| crate::Splub::new(n, 1.0), 32, seed),
-            ] {
+            let tri = fuzz_memo_matches_fresh(|n| TriScheme::new(n, 1.0), 32, seed);
+            let splub = fuzz_memo_matches_fresh(|n| crate::Splub::new(n, 1.0), 32, seed);
+            for c in [&tri, &splub] {
                 assert!(c.stale > 0, "seed {seed}: no probe met a stale slot");
                 assert!(c.current > 0, "seed {seed}: no probe met a current slot");
+                assert!(c.revisited > 0, "seed {seed}: no revisited row hit");
                 assert_eq!(c.evicted, 0, "seed {seed}: n = 32 owns every slot");
             }
+            assert!(tri.bypassed > 0, "seed {seed}: no first-visit row bypassed");
         }
     }
 
@@ -1600,14 +1717,15 @@ mod tests {
     fn memo_matches_fresh_scheme_at_a_wrapping_table_size() {
         // C(400, 2) = 79,800 > 2^16: pairs share slots.
         for seed in 0..2 {
-            for c in [
-                fuzz_memo_matches_fresh(|n| TriScheme::new(n, 1.0), 400, seed),
-                fuzz_memo_matches_fresh(|n| crate::Splub::new(n, 1.0), 400, seed),
-            ] {
+            let tri = fuzz_memo_matches_fresh(|n| TriScheme::new(n, 1.0), 400, seed);
+            let splub = fuzz_memo_matches_fresh(|n| crate::Splub::new(n, 1.0), 400, seed);
+            for c in [&tri, &splub] {
                 assert!(c.stale > 0, "seed {seed}: no probe met a stale slot");
                 assert!(c.current > 0, "seed {seed}: no probe met a current slot");
+                assert!(c.revisited > 0, "seed {seed}: no revisited row hit");
                 assert!(c.evicted > 0, "seed {seed}: no probe met an evicted slot");
             }
+            assert!(tri.bypassed > 0, "seed {seed}: no first-visit row bypassed");
         }
     }
 }

@@ -130,9 +130,15 @@ pub trait BoundScheme {
 
     /// Upper bound on the last generation at which `bounds(p)` may have
     /// changed. The default (the current generation: "maybe just now") is
-    /// maximally conservative and therefore always sound; schemes with
-    /// localized bounds (Tri's are a function of the endpoints' adjacency
-    /// alone) override it with a sharper stamp.
+    /// always sound; schemes with localized bounds (Tri's are a function of
+    /// the endpoints' adjacency alone) override it with a sharper stamp.
+    ///
+    /// `u64::MAX` is the conservative end: "may change at any time". The
+    /// resolver's bound memo then neither looks `p` up nor stores its
+    /// sandwich, and reads the stamp again after `bounds`, which may change
+    /// it. Tri returns it for the pairs on its anchor during that anchor's
+    /// first visit, whose rows are mostly asked once. A stamp may read
+    /// differently after any `&mut` call, so callers must not cache it.
     fn pair_stamp(&self, p: Pair) -> u64 {
         let _ = p;
         self.generation()

@@ -30,6 +30,13 @@ use crate::BoundScheme;
 /// looser than [`crate::Splub`]'s tightest bounds but empirically close, and
 /// the CPU cost is lower by orders of magnitude — the trade the paper's
 /// evaluation recommends for large workloads.
+///
+/// An anchor's pairs are mostly asked once per visit: Prim relaxes each
+/// tree vertex's row once and never anchors it again. While the anchor is
+/// on its first visit, [`BoundScheme::pair_stamp`] reads `u64::MAX` for the
+/// pairs touching it, so the resolver's memo neither looks them up nor
+/// stores them; a row the scheme returns to (PAM's swap columns) is
+/// memoized from its second visit on.
 #[derive(Clone, Debug)]
 pub struct TriScheme {
     graph: PartialGraph,
@@ -39,6 +46,10 @@ pub struct TriScheme {
     /// only fed and asked `known` never pays for it.
     row: Vec<f64>,
     anchor: Option<ObjectId>,
+    /// `seen[v]`: `v` has been the anchor. Allocated with the row.
+    seen: Vec<bool>,
+    /// True while the anchor is on its first visit.
+    first_visit: bool,
     /// The previous `bounds` query if it missed the anchor, else `None`: a
     /// miss that shares an endpoint with it re-anchors.
     last_miss: Option<Pair>,
@@ -53,6 +64,8 @@ impl TriScheme {
             max_distance,
             row: Vec::new(),
             anchor: None,
+            seen: Vec::new(),
+            first_visit: false,
             last_miss: None,
         }
     }
@@ -114,11 +127,14 @@ impl TriScheme {
     }
 
     /// Moves the anchor to `v`: clears the old anchor's neighbours back to
-    /// NaN, then scatters `adj(v)`. Allocates the row on first use.
+    /// NaN, then scatters `adj(v)`, and notes whether `v` was ever the
+    /// anchor before. Allocates the row on first use.
     fn reanchor(&mut self, v: ObjectId) {
         if self.row.is_empty() {
             self.row = vec![f64::NAN; self.graph.n()];
+            self.seen = vec![false; self.graph.n()];
         }
+        self.first_visit = !std::mem::replace(&mut self.seen[v as usize], true);
         if let Some(old) = self.anchor {
             for &(c, _) in self.graph.neighbors(old) {
                 self.row[c as usize] = f64::NAN;
@@ -131,6 +147,7 @@ impl TriScheme {
     }
 
     /// The row slot of `p` (its other endpoint) if `p` touches the anchor.
+    #[inline]
     fn row_slot(&self, p: Pair) -> Option<usize> {
         let x = self.anchor?;
         (x == p.lo() || x == p.hi()).then(|| p.other(x) as usize)
@@ -186,6 +203,7 @@ impl BoundScheme for TriScheme {
         self.max_distance
     }
 
+    #[inline]
     fn known(&self, p: Pair) -> Option<f64> {
         self.graph.get(p)
     }
@@ -238,11 +256,18 @@ impl BoundScheme for TriScheme {
         }
     }
 
+    #[inline]
     fn generation(&self) -> u64 {
         self.graph.generation()
     }
 
+    #[inline]
     fn pair_stamp(&self, p: Pair) -> u64 {
+        // A pair on a first-visit anchor is answered by the row and, for
+        // most workloads, never asked again: not worth a memo slot.
+        if self.first_visit && self.row_slot(p).is_some() {
+            return u64::MAX;
+        }
         // Tri bounds for (a, b) are a function of adj(a) and adj(b) alone,
         // so the freshest incident insertion bounds the last change.
         self.graph.pair_stamp(p)
@@ -353,12 +378,58 @@ mod tests {
         assert!(s.retract(p(0, 6)));
         assert_eq!(s.known(p(0, 6)), None);
         assert!(s.row.is_empty(), "record/retract/known allocated the row");
+        assert!(
+            s.seen.is_empty(),
+            "record/retract/known allocated the seen bits"
+        );
         // A lone query takes the merge; the next one sharing an endpoint
         // anchors the row.
         let _ = s.bounds(p(0, 2));
         assert!(s.row.is_empty());
         let _ = s.bounds(p(2, 9));
         assert_eq!((s.anchor, s.row.len()), (Some(2), 64));
+    }
+
+    /// Asserts `pair_stamp` is `u64::MAX` on exactly the pairs touching
+    /// `first_visit` and the graph's stamp on every other pair.
+    fn assert_stamps(s: &TriScheme, first_visit: Option<ObjectId>, ctx: &str) {
+        for q in Pair::all(s.n()) {
+            let on = first_visit.is_some_and(|x| x == q.lo() || x == q.hi());
+            let want = if on { u64::MAX } else { s.graph.pair_stamp(q) };
+            assert_eq!(s.pair_stamp(q), want, "{ctx}: {q:?}");
+        }
+    }
+
+    #[test]
+    fn pair_stamp_is_max_exactly_on_a_first_visit_anchor() {
+        let mut s = TriScheme::new(12, 1.0);
+        for q in Pair::all(12).step_by(3) {
+            s.record(q, 0.5);
+        }
+        assert_stamps(&s, None, "no anchor yet");
+        let _ = s.bounds(p(2, 0));
+        assert_stamps(&s, None, "a lone miss anchors nothing");
+        let _ = s.bounds(p(2, 5));
+        assert_stamps(&s, Some(2), "first visit of 2");
+        s.record(p(2, 7), 0.25);
+        s.record(p(3, 8), 0.25);
+        assert_stamps(&s, Some(2), "records keep the visit");
+        let _ = s.bounds(p(4, 8));
+        let _ = s.bounds(p(4, 9));
+        assert_stamps(&s, Some(4), "2 left; first visit of 4");
+        let _ = s.bounds(p(2, 10));
+        let _ = s.bounds(p(2, 11));
+        assert_stamps(&s, None, "back on 2");
+        s.record(p(2, 4), 0.5);
+        assert_stamps(&s, None, "a record on the revisited anchor");
+        let _ = s.bounds(p(4, 1));
+        let _ = s.bounds(p(4, 3));
+        assert_stamps(&s, None, "back on 4");
+        let _ = s.bounds(p(6, 1));
+        let _ = s.bounds(p(6, 3));
+        assert_stamps(&s, Some(6), "first visit of 6");
+        let twin = s.clone();
+        assert_stamps(&twin, Some(6), "a clone keeps the visit");
     }
 
     /// Asserts the live (anchor row or merge), merge and snapshot paths agree
