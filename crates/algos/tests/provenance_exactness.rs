@@ -19,9 +19,12 @@ use prox_bounds::{
     BoundResolver, CascadeResolver, CheckedResolver, DistanceResolver, Splub, TriScheme,
 };
 use prox_core::{FnMetric, Metric, ObjectId, Oracle, Pair, PruneStats, WeakOracle};
+use prox_datasets::{ClusteredPlane, Dataset};
 use prox_obs::{semantic_diff, JsonlSink, ProvenanceLedger, TraceSink};
 
 const N: usize = 24;
+/// Objects in the SPLUB traced-vs-untraced runs.
+const SPLUB_N: usize = 60;
 
 fn ring_metric() -> FnMetric<impl Fn(ObjectId, ObjectId) -> f64> {
     let scale = 1.0 / (N as f64);
@@ -61,9 +64,9 @@ struct Observed {
 
 /// Runs `algo` traced with the process-wide thread count set to
 /// `threads`, optionally under the paranoid audit wrapper and/or the
-/// weak/strong cascade, and collects everything I11 relates. Traced runs bypass the goal-aware query cascade, so every
-/// bound decision lands on the `direct` tier — which is exactly what makes
-/// the attribution thread-invariant.
+/// weak/strong cascade, and collects everything I11 relates. Every bound
+/// decision lands on the `direct` tier, which is what makes the
+/// attribution thread-invariant.
 fn observe(algo: &str, threads: usize, paranoid: bool, weak: bool) -> Observed {
     prox_exec::set_global_threads(threads);
     let metric = ring_metric();
@@ -129,8 +132,8 @@ fn assert_i11(o: &Observed, ctx: &str) {
         o.stats.decided_by_bounds,
         "{ctx}: decision rows != decided_by_bounds"
     );
-    // Traced runs bypass the goal-aware cascade: every decision must be
-    // attributed to the `direct` tier of the one active scheme.
+    // Every decision must be attributed to the `direct` tier of the one
+    // active scheme.
     for (scheme, tier, _) in l.decisive_rows() {
         assert_eq!(scheme, "Tri", "{ctx}: unexpected scheme row");
         assert_eq!(tier, "direct", "{ctx}: traced run must be all-direct");
@@ -238,52 +241,41 @@ fn traces_show_zero_semantic_divergence_across_thread_counts() {
     }
 }
 
-/// One SPLUB run: its output, billed calls, prune counters and ledger. A
-/// traced resolver bypasses the goal-aware query cascade; an untraced one
-/// routes every threshold probe through it.
-fn splub_run(algo: &str, traced: bool) -> (String, u64, PruneStats, ProvenanceLedger) {
-    let metric = ring_metric();
-    let mut oracle = Oracle::new(&metric);
+/// One SPLUB run of `algo` on `SPLUB_N` clustered-plane points drawn
+/// from `seed`: its output, billed calls, prune counters and ledger.
+fn splub_run(algo: &str, seed: u64, traced: bool) -> (String, u64, PruneStats, ProvenanceLedger) {
+    let metric = ClusteredPlane::default().metric(SPLUB_N, seed);
+    let mut oracle = Oracle::new(&*metric);
     if traced {
         oracle = oracle.with_trace(Rc::new(JsonlSink::in_memory()) as Rc<dyn TraceSink>);
     }
-    let mut r = BoundResolver::new(&oracle, Splub::new(N, 1.0));
+    let mut r = BoundResolver::new(&oracle, Splub::new(SPLUB_N, 1.0));
     let out = run_algo(algo, &mut r);
     (out, oracle.calls(), r.prune_stats(), r.provenance())
 }
 
+/// SPLUB has one query path: a run decides every comparison the same way
+/// whether or not a trace sink is attached, so what a trace checks is
+/// what an untraced run does. kNN's and PAM's threshold probes are the
+/// ones that could take another path.
 #[test]
-fn splub_cascade_keeps_outputs_and_attributes_every_decision() {
-    for algo in ["knng", "prim"] {
-        let ctx = format!("{algo}/splub");
-        let (out, calls, stats, ledger) = splub_run(algo, false);
-        let (t_out, t_calls, t_stats, t_ledger) = splub_run(algo, true);
-        assert_eq!(out, t_out, "{ctx}: the cascade changed the output");
-        assert_eq!(calls, t_calls, "{ctx}: the cascade changed oracle calls");
-        assert_eq!(stats, t_stats, "{ctx}: the cascade changed PruneStats");
-        assert_eq!(
-            ledger.decisive_total(),
-            stats.decided_by_bounds,
-            "{ctx}: decision rows != decided_by_bounds"
-        );
-        let mut cascade = 0;
-        for (scheme, tier, count) in ledger.decisive_rows() {
-            assert_eq!(scheme, "SPLUB", "{ctx}: unexpected scheme row");
-            assert!(
-                ["bidi", "full", "direct"].contains(&tier),
-                "{ctx}: unexpected tier {tier}"
+fn splub_untraced_runs_equal_traced_ones() {
+    for algo in ["knng", "pam"] {
+        for seed in [3, 11] {
+            let ctx = format!("{algo}/splub seed {seed}");
+            let untraced = splub_run(algo, seed, false);
+            let traced = splub_run(algo, seed, true);
+            assert_eq!(untraced.0, traced.0, "{ctx}: outputs differ");
+            assert_eq!(untraced.1, traced.1, "{ctx}: oracle calls differ");
+            assert_eq!(untraced.2, traced.2, "{ctx}: PruneStats differ");
+            assert_eq!(untraced.3.rows(), traced.3.rows(), "{ctx}: ledgers differ");
+            let (stats, ledger) = (untraced.2, untraced.3);
+            assert!(stats.decided_by_bounds > 0, "{ctx}: nothing decided");
+            assert_eq!(
+                ledger.decisive_rows().collect::<Vec<_>>(),
+                [("SPLUB", "direct", stats.decided_by_bounds)],
+                "{ctx}: every decision must be a direct SPLUB row"
             );
-            if tier != "direct" {
-                cascade += count;
-            }
-        }
-        // kNN's threshold probes take the cascade; Prim's IF statements
-        // are pair-vs-pair `less` probes, which never do.
-        if algo == "knng" {
-            assert!(cascade > 0, "{ctx}: the cascade decided nothing");
-        }
-        for (_, tier, _) in t_ledger.decisive_rows() {
-            assert_eq!(tier, "direct", "{ctx}: traced run must be all-direct");
         }
     }
 }

@@ -9,9 +9,7 @@ use prox_bounds::{
     laesa_bootstrap, Adm, BoundResolver, BoundScheme, DistanceResolver, Laesa, Splub, Tlaesa,
     TriScheme,
 };
-use prox_core::{
-    CallBudget, FaultInjector, ObjectId, Oracle, Pair, QueryGoal, RetryPolicy, TinyRng,
-};
+use prox_core::{CallBudget, FaultInjector, ObjectId, Oracle, Pair, RetryPolicy, TinyRng};
 use prox_datasets::{ClusteredPlane, Dataset, RoadNetwork};
 use prox_graph::{Dijkstra, PartialGraph};
 
@@ -46,19 +44,6 @@ fn bench_queries(b: &mut Bench) {
         b.bench("bound_query", &format!("splub/{n}"), || {
             for &q in &queries {
                 black_box(splub.bounds(q));
-            }
-        });
-
-        // Cascade ablation: the same queries as goal-aware threshold
-        // probes. Bidi-decisive answers are never memoized, so this cell
-        // prices the bounded bidirectional search itself; only queries it
-        // cannot decide fall through to the exact tier and its
-        // per-generation memo, which the plain `splub` cell settles into.
-        let mut splub_cascade = Splub::new(n, 1.0);
-        feed(&mut splub_cascade, &*metric, n);
-        b.bench("bound_query", &format!("splub_cascade/{n}"), || {
-            for &q in &queries {
-                black_box(splub_cascade.bounds_for_goal(q, QueryGoal::threshold(0.25)));
             }
         });
 

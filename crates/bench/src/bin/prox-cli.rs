@@ -92,7 +92,7 @@ use prox_core::{
 };
 use prox_datasets::by_name;
 use prox_obs::{
-    semantic_diff, summarize, JsonlSink, MetricName, Metrics, ProvenanceLedger, SpanTree, TraceSink,
+    semantic_diff, summarize, JsonlSink, Metrics, ProvenanceLedger, SpanTree, TraceSink,
 };
 use prox_serve::{
     default_script, emit_recovery, parse_script, BoundServer, PairGroupQuery, ServeConfig,
@@ -137,9 +137,7 @@ struct Args {
     trace: Option<String>,
     /// `--metrics`: attach a metrics registry without a trace sink and
     /// dump the full registry (counters + histogram p50/p99) on stdout in
-    /// stable sorted order after the run. Unlike `--trace` this leaves
-    /// the SPLUB query cascade enabled, so the per-tier counters
-    /// (`splub_bidi_early_exit`, `splub_full_fallback`) are live.
+    /// stable sorted order after the run.
     metrics: bool,
     /// `prox-cli profile <algo>`: trace the run, then print the replayed
     /// span tree (self-vs-total rollups).
@@ -949,9 +947,8 @@ fn main() -> ExitCode {
     .collect();
 
     // Observation handles: `--trace` attaches a JSONL sink plus a metrics
-    // registry; `--metrics` attaches the registry alone (no sink), which
-    // keeps the SPLUB query cascade enabled so its per-tier counters read
-    // true. Both are shared with the run via `Rc`.
+    // registry; `--metrics` attaches the registry alone (no sink). Both
+    // are shared with the run via `Rc`.
     let mut observers = RunObservers::default();
     let mut trace_sink: Option<Rc<JsonlSink>> = None;
     let mut run_metrics: Option<Rc<Metrics>> = None;
@@ -1202,15 +1199,6 @@ fn main() -> ExitCode {
         result.bootstrap_calls,
         result.algo_calls
     );
-    if let Some(m) = &run_metrics {
-        let bidi = m.counter(MetricName::SplubBidiEarlyExit);
-        let full = m.counter(MetricName::SplubFullFallback);
-        // Zero across the board means the cascade never ran (non-SPLUB
-        // plug, or disabled under `--trace` for byte-identity) — omit.
-        if bidi + full > 0 {
-            println!("cascade      : {bidi} bidi early-exit, {full} full fallback");
-        }
-    }
     if wants_oracle_config {
         let f = result.fault_stats;
         println!(

@@ -4,9 +4,7 @@ use std::rc::Rc;
 
 use prox_core::invariant;
 use prox_core::invariant::{expect_ok, expect_some};
-use prox_core::{
-    Degradation, Metric, Oracle, OracleError, Pair, PruneStats, QueryGoal, SpecBounds,
-};
+use prox_core::{Degradation, Metric, Oracle, OracleError, Pair, PruneStats, SpecBounds};
 use prox_obs::{
     quantize_width, CorruptionAction, MetricName, Metrics, ProbeKind, ProbeVerdict,
     ProvenanceLedger, TraceEvent, TraceSink,
@@ -15,7 +13,6 @@ use prox_obs::{
 use crate::audit::{AuditPolicy, AuditState, CorruptionStats, VOTE_CAP};
 use crate::cascade::WeakStats;
 use crate::memo::BoundMemo;
-use crate::scheme::GoalBounds;
 use crate::{BoundScheme, NoScheme};
 
 /// Rounding margin applied to every bound-based decision.
@@ -28,18 +25,6 @@ use crate::{BoundScheme, NoScheme};
 /// ulp-level noise; near-ties simply fall through and are compared exactly.
 /// Distances are normalized to `[0, 1]`, so an absolute margin suffices.
 pub const DECISION_EPS: f64 = 1e-12;
-
-/// Guard band for cascade-tier (goal-aware) decisions — see DESIGN.md §13.
-///
-/// The cascade's bidirectional tier estimates bounds from *split* float
-/// sums (`df(u) + db(u)`) that can round a few ulps past the exact tier's
-/// left-folded path sums. It may therefore claim a comparison against `v`
-/// decided only when its estimate clears `v` by this margin: since `CASCADE_EPS` minus the worst-case rounding slack still
-/// exceeds [`DECISION_EPS`], a cascade-decisive verdict is always the
-/// verdict the exact sandwich would give (for both `<` and `≤` probes).
-/// Near-threshold queries fall through to the exact tier, so the margin
-/// costs tightness, never correctness.
-pub const CASCADE_EPS: f64 = 1e-9;
 
 /// Decides `d < v` (or `d ≤ v` when `leq`) from a sandwich `lb ≤ d ≤ ub`:
 /// `Some(verdict)` when the bounds clear `v` by [`DECISION_EPS`], `None`
@@ -63,17 +48,6 @@ fn try_decide_value(lb: f64, ub: f64, v: f64, leq: bool) -> Option<bool> {
     } else {
         None
     }
-}
-
-/// The provenance row a threshold probe's decision is attributed to.
-#[derive(Copy, Clone, PartialEq, Eq)]
-enum ValueTier {
-    /// The cascade is off: counted in the `direct` row by subtraction.
-    Direct,
-    /// The cascade's bounded bidirectional search certified the verdict.
-    Bidi,
-    /// The cascade fell back to the exact sandwich (memo or full tier).
-    Full,
 }
 
 /// What a proximity algorithm is written against.
@@ -469,11 +443,6 @@ pub struct BoundResolver<'o, M: Metric, S: BoundScheme> {
     /// billed in `stats.resolved` but attributed to the `weak_quorum`
     /// provenance row, never `strong_call`.
     weak_preloads: u64,
-    /// Goal-aware cascade decisions by tier, for provenance attribution.
-    /// Every other bound decision lands in the `direct` tier by
-    /// subtraction (`decided_by_bounds − Σ tiers`).
-    dec_bidi: u64,
-    dec_full: u64,
 }
 
 impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
@@ -496,8 +465,6 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
             cache_on,
             audit: None,
             weak_preloads: 0,
-            dec_bidi: 0,
-            dec_full: 0,
         }
     }
 
@@ -741,75 +708,12 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
             .put(x, lb, ub, stamp);
     }
 
-    /// True when threshold probes may route through the scheme's goal-aware
-    /// cascade ([`BoundScheme::bounds_for_goal`]). Traced runs bypass it:
-    /// cascade tiers report *relaxed* (still sound, same-verdict) sandwich
-    /// payloads, and committed traces pin the exact tier's `BoundProbe`
-    /// events byte-for-byte (I8). The cascade only ever changes where a
-    /// certified verdict comes from, never what it is.
-    #[inline]
-    fn cascade_on(&self) -> bool {
-        self.trace.is_none() && self.scheme.goal_aware()
-    }
-
-    /// The sandwich a threshold probe against `v` decides from, and the
-    /// row its decision is attributed to. With the cascade off this is the
-    /// memoized exact sandwich. With it on, a fresh memo entry *is* the
-    /// exact sandwich and outranks every cascade tier, keeping memo
-    /// accounting identical to the exact path; otherwise the scheme's
-    /// goal-aware query answers, and only an exact answer is memoized.
-    fn value_bounds(&mut self, x: Pair, v: f64) -> (f64, f64, ValueTier) {
-        if !self.cascade_on() {
-            let (lb, ub) = self.cached_bounds(x);
-            return (lb, ub, ValueTier::Direct);
-        }
-        let (lb, ub, tier) = match self.memo_get(x) {
-            Some((lb, ub)) => (lb, ub, ValueTier::Full),
-            None => match self.scheme.bounds_for_goal(x, QueryGoal::threshold(v)) {
-                GoalBounds::Exact { lb, ub } => {
-                    self.memo_put(x, lb, ub);
-                    (lb, ub, ValueTier::Full)
-                }
-                GoalBounds::Decisive { lb, ub } => (lb, ub, ValueTier::Bidi),
-            },
-        };
-        if let Some(m) = &self.metrics {
-            m.inc(
-                match tier {
-                    ValueTier::Bidi => MetricName::SplubBidiEarlyExit,
-                    _ => MetricName::SplubFullFallback,
-                },
-                1,
-            );
-        }
-        (lb, ub, tier)
-    }
-
     /// The threshold probe behind `try_less_value` (`d < v`) and
-    /// `try_leq_value` (`d ≤ v`, when `leq`). Cascade and exact sources
-    /// give the identical verdict: exact sandwiches run the same decision
-    /// function, and decisive ones are certified by the scheme to agree
-    /// (checked here in debug builds against a fresh exact sandwich).
+    /// `try_leq_value` (`d ≤ v`, when `leq`), decided from the memoized
+    /// exact sandwich whether or not the run is traced (DESIGN.md §13).
     fn try_value(&mut self, x: Pair, v: f64, leq: bool) -> Option<bool> {
-        let (lb, ub, tier) = self.value_bounds(x, v);
+        let (lb, ub) = self.cached_bounds(x);
         let out = try_decide_value(lb, ub, v, leq);
-        #[cfg(debug_assertions)]
-        if tier == ValueTier::Bidi {
-            debug_assert!(out.is_some(), "Decisive cascade result failed to decide");
-            let (le, ue) = self.scheme.bounds(x);
-            debug_assert_eq!(
-                out,
-                try_decide_value(le, ue, v, leq),
-                "cascade verdict diverged from the exact tier for {x:?} at v={v}"
-            );
-        }
-        if out.is_some() {
-            match tier {
-                ValueTier::Direct => {}
-                ValueTier::Bidi => self.dec_bidi += 1,
-                ValueTier::Full => self.dec_full += 1,
-            }
-        }
         if self.observing() {
             let kind = if leq {
                 ProbeKind::LeqValue
@@ -972,18 +876,11 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
         l.weak_quorum = self.weak_preloads;
         l.strong_call = self.stats.resolved.saturating_sub(self.weak_preloads);
         l.checkpoint_preload = self.stats.preloaded;
-        let scheme = self.scheme.name();
-        for (tier, count) in [("bidi", self.dec_bidi), ("full", self.dec_full)] {
-            if count > 0 {
-                l.add(Src::BoundDecisive { scheme, tier }, count);
-            }
-        }
-        let cascade = self.dec_bidi + self.dec_full;
-        let direct = self.stats.decided_by_bounds.saturating_sub(cascade);
+        let direct = self.stats.decided_by_bounds;
         if direct > 0 {
             l.add(
                 Src::BoundDecisive {
-                    scheme,
+                    scheme: self.scheme.name(),
                     tier: "direct",
                 },
                 direct,

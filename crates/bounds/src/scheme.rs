@@ -5,40 +5,22 @@ use std::collections::BTreeMap;
 pub use prox_core::QueryGoal;
 use prox_core::{Pair, SpecBounds};
 
-/// Result of a goal-aware bound query.
+/// Result of a goal-aware bound query: the exact sandwich, as
+/// [`BoundScheme::bounds`] would return it.
 ///
-/// `Exact` is the full sandwich, safe to cache and to serve for any later
-/// comparison. `Decisive` is a *relaxed* sandwich that nevertheless
-/// decides the comparison in [`QueryGoal::decisive_at`] with the same
-/// verdict the exact sandwich would give — valid only for that one
-/// comparison and never cacheable as exact bounds.
+/// No resolver reads it (DESIGN.md §13). It stays, with
+/// [`BoundScheme::goal_aware`] and [`BoundScheme::bounds_for_goal`], only
+/// because the benchmark's forwarding wrappers forward and pin that trait
+/// surface; all three go with those wrappers (ROADMAP items 1 and 8).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum GoalBounds {
-    /// A relaxed sandwich that decides the goal comparison, certified by
-    /// the bounded bidirectional search.
-    Decisive {
-        /// Relaxed lower bound (`lb ≤ exact lb`).
-        lb: f64,
-        /// Relaxed upper bound (`ub ≥ exact ub`).
-        ub: f64,
-    },
-    /// The exact sandwich, as [`BoundScheme::bounds`] would return.
+    /// The exact sandwich.
     Exact {
         /// Exact lower bound.
         lb: f64,
         /// Exact upper bound.
         ub: f64,
     },
-}
-
-impl GoalBounds {
-    /// The `(lb, ub)` payload regardless of variant.
-    #[inline]
-    pub fn bounds(self) -> (f64, f64) {
-        match self {
-            GoalBounds::Decisive { lb, ub } | GoalBounds::Exact { lb, ub } => (lb, ub),
-        }
-    }
 }
 
 /// A data structure that answers the paper's two problems:
@@ -164,31 +146,16 @@ pub trait BoundScheme {
         false
     }
 
-    /// True when [`BoundScheme::bounds_for_goal`] can do better than the
-    /// exact sandwich for threshold probes. Lets the resolver skip goal
-    /// construction entirely for the (majority of) schemes whose queries
-    /// are already cheap.
+    /// Read by no resolver: every threshold probe decides from the
+    /// exact sandwich (DESIGN.md §13). Kept for the benchmark's forwarding
+    /// wrappers, which pin SPLUB's `true` (see [`GoalBounds`]).
     fn goal_aware(&self) -> bool {
         false
     }
 
-    /// Goal-aware bound query (the SPLUB cascade's entry point).
-    ///
-    /// # Contract
-    ///
-    /// When this returns [`GoalBounds::Decisive`] for a goal with
-    /// `decisive_at = Some(v)`, deciding the comparison from the relaxed
-    /// sandwich **must** yield the same verdict as deciding it from the
-    /// exact `bounds(p)` — for both the strict (`d < v`) and non-strict
-    /// (`d ≤ v`) probe, under the resolver's `DECISION_EPS` margins. The
-    /// relaxation satisfies `lb ≤ exact_lb` and `ub ≥ exact_ub` up to
-    /// float rounding, and decisive verdicts are only claimed outside a
-    /// `CASCADE_EPS` guard band that absorbs that rounding (DESIGN.md
-    /// §13 has the argument). Decisive results must never be cached or
-    /// served as exact bounds.
-    ///
-    /// The default computes the exact sandwich, which trivially satisfies
-    /// the contract.
+    /// The exact sandwich wrapped as [`GoalBounds::Exact`], whatever the
+    /// goal. Called by no resolver; kept for the benchmark's forwarding
+    /// wrappers (see [`GoalBounds`]).
     fn bounds_for_goal(&mut self, p: Pair, goal: QueryGoal) -> GoalBounds {
         let _ = goal;
         let (lb, ub) = self.bounds(p);

@@ -1,5 +1,5 @@
-//! SPLUB — Shortest-Path based Lower and Upper Bounds (§4.1, Algorithm 1),
-//! served through a two-tier query cascade (DESIGN.md §13).
+//! SPLUB — Shortest-Path based Lower and Upper Bounds (§4.1, Algorithm 1):
+//! every query answers with the exact tightest sandwich (DESIGN.md §13).
 
 use std::collections::BTreeMap;
 
@@ -7,8 +7,6 @@ use prox_core::invariant::InvariantExt;
 use prox_core::{ObjectId, Pair};
 use prox_graph::{Dijkstra, DistMap, PartialGraph};
 
-use crate::resolver::CASCADE_EPS;
-use crate::scheme::{GoalBounds, QueryGoal};
 use crate::BoundScheme;
 
 /// `(source, generation, edge count)` of the shortest-path tree a Dijkstra
@@ -48,18 +46,16 @@ struct TreeTag {
 /// ADM baseline maintains — a property the cross-scheme test-suite checks on
 /// random instances.
 ///
-/// # The query cascade
+/// # The query path
 ///
-/// The exact tier is expensive, so queries route through cheaper tiers
-/// first (each may only *shortcut* the exact answer, never change it):
+/// Every query takes one exact path; only repeats are cheaper:
 ///
 /// 1. **Per-generation memo** — the exact `(lb, ub)` for a pair is a pure
-///    function of the graph state, so repeat queries at an unchanged
-///    generation are a map lookup.
-/// 2. **Bounded bidirectional Dijkstra** (goal-aware queries only) — a
-///    meeting-point search with cutoff `v −` [`CASCADE_EPS`] certifies
-///    `d < v` from a real path long before either full tree settles.
-/// 3. **Exact tier** — two SSSP trees (incrementally repaired across pure
+///    function of the graph state, so a repeat query at an unchanged
+///    generation is a map lookup. The resolver's own memo serves most
+///    repeats first; this one catches the pairs whose resolver slot was
+///    taken by another pair (above n = 362, DESIGN.md §8).
+/// 2. **Exact tier** — two SSSP trees (incrementally repaired across pure
 ///    growth) plus the wrap fold over the known edges in weight order.
 pub struct Splub {
     graph: PartialGraph,
@@ -79,10 +75,6 @@ pub struct Splub {
     /// Exact `(lb, ub)` per pair key, valid only at `memo_gen`.
     memo: BTreeMap<u64, (f64, f64)>,
     memo_gen: u64,
-    /// Scratches for the bidirectional tier, separate from the exact
-    /// tier's cached trees so an early-exited search never clobbers them.
-    dij_bi_a: Dijkstra,
-    dij_bi_b: Dijkstra,
 }
 
 impl Splub {
@@ -100,8 +92,6 @@ impl Splub {
             last_retract_gen: 0,
             memo: BTreeMap::new(),
             memo_gen: 0,
-            dij_bi_a: Dijkstra::new(n),
-            dij_bi_b: Dijkstra::new(n),
         }
     }
 
@@ -288,55 +278,19 @@ impl BoundScheme for Splub {
         true
     }
 
+    /// Read by no resolver: threshold probes decide from the exact
+    /// sandwich like every other probe. Kept `true` only because the
+    /// benchmark's forwarding wrapper pins it (see
+    /// [`crate::GoalBounds`]).
     fn goal_aware(&self) -> bool {
         true
-    }
-
-    fn bounds_for_goal(&mut self, p: Pair, goal: QueryGoal) -> GoalBounds {
-        let Some(v) = goal.decisive_at else {
-            let (lb, ub) = self.bounds(p);
-            return GoalBounds::Exact { lb, ub };
-        };
-        if let Some(d) = self.graph.get(p) {
-            return GoalBounds::Exact { lb: d, ub: d };
-        }
-        // Memoized exact sandwich beats every tier.
-        if self.memo_gen == self.graph.generation() {
-            if let Some(&(lb, ub)) = self.memo.get(&p.key()) {
-                return GoalBounds::Exact { lb, ub };
-            }
-        }
-        let (a, b) = p.ends();
-
-        // Bounded bidirectional search. Only the *true* side is reachable
-        // this way — a meeting point under the cutoff is a real path
-        // certifying d < v; absence of one certifies nothing.
-        let cutoff = v - CASCADE_EPS;
-        if cutoff > 0.0 {
-            if let Some(mu) = Dijkstra::run_bidirectional_bounded(
-                &mut self.dij_bi_a,
-                &mut self.dij_bi_b,
-                &self.graph,
-                a,
-                b,
-                cutoff,
-            ) {
-                return GoalBounds::Decisive {
-                    lb: 0.0,
-                    ub: self.max_distance.min(mu),
-                };
-            }
-        }
-
-        // Otherwise the exact sandwich (memoized inside `bounds`).
-        let (lb, ub) = self.bounds(p);
-        GoalBounds::Exact { lb, ub }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::{GoalBounds, QueryGoal};
     use prox_core::TinyRng;
 
     fn p(a: u32, b: u32) -> Pair {
@@ -426,10 +380,10 @@ mod tests {
         assert!((lb - 0.4).abs() < 1e-12, "|0.5-0.1| via wrap, got {lb}");
     }
 
-    // ---- cascade / incremental-maintenance tests ------------------------
+    // ---- incremental-maintenance tests ----------------------------------
 
     /// Random points in the unit square, scaled so distances fit `[0, 1]`
-    /// (the cascade's relaxations, like I1, need genuinely metric weights).
+    /// (I1 needs genuinely metric weights).
     fn coords(n: usize, seed: u64) -> Vec<(f64, f64)> {
         let mut rng = TinyRng::new(seed);
         (0..n).map(|_| (rng.unit_f64(), rng.unit_f64())).collect()
@@ -597,112 +551,10 @@ mod tests {
         let mut s = Splub::new(4, 1.0);
         s.record(p(0, 1), 0.2);
         s.record(p(1, 2), 0.3);
-        let exact = s.bounds(p(0, 2));
-        match s.bounds_for_goal(p(0, 2), QueryGoal::exact()) {
-            GoalBounds::Exact { lb, ub } => assert_eq!((lb, ub), exact),
-            other => panic!("expected exact, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cascade_verdicts_match_exact_tier() {
-        // For every pair and a sweep of thresholds: whenever the cascade
-        // claims Decisive, deciding the comparison from its relaxed
-        // sandwich must agree with the exact sandwich for both the strict
-        // and non-strict probe under DECISION_EPS margins — and the
-        // relaxation must actually relax.
-        use crate::resolver::DECISION_EPS;
-        for seed in 0..4u64 {
-            let n = 20;
-            let mut s = Splub::new(n, 1.0);
-            for (e, w) in schedule(n, 50, 0xCA5 + seed) {
-                s.record(e, w);
-            }
-            for q in Pair::all(n) {
-                if s.known(q).is_some() {
-                    continue;
-                }
-                let (le, ue) = {
-                    let mut fresh = Splub::new(n, 1.0);
-                    for &(e, w) in s.graph().edges() {
-                        fresh.record(e, w);
-                    }
-                    fresh.bounds(q)
-                };
-                for v in [0.05, 0.15, 0.3, 0.5, 0.7, 0.9, ue, le] {
-                    if let GoalBounds::Decisive { lb, ub } =
-                        s.bounds_for_goal(q, QueryGoal::threshold(v))
-                    {
-                        assert!(lb <= le + 1e-12 && ub >= ue - 1e-12, "not a relaxation");
-                        // try_less_value verdicts.
-                        let relaxed = if ub < v - DECISION_EPS {
-                            Some(true)
-                        } else if lb >= v + DECISION_EPS {
-                            Some(false)
-                        } else {
-                            None
-                        };
-                        let exact = if ue < v - DECISION_EPS {
-                            Some(true)
-                        } else if le >= v + DECISION_EPS {
-                            Some(false)
-                        } else {
-                            None
-                        };
-                        assert!(relaxed.is_some(), "Decisive must decide {q:?} v={v}");
-                        assert_eq!(relaxed, exact, "seed {seed} {q:?} v={v}");
-                        // try_leq_value verdicts (false side is strict >).
-                        let relaxed_leq = if ub <= v - DECISION_EPS {
-                            Some(true)
-                        } else if lb > v + DECISION_EPS {
-                            Some(false)
-                        } else {
-                            None
-                        };
-                        let exact_leq = if ue <= v - DECISION_EPS {
-                            Some(true)
-                        } else if le > v + DECISION_EPS {
-                            Some(false)
-                        } else {
-                            None
-                        };
-                        assert_eq!(relaxed_leq, exact_leq, "seed {seed} {q:?} v={v} (leq)");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cascade_survives_retraction() {
-        let n = 16;
-        let mut s = Splub::new(n, 1.0);
-        let sched = schedule(n, 40, 0xDEAD);
-        for &(e, w) in &sched {
-            s.record(e, w);
-        }
-        // Warm the cascade, then poison and retract an edge.
-        let _ = s.bounds_for_goal(p(0, 1), QueryGoal::threshold(0.5));
-        let victim = sched[10].0;
-        assert!(s.retract(victim));
-        s.record(victim, sched[10].1);
-        // Verdicts after the retract+re-record cycle still match a fresh
-        // instance's exact sandwich.
-        let mut fresh = Splub::new(n, 1.0);
-        for &(e, w) in s.graph().edges() {
-            fresh.record(e, w);
-        }
-        for q in Pair::all(n).step_by(7) {
-            if s.known(q).is_some() {
-                continue;
-            }
-            let (le, ue) = fresh.bounds(q);
-            let got = s.bounds_for_goal(q, QueryGoal::threshold(0.4));
-            let (lb, ub) = got.bounds();
-            assert!(
-                lb <= le + 1e-12 && ub >= ue - 1e-12,
-                "{q:?}: unsound after retract"
-            );
-        }
+        let (lb, ub) = s.bounds(p(0, 2));
+        assert_eq!(
+            s.bounds_for_goal(p(0, 2), QueryGoal::exact()),
+            GoalBounds::Exact { lb, ub }
+        );
     }
 }

@@ -1,21 +1,19 @@
 //! Query goals, and the read-only scheme view [`SpecBounds`].
 //!
-//! No workspace code calls [`SpecBounds`]. It is kept only because the
-//! benchmark's forwarding wrappers (`prox-perf`'s `Timed*` types) forward
-//! `spec()` and pin that Tri still offers the view; it goes when those
-//! wrappers are deleted (ROADMAP item 8).
+//! No library code calls [`SpecBounds`] or builds a [`QueryGoal`]. Both
+//! are kept only because the benchmark's forwarding wrappers
+//! (`prox-perf`'s `Timed*` types) forward `spec()` and `bounds_for_goal`,
+//! and pin that Tri still offers the view; they go when those wrappers are
+//! deleted (ROADMAP item 8).
 
 use crate::Pair;
 
 /// What a bound query is *for*: the comparison threshold the caller is
 /// about to decide, if any.
 ///
-/// Threshold-aware schemes (SPLUB's cascade) use `decisive_at` to stop
-/// early — a bounded bidirectional search can certify "the bounds decide
-/// this comparison" long before the exact sandwich is computed. A goal
-/// never changes *what* verdict is reached, only how much work certifying
-/// it costs; callers that need the exact sandwich itself pass
-/// [`QueryGoal::exact`].
+/// No resolver builds one: every threshold probe decides from the exact
+/// sandwich. It stays as the argument of `BoundScheme::bounds_for_goal`
+/// (see the module doc).
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct QueryGoal {
     /// The value `v` the caller compares the distance against

@@ -1,34 +1,24 @@
 //! Single-source shortest paths with reusable, epoch-stamped scratch space,
 //! for SPLUB's bound queries (road-network ground truth is built by
-//! `prox-datasets`' own bucket sweep). Three kernels share one scratch
+//! `prox-datasets`' own bucket sweep). Two kernels share one scratch
 //! structure and walk each node's arcs as one slice:
 //!
-//! * [`Dijkstra::run`] — classic full SSSP, now `O(touched)` per call
-//!   instead of paying an `O(n)` dist reset (epoch stamps);
+//! * [`Dijkstra::run`] — classic full SSSP, `O(touched)` per call instead
+//!   of paying an `O(n)` dist reset (epoch stamps);
 //! * [`Dijkstra::repair`] — decrease-only incremental maintenance
 //!   (Ramalingam–Reps style) of the tree left by the previous `run` after
-//!   new edges were inserted;
-//! * [`Dijkstra::run_bidirectional_bounded`] — a threshold-aware
-//!   bidirectional search that stops the moment its meeting-point bound is
-//!   decisive for the comparison at hand.
+//!   new edges were inserted.
 //!
-//! Both queues are keyed by the integer `(label.to_bits(), node)`. Labels
-//! are sums of non-negative weights from `+0.0` (and `+0.0 + −0.0 =
-//! +0.0`), so none is negative, NaN or `−0.0`, and on such values the bit
-//! pattern read as an unsigned integer orders exactly like
-//! `f64::total_cmp`. Each queue pops the sequence a float-keyed one would,
-//! at the cost of one inlined integer compare
-//! (`integer_key_pops_the_total_cmp_sequence` pins it).
-//!
-//! `run` and `repair` drain an indexed 4-ary queue with decrease-key: a
-//! node holds one slot, so it is queued at most once and popped once, and
-//! a popped node's slot is cleared, which lets `repair` re-open exactly
-//! the settled nodes whose label drops. `run_bidirectional_bounded` keeps
-//! a lazy binary heap that pushes a duplicate per improved label: its stop
-//! test and frontier choice read the heap's top, stale entries included,
-//! and on an indexed queue it would stop at other points.
-
-use std::collections::BinaryHeap;
+//! Both drain an indexed 4-ary queue with decrease-key, keyed by the
+//! integer `(label.to_bits(), node)`. Labels are sums of non-negative
+//! weights from `+0.0` (and `+0.0 + −0.0 = +0.0`), so none is negative,
+//! NaN or `−0.0`, and on such values the bit pattern read as an unsigned
+//! integer orders exactly like `f64::total_cmp`. The queue pops the
+//! sequence a float-keyed one would, at the cost of one inlined integer
+//! compare (`integer_key_pops_the_total_cmp_sequence` pins it). A node
+//! holds one slot, so it is queued at most once and popped once, and a
+//! popped node's slot is cleared, which lets `repair` re-open exactly the
+//! settled nodes whose label drops.
 
 use prox_core::ObjectId;
 
@@ -54,53 +44,9 @@ impl Adjacency for PartialGraph {
     }
 }
 
-/// Max-heap entry ordered so the smallest tentative distance pops first,
-/// keyed by the label's bit pattern (the module docs say why that orders
-/// like `f64::total_cmp`). Only the bidirectional search's lazy heap uses
-/// it.
-#[derive(Copy, Clone, PartialEq, Eq)]
-struct Entry {
-    key: u64,
-    node: ObjectId,
-}
-
-impl Entry {
-    #[inline]
-    fn new(dist: f64, node: ObjectId) -> Self {
-        debug_assert!(
-            dist.is_sign_positive() && !dist.is_nan(),
-            "Dijkstra label {dist} is negative, -0.0 or NaN"
-        );
-        Entry {
-            key: dist.to_bits(),
-            node,
-        }
-    }
-
-    #[inline]
-    fn dist(self) -> f64 {
-        f64::from_bits(self.key)
-    }
-}
-
-impl Ord for Entry {
-    #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse on distance for a min-heap; break ties by node id so the
-        // visit order is fully deterministic.
-        (other.key, other.node).cmp(&(self.key, self.node))
-    }
-}
-
-impl PartialOrd for Entry {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A [`Queue`] key: the derived order is `(label bits, node)`, as
-/// [`Entry`]'s, but ascending.
+/// A [`Queue`] key, ordered by `(label bits, node)`: the module docs say
+/// why the bits order like `f64::total_cmp`, and the node breaks ties so
+/// the visit order is fully deterministic.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     bits: u64,
@@ -263,17 +209,14 @@ impl DistMap<'_> {
 /// SPLUB runs SSSP computations per bound query (`O(m log n)` each: every
 /// relaxation that lowers a label costs one `O(log n)` sift in the 4-ary
 /// queue; the paper's `O(m + n log n)` assumes a Fibonacci heap's `O(1)`
-/// decrease-key); reusing the distance array and queues across queries
+/// decrease-key); reusing the distance array and queue across queries
 /// keeps them allocation-free after warm-up, and the epoch stamp makes the
 /// per-run reset `O(1)` instead of `O(n)` (`dijkstra_reset/*` bench cells).
 pub struct Dijkstra {
     dist: Vec<f64>,
     stamp: Vec<u32>,
     epoch: u32,
-    /// `run` and `repair`'s indexed queue.
     queue: Queue,
-    /// `run_bidirectional_bounded`'s lazy heap.
-    heap: BinaryHeap<Entry>,
 }
 
 impl Dijkstra {
@@ -286,7 +229,6 @@ impl Dijkstra {
             stamp: vec![0; n],
             epoch: 0,
             queue: Queue::new(n),
-            heap: BinaryHeap::with_capacity(64),
         }
     }
 
@@ -300,7 +242,6 @@ impl Dijkstra {
             self.epoch = 1;
         }
         self.queue.clear();
-        self.heap.clear();
     }
 
     /// Panics unless the scratch holds every node of `graph`.
@@ -353,7 +294,6 @@ impl Dijkstra {
             stamp,
             epoch,
             queue,
-            ..
         } = self;
         let epoch = *epoch;
         while let Some((d, v)) = queue.pop() {
@@ -431,96 +371,18 @@ impl Dijkstra {
         // Drain: propagate the decreases over the full (grown) adjacency.
         self.drain(graph, settled);
     }
-
-    /// Bidirectional Dijkstra from `a` and `b` that gives up the moment it
-    /// can no longer find a connecting path shorter than `cutoff`.
-    ///
-    /// Returns `Some(μ)` — the weight of a *real* `a`–`b` path (so a sound
-    /// upper bound on the shortest-path distance) — only when `μ < cutoff`;
-    /// `None` means "no path shorter than the cutoff was certified" and the
-    /// caller must fall back to an exact computation. The two searches use
-    /// separate scratches (`fwd` from `a`, `bwd` from `b`) so a caller's
-    /// cached full trees are never clobbered.
-    ///
-    /// Termination: once `top(fwd) + top(bwd) ≥ min(μ, cutoff)` no
-    /// undiscovered meeting can beat what we already have (weights are
-    /// non-negative), so the loop stops — usually long before either
-    /// search settles the whole component.
-    pub fn run_bidirectional_bounded<G: Adjacency + ?Sized>(
-        fwd: &mut Dijkstra,
-        bwd: &mut Dijkstra,
-        graph: &G,
-        a: ObjectId,
-        b: ObjectId,
-        cutoff: f64,
-    ) -> Option<f64> {
-        let n = graph.n();
-        assert!(n <= fwd.dist.len() && n <= bwd.dist.len());
-        fwd.begin_epoch();
-        bwd.begin_epoch();
-        fwd.dist[a as usize] = 0.0;
-        fwd.stamp[a as usize] = fwd.epoch;
-        fwd.heap.push(Entry::new(0.0, a));
-        bwd.dist[b as usize] = 0.0;
-        bwd.stamp[b as usize] = bwd.epoch;
-        bwd.heap.push(Entry::new(0.0, b));
-
-        let mut mu = f64::INFINITY;
-        // One frontier exhausting means no better meeting exists.
-        while let (Some(tf), Some(tb)) = (
-            fwd.heap.peek().map(|e| e.dist()),
-            bwd.heap.peek().map(|e| e.dist()),
-        ) {
-            if tf + tb >= mu.min(cutoff) {
-                break;
-            }
-            // Expand the cheaper frontier (ties to the forward side).
-            let (this, other) = if tf <= tb {
-                (&mut *fwd, &mut *bwd)
-            } else {
-                (&mut *bwd, &mut *fwd)
-            };
-            let Some(e) = this.heap.pop() else {
-                break;
-            };
-            let (d, v) = (e.dist(), e.node);
-            if d > this.dist[v as usize] {
-                continue; // stale
-            }
-            let Dijkstra {
-                dist,
-                stamp,
-                epoch,
-                heap,
-                ..
-            } = this;
-            let epoch = *epoch;
-            let other_view = other.view();
-            for &(u, w) in graph.neighbors(v) {
-                let nd = d + w;
-                if nd < Self::label(dist, stamp, epoch, u) {
-                    dist[u as usize] = nd;
-                    stamp[u as usize] = epoch;
-                    heap.push(Entry::new(nd, u));
-                    let od = other_view.get(u);
-                    if od.is_finite() && nd + od < mu {
-                        mu = nd + od;
-                    }
-                }
-            }
-        }
-        (mu < cutoff).then_some(mu)
-    }
 }
 
 #[cfg(test)]
 #[expect(
     clippy::disallowed_methods,
-    reason = "L13: the full sweep is the reference the bounded and incremental searches are checked against"
+    reason = "L13: the full sweep is the reference the incremental repair is checked against"
 )]
 mod tests {
     use super::*;
     use prox_core::Pair;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn path_graph(n: usize) -> PartialGraph {
         // 0 -1.0- 1 -1.0- 2 ...
@@ -605,7 +467,7 @@ mod tests {
         assert_eq!(before, again);
     }
 
-    /// Deterministic pseudo-random edge set for repair/bidi comparisons.
+    /// Deterministic pseudo-random edge set for repair comparisons.
     fn web(n: usize, m: usize, seed: u64) -> Vec<(Pair, f64)> {
         let mut rng = prox_core::TinyRng::new(seed);
         let mut edges = Vec::new();
@@ -662,78 +524,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bidirectional_bound_is_sound_and_tight_enough() {
-        let n = 24;
-        for seed in 0..16u64 {
-            let edges = web(n, 70, 0xB1D1 + seed);
-            let mut g = PartialGraph::new(n);
-            for &(p, w) in &edges {
-                g.insert(p, w);
-            }
-            let mut full = Dijkstra::new(n);
-            let mut fa = Dijkstra::new(n);
-            let mut fb = Dijkstra::new(n);
-            for q in Pair::all(n) {
-                let sp = {
-                    let d = full.run(&g, q.lo());
-                    d.get(q.hi())
-                };
-                for cutoff in [0.1, 0.5, 1.0, 2.0, f64::INFINITY] {
-                    let got = Dijkstra::run_bidirectional_bounded(
-                        &mut fa,
-                        &mut fb,
-                        &g,
-                        q.lo(),
-                        q.hi(),
-                        cutoff,
-                    );
-                    match got {
-                        Some(mu) => {
-                            assert!(mu < cutoff);
-                            // μ is a real path, so it can never undercut the
-                            // true shortest path by more than float noise.
-                            assert!(mu >= sp - 1e-12, "seed {seed} {q:?}: μ {mu} < sp {sp}");
-                            // With an open cutoff the meeting search finds
-                            // the true shortest path (tight, not just sound).
-                            if cutoff.is_infinite() {
-                                assert!(
-                                    (mu - sp).abs() < 1e-9,
-                                    "seed {seed} {q:?}: μ {mu} vs sp {sp}"
-                                );
-                            }
-                        }
-                        None => {
-                            // Giving up is only allowed when no path beats
-                            // the cutoff (modulo the margin the caller adds).
-                            assert!(
-                                sp >= cutoff || (cutoff - sp) < 1e-9,
-                                "seed {seed} {q:?}: sp {sp} beats cutoff {cutoff} but bidi gave up"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bidirectional_handles_disconnected_pairs() {
-        let mut g = PartialGraph::new(6);
-        g.insert(Pair::new(0, 1), 0.4);
-        g.insert(Pair::new(2, 3), 0.3);
-        let mut fa = Dijkstra::new(6);
-        let mut fb = Dijkstra::new(6);
-        assert_eq!(
-            Dijkstra::run_bidirectional_bounded(&mut fa, &mut fb, &g, 0, 3, f64::INFINITY),
-            None
-        );
-        assert_eq!(
-            Dijkstra::run_bidirectional_bounded(&mut fa, &mut fb, &g, 0, 1, 1.0),
-            Some(0.4)
-        );
     }
 
     /// The float-keyed heap entry the integer key replaced, ordered by
@@ -824,44 +614,6 @@ mod tests {
         ref_drain(g, dist, &mut heap)
     }
 
-    fn ref_bidi(g: &PartialGraph, a: ObjectId, b: ObjectId, cutoff: f64) -> Option<f64> {
-        let mut dist = [vec![f64::INFINITY; g.n()], vec![f64::INFINITY; g.n()]];
-        dist[0][a as usize] = 0.0;
-        dist[1][b as usize] = 0.0;
-        let mut heap = [
-            BinaryHeap::from([FloatEntry { dist: 0.0, node: a }]),
-            BinaryHeap::from([FloatEntry { dist: 0.0, node: b }]),
-        ];
-        let mut mu = f64::INFINITY;
-        while let (Some(tf), Some(tb)) = (
-            heap[0].peek().map(|e| e.dist),
-            heap[1].peek().map(|e| e.dist),
-        ) {
-            if tf + tb >= mu.min(cutoff) {
-                break;
-            }
-            let side = usize::from(tf > tb);
-            let Some(FloatEntry { dist: d, node: v }) = heap[side].pop() else {
-                break;
-            };
-            if d > dist[side][v as usize] {
-                continue;
-            }
-            for &(u, w) in g.neighbors(v) {
-                let nd = d + w;
-                if nd < dist[side][u as usize] {
-                    dist[side][u as usize] = nd;
-                    heap[side].push(FloatEntry { dist: nd, node: u });
-                    let od = dist[1 - side][u as usize];
-                    if od.is_finite() && nd + od < mu {
-                        mu = nd + od;
-                    }
-                }
-            }
-        }
-        (mu < cutoff).then_some(mu)
-    }
-
     /// Seeded edges over nodes `0..reach` (any beyond stay unreachable),
     /// with weights drawn from a few values including `0.0` and `−0.0`, so
     /// equal labels and zero-length paths are common.
@@ -882,6 +634,14 @@ mod tests {
     fn integer_key_pops_the_total_cmp_sequence() {
         // Labels as Dijkstra makes them: sums of non-negative weights from
         // +0.0, with many duplicates and every node pushed several times.
+        // The queue's `Key` order, through a plain min-heap, must pop what
+        // the float-keyed reference pops.
+        let key = |label: f64, node| {
+            Reverse(Key {
+                bits: label.to_bits(),
+                node,
+            })
+        };
         let mut rng = prox_core::TinyRng::new(0x4EA9);
         let (mut ints, mut floats) = (BinaryHeap::new(), BinaryHeap::new());
         let mut label = 0.0f64;
@@ -891,17 +651,17 @@ mod tests {
             }
             label += [0.0, -0.0, 0.1, 0.25, 1e-300, 3.0][rng.below(6)];
             let node = rng.below(40) as ObjectId;
-            ints.push(Entry::new(label, node));
+            ints.push(key(label, node));
             floats.push(FloatEntry { dist: label, node });
         }
-        ints.push(Entry::new(f64::INFINITY, 3));
+        ints.push(key(f64::INFINITY, 3));
         floats.push(FloatEntry {
             dist: f64::INFINITY,
             node: 3,
         });
         while let Some(f) = floats.pop() {
-            let e = ints.pop().expect("same length");
-            assert_eq!((e.dist().to_bits(), e.node), (f.dist.to_bits(), f.node));
+            let Reverse(k) = ints.pop().expect("same length");
+            assert_eq!((k.bits, k.node), (f.dist.to_bits(), f.node));
         }
         assert!(ints.is_empty());
     }
@@ -971,25 +731,6 @@ mod tests {
                 let tail_edges = tail.iter().map(|&(p, w)| (p.lo(), p.hi(), w));
                 let got = labels(dj.repair(&grown, tail_edges), n);
                 assert_eq!(bits(&got), bits(&want), "web {web} repair from {src}");
-            }
-            let (mut fa, mut fb) = (Dijkstra::new(n), Dijkstra::new(n));
-            for q in Pair::all(n).step_by(5) {
-                for cutoff in [0.125, 0.3, 0.5, f64::INFINITY] {
-                    let got = Dijkstra::run_bidirectional_bounded(
-                        &mut fa,
-                        &mut fb,
-                        &grown,
-                        q.lo(),
-                        q.hi(),
-                        cutoff,
-                    );
-                    let want = ref_bidi(&grown, q.lo(), q.hi(), cutoff);
-                    assert_eq!(
-                        got.map(f64::to_bits),
-                        want.map(f64::to_bits),
-                        "web {web} bidi {q:?} cutoff {cutoff}"
-                    );
-                }
             }
         }
         // The webs exercise decrease-key: every stale entry the lazy

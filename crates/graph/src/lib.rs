@@ -8,8 +8,8 @@
 //! * [`PartialGraph`] — the known-edge graph, with sorted adjacency lists so
 //!   Tri Scheme's triangle search is a linear merge (§4.2.1).
 //! * [`Dijkstra`] — single-source shortest paths over any [`Adjacency`],
-//!   with epoch-stamped reusable scratch, incremental decrease-only repair,
-//!   and a threshold-aware bounded bidirectional variant, for SPLUB (§4.1).
+//!   with epoch-stamped reusable scratch and incremental decrease-only
+//!   repair, for SPLUB (§4.1).
 //! * [`UnionFind`] — disjoint sets for Kruskal's algorithm.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

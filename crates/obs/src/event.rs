@@ -238,13 +238,13 @@ pub enum TraceEvent {
     /// One provenance-ledger row, emitted at end of run so offline reports
     /// can rebuild the ledger without the resolver. Value rows (e.g.
     /// `strong_call`) carry empty `scheme`/`tier`; `bound_decisive` rows
-    /// attribute the deciding scheme and cascade tier.
+    /// attribute the deciding scheme and its tier (always `direct`).
     Provenance {
         /// Row kind (a `ResolutionSource::kind()` label).
         kind: &'static str,
         /// Deciding scheme (`bound_decisive` rows only).
         scheme: &'static str,
-        /// Cascade tier (`bound_decisive` rows only).
+        /// Query-path tier (`bound_decisive` rows only).
         tier: &'static str,
         /// Occurrences attributed to this row.
         count: u64,

@@ -1,6 +1,6 @@
 //! Provenance ledger: where every resolved value came from (invariant I11).
 //!
-//! After the cascade work a resolved distance can come from six places —
+//! A resolved distance can come from six places —
 //! a strong oracle call, a weak-tier quorum, a bound-scheme decision, the
 //! resolver's own memo, a checkpoint/cache preload, or a degraded-mode
 //! midpoint — and the paper's whole economy is knowing which. Resolvers
@@ -13,9 +13,8 @@
 //! - `strong_call + weak_quorum == PruneStats::resolved`
 //! - `weak_quorum == WeakStats::resolutions`
 //! - `checkpoint_preload == PruneStats::preloaded`
-//! - `decisive_total() == PruneStats::decided_by_bounds` (traced runs,
-//!   where the goal-aware cascade is bypassed and every decision is
-//!   attributed to the `direct` tier)
+//! - `decisive_total() == PruneStats::decided_by_bounds` (every decision
+//!   is attributed to its scheme's `direct` tier, traced or not)
 //!
 //! The ledger is pure accounting: maintaining it never changes a verdict,
 //! a resolved value, or an emitted trace line.
@@ -31,12 +30,13 @@ pub enum ResolutionSource {
     /// A weak-tier quorum passed the sandwich check and was certified.
     WeakQuorum,
     /// A bound scheme decided the comparison without any value resolution.
-    /// `scheme` is the scheme's name; `tier` attributes goal-aware cascade
-    /// tiers (`"bidi"`, `"full"`) or `"direct"` for the exact path.
+    /// `scheme` is the scheme's name; `tier` names the query path that
+    /// decided it. Resolvers write only `"direct"`; the field keeps the
+    /// row format stable.
     BoundDecisive {
         /// Scheme that certified the decision.
         scheme: &'static str,
-        /// Cascade tier (`"bidi"` / `"full"` / `"direct"`).
+        /// Query-path tier (`"direct"`).
         tier: &'static str,
     },
     /// The value was already recorded; served from the scheme's memo.
@@ -218,7 +218,7 @@ mod tests {
         l.add(
             ResolutionSource::BoundDecisive {
                 scheme: "splub",
-                tier: "full",
+                tier: "direct",
             },
             4,
         );
@@ -240,19 +240,19 @@ mod tests {
         l.add(
             ResolutionSource::BoundDecisive {
                 scheme: "splub",
-                tier: "bidi",
+                tier: "direct",
             },
             7,
         );
         let rows = l.rows();
         assert_eq!(rows[0], ("strong_call", "", "", 1));
-        assert_eq!(rows[1], ("bound_decisive", "splub", "bidi", 7));
+        assert_eq!(rows[1], ("bound_decisive", "splub", "direct", 7));
         let dump = l.to_jsonl();
         assert!(dump.contains("{\"kind\":\"strong_call\",\"count\":1}"));
         assert!(dump.contains(
-            "{\"kind\":\"bound_decisive\",\"scheme\":\"splub\",\"tier\":\"bidi\",\"count\":7}"
+            "{\"kind\":\"bound_decisive\",\"scheme\":\"splub\",\"tier\":\"direct\",\"count\":7}"
         ));
-        assert!(l.render().contains("bound_decisive[splub/bidi]"));
+        assert!(l.render().contains("bound_decisive[splub/direct]"));
     }
 
     #[test]

@@ -190,7 +190,6 @@ mod tests {
     use super::*;
     use MetricName::{
         CascadeDegraded, OracleBackoffNs, OracleCalls, OracleFaults, OracleRetryDepth, ProbeWidth,
-        SplubFullFallback,
     };
 
     #[test]
@@ -234,14 +233,14 @@ mod tests {
     #[test]
     fn render_is_deterministic_and_ordered() {
         let m = Metrics::new();
-        m.inc(SplubFullFallback, 1);
-        m.inc(CascadeDegraded, 2);
         m.observe(ProbeWidth, 3);
+        m.inc(OracleCalls, 1);
+        m.inc(CascadeDegraded, 2);
         let r = m.render();
         let a = r.find("cascade.degraded").unwrap();
-        let mh = r.find("probe.width").unwrap();
-        let z = r.find("splub_full_fallback").unwrap();
-        assert!(a < mh && mh < z, "BTreeMap order: {r}");
+        let c = r.find("oracle.calls").unwrap();
+        let z = r.find("probe.width").unwrap();
+        assert!(a < c && c < z, "BTreeMap order: {r}");
         assert!(
             r.contains("n=1 p50<=3 p99<=3 [2^1]=1"),
             "histogram render: {r}"

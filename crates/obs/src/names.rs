@@ -28,8 +28,6 @@ vocabulary! {
         OracleRetries => "oracle.retries",
         OracleRetryDepth => "oracle.retry_depth",
         ProbeWidth => "probe.width",
-        SplubBidiEarlyExit => "splub_bidi_early_exit",
-        SplubFullFallback => "splub_full_fallback",
     }
 }
 
@@ -65,10 +63,7 @@ mod tests {
     fn lookups_work() {
         assert_eq!(MetricName::OracleCalls.as_str(), "oracle.calls");
         assert_eq!(MetricName::ProbeWidth.as_str(), "probe.width");
-        assert_eq!(
-            MetricName::SplubFullFallback.as_str(),
-            "splub_full_fallback"
-        );
+        assert_eq!(MetricName::CascadeDegraded.as_str(), "cascade.degraded");
         assert_eq!(SpanName::Bootstrap.as_str(), "bootstrap");
     }
 }

@@ -88,7 +88,7 @@ pub struct ProvenanceRow {
     pub kind: String,
     /// Scheme name (`bound_decisive` rows only; empty otherwise).
     pub scheme: String,
-    /// Cascade tier (`bound_decisive` rows only; empty otherwise).
+    /// Query-path tier (`bound_decisive` rows only; empty otherwise).
     pub tier: String,
     pub count: u64,
 }

@@ -1,9 +1,10 @@
 //! The CI bench-smoke regression gate (`cargo xtask bench-gate`).
 //!
-//! PR 7's cascade rebuild pins SPLUB's per-query latency: with the
-//! per-generation memo and the bounded cascade in place, the committed
-//! `bound_query/splub/256` median must sit within [`MAX_RATIO`] × of the
-//! `bound_query/tri/256` median. Before the cascade the gap was ~1200×
+//! The SPLUB rebuild (DESIGN.md §13) pins SPLUB's per-query latency:
+//! with the per-generation memo and incremental tree repair in place, the
+//! committed `bound_query/splub/256` median must sit within
+//! [`MAX_RATIO`] × of the `bound_query/tri/256` median. Before the
+//! rebuild the gap was ~1200×
 //! (8.7 ms vs 7.3 µs per 256-query sweep); the gate fails the bench-smoke
 //! job if SPLUB regresses back toward full-sweep-per-query behaviour.
 //!
@@ -202,7 +203,7 @@ const GATES: [(&str, &str, f64, &str); 6] = [
         SPLUB_CELL,
         TRI_CELL,
         MAX_RATIO,
-        "SPLUB query latency regressed past the cascade gate",
+        "SPLUB query latency regressed past its gate",
     ),
     (
         WEAK_DISABLED_CELL,

@@ -1367,8 +1367,9 @@ pub fn full(d: &mut Dijkstra, g: &PartialGraph) -> f64 {
     d.run(g, 0).get(1)
 }
 
-pub fn bounded(fwd: &mut Dijkstra, bwd: &mut Dijkstra, g: &PartialGraph) -> Option<f64> {
-    Dijkstra::run_bidirectional_bounded(fwd, bwd, g, 0, 1, 1.0)
+#[expect(clippy::disallowed_methods, reason = "L13: the exact tier")]
+pub fn exact(d: &mut Dijkstra, g: &PartialGraph) -> f64 {
+    d.run(g, 0).get(1)
 }
 "#;
 
@@ -1395,15 +1396,15 @@ fn ensure_tree(d: &mut Dijkstra, g: &PartialGraph) -> f64 {
 }
 
 #[expect(clippy::disallowed_methods, reason = "L13: no full sweep left here")]
-pub fn stale(fwd: &mut Dijkstra, bwd: &mut Dijkstra, g: &PartialGraph) -> Option<f64> {
-    Dijkstra::run_bidirectional_bounded(fwd, bwd, g, 0, 1, 1.0)
+pub fn stale(d: &mut Dijkstra, g: &PartialGraph) -> f64 {
+    d.repair(g, [(0, 1, 0.5)]).get(1)
 }
 "#;
 
     /// Type-resolved and crate-wide: the direct call is flagged wherever it
-    /// sits, its bounded twin never is.
+    /// sits, unless an audited `#[expect]` (SPLUB's exact tier) covers it.
     #[test]
-    fn l13_flags_a_full_dijkstra_run_and_accepts_the_bounded_twin() {
+    fn l13_flags_a_full_dijkstra_run_and_accepts_an_audited_expect() {
         assert_eq!(
             clippy("lib/src/l13_flag.rs"),
             at("disallowed_methods", &[4])
