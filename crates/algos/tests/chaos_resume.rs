@@ -11,7 +11,7 @@ use std::time::Duration;
 use prox_algos::{prim_mst, try_prim_mst};
 use prox_bounds::{BoundResolver, DistanceResolver, TriScheme};
 use prox_core::{
-    read_checkpoint_file, read_checkpoint_file_lenient, write_checkpoint_file, CallBudget,
+    load_checkpoint_lenient, read_checkpoint_file, write_checkpoint_file, CallBudget,
     FaultInjector, FnMetric, Metric, ObjectId, Oracle, OracleError, Pair, RetryPolicy, TinyRng,
 };
 use prox_datasets::testgen::random_points;
@@ -80,7 +80,8 @@ fn killed_run_with_bit_flipped_checkpoint_still_resumes_exactly() {
     // Strict read refuses the damaged file; lenient recovery salvages
     // every CRC-verified block before the flipped tail.
     read_checkpoint_file(&path).expect_err("strict read must refuse a flipped bit");
-    let rec = read_checkpoint_file_lenient(&path).expect("lenient recovery");
+    let bytes = std::fs::read(&path).expect("read back damaged");
+    let rec = load_checkpoint_lenient(&bytes[..]).expect("lenient recovery");
     assert!(rec.recovered, "damage must be reported, not hidden");
     assert!(rec.dropped_lines > 0, "the flipped tail must be dropped");
     assert_eq!(rec.checkpoint.manifest_value("algo"), Some("prim"));
@@ -182,7 +183,8 @@ fn damage_in_the_first_crc_block_salvages_nothing_and_cold_resume_stays_exact() 
     // with no verified rolling marker there is nothing it may trust, so
     // it refuses rather than inventing knowledge.
     read_checkpoint_file(&path).expect_err("strict read must refuse the flip");
-    let err = read_checkpoint_file_lenient(&path).expect_err("nothing is salvageable");
+    let bytes = std::fs::read(&path).expect("read back damaged");
+    let err = load_checkpoint_lenient(&bytes[..]).expect_err("nothing is salvageable");
     assert!(
         err.to_string().contains("no CRC-verifiable prefix"),
         "got {err}"

@@ -19,15 +19,18 @@
 //! Fault tolerance (DESIGN.md §9): `--faults RATE[:SEED]` injects
 //! deterministic transient faults, `--retry N[:BASE_MS]` retries them with
 //! exponential backoff charged as virtual time, `--budget CALLS` caps total
-//! billed oracle attempts, `--checkpoint FILE[:EVERY]` snapshots resolved
-//! distances every EVERY resolutions (and once at exit, clean or not), and
-//! `--resume FILE` preloads a previous run's checkpoint so only the missing
-//! pairs are re-paid:
+//! billed oracle attempts, and `--checkpoint DIR[:EVERY]` keeps a
+//! write-ahead log of resolved distances in DIR, appending every EVERY
+//! (default 256) new resolutions and once more at exit, clean or not.
+//! Opening the log is the resume: a rerun on the same DIR preloads every
+//! logged pair, so only the missing pairs are re-paid. The log is bound
+//! to `--dataset`, `--n` and `--seed`; a DIR recorded for another
+//! instance is refused:
 //!
 //! ```text
 //! prox-cli prim --dataset sf --n 300 --plug tri \
-//!     --faults 0.05 --retry 3 --budget 20000 --checkpoint run.ckpt
-//! prox-cli prim --dataset sf --n 300 --plug tri --resume run.ckpt
+//!     --faults 0.05 --retry 3 --budget 20000 --checkpoint run.wal
+//! prox-cli prim --dataset sf --n 300 --plug tri --checkpoint run.wal
 //! ```
 //!
 //! Untrusted oracles (DESIGN.md §11): `--corrupt RATE[:SEED]` injects
@@ -36,12 +39,15 @@
 //! first-to-K majority voting, and `--corrupt` without `--vote` runs in
 //! detection mode — accepted values are checked against the certified
 //! bound sandwich and escalated to a vote only on a proven
-//! inconsistency. `--lenient-load` salvages the verified prefix of a
-//! damaged `--cache`/`--resume` file instead of refusing it:
+//! inconsistency. Detection mode can retract a value it already
+//! accepted, which an append-only log cannot take back, so `--checkpoint`
+//! under `--corrupt` needs `--vote K` with K >= 2. `--lenient-load`
+//! salvages the parseable lines of a damaged `--cache` file instead of
+//! refusing it (a `--checkpoint` log always salvages its torn tail):
 //!
 //! ```text
 //! prox-cli prim --dataset sf --n 300 --plug tri --corrupt 0.05 --vote 3
-//! prox-cli prim --dataset sf --n 300 --plug tri --resume run.ckpt --lenient-load
+//! prox-cli prim --dataset sf --n 300 --plug tri --cache dists.csv --lenient-load
 //! ```
 //!
 //! Weak/strong cascade (DESIGN.md §14): `--weak RATE[:SEED]` puts a cheap,
@@ -86,17 +92,16 @@ use prox_bench::runner::{
 };
 use prox_bench::CheckpointingResolver;
 use prox_core::{
-    load_known, load_known_lenient, read_checkpoint_file, read_checkpoint_file_lenient, save_known,
-    write_checkpoint_file, CallBudget, CorruptionInjector, FaultInjector, Metric, OracleError,
-    Pair, RetryPolicy,
+    load_known, load_known_lenient, save_known, CallBudget, CorruptionInjector, FaultInjector,
+    Metric, OracleError, Pair, RetryPolicy,
 };
 use prox_datasets::by_name;
 use prox_obs::{
     semantic_diff, summarize, JsonlSink, Metrics, ProvenanceLedger, SpanTree, TraceSink,
 };
 use prox_serve::{
-    default_script, emit_recovery, parse_script, BoundServer, PairGroupQuery, ServeConfig,
-    SessionConfig, SharedStore, WalConfig,
+    default_script, emit_recovery, parse_script, wal::WriteAheadLog, BoundServer, PairGroupQuery,
+    ServeConfig, SessionConfig, SharedStore, WalConfig,
 };
 
 struct Args {
@@ -125,12 +130,10 @@ struct Args {
     weak: Option<(f64, Option<u64>)>,
     /// `--degrade`: finish on weak+bounds when the strong tier is lost.
     degrade: bool,
-    /// `--checkpoint FILE[:EVERY]`.
-    checkpoint: Option<(String, u64)>,
-    /// `--resume FILE`.
-    resume: Option<String>,
-    /// `--lenient-load`: salvage the verified prefix of a damaged
-    /// `--cache` or `--resume` file instead of aborting.
+    /// `--checkpoint DIR[:EVERY]`.
+    checkpoint: Option<(String, usize)>,
+    /// `--lenient-load`: salvage the parseable lines of a damaged
+    /// `--cache` file instead of aborting.
     lenient_load: bool,
     /// `--trace FILE` (or the `trace` subcommand's `--out FILE`): write a
     /// structured JSONL event trace of the run.
@@ -159,7 +162,7 @@ fn usage() -> ExitCode {
          \x20       [--faults RATE[:SEED]] [--retry N[:BASE_MS]] [--budget CALLS]\n\
          \x20       [--corrupt RATE[:SEED]] [--vote K[:N]]\n\
          \x20       [--weak RATE[:SEED]] [--degrade]\n\
-         \x20       [--checkpoint FILE[:EVERY]] [--resume FILE] [--lenient-load]\n\
+         \x20       [--checkpoint DIR[:EVERY]] [--lenient-load]\n\
          \x20       [--trace FILE.jsonl] [--metrics] [--ledger FILE.jsonl]\n\
          \x20  prox-cli trace <algo> [same flags] [--out FILE.jsonl]\n\
          \x20  prox-cli profile <algo> [same flags] [--out FILE.folded]\n\
@@ -218,7 +221,6 @@ fn parse() -> Option<Args> {
         weak: None,
         degrade: false,
         checkpoint: None,
-        resume: None,
         lenient_load: false,
         trace,
         metrics: false,
@@ -328,10 +330,21 @@ fn parse() -> Option<Args> {
             }
             "--degrade" => a.degrade = true,
             "--checkpoint" => {
-                let (path, every): (String, Option<u64>) = split_opt(&val()?)?;
-                a.checkpoint = Some((path, every.unwrap_or(256)));
+                let raw = val()?;
+                let Some((dir, every)) = split_opt::<String, usize>(&raw) else {
+                    eprintln!("--checkpoint expects DIR[:EVERY], got {raw:?}");
+                    return None;
+                };
+                if every == Some(0) {
+                    eprintln!("--checkpoint DIR:0 appends nothing; drop :EVERY for 256");
+                    return None;
+                }
+                if dir.is_empty() || dir.starts_with('-') || std::path::Path::new(&dir).is_file() {
+                    eprintln!("--checkpoint expects a directory path, got {dir:?}");
+                    return None;
+                }
+                a.checkpoint = Some((dir, every.unwrap_or(256)));
             }
-            "--resume" => a.resume = Some(val()?),
             "--lenient-load" => a.lenient_load = true,
             "--trace" => a.trace = Some(val()?),
             "--out" => {
@@ -352,6 +365,16 @@ fn parse() -> Option<Args> {
     }
     if a.degrade && a.weak.is_none() {
         eprintln!("--degrade requires --weak (there is no weak tier to finish on)");
+        return None;
+    }
+    // Detection mode retracts a poisoned value once it proves the lie; an
+    // append-only log cannot take that value back. A vote of K >= 2 keeps
+    // lies out of the scheme, so nothing is ever retracted.
+    if a.checkpoint.is_some() && a.corrupt.is_some() && !matches!(a.vote, Some((k, _)) if k >= 2) {
+        eprintln!(
+            "--checkpoint with --corrupt requires --vote K (K >= 2): detection mode can retract \
+             a logged value"
+        );
         return None;
     }
     Some(a)
@@ -592,6 +615,17 @@ fn parse_serve() -> Option<ServeArgs> {
     })
 }
 
+/// The manifest that binds a WAL directory (a serve store or a
+/// `--checkpoint` log) to one problem instance: a log recorded for a
+/// different dataset, n or seed is refused at open.
+fn instance_manifest(dataset: &str, n: usize, seed: u64) -> Vec<(String, String)> {
+    vec![
+        ("dataset".to_string(), dataset.to_string()),
+        ("n".to_string(), n.to_string()),
+        ("seed".to_string(), seed.to_string()),
+    ]
+}
+
 /// `prox-cli serve`: open (or recover) the shared store, serve the
 /// script, commit everything certified, and leave the WAL behind for
 /// the next client.
@@ -602,17 +636,7 @@ fn serve(args: &ServeArgs) -> ExitCode {
     };
     let metric = dataset.metric(args.n, args.seed);
 
-    // The manifest binds the store directory to one problem instance;
-    // a WAL recorded for a different dataset/n/seed is refused at open.
-    let manifest: Vec<(String, String)> = [
-        ("dataset", args.dataset.clone()),
-        ("n", args.n.to_string()),
-        ("seed", args.seed.to_string()),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
-    .collect();
-
+    let manifest = instance_manifest(&args.dataset, args.n, args.seed);
     let mut trace_sink: Option<Rc<JsonlSink>> = None;
     let mut sink: Option<Rc<dyn TraceSink>> = None;
     if let Some(path) = &args.trace {
@@ -884,67 +908,44 @@ fn main() -> ExitCode {
         None => Vec::new(),
     };
 
-    // A checkpoint from a budget-killed (or completed) earlier run: its
-    // manifest must describe the same problem, its pairs preload for free.
-    if let Some(path) = &args.resume {
-        let loaded = if args.lenient_load {
-            read_checkpoint_file_lenient(std::path::Path::new(path)).map(|rec| {
-                if rec.recovered {
-                    eprintln!(
-                        "[resume] {path}: salvaged verified prefix, {} damaged line(s) dropped",
-                        rec.dropped_lines
-                    );
-                }
-                rec.checkpoint
-            })
-        } else {
-            read_checkpoint_file(std::path::Path::new(path))
-        };
-        match loaded {
-            Ok(ckpt) => {
-                for (key, want) in [
-                    ("dataset", args.dataset.as_str()),
-                    ("n", &args.n.to_string()),
-                    ("seed", &args.seed.to_string()),
-                ] {
-                    if let Some(have) = ckpt.manifest_value(key) {
-                        if have != want {
-                            eprintln!(
-                                "[resume] {path}: checkpoint {key}={have} but this run has \
-                                 {key}={want}; refusing to mix problems"
-                            );
-                            return ExitCode::FAILURE;
-                        }
+    // Opening the checkpoint log is the resume: a budget-killed (or
+    // completed) earlier run's pairs preload for free. The manifest binds
+    // DIR to the problem instance, so a log of another dataset, n or seed
+    // is refused rather than mixed in.
+    let checkpoint = match &args.checkpoint {
+        Some((dir, every)) => {
+            let manifest = instance_manifest(&args.dataset, args.n, args.seed);
+            match WriteAheadLog::recover(std::path::Path::new(dir), &manifest, WalConfig::default())
+            {
+                Ok((wal, logged, recovery)) => {
+                    if recovery.salvaged {
+                        eprintln!(
+                            "[checkpoint] {dir}: salvaged the torn tail, {} damaged line(s) \
+                             dropped",
+                            recovery.dropped_lines
+                        );
                     }
+                    if recovery.segments == 0 {
+                        eprintln!("[checkpoint] {dir}: empty log; starting cold");
+                    } else {
+                        eprintln!(
+                            "[checkpoint] loaded {} resolved distances from {} WAL segment(s) \
+                             in {dir}",
+                            logged.len(),
+                            recovery.segments
+                        );
+                    }
+                    preload.extend_from_slice(&logged);
+                    Some((wal, *every, logged))
                 }
-                eprintln!(
-                    "[resume] loaded {} resolved distances from {path}",
-                    ckpt.known.len()
-                );
-                preload.extend(ckpt.known);
-            }
-            Err(e) => {
-                let hint = if args.lenient_load {
-                    ""
-                } else {
-                    " (use --lenient-load to salvage the verified prefix)"
-                };
-                eprintln!("[resume] {path}: {e}{hint}");
-                return ExitCode::FAILURE;
+                Err(e) => {
+                    eprintln!("[checkpoint] {dir}: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
         }
-    }
-
-    let manifest: Vec<(String, String)> = [
-        ("dataset", args.dataset.clone()),
-        ("n", args.n.to_string()),
-        ("seed", args.seed.to_string()),
-        ("algo", args.algo.clone()),
-        ("plug", args.plug.label().to_string()),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
-    .collect();
+        None => None,
+    };
 
     // Observation handles: `--trace` attaches a JSONL sink plus a metrics
     // registry; `--metrics` attaches the registry alone (no sink). Both
@@ -977,16 +978,14 @@ fn main() -> ExitCode {
     let run_out = {
         let algo = args.algo.clone();
         let (k, l) = (args.k, args.l);
-        let checkpoint = args.checkpoint.clone();
-        let manifest_for_run = manifest.clone();
         let run = move |r: &mut dyn DistanceResolver| -> Result<String, OracleError> {
-            // Periodic snapshots while the algorithm runs, so a hard kill
-            // (not just a budget error) still leaves a resume file.
+            // Appends while the algorithm runs, so a hard kill (not just a
+            // budget error) still leaves the log behind.
             let mut ckpt_resolver;
-            let r: &mut dyn DistanceResolver = match &checkpoint {
-                Some((path, every)) => {
+            let r: &mut dyn DistanceResolver = match checkpoint {
+                Some((wal, every, logged)) => {
                     ckpt_resolver =
-                        CheckpointingResolver::new(r, path.clone(), *every, manifest_for_run);
+                        CheckpointingResolver::new(r, wal, every, logged.into_iter().map(|e| e.0));
                     &mut ckpt_resolver
                 }
                 None => r,
@@ -1091,7 +1090,7 @@ fn main() -> ExitCode {
             landmarks,
             args.seed,
             &preload,
-            args.cache.is_some() || args.checkpoint.is_some(),
+            args.cache.is_some(),
             observers.clone(),
             run,
         )
@@ -1100,7 +1099,7 @@ fn main() -> ExitCode {
         Ok(t) => t,
         Err(e) => {
             // The bootstrap itself faulted or ran out of budget: there is
-            // no resolver knowledge to checkpoint yet.
+            // no resolver knowledge to log yet.
             eprintln!("aborted during bootstrap: {e}");
             return ExitCode::FAILURE;
         }
@@ -1108,9 +1107,9 @@ fn main() -> ExitCode {
 
     // Persist everything we now know *before* printing: a reader closing
     // our stdout early (`prox-cli ... | head`) delivers SIGPIPE on the next
-    // println, and the cache/checkpoint must survive that. The export runs
-    // even when the algorithm aborted on a fault — that is the whole point
-    // of resume.
+    // println, and the cache must survive that. The export runs even when
+    // the algorithm aborted on a fault; the checkpoint log was completed
+    // when the run closure returned.
     if let Some(path) = &args.cache {
         match std::fs::File::create(path) {
             Ok(f) => match save_known(std::io::BufWriter::new(f), resolved.iter().copied()) {
@@ -1118,16 +1117,6 @@ fn main() -> ExitCode {
                 Err(e) => eprintln!("[cache] write {path}: {e}"),
             },
             Err(e) => eprintln!("[cache] create {path}: {e}"),
-        }
-    }
-    if let Some((path, _)) = &args.checkpoint {
-        match write_checkpoint_file(
-            std::path::Path::new(path),
-            &manifest,
-            resolved.iter().copied(),
-        ) {
-            Ok(count) => eprintln!("[checkpoint] saved {count} resolved distances to {path}"),
-            Err(e) => eprintln!("[checkpoint] write {path}: {e}"),
         }
     }
     if let Some(path) = &args.ledger {
@@ -1183,10 +1172,10 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("aborted: {e}");
             match &args.checkpoint {
-                Some((path, _)) => eprintln!(
-                    "progress saved; rerun with `--resume {path}` to pay only the missing calls"
+                Some((dir, _)) => eprintln!(
+                    "progress saved; rerun with `--checkpoint {dir}` to pay only the missing calls"
                 ),
-                None => eprintln!("rerun with --checkpoint FILE to make runs resumable"),
+                None => eprintln!("rerun with --checkpoint DIR to make runs resumable"),
             }
             return ExitCode::FAILURE;
         }

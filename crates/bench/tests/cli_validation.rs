@@ -2,6 +2,7 @@
 //! for the oracle knobs must be rejected with a specific message *and*
 //! the usage hint — never silently fall through to a default parse.
 //! Also exercises the audited-run and `--lenient-load` happy paths.
+//! `--checkpoint` resume runs live in `checkpoint_resume.rs`.
 
 use std::process::Command;
 
@@ -111,6 +112,31 @@ fn weak_flag_rejects_out_of_range_nan_and_garbage() {
     );
     assert_rejected(&["prim", "--weak", "0.1:x"], "--weak expects RATE[:SEED]");
     assert_rejected(&["prim", "--weak", "some"], "--weak expects RATE[:SEED]");
+}
+
+#[test]
+fn checkpoint_flag_rejects_zero_cadence_garbage_and_a_retracting_audit() {
+    assert_rejected(
+        &["prim", "--checkpoint", "run.wal:0"],
+        "--checkpoint DIR:0 appends nothing",
+    );
+    assert_rejected(
+        &["prim", "--checkpoint", "run.wal:x"],
+        "--checkpoint expects DIR[:EVERY]",
+    );
+    assert_rejected(
+        &["prim", "--checkpoint", env!("CARGO_BIN_EXE_prox-cli")],
+        "--checkpoint expects a directory path",
+    );
+    // Detection mode can retract a recorded value; the log cannot.
+    for vote in [None, Some("1"), Some("1:3")] {
+        let mut args = vec!["prim", "--checkpoint", "run.wal", "--corrupt", "0.05"];
+        args.extend(vote.map(|v| ["--vote", v]).into_iter().flatten());
+        assert_rejected(
+            &args,
+            "--checkpoint with --corrupt requires --vote K (K >= 2)",
+        );
+    }
 }
 
 #[test]

@@ -1,11 +1,13 @@
-//! Checkpoint/resume for long oracle runs.
+//! The checkpoint-v2 file format: the segment format of the
+//! write-ahead log (`prox_serve::wal`) that makes resolved distances
+//! durable.
 //!
 //! A budget-killed or crashed run must never re-pay for distances it
-//! already resolved. This module layers a *resume manifest* on top of the
+//! already resolved. This module layers a *manifest* on top of the
 //! [`crate::persist`] line format: a checkpoint file is a normal
 //! resolved-distance cache (readable by [`crate::load_known`]) whose
-//! `#! key=value` comment lines record what the run was (`algo`,
-//! `dataset`, `n`, `seed`, …) so a resume can refuse a mismatched file
+//! `#! key=value` comment lines record what problem it belongs to
+//! (`dataset`, `n`, `seed`, …) so a reader can refuse a mismatched file
 //! instead of silently poisoning its bound scheme.
 //!
 //! # Integrity (format v2)
@@ -28,8 +30,6 @@
 //! sibling temp file which is fsynced before the same-directory rename,
 //! and the directory entry is fsynced after it — a crash at any point
 //! leaves either the previous checkpoint or the complete new one.
-//! [`Checkpointer`] adds the cadence policy — snapshot every `every`
-//! newly resolved pairs.
 
 use std::fs;
 use std::io::{self, BufRead, Write};
@@ -318,84 +318,6 @@ pub fn read_checkpoint_file(path: &Path) -> io::Result<Checkpoint> {
     load_checkpoint(io::BufReader::new(fs::File::open(path)?))
 }
 
-/// Reads a checkpoint file, salvaging the verified prefix of a damaged
-/// v2 file (see [`load_checkpoint_lenient`]).
-pub fn read_checkpoint_file_lenient(path: &Path) -> io::Result<CheckpointRecovery> {
-    load_checkpoint_lenient(io::BufReader::new(fs::File::open(path)?))
-}
-
-/// Cadence policy for periodic checkpointing: snapshot once `every`
-/// *new* resolutions have accrued since the last save.
-#[derive(Clone, Debug)]
-pub struct Checkpointer {
-    path: PathBuf,
-    every: u64,
-    last_saved: u64,
-    saves: u64,
-}
-
-impl Checkpointer {
-    /// Checkpoints to `path` every `every` new resolutions (`every` is
-    /// clamped to at least 1).
-    pub fn new(path: impl Into<PathBuf>, every: u64) -> Self {
-        Checkpointer {
-            path: path.into(),
-            every: every.max(1),
-            last_saved: 0,
-            saves: 0,
-        }
-    }
-
-    /// The checkpoint path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Whether `resolved` total resolutions warrant a snapshot.
-    pub fn due(&self, resolved: u64) -> bool {
-        resolved >= self.last_saved.saturating_add(self.every)
-    }
-
-    /// Starts the cadence from `resolved` without writing a file — for
-    /// knowledge that predates this checkpointer (preloads, bootstraps):
-    /// only *new* resolutions should count toward the next snapshot.
-    pub fn mark_saved(&mut self, resolved: u64) {
-        self.last_saved = resolved;
-    }
-
-    /// Snapshots if due; returns whether a file was written.
-    pub fn maybe_save(
-        &mut self,
-        resolved: u64,
-        manifest: &[(String, String)],
-        edges: impl IntoIterator<Item = (Pair, f64)>,
-    ) -> io::Result<bool> {
-        if !self.due(resolved) {
-            return Ok(false);
-        }
-        self.save_now(resolved, manifest, edges)?;
-        Ok(true)
-    }
-
-    /// Snapshots unconditionally (e.g. on budget exhaustion or at exit).
-    pub fn save_now(
-        &mut self,
-        resolved: u64,
-        manifest: &[(String, String)],
-        edges: impl IntoIterator<Item = (Pair, f64)>,
-    ) -> io::Result<usize> {
-        let count = write_checkpoint_file(&self.path, manifest, edges)?;
-        self.last_saved = resolved;
-        self.saves += 1;
-        Ok(count)
-    }
-
-    /// Snapshots taken so far.
-    pub fn saves(&self) -> u64 {
-        self.saves
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,24 +567,12 @@ mod tests {
         let path = dir.join(format!("prox-ckpt-v2-{}.csv", std::process::id()));
         write_checkpoint_file(&path, &sample_manifest(), many_edges(100)).expect("write");
         let strict = read_checkpoint_file(&path).expect("verifies");
-        let lenient = read_checkpoint_file_lenient(&path).expect("verifies");
+        let lenient =
+            load_checkpoint_lenient(&fs::read(&path).expect("read")[..]).expect("verifies");
         assert!(!lenient.recovered);
         assert_eq!(lenient.dropped_lines, 0);
         assert_eq!(strict, lenient.checkpoint);
         assert_eq!(strict.known, many_edges(100));
-        fs::remove_file(&path).expect("cleanup");
-    }
-
-    #[test]
-    fn checkpointer_honours_cadence() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("prox-ckpt-cadence-{}.csv", std::process::id()));
-        let mut ck = Checkpointer::new(&path, 10);
-        assert!(!ck.maybe_save(5, &[], sample_edges()).expect("io"));
-        assert!(ck.maybe_save(10, &[], sample_edges()).expect("io"));
-        assert!(!ck.maybe_save(15, &[], sample_edges()).expect("io"));
-        assert!(ck.maybe_save(20, &[], sample_edges()).expect("io"));
-        assert_eq!(ck.saves(), 2);
         fs::remove_file(&path).expect("cleanup");
     }
 }

@@ -38,8 +38,8 @@ pub mod stats;
 pub mod weak;
 
 pub use checkpoint::{
-    load_checkpoint, load_checkpoint_lenient, read_checkpoint_file, read_checkpoint_file_lenient,
-    save_checkpoint, write_checkpoint_file, Checkpoint, CheckpointRecovery, Checkpointer,
+    load_checkpoint, load_checkpoint_lenient, read_checkpoint_file, save_checkpoint,
+    write_checkpoint_file, Checkpoint, CheckpointRecovery,
 };
 pub use crc::{crc32, Crc32};
 pub use fault::{

@@ -226,9 +226,9 @@ pub enum TraceEvent {
         /// `"budget_exhausted"` or `"permanent"`.
         reason: &'static str,
     },
-    /// A checkpoint snapshot was written successfully.
+    /// A checkpoint append was acknowledged by the log.
     CheckpointWrite {
-        /// Resolutions covered by the snapshot.
+        /// The run's resolutions when the append was acknowledged.
         resolved: u64,
     },
     /// An algorithm phase began (`bootstrap` / `build` / `query` / ...).

@@ -177,21 +177,27 @@ impl ProvenanceLedger {
             out.push_str("  (empty)\n");
             return out;
         }
-        for (kind, scheme, tier, count) in self.rows() {
-            if scheme.is_empty() {
-                let _ = writeln!(out, "  {kind:<20} {count:>10}");
-            } else {
-                let label = format!("{kind}[{scheme}/{tier}]");
-                let _ = writeln!(out, "  {label:<20} {count:>10}");
-            }
+        let mut lines: Vec<(String, u64)> = self
+            .rows()
+            .into_iter()
+            .map(|(kind, scheme, tier, count)| match scheme {
+                "" => (kind.to_string(), count),
+                _ => (format!("{kind}[{scheme}/{tier}]"), count),
+            })
+            .collect();
+        lines.push(("resolutions".to_string(), self.resolutions_total()));
+        lines.push(("decisions".to_string(), self.decisive_total()));
+        // Every count ends in one column: labels pad to the longest one
+        // (at least 20 wide, so short blocks keep their layout).
+        let width = lines
+            .iter()
+            .map(|(l, _)| l.len())
+            .max()
+            .unwrap_or(0)
+            .max(20);
+        for (label, count) in lines {
+            let _ = writeln!(out, "  {label:<width$} {count:>10}");
         }
-        let _ = writeln!(
-            out,
-            "  {:<20} {:>10}",
-            "resolutions",
-            self.resolutions_total()
-        );
-        let _ = writeln!(out, "  {:<20} {:>10}", "decisions", self.decisive_total());
         out
     }
 }
@@ -253,6 +259,33 @@ mod tests {
             "{\"kind\":\"bound_decisive\",\"scheme\":\"splub\",\"tier\":\"direct\",\"count\":7}"
         ));
         assert!(l.render().contains("bound_decisive[splub/direct]"));
+    }
+
+    #[test]
+    fn render_ends_every_count_in_one_column() {
+        let mut l = ProvenanceLedger::default();
+        l.add(ResolutionSource::Memo, 59_522);
+        l.add(ResolutionSource::StrongCall, 65_065);
+        l.add(
+            ResolutionSource::BoundDecisive {
+                scheme: "SPLUB",
+                tier: "direct",
+            },
+            2_183_958,
+        );
+        let text = l.render();
+        let rows: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(rows.len(), 5, "{text}");
+        let end = rows[0].len();
+        for row in &rows {
+            assert_eq!(row.len(), end, "count out of column in {row:?}:\n{text}");
+            assert!(row.ends_with(|c: char| c.is_ascii_digit()), "{row:?}");
+        }
+        // A block of short labels keeps the 20-wide layout.
+        let mut short = ProvenanceLedger::default();
+        short.add(ResolutionSource::Memo, 3);
+        let first = short.render().lines().nth(1).map(str::len);
+        assert_eq!(first, Some(2 + 20 + 1 + 10));
     }
 
     #[test]

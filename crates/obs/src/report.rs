@@ -125,7 +125,7 @@ pub struct TraceSummary {
     pub gave_up: u64,
     /// Virtual backoff accrued across retries.
     pub backoff_ns: u64,
-    /// Checkpoint snapshots written.
+    /// Checkpoint appends acknowledged.
     pub checkpoints: u64,
     /// Value corruptions the consistency auditor caught (sandwich
     /// violations plus vote losers).

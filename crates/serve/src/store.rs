@@ -393,24 +393,19 @@ impl SharedStore {
     /// (poisoned session), or a WAL write failure. The one-batch case of
     /// [`SharedStore::commit_group`].
     ///
-    /// The WAL type is private to this crate, so no caller can log
-    /// around this method. The `wal` module's public items stay in reach:
+    /// The store's log is a private field, so no caller can log around
+    /// this method. The `wal` module's items are public, for
+    /// `prox-cli --checkpoint DIR`'s own log:
     ///
     /// ```
-    /// use prox_serve::wal::{segment_path, WalConfig};
+    /// use prox_serve::wal::{segment_path, WalConfig, WriteAheadLog};
     /// use prox_serve::SharedStore;
     /// ```
     ///
-    /// but the log itself does not, at the crate root:
+    /// but the crate root does not re-export the log type:
     ///
     /// ```compile_fail
     /// use prox_serve::WriteAheadLog;
-    /// ```
-    ///
-    /// or in its module:
-    ///
-    /// ```compile_fail
-    /// use prox_serve::wal::WriteAheadLog;
     /// ```
     pub fn commit(
         &self,

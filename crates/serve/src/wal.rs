@@ -1,10 +1,11 @@
 //! Segment-rotating write-ahead log on the checkpoint-v2 format.
 //!
-//! The shared store's only durability channel. Every committed group of
-//! batches of fresh certified distances is appended here *before* it
-//! becomes visible to readers, so a crash at any instant loses at most
-//! the in-flight group — never a batch a client was told succeeded. A
-//! serve round commits its sessions' batches as one group
+//! The one durability channel for certified distances: the shared
+//! store's, and a single `prox-cli --checkpoint DIR` run's. The store
+//! appends every committed group of batches of fresh certified distances
+//! here *before* it becomes visible to readers, so a crash at any instant
+//! loses at most the in-flight group — never a batch a client was told
+//! succeeded. A serve round commits its sessions' batches as one group
 //! ([`crate::SharedStore::commit_group`]), so the log pays one append
 //! and one `fdatasync` per round, not one per session.
 //!
@@ -83,13 +84,16 @@ pub struct WalRecovery {
     pub salvaged: bool,
 }
 
-/// Everything `WriteAheadLog::recover` hands back: the opened log,
+/// Everything [`WriteAheadLog::recover`] hands back: the opened log,
 /// the deduplicated recovered entries, and the recovery stats.
-pub(crate) type RecoveredLog = (WriteAheadLog, Vec<(Pair, f64)>, WalRecovery);
+pub type RecoveredLog = (WriteAheadLog, Vec<(Pair, f64)>, WalRecovery);
 
-/// A crash-safe, append-only log of `(pair, distance)` entries.
+/// A crash-safe, append-only log of `(pair, distance)` entries. The
+/// shared store owns one (and logs only through
+/// [`crate::SharedStore::commit_group`]); `prox-cli --checkpoint DIR`
+/// opens another for a single run's resolutions.
 #[derive(Debug)]
-pub(crate) struct WriteAheadLog {
+pub struct WriteAheadLog {
     dir: PathBuf,
     manifest: Vec<(String, String)>,
     config: WalConfig,
@@ -201,7 +205,7 @@ impl WriteAheadLog {
         Ok((wal, known, recovery))
     }
 
-    /// Durably appends `entries` (already deduplicated by the store) to
+    /// Durably appends `entries` (already deduplicated by the caller) to
     /// the active segment in one synced write, sealing it when full and
     /// splitting the write at a segment boundary. Entries are
     /// acknowledged only once all of them and their trailers are synced.

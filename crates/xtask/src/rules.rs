@@ -25,7 +25,8 @@
 //! L8, L15 and L16 are held by the compiler, not here: the observability
 //! vocabularies are closed enums (`prox_obs::{EventKind, MetricName,
 //! SpanName}`, with the report's event match kept exhaustive) and the
-//! write-ahead log is private to `crates/serve` (see `docs/INVARIANTS.md`).
+//! shared store's write-ahead log is private to `store.rs` (see
+//! `docs/INVARIANTS.md`).
 //!
 //! | rule | scope | it forbids |
 //! |------|-------|------------|
