@@ -16,6 +16,10 @@ use prox_graph::{Dijkstra, PartialGraph};
 const SEED: u64 = 20210620;
 
 /// Pre-resolves 4·n random-ish edges into a scheme.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench feeds schemes exact distances; it measures bounds, not a plugged algorithm"
+)]
 fn feed(scheme: &mut dyn BoundScheme, metric: &(dyn prox_core::Metric + Send + Sync), n: usize) {
     let oracle = Oracle::new(metric);
     for p in Pair::all(n).step_by((n / 8).max(1)) {
@@ -74,6 +78,10 @@ fn bench_queries(b: &mut Bench) {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench feeds schemes exact distances; it measures bounds, not a plugged algorithm"
+)]
 fn bench_updates(b: &mut Bench) {
     b.with_sample_size(10, |b| {
         for n in [128usize, 256] {
@@ -134,6 +142,10 @@ fn bench_updates(b: &mut Bench) {
 /// queries a re-anchor plus row pass and half a merge, that bounds a
 /// re-anchor plus row pass at 1.5 merges. No gate reads `row` or
 /// `alternate`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench feeds schemes exact distances; it measures bounds, not a plugged algorithm"
+)]
 fn bench_tri_access(b: &mut Bench) {
     let n = 256usize;
     let metric = ClusteredPlane::default().metric(n, SEED);
@@ -235,6 +247,10 @@ fn bench_tri_access(b: &mut Bench) {
 /// query is a memo hit: the anchor's tree is repaired, the other
 /// endpoint's tree is rebuilt, and the wrap pass runs. Each pass feeds a
 /// fresh scheme (inside the timing, under 1 % of a pass).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench feeds schemes exact distances; it measures bounds, not a plugged algorithm"
+)]
 fn bench_splub_cold(b: &mut Bench) {
     let n = 200usize;
     let metric = ClusteredPlane::default().metric(n, SEED);
@@ -318,6 +334,10 @@ fn bench_dataset_build(b: &mut Bench) {
 /// `BTreeMap` variant was removed once BENCH_schemes.json showed
 /// `sorted_vec` strictly winning; this cell remains as the reference
 /// point.)
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench feeds schemes exact distances; it measures bounds, not a plugged algorithm"
+)]
 fn bench_tri_adjacency(b: &mut Bench) {
     let n = 512;
     let metric = ClusteredPlane::default().metric(n, SEED);
@@ -382,6 +402,10 @@ fn bench_dijkstra_reset(b: &mut Bench) {
 /// (the two entries should be indistinguishable); `injector_rate0` and
 /// `budgeted` opt into the slow path and price the per-call schedule hash
 /// and budget check.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench times the oracle's own layers"
+)]
 fn bench_oracle_fault_layer(b: &mut Bench) {
     let n = 256;
     let metric = ClusteredPlane::default().metric(n, SEED);
@@ -423,6 +447,10 @@ fn bench_oracle_fault_layer(b: &mut Bench) {
 /// must be indistinguishable from `oracle_fault_layer/clean` (the zero-cost
 /// disabled path); `null_sink`, `ring_sink`, and `metrics` price the
 /// per-call emission into each observer.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench times the oracle's own layers"
+)]
 fn bench_oracle_trace_layer(b: &mut Bench) {
     use std::rc::Rc;
 
@@ -468,6 +496,10 @@ fn bench_oracle_trace_layer(b: &mut Bench) {
 /// per-call corruption schedule hash alone; `audited_vote1` adds the
 /// detection-mode sandwich check on every resolution, and
 /// `audited_vote3` pays full first-to-3 voting.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench times the oracle's own layers"
+)]
 fn bench_oracle_trust_layer(b: &mut Bench) {
     use prox_bounds::{AuditPolicy, BoundResolver, DistanceResolver};
     use prox_core::CorruptionInjector;
@@ -620,6 +652,10 @@ fn bench_oracle_span_layer(b: &mut Bench) {
 /// of the pairs from the snapshot and turns on a weak tier that never
 /// lies, so each missing pair is served by a weak quorum audited
 /// against Tri bounds: it prices the lazy Tri build. Not gated.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench feeds schemes exact distances; it measures bounds, not a plugged algorithm"
+)]
 fn bench_store_layer(b: &mut Bench) {
     use prox_bounds::{BoundResolver, DistanceResolver};
     use prox_serve::{run_group, GroupOutcome, PairGroupQuery, SessionConfig};
@@ -727,6 +763,10 @@ fn bench_store_commit(b: &mut Bench) {
 /// round; the fill's commits are outside the timed region
 /// (`store_layer/commit` prices those). The bench-gate holds `view`
 /// within 0.25x of `snapshot`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the bench feeds schemes exact distances; it measures bounds, not a plugged algorithm"
+)]
 fn bench_store_rounds(b: &mut Bench) {
     use prox_serve::{
         run_group, run_group_view, PairGroupQuery, PairSelector, SessionConfig, SharedStore,

@@ -104,6 +104,15 @@ use prox_serve::{
     ServeConfig, SessionConfig, SharedStore, WalConfig,
 };
 
+/// Appends per `--checkpoint` WAL segment. The log appends EVERY entries
+/// at a time, so a segment of EVERY entries would be sealed by every
+/// append, and each append would publish a whole new segment (temp file,
+/// fsync, rename, directory fsync, read-back). At sixteen appends per
+/// segment, fifteen of every sixteen take the one-`fdatasync` append path,
+/// while the resume's first append, which republishes the active segment
+/// whole, rewrites at most sixteen batches.
+const CHECKPOINT_APPENDS_PER_SEGMENT: usize = 16;
+
 struct Args {
     algo: String,
     dataset: String,
@@ -915,8 +924,10 @@ fn main() -> ExitCode {
     let checkpoint = match &args.checkpoint {
         Some((dir, every)) => {
             let manifest = instance_manifest(&args.dataset, args.n, args.seed);
-            match WriteAheadLog::recover(std::path::Path::new(dir), &manifest, WalConfig::default())
-            {
+            let config = WalConfig {
+                segment_entries: every.saturating_mul(CHECKPOINT_APPENDS_PER_SEGMENT),
+            };
+            match WriteAheadLog::recover(std::path::Path::new(dir), &manifest, config) {
                 Ok((wal, logged, recovery)) => {
                     if recovery.salvaged {
                         eprintln!(

@@ -14,6 +14,10 @@ use crate::Scale;
 
 /// Figure 5a: LAESA/TLAESA answer bound queries fastest, but their bounds
 /// are much looser than Tri's (which absorbs new knowledge).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the figure feeds the schemes exact distances to compare their bounds"
+)]
 pub fn fig5a(scale: Scale) {
     let n = match scale {
         Scale::Small => 128,

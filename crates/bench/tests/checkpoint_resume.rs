@@ -113,10 +113,15 @@ fn budget_killed_run_resumes_on_the_same_dir_at_the_clean_bill() {
         "killed + resumed algorithm calls = clean calls"
     );
 
-    // The log is bound to its instance: another n is refused by name.
+    // The log is bound to its instance: another n is refused by name,
+    // with both values printed plain.
     let (ok, _, stderr) = run(&["prim", "--dataset", "sf", "--n", "61", "--checkpoint", wal]);
     assert!(!ok, "a log of another instance must be refused");
-    assert!(stderr.contains("manifest mismatch"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("manifest mismatch for n: expected 61, segment has 60"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("Some("), "stderr: {stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -229,6 +234,39 @@ fn a_clean_run_logs_its_whole_certified_set() {
     ]);
     assert!(ok, "audited run failed: {stderr}");
     assert_eq!(out.lines().next(), run(&args[..7]).1.lines().next());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The CLI's segments hold sixteen EVERY-entry appends each, so most
+/// appends take the active segment's append path instead of publishing a
+/// whole new segment.
+#[test]
+fn a_clean_run_seals_a_segment_per_sixteen_appends() {
+    let dir = tmpdir("segments");
+    let wal = dir.join("run.wal");
+    let wal_str = wal.to_str().expect("utf8 path");
+    let (ok, _, stderr) = run(&[
+        "prim",
+        "--dataset",
+        "sf",
+        "--n",
+        "300",
+        "--plug",
+        "tri",
+        "--checkpoint",
+        wal_str,
+    ]);
+    assert!(ok, "run failed: {stderr}");
+    let logged = logged(&wal, 300).len();
+    let segments = (0..)
+        .take_while(|&i| segment_path(&wal, i).is_file())
+        .count();
+    assert!(logged > 16 * 256, "the run must fill a segment: {logged}");
+    assert!(
+        segments <= logged.div_ceil(16 * 256),
+        "{segments} segments for {logged} logged entries"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

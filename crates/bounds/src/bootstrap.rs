@@ -71,6 +71,10 @@ pub fn select_maxmin_pivots<M: Metric>(oracle: &Oracle<M>, k: usize, seed: u64) 
 
 /// Fallible twin of [`select_maxmin_pivots`]: a fault or budget error from
 /// the oracle aborts the bootstrap cleanly instead of panicking.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L9: the pivot bootstrap builds the bound tables before any resolver exists"
+)]
 pub fn try_select_maxmin_pivots<M: Metric>(
     oracle: &Oracle<M>,
     k: usize,

@@ -504,6 +504,10 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
     /// against clean ones). The per-pair quarantine cursor advances past
     /// all queried replicas, and calls beyond the first accumulate into
     /// `CorruptionStats::requeries`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: a corruption vote queries fresh replicas and must not trust cached bounds"
+    )]
     fn voted_value(&mut self, p: Pair, k: u32) -> Result<f64, OracleError> {
         let start = self.audit_mut().cursor(p);
         let mut tallies: Vec<(u64, u32)> = Vec::new();
@@ -552,6 +556,10 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
     /// first answer iff it fits the certified `[TLB, TUB]` sandwich and
     /// escalates — trusted re-vote, then at worst a full re-verification
     /// sweep — when it does not.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the audited resolve path pays the oracle after the bound check missed"
+    )]
     fn resolve_audited(&mut self, p: Pair) -> Result<f64, OracleError> {
         let policy = self.audit_mut().policy;
         if policy.always_votes() {
@@ -767,6 +775,10 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
         self.scheme.known(p)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the resolver pays the oracle once the bounds could not decide"
+    )]
     fn resolve(&mut self, p: Pair) -> f64 {
         if let Some(d) = self.scheme.known(p) {
             self.stats.served_known += 1;
@@ -784,6 +796,10 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
         d
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the resolver pays the oracle once the bounds could not decide"
+    )]
     fn resolve_fallible(&mut self, p: Pair) -> Result<f64, OracleError> {
         if let Some(d) = self.scheme.known(p) {
             self.stats.served_known += 1;
@@ -1373,6 +1389,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the test pays exact distances to preload them"
+    )]
     fn resolve_and_preload_never_allocate_the_memo() {
         // A resolver that only preloads a cache and resolves must never
         // pay for the memo table.
@@ -1398,6 +1418,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the test pays exact distances to preload them"
+    )]
     fn one_off_anchor_rows_skip_the_memo_and_revisited_columns_hit_it() {
         let n = 40;
         let oracle = line_oracle(n);

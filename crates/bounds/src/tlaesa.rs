@@ -51,6 +51,10 @@ impl Tlaesa {
 
     /// Fallible twin of [`Tlaesa::build`]: a fault or budget error from the
     /// oracle aborts construction cleanly instead of panicking.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the tree constructor pre-pays the distances its bounds are built from, before any resolver exists"
+    )]
     pub fn try_build<M: Metric>(
         oracle: &Oracle<M>,
         k: usize,

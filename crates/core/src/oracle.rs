@@ -154,12 +154,20 @@ impl<M: Metric> Oracle<M> {
     /// oracle for one is always an algorithmic bug — or if a configured
     /// fault schedule or budget makes the call fail; fault-aware callers
     /// must use [`Oracle::try_call`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the oracle's infallible form wraps its fallible twin"
+    )]
     pub fn call(&self, a: ObjectId, b: ObjectId) -> f64 {
         crate::invariant!(a != b, "oracle called for a self-distance (object {a})");
         expect_ok(self.try_call(a, b), "infallible oracle path hit a fault")
     }
 
     /// [`Oracle::call`] keyed by a canonical [`Pair`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the oracle's pair form delegates to its id form"
+    )]
     pub fn call_pair(&self, p: Pair) -> f64 {
         self.call(p.lo(), p.hi())
     }
@@ -200,6 +208,10 @@ impl<M: Metric> Oracle<M> {
     }
 
     /// [`Oracle::try_call`] keyed by a canonical [`Pair`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the oracle's pair form delegates to its id form"
+    )]
     pub fn try_call_pair(&self, p: Pair) -> Result<f64, OracleError> {
         self.try_call(p.lo(), p.hi())
     }
@@ -465,7 +477,10 @@ impl<M: Metric> Oracle<M> {
 }
 
 #[cfg(test)]
-#[expect(clippy::disallowed_methods, reason = "un-metered ground truth")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L1, L9: the tests pin the meter against un-metered ground truth"
+)]
 mod tests {
     use super::*;
     use crate::FnMetric;

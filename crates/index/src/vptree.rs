@@ -52,6 +52,10 @@ impl VpTree {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: a metric index is a §6.1 baseline metered by the oracle itself, compared against the resolver rather than plugged into it"
+    )]
     fn build_node<M: Metric>(oracle: &Oracle<M>, ids: &mut [ObjectId]) -> Option<Box<Node>> {
         let (&vantage, rest) = ids.split_first()?;
         if rest.is_empty() {
@@ -114,6 +118,10 @@ impl VpTree {
         best.into_iter().map(|(d, id)| (id, d)).collect()
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: a metric index is a §6.1 baseline metered by the oracle itself, compared against the resolver rather than plugged into it"
+    )]
     fn search_knn<M: Metric>(
         &self,
         node: Option<&Node>,
@@ -162,6 +170,10 @@ impl VpTree {
         out
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: a metric index is a §6.1 baseline metered by the oracle itself, compared against the resolver rather than plugged into it"
+    )]
     fn search_range<M: Metric>(
         &self,
         node: Option<&Node>,

@@ -290,6 +290,10 @@ impl<'o, M: Metric> DistanceResolver for DftResolver<'o, M> {
         self.known_d(p)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the DFT resolver pays the oracle once the LP bounds could not decide"
+    )]
     fn resolve(&mut self, p: Pair) -> f64 {
         if let Some(d) = self.known_d(p) {
             self.stats.served_known += 1;
@@ -303,6 +307,10 @@ impl<'o, M: Metric> DistanceResolver for DftResolver<'o, M> {
         d
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L9: the DFT resolver pays the oracle once the LP bounds could not decide"
+    )]
     fn resolve_fallible(&mut self, p: Pair) -> Result<f64, prox_core::OracleError> {
         if let Some(d) = self.known_d(p) {
             self.stats.served_known += 1;

@@ -456,12 +456,15 @@ fn check_manifest(
         match ckpt.manifest_value(k) {
             Some(got) if got == v => {}
             got => {
+                let has = match got {
+                    Some(g) => format!("segment has {g}"),
+                    None => format!("segment has no {k} entry"),
+                };
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
-                        "{}: manifest mismatch for {k:?}: store wants {v:?}, segment has {:?}",
-                        path.display(),
-                        got
+                        "{}: manifest mismatch for {k}: expected {v}, {has}",
+                        path.display()
                     ),
                 ));
             }
@@ -542,7 +545,18 @@ mod tests {
         }
         let other = vec![("dataset".to_string(), "different".to_string())];
         let err = WriteAheadLog::recover(&dir, &other, cfg).unwrap_err();
-        assert!(err.to_string().contains("manifest mismatch"), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("manifest mismatch for dataset: expected different, segment has unit"),
+            "{msg}"
+        );
+        let missing = vec![("metric".to_string(), "l2".to_string())];
+        let err = WriteAheadLog::recover(&dir, &missing, cfg).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("manifest mismatch for metric: expected l2, segment has no metric entry"),
+            "{msg}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

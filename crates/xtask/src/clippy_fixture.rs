@@ -1,4 +1,4 @@
-//! Test harness for the rules clippy enforces (L1, L2, L4, L5, L7, L10,
+//! Test harness for the rules clippy enforces (L1, L4, L5, L7, L9, L10,
 //! L11, L13, L14; `docs/INVARIANTS.md` "Enforced by clippy").
 //!
 //! [`run`] writes a small fixture workspace whose packages stand in for

@@ -317,118 +317,6 @@ pub fn match_brace(bytes: &[u8], open: usize) -> Option<usize> {
     None
 }
 
-/// One token of masked source. Literal *contents* are already blanked by
-/// [`scan`], so only delimiters of literals survive; the token stream is
-/// therefore pure code structure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tok {
-    pub kind: TokKind,
-    /// Token text; for raw identifiers (`r#type`) the `r#` prefix is
-    /// stripped, so `r#fn` and `fn` compare equal by text (by design: the
-    /// parser treats them alike, exactly as name resolution does).
-    pub text: String,
-    /// 1-based line of the token's first byte.
-    pub line: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
-    /// Identifier or keyword (the parser distinguishes them by text).
-    Ident,
-    /// Punctuation. Multi-byte `::` is one token; everything else is one
-    /// byte per token.
-    Punct,
-    /// Numeric literal (string/char literals are blanked by the mask and
-    /// never reach the tokenizer as content).
-    Num,
-}
-
-/// Tokenizes masked source (the `masked` shadow of [`scan`]).
-pub fn tokens(masked: &str) -> Vec<Tok> {
-    let b = masked.as_bytes();
-    let n = b.len();
-    let mut out = Vec::new();
-    let mut line = 1usize;
-    let mut i = 0usize;
-    while i < n {
-        let c = b[i];
-        if c == b'\n' {
-            line += 1;
-            i += 1;
-            continue;
-        }
-        if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        // Raw identifier: `r#ident` (the mask leaves it intact — it is not
-        // a raw string, which needs a `"` after the hashes).
-        if c == b'r' && i + 2 < n && b[i + 1] == b'#' && is_ident_start(b[i + 2]) {
-            let start = i + 2;
-            i = start;
-            while i < n && is_ident_cont(b[i]) {
-                i += 1;
-            }
-            out.push(Tok {
-                kind: TokKind::Ident,
-                text: masked[start..i].to_string(),
-                line,
-            });
-            continue;
-        }
-        if is_ident_start(c) {
-            let start = i;
-            while i < n && is_ident_cont(b[i]) {
-                i += 1;
-            }
-            out.push(Tok {
-                kind: TokKind::Ident,
-                text: masked[start..i].to_string(),
-                line,
-            });
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            // Numeric literals (incl. floats, suffixes, hex): consume the
-            // maximal run of number-ish bytes. `1.0f64`, `0xFF`, `1_000`.
-            while i < n && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'.') {
-                i += 1;
-            }
-            out.push(Tok {
-                kind: TokKind::Num,
-                text: masked[start..i].to_string(),
-                line,
-            });
-            continue;
-        }
-        if c == b':' && i + 1 < n && b[i + 1] == b':' {
-            out.push(Tok {
-                kind: TokKind::Punct,
-                text: "::".to_string(),
-                line,
-            });
-            i += 2;
-            continue;
-        }
-        out.push(Tok {
-            kind: TokKind::Punct,
-            text: (c as char).to_string(),
-            line,
-        });
-        i += 1;
-    }
-    out
-}
-
-fn is_ident_start(c: u8) -> bool {
-    c.is_ascii_alphabetic() || c == b'_'
-}
-
-fn is_ident_cont(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_'
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,37 +412,11 @@ mod tests {
     }
 
     #[test]
-    fn raw_identifiers_tokenize_without_prefix() {
-        let toks = tokens("fn r#try(r#type: u32) { r#match(); }");
-        let idents: Vec<&str> = toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect();
-        assert_eq!(idents, vec!["fn", "try", "type", "u32", "match"]);
-        // And `r` followed by `#` must not be eaten as a raw string opener.
+    fn raw_identifiers_are_not_raw_string_openers() {
+        // `r` followed by `#` must not be eaten as a raw string opener.
         let sc = scan("let x = r#fn; let s = r#\"body\"#;");
         assert!(sc.masked.contains("r#fn"));
         assert!(!sc.masked.contains("body"));
-    }
-
-    #[test]
-    fn tokens_carry_lines_and_fold_double_colons() {
-        let toks = tokens("a::b(\n  1.5f64,\n)");
-        assert_eq!(
-            toks.iter()
-                .map(|t| (t.text.as_str(), t.line))
-                .collect::<Vec<_>>(),
-            vec![
-                ("a", 1),
-                ("::", 1),
-                ("b", 1),
-                ("(", 1),
-                ("1.5f64", 2),
-                (",", 2),
-                (")", 3)
-            ]
-        );
     }
 
     #[test]

@@ -1,33 +1,23 @@
-//! Workspace static analysis for the prox repo.
+//! Workspace static analysis for the prox repo: the lint rules clippy
+//! cannot express, and the bench gate.
 //!
-//! Three layers, each building on the one below:
-//!
-//! 1. [`lexer`] — byte-level scanning: masks comments and literals so every
-//!    later pass works on *code* text only, and tokenizes masked source.
-//! 2. [`graph`] — a token-tree parser that extracts items (`fn` / `impl` /
-//!    `mod` / `trait`, with `cfg(test)` and crate attribution) and
-//!    best-effort name-resolved call edges into a whole-workspace
-//!    [`graph::ItemGraph`].
-//! 3. [`rules`] — the lint rules: L3 and L6 are lexical (per line of
-//!    masked code), L9 and L12 are graph rules over the item graph (L8,
-//!    L15 and L16 are held by types and visibility, the other numbers are
-//!    clippy lints; see `docs/INVARIANTS.md`).
-//!    [`analyze`] drives
-//!    the graph construction and renders the JSON / DOT dumps and the
-//!    choke-point report behind `cargo xtask analyze`.
-//!
-//! [`bench_gate`] sits alongside the analyses: the CI bench-smoke job's
-//! latency-ratio gate over the committed `BENCH_schemes.json`.
+//! * [`lexer`] — byte-level scanning: masks comments and literals so every
+//!   rule works on *code* text only, and finds `#[cfg(test)]` ranges.
+//! * [`rules`] — the lexical rules, one file at a time: L3 and L6 per line
+//!   of masked code, L12 over a file's `fn` declarations and their
+//!   `impl`/`trait` targets, plus the `lint: allow(..)` escapes and the
+//!   stale-escape gate. The other rule numbers are clippy lints or are
+//!   held by types and visibility; see `docs/INVARIANTS.md`.
+//! * [`bench_gate`] — the CI bench-smoke job's latency-ratio gate over the
+//!   committed `BENCH_schemes.json`.
 //!
 //! The crate is a library so the integration tests (and any future tooling)
 //! can run the same analyses `cargo xtask` runs, against fixtures or against
 //! the real workspace.
 
-pub mod analyze;
 pub mod bench_gate;
 #[cfg(test)]
 mod clippy_fixture;
-pub mod graph;
 pub mod lexer;
 pub mod rules;
 

@@ -1,16 +1,12 @@
 //! The lint rules enforcing the oracle-call and determinism disciplines
-//! that clippy cannot express. L1, L2, L4, L5, L7, L10, L11, L13 and L14
+//! that clippy cannot express. L1, L4, L5, L7, L9, L10, L11, L13 and L14
 //! are type-resolved clippy lints configured in the `clippy.toml` files
 //! (see `docs/INVARIANTS.md`); their numbers are not reused here. Their
 //! tests at the end of this file run clippy itself over fixture files.
 //!
-//! Rules come in two flavours:
-//!
-//! * **Lexical** (L3, L6) — per line of the masked code produced by
-//!   [`crate::lexer::scan`].
-//! * **Graph** (L9, L12) — over the whole-workspace
-//!   [`crate::graph::ItemGraph`], so they can see call *chains* that no
-//!   single line reveals.
+//! The rules here are lexical, one file at a time, over the masked code
+//! produced by [`crate::lexer::scan`]: L3 and L6 per line, L12 over the
+//! file's `fn` declarations and their `impl`/`trait` targets.
 //!
 //! Every rule skips `#[cfg(test)]` blocks (test code is exempt) and honours
 //! an escape hatch: a comment containing `lint: allow(L3)` (etc.) on the
@@ -18,9 +14,7 @@
 //! Escapes are for *audited* sites — each one should say why it is sound —
 //! and an escape that suppresses nothing is itself reported (rule
 //! `stale-allow`, see [`lint_workspace`]) so dead annotations cannot
-//! accumulate. L9 additionally carries [`L9_ALLOWLIST`], the audited list
-//! of items that may sit on an oracle path outside the resolver choke
-//! point.
+//! accumulate.
 //!
 //! L8, L15 and L16 are held by the compiler, not here: the observability
 //! vocabularies are closed enums (`prox_obs::{EventKind, MetricName,
@@ -32,18 +26,16 @@
 //! |------|-------|------------|
 //! | L3 | `try_*` bodies in `crates/bounds` + `crates/lp` | raw float comparisons with no `DECISION_EPS`/eps margin |
 //! | L6 | library crates | discarding a fallible oracle result via `.ok()` / `let _ =` (an `OracleError` must propagate or be handled, never vanish) |
-//! | L9 | public APIs of `crates/algos` + `crates/bounds` (graph) | reaching `Oracle::call`/`call_pair` (or their `try_` forms) through any call chain that does not pass a `DistanceResolver` method — see [`oracle_exposure`] |
-//! | L12 | library crates (graph) | an infallible `X` that re-implements its fallible twin `try_X` instead of delegating to it (the copies drift apart) |
+//! | L12 | library crates | an infallible `X` that re-implements its fallible twin `try_X` (same file, same `impl`/`trait` target) instead of delegating to it (the copies drift apart) — see [`l12_twins`] |
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::graph::{Item, ItemGraph, Vis};
-use crate::lexer::{line_starts, match_brace, scan, test_line_ranges};
+use crate::lexer::{line_of, line_starts, match_brace, scan, test_line_ranges};
 
 /// One finding, addressable as `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`"L3"`, `"L6"`, `"L9"`, `"L12"`), or
+    /// Rule id (`"L3"`, `"L6"`, `"L12"`), or
     /// `"stale-allow"` for a dead escape.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
@@ -140,10 +132,10 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
     apply_escapes(lexical_raw(rel, src), &escapes).0
 }
 
-/// The lexical rules (L3, L6) on one file, *before* escape filtering.
+/// The rules (L3, L6, L12) on one file, *before* escape filtering.
 fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
-    let [l3, l6] = rules_for(rel);
-    if !l3 && !l6 {
+    let [l3, library] = rules_for(rel);
+    if !l3 && !library {
         return Vec::new();
     }
     let scanned = scan(src);
@@ -163,8 +155,14 @@ fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
         });
     };
 
-    let try_body_lines = if l3 {
-        try_fn_body_lines(&scanned.masked)
+    let try_body_lines: Vec<(usize, usize)> = if l3 {
+        let starts = line_starts(&scanned.masked);
+        fn_decls(&scanned.masked)
+            .into_iter()
+            .filter(|d| d.name.starts_with("try_"))
+            .filter_map(|d| d.body)
+            .map(|(open, close)| (line_of(&starts, open), line_of(&starts, close)))
+            .collect()
     } else {
         Vec::new()
     };
@@ -190,7 +188,7 @@ fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
                     .to_string(),
             );
         }
-        if l6 && discards_fallible_result(code) {
+        if library && discards_fallible_result(code) {
             push(
                 "L6",
                 line,
@@ -201,12 +199,29 @@ fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
             );
         }
     }
+    if library {
+        for t in l12_twins(&scanned.masked) {
+            if !t.delegates {
+                push(
+                    "L12",
+                    t.line,
+                    format!(
+                        "`{}` has a fallible twin `try_{}` in the same scope but \
+                         does not delegate to it; wrap the `try_` form (e.g. via \
+                         `expect_ok`) so the two copies cannot drift",
+                        t.path(),
+                        t.name
+                    ),
+                );
+            }
+        }
+    }
+    out.sort_by_key(|v| v.line);
     out
 }
 
 /// True when `rel` is a lintable source path at all (library/tool sources;
-/// not tests, benches, or `xtask` itself). Shared by the lexical and the
-/// graph rules.
+/// not tests, benches, or `xtask` itself).
 pub fn linted_path(rel: &str) -> bool {
     rel.ends_with(".rs")
         && (rel.starts_with("crates/") || rel.starts_with("src/"))
@@ -214,7 +229,7 @@ pub fn linted_path(rel: &str) -> bool {
         && !rel.starts_with("crates/xtask/")
 }
 
-/// Which of `[L3, L6]` apply to this path.
+/// Which of `[L3, library rules (L6, L12)]` apply to this path.
 fn rules_for(rel: &str) -> [bool; 2] {
     // Only non-test library/tool sources are linted at all.
     if !linted_path(rel) {
@@ -222,11 +237,11 @@ fn rules_for(rel: &str) -> [bool; 2] {
     }
     let in_crate = |c: &str| rel.starts_with(&format!("crates/{c}/"));
     let l3 = in_crate("bounds") || in_crate("lp");
-    // L6: library crates only. `prox-bench` is a harness (bins + benches)
-    // and may deliberately drop errors (e.g. best-effort checkpoint
-    // writes); library code never may.
-    let l6 = !in_crate("bench") && !rel.contains("/src/bin/");
-    [l3, l6]
+    // L6 and L12: library crates only. `prox-bench` is a harness (bins +
+    // benches) and may deliberately drop errors (e.g. best-effort
+    // checkpoint writes); library code never may.
+    let library = !in_crate("bench") && !rel.contains("/src/bin/");
+    [l3, library]
 }
 
 /// Producer calls whose `Result` carries an `OracleError`.
@@ -241,40 +256,6 @@ fn discards_fallible_result(code: &str) -> bool {
     let discards_binding =
         code.trim_start().starts_with("let _ =") || code.trim_start().starts_with("let _: ");
     discards_binding || code.contains(".ok()") || code.contains(".unwrap_or")
-}
-
-/// 1-based inclusive line ranges of `fn try_*` bodies in masked source.
-fn try_fn_body_lines(masked: &str) -> Vec<(usize, usize)> {
-    let starts = line_starts(masked);
-    let bytes = masked.as_bytes();
-    let mut ranges = Vec::new();
-    let mut from = 0usize;
-    while let Some(off) = masked[from..].find("fn try_") {
-        let at = from + off;
-        from = at + "fn try_".len();
-        // A signature cannot contain `{`, so the body starts at the first
-        // brace after the `fn` keyword; `;` first means a trait method decl.
-        let mut j = from;
-        let mut open = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'{' => {
-                    open = Some(j);
-                    break;
-                }
-                b';' => break,
-                _ => j += 1,
-            }
-        }
-        let Some(open) = open else { continue };
-        if let Some(close) = match_brace(bytes, open) {
-            let lo = crate::lexer::line_of(&starts, open);
-            let hi = crate::lexer::line_of(&starts, close);
-            ranges.push((lo, hi));
-            from = close + 1;
-        }
-    }
-    ranges
 }
 
 /// Detects a spaced `<`, `<=`, `>`, or `>=` comparison operator, excluding
@@ -308,262 +289,252 @@ fn mentions_epsilon(code: &str) -> bool {
 }
 
 // --------------------------------------------------------------------------
-// Graph rules: L9 (oracle reachability) and L12 (fallible-twin drift).
+// L12: fallible-twin drift, per file.
 // --------------------------------------------------------------------------
 
-/// The audited L9 allowlist: items that may sit on an `Oracle::call*` path
-/// without being `DistanceResolver` methods. Every entry needs a reason.
-///
-/// * `bounds::bootstrap::try_select_maxmin_pivots` — pivot bootstrap; it
-///   *creates* the bound tables the resolver later consults, so by
-///   definition it runs before any resolver exists. Its oracle spend is
-///   counted and budgeted like any other (I1 accounting is in `Oracle`
-///   itself), and everything above it (`select_maxmin_pivots`,
-///   `laesa_bootstrap`, `Tlaesa::try_build`, …) funnels through this one
-///   audited fn.
-/// * `bounds::tlaesa::Tlaesa::try_build` — the TLAESA tree constructor;
-///   like the pivot bootstrap it pre-pays distances to *build* the bound
-///   structure the resolver will consult, so it runs before any resolver
-///   can exist. Its calls go through `try_call_pair` and are budgeted and
-///   fault-checked like every other oracle call.
-///
-/// The corruption audit (`BoundResolver::voted_value` /
-/// `resolve_audited`) also queries the oracle directly — deliberately, a
-/// vote must not trust cached bounds — but needs no entry: both fns are
-/// private and only reachable through the `DistanceResolver` methods, so
-/// they never surface as public exposure.
-pub const L9_ALLOWLIST: &[&str] = &[
-    "bounds::bootstrap::try_select_maxmin_pivots",
-    "bounds::tlaesa::Tlaesa::try_build",
-];
-
-/// The L9 analysis result: where the expensive calls live, where the choke
-/// points are, and which items can reach a sink *around* them.
-pub struct OracleExposure {
-    /// `Oracle::call` / `call_pair` / `try_call*` item ids.
-    pub sinks: Vec<usize>,
-    /// `DistanceResolver` methods (trait decl + every impl).
-    pub chokes: Vec<usize>,
-    /// Allowlisted item ids that actually exist in the graph.
-    pub allowed: Vec<usize>,
-    /// Allowlist entries matching no item — stale, must be pruned.
-    pub stale_allow: Vec<String>,
-    /// Every non-test, non-choke, non-allowlisted item that can reach a
-    /// sink through a chain with no choke/allowlisted intermediary, with
-    /// the offending chain rendered as `a -> b -> sink`.
-    pub exposed: Vec<(usize, String)>,
+/// One L12 pair: a `fn X` and a `fn try_X` declared in the same file under
+/// the same `impl`/`trait` target, or both free.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Twin {
+    /// Self type of the enclosing `impl`, or the enclosing trait's name;
+    /// empty for free fns.
+    target: String,
+    /// `X`, the infallible name.
+    name: String,
+    /// 1-based line of `fn X`.
+    line: usize,
+    /// Whether `X` delegates to `try_X`, directly or through another twin.
+    delegates: bool,
 }
 
-fn is_oracle_sink(it: &Item) -> bool {
-    it.krate == "core"
-        && it.container.as_deref() == Some("Oracle")
-        && matches!(
-            it.name.as_str(),
-            "call" | "call_pair" | "try_call" | "try_call_pair" | "try_call_replica"
-        )
-}
-
-fn is_choke(it: &Item) -> bool {
-    it.trait_of.as_deref() == Some("DistanceResolver")
-        || it.container.as_deref() == Some("DistanceResolver")
-}
-
-/// Computes the L9 exposure set: a reverse BFS from the oracle sinks that
-/// does **not** continue through choke or allowlisted nodes, so a caller is
-/// "exposed" exactly when some call chain reaches the oracle with no
-/// resolver in between.
-pub fn oracle_exposure(g: &ItemGraph, allowlist: &[&str]) -> OracleExposure {
-    let n = g.items.len();
-    let paths: Vec<String> = g.items.iter().map(Item::path).collect();
-    let sink: Vec<bool> = g.items.iter().map(is_oracle_sink).collect();
-    let choke: Vec<bool> = g.items.iter().map(is_choke).collect();
-    let allowed: Vec<bool> = paths
-        .iter()
-        .map(|p| allowlist.contains(&p.as_str()))
-        .collect();
-    let stale_allow: Vec<String> = allowlist
-        .iter()
-        .filter(|e| !paths.iter().any(|p| p == *e))
-        .map(|e| e.to_string())
-        .collect();
-
-    let mut visited = vec![false; n];
-    let mut next: Vec<Option<usize>> = vec![None; n];
-    let mut stack: Vec<usize> = (0..n).filter(|&v| sink[v] && !g.items[v].is_test).collect();
-    for &s in &stack {
-        visited[s] = true;
-    }
-    while let Some(v) = stack.pop() {
-        // A sink propagates to its callers; any other node propagates only
-        // if it is not itself a choke point or allowlisted.
-        if !sink[v] && (choke[v] || allowed[v]) {
-            continue;
-        }
-        for &e in &g.inc[v] {
-            let u = g.edges[e].from;
-            if !visited[u] && !g.items[u].is_test {
-                visited[u] = true;
-                next[u] = Some(v);
-                stack.push(u);
-            }
+impl Twin {
+    /// `Target::X`, or `X` for a free fn.
+    fn path(&self) -> String {
+        if self.target.is_empty() {
+            self.name.clone()
+        } else {
+            format!("{}::{}", self.target, self.name)
         }
     }
-
-    let chain = |mut v: usize| {
-        let mut s = paths[v].clone();
-        while let Some(nx) = next[v] {
-            s.push_str(" -> ");
-            s.push_str(&paths[nx]);
-            v = nx;
-        }
-        s
-    };
-    OracleExposure {
-        sinks: (0..n).filter(|&v| sink[v] && !g.items[v].is_test).collect(),
-        chokes: (0..n)
-            .filter(|&v| choke[v] && !g.items[v].is_test)
-            .collect(),
-        allowed: (0..n)
-            .filter(|&v| allowed[v] && !g.items[v].is_test)
-            .collect(),
-        stale_allow,
-        exposed: (0..n)
-            .filter(|&v| visited[v] && !sink[v] && !choke[v] && !allowed[v])
-            .map(|v| (v, chain(v)))
-            .collect(),
-    }
 }
 
-/// L9 — public APIs of `crates/algos`/`crates/bounds` must not be exposed.
-fn l9_violations(g: &ItemGraph, allowlist: &[&str]) -> Vec<Violation> {
-    let exposure = oracle_exposure(g, allowlist);
+/// One non-test `fn` declaration in masked source.
+struct FnDecl {
+    target: String,
+    name: String,
+    line: usize,
+    /// Byte range of the body braces; `None` for a bodiless trait method.
+    body: Option<(usize, usize)>,
+}
+
+fn is_ident_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_'
+}
+
+/// Byte offsets of `word` in `text` that stand as a whole identifier.
+fn word_at(text: &str, word: &str) -> Vec<usize> {
+    let b = text.as_bytes();
+    text.match_indices(word)
+        .map(|(at, _)| at)
+        .filter(|&at| {
+            let end = at + word.len();
+            (at == 0 || !is_ident_byte(b[at - 1])) && (end == b.len() || !is_ident_byte(b[end]))
+        })
+        .collect()
+}
+
+/// The `impl`/`trait` blocks of masked source as `(open, close, target)`
+/// byte ranges. Only item-position headers count: the keyword starts its
+/// line after visibility/`unsafe` modifiers, so `-> impl Trait` does not.
+fn target_blocks(masked: &str) -> Vec<(usize, usize, String)> {
+    let bytes = masked.as_bytes();
     let mut out = Vec::new();
-    for (v, chain) in &exposure.exposed {
-        let it = &g.items[*v];
-        if it.vis != Vis::Pub || !matches!(it.krate.as_str(), "algos" | "bounds") {
-            continue;
+    for kw in ["impl", "trait"] {
+        for at in word_at(masked, kw) {
+            let line_start = masked[..at].rfind('\n').map_or(0, |p| p + 1);
+            let item_position = masked[line_start..at]
+                .split_whitespace()
+                .all(|t| t == "pub" || t.starts_with("pub(") || t == "unsafe");
+            if !item_position {
+                continue;
+            }
+            let header_end = at + masked[at..].find(['{', ';']).unwrap_or(masked.len() - at);
+            if bytes.get(header_end) != Some(&b'{') {
+                continue;
+            }
+            let Some(close) = match_brace(bytes, header_end) else {
+                continue;
+            };
+            let header = &masked[at + kw.len()..header_end];
+            let target = if kw == "trait" {
+                first_path_segment(header)
+            } else {
+                impl_target(header)
+            };
+            out.push((header_end, close, target));
         }
-        out.push(Violation {
-            rule: "L9",
-            file: it.file.clone(),
-            line: it.line,
-            msg: format!(
-                "public `{}` reaches the oracle without passing a \
-                 `DistanceResolver` method: {chain}; route the call through \
-                 the resolver or add an audited `L9_ALLOWLIST` entry",
-                it.path()
-            ),
-            excerpt: it.path(),
-        });
-    }
-    for e in &exposure.stale_allow {
-        out.push(Violation {
-            rule: "L9",
-            file: "crates/xtask/src/rules.rs".to_string(),
-            line: 1,
-            msg: format!(
-                "stale `L9_ALLOWLIST` entry `{e}` matches no workspace item; \
-                 remove it or fix the path"
-            ),
-            excerpt: e.clone(),
-        });
     }
     out
 }
 
-/// L12 — for every same-scope pair (`X`, `try_X`), `X` must delegate to
-/// `try_X`: either a direct call edge, or a chain through another twin pair
-/// (`X -> Y` with `try_X -> try_Y` and `Y` delegating) as in
-/// `kruskal_mst -> kruskal_mst_with -> try_kruskal_mst_with`.
-fn l12_violations(g: &ItemGraph) -> Vec<Violation> {
-    // Same-scope twin index over non-test items: scope key -> item id.
-    let key = |it: &Item, name: &str| {
-        format!(
-            "{}|{}|{}|{}",
-            it.krate,
-            it.module.join("::"),
-            it.container.as_deref().unwrap_or(""),
-            name
-        )
-    };
-    let mut by_key: BTreeMap<String, usize> = BTreeMap::new();
-    for it in &g.items {
-        if !it.is_test {
-            by_key.entry(key(it, &it.name)).or_insert(it.id);
+/// The self type's name in an `impl` header (the text after `impl`):
+/// `<M: Metric> Trait for Type<'_, M> where …` → `Type`.
+fn impl_target(header: &str) -> String {
+    // Drop everything inside `<…>` (an `->` arrow closes nothing).
+    let (mut outer, mut depth, mut prev) = (String::new(), 0usize, ' ');
+    for c in header.chars() {
+        match c {
+            '<' => depth += 1,
+            '>' if prev != '-' => depth = depth.saturating_sub(1),
+            _ if depth == 0 => outer.push(c),
+            _ => {}
         }
+        prev = c;
     }
-    // twin_of[x] = the `try_x` item in x's scope, when both exist.
-    let mut twin_of: BTreeMap<usize, usize> = BTreeMap::new();
-    for it in &g.items {
-        if it.is_test || it.name.starts_with("try_") {
+    let words: Vec<&str> = outer
+        .split_whitespace()
+        .take_while(|&w| w != "where")
+        .collect();
+    let self_ty = words.rsplit(|&w| w == "for").next().unwrap_or_default();
+    first_path_segment(&self_ty.join(" "))
+}
+
+/// The last segment of the first path in `s`, skipping `&`, lifetimes and
+/// `dyn`/`mut`: `&'a mut prox::Foo<T>` → `Foo`.
+fn first_path_segment(s: &str) -> String {
+    let mut segment = "";
+    for tok in s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':' || c == '\''))
+    {
+        if tok.is_empty() || tok.starts_with('\'') || tok == "dyn" || tok == "mut" {
             continue;
         }
-        if let Some(&t) = by_key.get(&key(it, &format!("try_{}", it.name))) {
-            twin_of.insert(it.id, t);
-        }
+        segment = tok.rsplit("::").next().unwrap_or(tok);
+        break;
     }
+    segment.to_string()
+}
 
-    fn delegates(
-        g: &ItemGraph,
-        x: usize,
-        t: usize,
-        twin_of: &BTreeMap<usize, usize>,
-        memo: &mut BTreeMap<(usize, usize), bool>,
-    ) -> bool {
-        if let Some(&r) = memo.get(&(x, t)) {
-            return r;
+/// Every `fn` declared in masked source outside `#[cfg(test)]` ranges, with
+/// its innermost enclosing `impl`/`trait` target.
+fn fn_decls(masked: &str) -> Vec<FnDecl> {
+    let bytes = masked.as_bytes();
+    let starts = line_starts(masked);
+    let tests = test_line_ranges(masked);
+    let blocks = target_blocks(masked);
+    let mut out = Vec::new();
+    for at in word_at(masked, "fn") {
+        let line = line_of(&starts, at);
+        if tests.iter().any(|&(lo, hi)| lo <= line && line <= hi) {
+            continue;
         }
-        memo.insert((x, t), false); // cycle guard
-        let mut r = g.out[x].iter().any(|&e| g.edges[e].to == t);
-        if !r {
-            for &ex in &g.out[x] {
-                let y = g.edges[ex].to;
-                let Some(&ty) = twin_of.get(&y) else { continue };
-                if g.out[t].iter().any(|&et| g.edges[et].to == ty)
-                    && delegates(g, y, ty, twin_of, memo)
-                {
-                    r = true;
+        let after = masked[at + 2..].trim_start();
+        let name_len = after.bytes().take_while(|&c| is_ident_byte(c)).count();
+        if name_len == 0 {
+            continue; // `fn(…)` pointer type
+        }
+        let name = &after[..name_len];
+        let name_at = masked.len() - after.len();
+        // The body is the first `{` outside parens/brackets; a `;` there
+        // first ends a bodiless declaration.
+        let (mut depth, mut body) = (0i32, None);
+        for (k, &c) in bytes.iter().enumerate().skip(name_at) {
+            match c {
+                b'(' | b'[' => depth += 1,
+                b')' | b']' => depth -= 1,
+                b';' if depth == 0 => break,
+                b'{' if depth == 0 => {
+                    body = match_brace(bytes, k).map(|close| (k, close));
                     break;
                 }
+                _ => {}
             }
         }
-        memo.insert((x, t), r);
-        r
-    }
-
-    let mut memo = BTreeMap::new();
-    let mut out = Vec::new();
-    for (&x, &t) in &twin_of {
-        let it = &g.items[x];
-        if !linted_path(&it.file)
-            || it.krate == "bench"
-            || it.file.contains("/src/bin/")
-            || delegates(g, x, t, &twin_of, &mut memo)
-        {
-            continue;
-        }
-        out.push(Violation {
-            rule: "L12",
-            file: it.file.clone(),
-            line: it.line,
-            msg: format!(
-                "`{}` has a fallible twin `try_{}` in the same scope but does \
-                 not delegate to it; wrap the `try_` form (e.g. via \
-                 `expect_ok`) so the two copies cannot drift",
-                it.path(),
-                it.name
-            ),
-            excerpt: it.path(),
+        let target = blocks
+            .iter()
+            .filter(|&&(open, close, _)| open < at && at < close)
+            .max_by_key(|&&(open, _, _)| open)
+            .map_or(String::new(), |(_, _, t)| t.clone());
+        out.push(FnDecl {
+            target,
+            name: name.to_string(),
+            line,
+            body,
         });
     }
     out
 }
 
-/// The graph rules (L9 + L12), *before* escape filtering.
-pub fn lint_graph(g: &ItemGraph, l9_allowlist: &[&str]) -> Vec<Violation> {
-    let mut out = l9_violations(g, l9_allowlist);
-    out.extend(l12_violations(g));
-    out
+/// True when `body` calls `callee` by name: `callee(` or `callee::<`.
+fn calls(body: &str, callee: &str) -> bool {
+    word_at(body, callee).into_iter().any(|at| {
+        let tail = &body[at + callee.len()..];
+        tail.starts_with('(') || tail.starts_with("::<")
+    })
+}
+
+/// The L12 pairs in one file's masked source, with whether each `X`
+/// delegates. `X` must call `try_X(`; otherwise it must call a twin `Y`
+/// that itself delegates while `try_X` calls `try_Y(`, as in `kruskal_mst →
+/// kruskal_mst_with → try_kruskal_mst_with`.
+fn l12_twins(masked: &str) -> Vec<Twin> {
+    let decls = fn_decls(masked);
+    // The first declaration of each (target, name) pairs with the first of
+    // its `try_` twin.
+    let mut first: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+    for (k, d) in decls.iter().enumerate() {
+        first.entry((&d.target, &d.name)).or_insert(k);
+    }
+    let twin: Vec<Option<usize>> = decls
+        .iter()
+        .enumerate()
+        .map(|(k, d)| {
+            let try_name = format!("try_{}", d.name);
+            let t = *first.get(&(d.target.as_str(), try_name.as_str()))?;
+            let is_first = first[&(d.target.as_str(), d.name.as_str())] == k;
+            (is_first && d.body.is_some()).then_some(t)
+        })
+        .collect();
+    let bodies: Vec<&str> = decls
+        .iter()
+        .map(|d| d.body.map_or("", |(open, close)| &masked[open..=close]))
+        .collect();
+
+    fn delegates(
+        x: usize,
+        decls: &[FnDecl],
+        twin: &[Option<usize>],
+        bodies: &[&str],
+        on_path: &mut BTreeSet<usize>,
+    ) -> bool {
+        let Some(t) = twin[x] else { return false };
+        if calls(bodies[x], &decls[t].name) {
+            return true;
+        }
+        if !on_path.insert(x) {
+            return false; // cycle guard
+        }
+        let found = (0..decls.len()).any(|y| {
+            y != x
+                && decls[y].target == decls[x].target
+                && twin[y].is_some_and(|ty| {
+                    calls(bodies[x], &decls[y].name)
+                        && calls(bodies[t], &decls[ty].name)
+                        && delegates(y, decls, twin, bodies, on_path)
+                })
+        });
+        on_path.remove(&x);
+        found
+    }
+
+    (0..decls.len())
+        .filter(|&k| twin[k].is_some())
+        .map(|k| Twin {
+            target: decls[k].target.clone(),
+            name: decls[k].name.clone(),
+            line: decls[k].line,
+            delegates: delegates(k, &decls, &twin, &bodies, &mut BTreeSet::new()),
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------------------
@@ -579,20 +550,11 @@ pub struct WorkspaceLint {
     pub stale_escapes: Vec<Violation>,
     /// How many source files were linted.
     pub files_linted: usize,
-    /// Item-graph size, for the summary line.
-    pub items: usize,
-    pub edges: usize,
 }
 
-/// Lints a workspace snapshot (`(workspace-relative path, source)` pairs):
-/// lexical rules per file and the graph rules over the item graph, with
-/// escape filtering and stale-escape detection.
+/// Lints a workspace snapshot (`(workspace-relative path, source)` pairs)
+/// file by file, with escape filtering and stale-escape detection.
 pub fn lint_workspace(files: &[(String, String)]) -> WorkspaceLint {
-    lint_workspace_with(files, L9_ALLOWLIST)
-}
-
-/// [`lint_workspace`] with an explicit L9 allowlist (tests use fixtures).
-pub fn lint_workspace_with(files: &[(String, String)], l9_allowlist: &[&str]) -> WorkspaceLint {
     let mut raw = Vec::new();
     let mut escapes = Vec::new();
     let mut files_linted = 0usize;
@@ -603,8 +565,6 @@ pub fn lint_workspace_with(files: &[(String, String)], l9_allowlist: &[&str]) ->
             escapes.extend(collect_escapes(rel, src));
         }
     }
-    let g = ItemGraph::build(files);
-    raw.extend(lint_graph(&g, l9_allowlist));
 
     let (violations, used) = apply_escapes(raw, &escapes);
     let stale_escapes = escapes
@@ -627,8 +587,6 @@ pub fn lint_workspace_with(files: &[(String, String)], l9_allowlist: &[&str]) ->
         violations,
         stale_escapes,
         files_linted,
-        items: g.items.len(),
-        edges: g.edges.len(),
     }
 }
 
@@ -716,7 +674,7 @@ mod tests {
         assert!(lint_source("README.md", src).is_empty());
     }
 
-    // ------------------------------------------------- graph rules: L9
+    // --------------------------------------------------------------- L12
 
     fn fixture(files: &[(&str, &str)]) -> Vec<(String, String)> {
         files
@@ -725,161 +683,107 @@ mod tests {
             .collect()
     }
 
-    /// Oracle + resolver skeleton shared by the graph-rule tests.
-    const ORACLE_SRC: &str = "pub struct Oracle;\nimpl Oracle {\n    pub fn call(&self) { expect_ok(self.try_call()) }\n    pub fn try_call(&self) {}\n    pub fn call_pair(&self) { expect_ok(self.try_call_pair()) }\n    pub fn try_call_pair(&self) {}\n}\npub fn expect_ok(x: u32) -> u32 { x }\n";
-    const RESOLVER_SRC: &str = "pub trait DistanceResolver {\n    fn try_less(&mut self, o: &Oracle) { o.try_call() }\n    fn less(&mut self, o: &Oracle) { expect_ok(self.try_less(o)) }\n}\n";
-
-    #[test]
-    fn l9_flags_a_public_leak_with_its_chain() {
-        let files = fixture(&[
-            ("crates/core/src/oracle.rs", ORACLE_SRC),
-            ("crates/bounds/src/resolver.rs", RESOLVER_SRC),
-            (
-                "crates/algos/src/leak.rs",
-                "pub fn leaky(o: &Oracle) { probe(o); }\nfn probe(o: &Oracle) { o.call(); }\n",
-            ),
-        ]);
-        let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[]);
-        let l9: Vec<&Violation> = vs.iter().filter(|v| v.rule == "L9").collect();
-        assert_eq!(l9.len(), 1, "{vs:?}");
-        assert_eq!(l9[0].file, "crates/algos/src/leak.rs");
-        assert_eq!(l9[0].line, 1);
-        assert!(l9[0]
-            .msg
-            .contains("algos::leak::leaky -> algos::leak::probe -> core::oracle::Oracle::call"));
-    }
-
-    #[test]
-    fn l9_accepts_resolver_guarded_paths() {
-        let files = fixture(&[
-            ("crates/core/src/oracle.rs", ORACLE_SRC),
-            ("crates/bounds/src/resolver.rs", RESOLVER_SRC),
-            (
-                "crates/algos/src/clean.rs",
-                "pub fn clean(r: &mut dyn DistanceResolver, o: &Oracle) { r.less(o); }\n",
-            ),
-        ]);
-        let g = ItemGraph::build(&files);
-        assert!(lint_graph(&g, &[]).iter().all(|v| v.rule != "L9"));
-    }
-
-    #[test]
-    fn l9_allowlist_sanctions_audited_paths_and_flags_stale_entries() {
-        let files = fixture(&[
-            ("crates/core/src/oracle.rs", ORACLE_SRC),
-            ("crates/bounds/src/resolver.rs", RESOLVER_SRC),
-            (
-                "crates/bounds/src/bootstrap.rs",
-                "pub fn bootstrap(o: &Oracle) { try_pick(o); }\npub fn try_pick(o: &Oracle) { o.try_call(); }\n",
-            ),
-        ]);
-        let g = ItemGraph::build(&files);
-        // Unallowed: both bootstrap fns are exposed.
-        assert_eq!(
-            lint_graph(&g, &[])
-                .iter()
-                .filter(|v| v.rule == "L9")
-                .count(),
-            2
-        );
-        // Allowlisting the audited choke fn sanctions everything above it.
-        let vs = lint_graph(&g, &["bounds::bootstrap::try_pick"]);
-        assert!(vs.iter().all(|v| v.rule != "L9"), "{vs:?}");
-        // A stale entry is itself a violation.
-        let vs = lint_graph(&g, &["bounds::bootstrap::try_pick", "bounds::gone::nope"]);
-        assert!(vs.iter().any(|v| v.rule == "L9" && v.msg.contains("stale")));
-    }
-
-    #[test]
-    fn l9_comment_escape_suppresses_via_lint_workspace() {
-        let files = fixture(&[
-            ("crates/core/src/oracle.rs", ORACLE_SRC),
-            ("crates/bounds/src/resolver.rs", RESOLVER_SRC),
-            (
-                "crates/algos/src/leak.rs",
-                "// audited one-off probe; lint: allow(L9)\npub fn leaky(o: &Oracle) { o.call(); }\n",
-            ),
-        ]);
-        let lint = lint_workspace_with(&files, &[]);
-        assert!(
-            lint.violations.iter().all(|v| v.rule != "L9"),
-            "{:?}",
-            lint.violations
-        );
-        assert!(lint.stale_escapes.is_empty());
-    }
-
     #[test]
     fn l12_flags_a_non_delegating_twin() {
-        let files = fixture(&[(
-            "crates/algos/src/prim.rs",
-            "pub fn prim() { body(); }\npub fn try_prim() { body(); }\nfn body() {}\n",
-        )]);
-        let g = ItemGraph::build(&files);
-        let vs = lint_graph(&g, &[]);
-        let l12: Vec<&Violation> = vs.iter().filter(|v| v.rule == "L12").collect();
-        assert_eq!(l12.len(), 1, "{vs:?}");
-        assert_eq!(l12[0].line, 1);
-        assert!(l12[0].msg.contains("algos::prim::prim"));
+        let src = "pub fn prim() { body(); }\npub fn try_prim() { body(); }\nfn body() {}\n";
+        let vs = lint_source("crates/algos/src/prim.rs", src);
+        assert_eq!(lines(&vs, "L12"), vec![1], "{vs:?}");
+        assert!(vs[0].msg.contains("`prim` has a fallible twin `try_prim`"));
+        // Methods pair within their `impl` target, and the message names it.
+        let src = "impl<M: Metric> Knn<'_, M> {\n    pub fn run(&self) {}\n    pub fn try_run(&self) {}\n}\n";
+        let vs = lint_source("crates/algos/src/knn.rs", src);
+        assert_eq!(lines(&vs, "L12"), vec![2], "{vs:?}");
+        assert!(vs[0].msg.contains("`Knn::run`"), "{}", vs[0].msg);
     }
 
     #[test]
     fn l12_accepts_direct_and_chained_delegation() {
-        let direct = fixture(&[(
-            "crates/algos/src/a.rs",
-            "pub fn mst() { expect_ok(try_mst()) }\npub fn try_mst() {}\nfn expect_ok(x: u32) -> u32 { x }\n",
-        )]);
-        let g = ItemGraph::build(&direct);
-        assert!(lint_graph(&g, &[]).iter().all(|v| v.rule != "L12"));
+        let direct = "pub fn mst() { expect_ok(try_mst()) }\npub fn try_mst() {}\nfn expect_ok(x: u32) -> u32 { x }\n";
+        assert!(lint_source("crates/algos/src/a.rs", direct).is_empty());
         // kruskal-style: mst -> mst_with, try_mst -> try_mst_with, and the
         // `_with` pair delegates — so `mst` counts as delegating too.
-        let chained = fixture(&[(
-            "crates/algos/src/b.rs",
-            "pub fn mst() { mst_with() }\npub fn mst_with() { expect_ok(try_mst_with()) }\npub fn try_mst() { try_mst_with() }\npub fn try_mst_with() {}\nfn expect_ok(x: u32) -> u32 { x }\n",
-        )]);
-        let g = ItemGraph::build(&chained);
-        let vs = lint_graph(&g, &[]);
-        assert!(vs.iter().all(|v| v.rule != "L12"), "{vs:?}");
+        let chained = "pub fn mst() { mst_with() }\npub fn mst_with() { expect_ok(try_mst_with()) }\npub fn try_mst() { try_mst_with() }\npub fn try_mst_with() {}\nfn expect_ok(x: u32) -> u32 { x }\n";
+        let vs = lint_source("crates/algos/src/b.rs", chained);
+        assert!(vs.is_empty(), "{vs:?}");
+        // A method delegating through `self.` and a turbofish.
+        let method = "impl Oracle {\n    pub fn call(&self) -> f64 {\n        expect_ok(self.try_call::<f64>())\n    }\n    pub fn try_call<T>(&self) -> T {}\n}\n";
+        assert!(lint_source("crates/core/src/o.rs", method).is_empty());
+    }
+
+    /// Twins pair only under the same `impl`/`trait` target: a free `go`
+    /// and a method `try_go`, or methods of two types, are not twins.
+    #[test]
+    fn l12_pairs_twins_by_impl_or_trait_target() {
+        let src = "pub fn go() {}\nimpl A {\n    fn try_go(&self) {}\n    fn stop(&self) {}\n}\nimpl Trait for B<u32> {\n    fn try_stop(&self) {}\n}\npub trait T {\n    fn less(&self);\n    fn try_less(&self);\n}\n";
+        assert_eq!(l12_twins(&scan(src).masked), vec![]);
+        let src = "impl A {\n    fn go(&self) {}\n}\nimpl<T: Fn() -> u32> Trait for A where T: Copy {\n    fn try_go(&self) {}\n}\n";
+        let twins = l12_twins(&scan(src).masked);
+        assert_eq!(twins.len(), 1, "{twins:?}");
+        assert_eq!(
+            (twins[0].path(), twins[0].line, twins[0].delegates),
+            ("A::go".to_string(), 2, false)
+        );
     }
 
     #[test]
     fn l12_exempts_tests_bench_and_comment_escape() {
-        let in_bench = fixture(&[(
-            "crates/bench/src/runner.rs",
-            "pub fn run() { body(); }\npub fn try_run() { body(); }\nfn body() {}\n",
-        )]);
-        let g = ItemGraph::build(&in_bench);
-        assert!(lint_graph(&g, &[]).iter().all(|v| v.rule != "L12"));
+        let twin = "pub fn run() { body(); }\npub fn try_run() { body(); }\nfn body() {}\n";
+        assert!(lint_source("crates/bench/src/runner.rs", twin).is_empty());
+        assert!(lint_source("crates/algos/src/bin/tool.rs", twin).is_empty());
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{twin}}}\n");
+        assert!(lint_source("crates/algos/src/a.rs", &in_test).is_empty());
         let escaped = fixture(&[(
             "crates/algos/src/a.rs",
             "// different semantics, not a wrapper; lint: allow(L12)\npub fn go() { body(); }\npub fn try_go() { body(); }\nfn body() {}\n",
         )]);
-        let lint = lint_workspace_with(&escaped, &[]);
-        assert!(lint.violations.iter().all(|v| v.rule != "L12"));
+        let lint = lint_workspace(&escaped);
+        assert!(lint.violations.is_empty(), "{:?}", lint.violations);
         assert!(lint.stale_escapes.is_empty());
     }
 
-    // ------------------------------------------------ stale allowlists
+    const L12_TWINS: &[(&str, &str)] = &[
+        ("crates/algos/src/average_linkage.rs", "average_linkage"),
+        ("crates/algos/src/average_linkage.rs", "average_linkage_cut"),
+        ("crates/algos/src/clarans.rs", "clarans"),
+        ("crates/algos/src/complete_linkage.rs", "complete_linkage"),
+        ("crates/algos/src/kcenter.rs", "k_center"),
+        ("crates/algos/src/knng.rs", "knn_query"),
+        ("crates/algos/src/knng.rs", "knn_graph"),
+        ("crates/algos/src/kruskal.rs", "kruskal_mst"),
+        ("crates/algos/src/kruskal.rs", "kruskal_mst_with"),
+        ("crates/algos/src/linkage.rs", "single_linkage"),
+        ("crates/algos/src/pam.rs", "pam"),
+        ("crates/algos/src/prim.rs", "prim_mst"),
+        ("crates/algos/src/range.rs", "range_members"),
+        ("crates/algos/src/range.rs", "range_query"),
+        ("crates/algos/src/tsp.rs", "tsp_2opt"),
+        ("crates/bounds/src/bootstrap.rs", "select_maxmin_pivots"),
+        ("crates/bounds/src/bootstrap.rs", "laesa_bootstrap"),
+        ("crates/bounds/src/resolver.rs", "DistanceResolver::less"),
+        (
+            "crates/bounds/src/resolver.rs",
+            "DistanceResolver::less_sum2",
+        ),
+        ("crates/bounds/src/tlaesa.rs", "Tlaesa::build"),
+        ("crates/core/src/oracle.rs", "Oracle::call"),
+        ("crates/core/src/oracle.rs", "Oracle::call_pair"),
+    ];
 
+    /// The twin pairs L12 finds in the real workspace, all delegating. The
+    /// list is pinned so the rule cannot pass by finding nothing; a new
+    /// pair needs an entry here.
     #[test]
-    fn stale_allowlist_entries_survive_to_workspace_violations() {
-        // `cargo xtask lint` exits nonzero iff `lint_workspace` reports a
-        // violation, so a stale L9 allowlist entry must surface there —
-        // not only in the raw `lint_graph` output — and must not be
-        // swallowed by escape filtering.
-        let files = fixture(&[
-            ("crates/core/src/oracle.rs", ORACLE_SRC),
-            ("crates/bounds/src/resolver.rs", RESOLVER_SRC),
-        ]);
-        let lint = lint_workspace_with(&files, &["bounds::gone::nine"]);
-        assert!(
-            lint.violations.iter().any(|v| v.rule == "L9"
-                && v.msg.contains("stale")
-                && v.msg.contains("bounds::gone::nine")),
-            "stale L9 entry must fail the workspace lint: {:?}",
-            lint.violations
-        );
+    fn l12_real_twins_match_the_workspace() {
+        let mut found = Vec::new();
+        for (file, text) in crate::load_workspace_sources(&crate::workspace_root()) {
+            if rules_for(&file)[1] {
+                for t in l12_twins(&scan(&text).masked) {
+                    assert!(t.delegates, "{file}: `{}` does not delegate", t.path());
+                    found.push((file.clone(), t.path()));
+                }
+            }
+        }
+        assert_eq!(found, sites(L12_TWINS));
     }
 
     // ------------------------------------------------------ stale escapes
@@ -890,7 +794,7 @@ mod tests {
             "crates/core/src/x.rs",
             "fn f() {\n    // lint: allow(L6)\n    let _ = o.try_call(a, b);\n    // lint: allow(L3)\n    let y = 1;\n}\n",
         )]);
-        let lint = lint_workspace_with(&files, &[]);
+        let lint = lint_workspace(&files);
         assert!(lint.violations.iter().all(|v| v.rule != "L6"));
         assert_eq!(lint.stale_escapes.len(), 1, "{:?}", lint.stale_escapes);
         assert_eq!(lint.stale_escapes[0].rule, "stale-allow");
@@ -904,17 +808,17 @@ mod tests {
             "crates/core/src/x.rs",
             "#[cfg(test)]\nmod tests {\n    // lint: allow(L6)\n    fn f() { let _ = o.try_call(a, b); }\n}\n",
         )]);
-        let lint = lint_workspace_with(&files, &[]);
+        let lint = lint_workspace(&files);
         assert!(lint.violations.is_empty());
         assert!(lint.stale_escapes.is_empty());
     }
 
-    // ----------------------------- clippy: L1 L2 L4 L5 L7 L10 L11 L13 L14
+    // ----------------------------- clippy: L1 L4 L5 L7 L9 L10 L11 L13 L14
     //
     // These rules are clippy lints configured by the workspace's
     // `clippy.toml` files and crate-root `#![deny]`s. The tests run the real
     // `cargo clippy` over fixture files (see `crate::clippy_fixture`);
-    // `lib/` reads the root config, `algos/` and `bench/` their own.
+    // `lib/` and `algos/` read the root config, `bench/` its own.
 
     /// `(lint, line)` of every diagnostic in fixture file `rel`, deduped.
     fn clippy(rel: &str) -> Vec<(String, usize)> {
@@ -943,8 +847,6 @@ mod tests {
         ("lib/src/l1_flag.rs", L1_FLAG),
         ("lib/src/l1_clean.rs", L1_CLEAN),
         ("lib/src/l1_allow.rs", L1_ALLOW),
-        ("algos/src/knng.rs", L2_ORACLE),
-        ("lib/src/l2_elsewhere.rs", L2_ORACLE),
         ("lib/src/l4_flag.rs", L4_FLAG),
         ("lib/src/l4_exempt.rs", L4_EXEMPT),
         ("lib/src/l4_doc.rs", L4_DOC),
@@ -964,6 +866,11 @@ mod tests {
         ("lib/src/l14_flag.rs", L14_FLAG),
         ("algos/src/l14_flag.rs", L14_FLAG),
         ("lib/src/l14_allow.rs", L14_ALLOW),
+        ("algos/src/l9_flag.rs", L9_FLAG),
+        ("lib/src/l9_flag.rs", L9_FLAG),
+        ("algos/src/l9_guarded.rs", L9_GUARDED),
+        ("algos/src/l9_chain.rs", L9_CHAIN),
+        ("lib/src/l9_allow.rs", L9_ALLOW),
         ("lib/src/bin/tool.rs", BIN_PRINTS),
         ("lib/tests/t.rs", INTEGRATION_TEST),
         ("bench/src/runner.rs", BENCH_RUNNER),
@@ -1044,27 +951,6 @@ pub fn f<M: prox_core::metric::Metric>(m: &M) -> f64 {
     #[test]
     fn l1_respects_allow_annotation() {
         assert_eq!(clippy("lib/src/l1_allow.rs"), vec![]);
-    }
-
-    // ---------------------------------------------------------------- L2
-
-    const L2_ORACLE: &str = r#"pub fn f<M: prox_core::metric::Metric>(o: &prox_core::oracle::Oracle<M>, p: prox_core::Pair) -> f64 {
-    let d = o.call_pair(p);
-    let e = o.call(0, 1);
-    d + e
-}
-"#;
-
-    #[test]
-    fn l2_flags_oracle_calls_in_algos_only() {
-        assert_eq!(
-            clippy("algos/src/knng.rs"),
-            at("disallowed_methods", &[2, 3])
-        );
-        let ds = clippy_diags("algos/src/knng.rs");
-        assert!(ds.iter().all(|d| d.rendered.contains("L2:")), "{ds:?}");
-        // The same text is fine outside algos: schemes are fed by the oracle.
-        assert_eq!(clippy("lib/src/l2_elsewhere.rs"), vec![]);
     }
 
     // ---------------------------------------------------------------- L4
@@ -1247,6 +1133,111 @@ fn t() {
     #[test]
     fn l7_ignores_strings_and_doc_comments() {
         assert_eq!(clippy("lib/src/l7_ignore.rs"), vec![]);
+    }
+
+    // ---------------------------------------------------------------- L9
+
+    const L9_FLAG: &str = r#"use prox_core::{Metric, Oracle, OracleError, Pair};
+
+pub fn shortcut<M: Metric>(o: &Oracle<M>, p: Pair) -> Result<f64, OracleError> {
+    o.try_call_pair(p)
+}
+
+pub fn raw<M: Metric>(o: &Oracle<M>, p: Pair) -> f64 {
+    o.call_pair(p) + o.call(0, 1)
+}
+"#;
+
+    const L9_GUARDED: &str = r#"use prox_core::{Metric, Oracle, Pair};
+
+pub trait Resolver {
+    fn resolve(&mut self, p: Pair) -> f64;
+}
+
+pub struct Ruler;
+
+impl Ruler {
+    pub fn call(&self, a: u32, b: u32) -> u32 {
+        a.abs_diff(b)
+    }
+}
+
+pub fn guarded<M: Metric>(r: &mut dyn Resolver, o: &Oracle<M>, x: &Ruler) -> (f64, u64, u32) {
+    (r.resolve(Pair::new(0, 1)), o.calls(), x.call(0, 1))
+}
+"#;
+
+    const L9_CHAIN: &str = r#"use prox_core::{Metric, Oracle};
+
+pub fn leaky<M: Metric>(o: &Oracle<M>) -> f64 {
+    probe(o)
+}
+
+fn probe<M: Metric>(o: &Oracle<M>) -> f64 {
+    o.call(0, 1)
+}
+"#;
+
+    const L9_ALLOW: &str = r#"use prox_core::{Metric, Oracle, OracleError};
+
+pub fn bootstrap<M: Metric>(o: &Oracle<M>) -> Result<f64, OracleError> {
+    try_pivot_row(o)
+}
+
+#[expect(clippy::disallowed_methods, reason = "L9: builds the bound tables")]
+fn try_pivot_row<M: Metric>(o: &Oracle<M>) -> Result<f64, OracleError> {
+    o.try_call(0, 1)
+}
+
+#[expect(clippy::disallowed_methods, reason = "L9: no oracle call left here")]
+pub fn stale<M: Metric>(o: &Oracle<M>) -> usize {
+    o.n()
+}
+"#;
+
+    /// Type-resolved and crate-wide: a direct oracle call is flagged in
+    /// `crates/algos` and in every other crate alike (the algorithms-only
+    /// ban once numbered L2 is part of L9), with its `L9:` reason.
+    #[test]
+    fn l9_flags_a_direct_oracle_call_with_its_reason() {
+        for file in ["algos/src/l9_flag.rs", "lib/src/l9_flag.rs"] {
+            assert_eq!(clippy(file), at("disallowed_methods", &[4, 8]), "{file}");
+            let ds = clippy_diags(file);
+            assert!(ds.iter().all(|d| d.rendered.contains("L9:")), "{ds:?}");
+            assert!(ds[0]
+                .rendered
+                .contains("prox_core::oracle::Oracle::try_call_pair"));
+        }
+    }
+
+    /// Only the five oracle call methods are banned: an algorithm speaking
+    /// a resolver, the oracle's bookkeeping accessors and a same-named
+    /// method of another type are clean.
+    #[test]
+    fn l9_accepts_resolver_guarded_paths() {
+        assert_eq!(clippy("algos/src/l9_guarded.rs"), vec![]);
+    }
+
+    /// A call behind a private helper is flagged once, at its call site:
+    /// every chain from a public API down to the oracle passes that site,
+    /// so the path above it needs no finding of its own.
+    #[test]
+    fn l9_flags_a_public_leak_with_its_chain() {
+        assert_eq!(
+            clippy("algos/src/l9_chain.rs"),
+            at("disallowed_methods", &[8])
+        );
+    }
+
+    /// L9's allowlist is its set of audited `#[expect]` sites. One on the
+    /// funnel sanctions the call and every path above it; one that no
+    /// longer fires is itself reported, so a stale entry cannot linger.
+    #[test]
+    fn l9_allowlist_sanctions_audited_paths_and_flags_stale_entries() {
+        assert_eq!(
+            clippy("lib/src/l9_allow.rs"),
+            vec![("unfulfilled_lint_expectations".to_string(), 12)]
+        );
     }
 
     // --------------------------------------------------------------- L10
@@ -1495,6 +1486,56 @@ pub fn stale(d: &mut Dijkstra, g: &PartialGraph) -> f64 {
                 ("crates/graph/src/dijkstra.rs", "mod tests {"),
             ])
         );
+    }
+
+    const L9_SITES: &[(&str, &str)] = &[
+        ("crates/bench/benches/schemes.rs", "fn feed(scheme: &mut dyn BoundScheme, metric: &(dyn prox_core::Metric + Send + Sync), n: usize) {"),
+        ("crates/bench/benches/schemes.rs", "fn bench_updates(b: &mut Bench) {"),
+        ("crates/bench/benches/schemes.rs", "fn bench_tri_access(b: &mut Bench) {"),
+        ("crates/bench/benches/schemes.rs", "fn bench_splub_cold(b: &mut Bench) {"),
+        ("crates/bench/benches/schemes.rs", "fn bench_tri_adjacency(b: &mut Bench) {"),
+        ("crates/bench/benches/schemes.rs", "fn bench_oracle_fault_layer(b: &mut Bench) {"),
+        ("crates/bench/benches/schemes.rs", "fn bench_oracle_trace_layer(b: &mut Bench) {"),
+        ("crates/bench/benches/schemes.rs", "fn bench_oracle_trust_layer(b: &mut Bench) {"),
+        ("crates/bench/benches/schemes.rs", "fn bench_store_layer(b: &mut Bench) {"),
+        ("crates/bench/benches/schemes.rs", "fn bench_store_rounds(b: &mut Bench) {"),
+        ("crates/bench/src/experiments/fig3.rs", "fn quality_setup(n: usize, extra_edges: usize) -> QualityBench {"),
+        ("crates/bench/src/experiments/fig3.rs", "pub fn fig3b(scale: Scale) {"),
+        ("crates/bench/src/experiments/fig3.rs", "pub fn fig3c(scale: Scale) {"),
+        ("crates/bench/src/experiments/fig5.rs", "pub fn fig5a(scale: Scale) {"),
+        ("crates/bounds/src/bootstrap.rs", "pub fn try_select_maxmin_pivots<M: Metric>("),
+        ("crates/bounds/src/resolver.rs", "fn voted_value(&mut self, p: Pair, k: u32) -> Result<f64, OracleError> {"),
+        ("crates/bounds/src/resolver.rs", "fn resolve_audited(&mut self, p: Pair) -> Result<f64, OracleError> {"),
+        ("crates/bounds/src/resolver.rs", "fn resolve(&mut self, p: Pair) -> f64 {"),
+        ("crates/bounds/src/resolver.rs", "fn resolve_fallible(&mut self, p: Pair) -> Result<f64, OracleError> {"),
+        ("crates/bounds/src/resolver.rs", "fn resolve_and_preload_never_allocate_the_memo() {"),
+        ("crates/bounds/src/resolver.rs", "fn one_off_anchor_rows_skip_the_memo_and_revisited_columns_hit_it() {"),
+        ("crates/bounds/src/tlaesa.rs", "pub fn try_build<M: Metric>("),
+        ("crates/core/src/oracle.rs", "pub fn call(&self, a: ObjectId, b: ObjectId) -> f64 {"),
+        ("crates/core/src/oracle.rs", "pub fn call_pair(&self, p: Pair) -> f64 {"),
+        ("crates/core/src/oracle.rs", "pub fn try_call_pair(&self, p: Pair) -> Result<f64, OracleError> {"),
+        ("crates/core/src/oracle.rs", "mod tests {"),
+        ("crates/index/src/bktree.rs", "fn insert<M: Metric>(oracle: &Oracle<M>, mut node: &mut Box<Node>, id: ObjectId, quantum: f64) {"),
+        ("crates/index/src/bktree.rs", "fn search<M: Metric>("),
+        ("crates/index/src/gnat.rs", "fn dist<M: Metric>(oracle: &Oracle<M>, a: ObjectId, b: ObjectId) -> f64 {"),
+        ("crates/index/src/mtree.rs", "fn dist<M: Metric>(oracle: &Oracle<M>, a: ObjectId, b: ObjectId) -> f64 {"),
+        ("crates/index/src/vptree.rs", "fn build_node<M: Metric>(oracle: &Oracle<M>, ids: &mut [ObjectId]) -> Option<Box<Node>> {"),
+        ("crates/index/src/vptree.rs", "fn search_knn<M: Metric>("),
+        ("crates/index/src/vptree.rs", "fn search_range<M: Metric>("),
+        ("crates/lp/src/dft.rs", "fn resolve(&mut self, p: Pair) -> f64 {"),
+        ("crates/lp/src/dft.rs", "fn resolve_fallible(&mut self, p: Pair) -> Result<f64, prox_core::OracleError> {"),
+    ];
+
+    /// The real workspace's L9 allowlist: every direct oracle call outside
+    /// a resolver. The oracle's own delegations and tests, the resolvers'
+    /// paid and voted resolutions, the two bound-table builders that run
+    /// before any resolver exists, the §6.1 metric indexes (baselines
+    /// metered by the oracle, not plugged algorithms) and the bench cells
+    /// that feed schemes exact distances. A new direct call needs an entry
+    /// here as well as its `#[expect]`.
+    #[test]
+    fn l9_real_allowlist_matches_the_workspace() {
+        assert_eq!(audited_sites("L9"), sites(L9_SITES));
     }
 
     // --------------------------------------------------------------- L14
